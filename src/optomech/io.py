@@ -6,14 +6,20 @@ the metadata (sample_rate_hz, t0_s, calibration_m_per_unit, center_freq_hz;
 center_freq_hz is 0 for baseband records, and complex-envelope records use
 two value columns).  The binary variant (magic "OMB1", little-endian
 float64 payload) is for large records.  All writes are atomic
-(temp file + rename) and floats are written with shortest round-trip
-representation, so a rerun with the same inputs is byte-identical.
+(temp file + rename), and files are created with mode 0666 minus the
+umask.  Floats are written with shortest round-trip representation, so a
+rerun with the same inputs is byte-identical.
+
+CSV writers stream rows in fixed chunks, so memory stays bounded.  Records
+of at least ``_POOL_MIN_ROWS`` rows are formatted by forked workers, one per
+CPU the process may run on; the chunks are written in order, so the output
+bytes do not depend on the CPU count.
 """
 
+import contextlib
 import json
 import os
 import struct
-import tempfile
 
 import numpy as np
 
@@ -21,6 +27,12 @@ from .synth import DriveRecord, TimeSeries
 
 RESULT_SCHEMA = "optomech.result/1"
 _TS_MAGIC = b"OMB1"
+
+_CHUNK_ROWS = 1 << 14  # rows formatted and written at a time
+# Shorter records are formatted in process: starting a pool (~25 ms) costs
+# about what it saves below this many rows (measured on a 2-CPU x86-64 host,
+# where formatting takes ~2 us per value).
+_POOL_MIN_ROWS = 1 << 15
 
 
 class FormatError(OSError):
@@ -31,13 +43,20 @@ class SchemaError(FormatError):
     """Raised when a result document carries an unexpected schema id."""
 
 
-def _atomic_write_bytes(path, payload: bytes):
+@contextlib.contextmanager
+def _atomic_open(path):
+    """Binary file object on a new temp file beside ``path``.
+
+    The temp file replaces ``path`` when the block ends and is removed if the
+    block raises.  It is created with mode 0666, so the umask applies as it
+    does to any ordinary file.
+    """
     path = os.fspath(path)
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_", suffix="~")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".tmp_{os.urandom(8).hex()}~")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+        with open(tmp, "xb") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -47,6 +66,89 @@ def _atomic_write_bytes(path, payload: bytes):
 
 def _fmt(x) -> str:
     return repr(float(x))
+
+
+def _format_rows(columns, start, stop) -> bytes:
+    """CSV lines of rows [start, stop): each float as its shortest repr."""
+    cols = [c[start:stop].tolist() for c in columns]
+    if len(cols) == 1:
+        lines = map(repr, cols[0])
+    else:
+        lines = map(",".join, zip(*[map(repr, c) for c in cols]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+# Columns of the record a pool worker formats; set in each worker only.
+_worker_columns = None
+
+
+def _init_worker(columns):
+    global _worker_columns
+    _worker_columns = columns
+
+
+def _format_chunk(rows) -> bytes:
+    return _format_rows(_worker_columns, *rows)
+
+
+def _pool_size(n_rows) -> int:
+    """Worker processes to format ``n_rows`` rows; 0 formats them in this
+    process.  Platforms without CPU affinity or ``fork`` get 0."""
+    if n_rows < _POOL_MIN_ROWS or not hasattr(os, "sched_getaffinity"):
+        return 0
+    workers = min(len(os.sched_getaffinity(0)), -(-n_rows // _CHUNK_ROWS))
+    if workers < 2:
+        return 0
+    import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 0
+    return workers
+
+
+def _write_csv(path, header_lines, columns):
+    """Stream a CSV of equal-length 1-D float columns after ``header_lines``.
+
+    Rows are formatted ``_CHUNK_ROWS`` at a time.  A long record's chunks are
+    formatted by forked workers, one per CPU this process may run on, and
+    written in order, so the bytes never depend on the CPU count.  Workers
+    inherit the columns through fork (nothing is pickled but the row range
+    and the text); spawned workers would re-import numpy and receive the
+    columns pickled, which costs more than they save.  Fork is safe here
+    because this process runs no Python threads of its own and the workers
+    run only pure-Python formatting, never BLAS.  The pool is joined before
+    returning, so no worker outlives the write.
+    """
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
+    if not columns:
+        raise ValueError("a CSV needs at least one column")
+    if any(c.ndim != 1 for c in columns):
+        raise ValueError("CSV columns must be 1-D")
+    n = columns[0].size
+    if any(c.size != n for c in columns):
+        raise ValueError("all columns must have equal length")
+    chunks = [(i, min(i + _CHUNK_ROWS, n)) for i in range(0, n, _CHUNK_ROWS)]
+    workers = _pool_size(n)
+    pool = None
+    if workers:
+        import multiprocessing
+        pool = multiprocessing.get_context("fork").Pool(
+            workers, initializer=_init_worker, initargs=(columns,))
+        texts = pool.imap(_format_chunk, chunks)
+    else:
+        texts = (_format_rows(columns, *rows) for rows in chunks)
+    try:
+        with _atomic_open(path) as fh:
+            fh.write(("\n".join(header_lines) + "\n").encode())
+            for text in texts:
+                fh.write(text)
+    except BaseException:
+        if pool is not None:
+            pool.terminate()
+        raise
+    finally:
+        if pool is not None:
+            pool.close()
+            pool.join()
 
 
 def write_timeseries_csv(path, ts: TimeSeries):
@@ -59,11 +161,11 @@ def write_timeseries_csv(path, ts: TimeSeries):
         lines.append(f"# warning={w}")
     if ts.is_complex:
         lines.append("value_re,value_im")
-        lines.extend(f"{_fmt(v.real)},{_fmt(v.imag)}" for v in ts.values)
+        columns = [ts.values.real, ts.values.imag]
     else:
         lines.append("value")
-        lines.extend(_fmt(v) for v in ts.values)
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
+        columns = [ts.values]
+    _write_csv(path, lines, columns)
 
 
 def _parse_headers(fh):
@@ -95,7 +197,9 @@ def read_timeseries_csv(path) -> TimeSeries:
         try:
             if cols == "value_re,value_im":
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)
-                values = data[:, 0] + 1j * data[:, 1]
+                # a view keeps the sign of a zero imaginary part, which
+                # re + 1j*im would drop
+                values = data.view(np.complex128)[:, 0]
             elif cols == "value":
                 values = np.loadtxt(fh, ndmin=1)
             else:
@@ -117,13 +221,12 @@ def write_timeseries_bin(path, ts: TimeSeries):
     head = _TS_MAGIC + struct.pack("<B3x", flags)
     head += struct.pack("<4dQ", ts.sample_rate, ts.t0, ts.calibration,
                         ts.center_freq, ts.n)
-    if ts.is_complex:
-        payload = np.ascontiguousarray(
-            np.column_stack([ts.values.real, ts.values.imag]), dtype="<f8"
-        ).tobytes()
-    else:
-        payload = np.ascontiguousarray(ts.values, dtype="<f8").tobytes()
-    _atomic_write_bytes(path, head + payload)
+    # complex128 memory is already the interleaved re/im float64 payload
+    payload = np.ascontiguousarray(ts.values,
+                                   dtype="<c16" if flags else "<f8")
+    with _atomic_open(path) as fh:
+        fh.write(head)
+        fh.write(payload)
 
 
 def read_timeseries_bin(path) -> TimeSeries:
@@ -138,7 +241,7 @@ def read_timeseries_bin(path) -> TimeSeries:
         if flags & 1:
             if body.size != 2 * n:
                 raise FormatError(f"{path}: truncated complex payload")
-            values = body[0::2] + 1j * body[1::2]
+            values = body.view("<c16").astype(np.complex128)
         else:
             if body.size != n:
                 raise FormatError(f"{path}: truncated payload")
@@ -176,9 +279,7 @@ def write_driverecord_csv(path, rec: DriveRecord):
              f"# base_calibration_m_per_unit={_fmt(base.calibration)}",
              f"# response_calibration_m_per_unit={_fmt(resp.calibration)}",
              "base,response"]
-    lines.extend(f"{_fmt(b)},{_fmt(r)}"
-                 for b, r in zip(base.values, resp.values))
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
+    _write_csv(path, lines, [base.values, resp.values])
 
 
 def read_driverecord_csv(path) -> DriveRecord:
@@ -211,7 +312,8 @@ def write_result_doc(path, doc: dict):
     if doc.get("schema") != RESULT_SCHEMA:
         raise SchemaError(f"result document must declare schema={RESULT_SCHEMA!r}")
     payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    _atomic_write_bytes(path, payload.encode())
+    with _atomic_open(path) as fh:
+        fh.write(payload.encode())
 
 
 def read_result_doc(path) -> dict:
@@ -234,12 +336,4 @@ def make_result_doc(command: str, config: dict, outputs: dict) -> dict:
 
 def write_table_csv(path, columns: dict):
     """Column-oriented plot-ready data file: {name: 1-D array}."""
-    names = list(columns)
-    arrays = [np.asarray(columns[k], dtype=float) for k in names]
-    n = arrays[0].size
-    if any(a.size != n for a in arrays):
-        raise ValueError("all columns must have equal length")
-    lines = [",".join(names)]
-    for i in range(n):
-        lines.append(",".join(_fmt(a[i]) for a in arrays))
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
+    _write_csv(path, [",".join(columns)], list(columns.values()))

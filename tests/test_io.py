@@ -1,7 +1,14 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from optomech import DriveRecord, TimeSeries
+from optomech import io as omio
 from optomech.io import (FormatError, RESULT_SCHEMA, SchemaError,
                          make_result_doc, read_driverecord_csv,
                          read_result_doc, read_timeseries,
@@ -155,3 +162,178 @@ class TestTableCsv:
         with pytest.raises(ValueError):
             write_table_csv(tmp_path / "t.csv",
                             {"a": np.array([1.0]), "b": np.array([1.0, 2.0])})
+
+    def test_no_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_table_csv(tmp_path / "t.csv", {})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_2d_column_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_table_csv(tmp_path / "t.csv", {"a": np.ones((2, 2))})
+        assert list(tmp_path.iterdir()) == []
+
+
+# The per-element writers the streaming CSV writer replaced, kept as the
+# reference its bytes must equal.
+def _ref_fmt(x):
+    return repr(float(x))
+
+
+def _ref_timeseries_csv(ts):
+    lines = ["# optomech_timeseries v1",
+             f"# sample_rate_hz={_ref_fmt(ts.sample_rate)}",
+             f"# t0_s={_ref_fmt(ts.t0)}",
+             f"# calibration_m_per_unit={_ref_fmt(ts.calibration)}",
+             f"# center_freq_hz={_ref_fmt(ts.center_freq)}"]
+    for w in ts.warnings:
+        lines.append(f"# warning={w}")
+    if ts.is_complex:
+        lines.append("value_re,value_im")
+        lines.extend(f"{_ref_fmt(v.real)},{_ref_fmt(v.imag)}"
+                     for v in ts.values)
+    else:
+        lines.append("value")
+        lines.extend(_ref_fmt(v) for v in ts.values)
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _ref_driverecord_csv(rec):
+    base, resp = rec.base_motion, rec.response_motion
+    lines = ["# optomech_driverecord v1",
+             f"# drive_freq_hz={_ref_fmt(rec.drive_freq)}",
+             f"# sample_rate_hz={_ref_fmt(base.sample_rate)}",
+             f"# t0_s={_ref_fmt(base.t0)}",
+             f"# base_calibration_m_per_unit={_ref_fmt(base.calibration)}",
+             f"# response_calibration_m_per_unit={_ref_fmt(resp.calibration)}",
+             "base,response"]
+    lines.extend(f"{_ref_fmt(b)},{_ref_fmt(r)}"
+                 for b, r in zip(base.values, resp.values))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _ref_table_csv(columns):
+    names = list(columns)
+    arrays = [np.asarray(columns[k], dtype=float) for k in names]
+    lines = [",".join(names)]
+    for i in range(arrays[0].size):
+        lines.append(",".join(_ref_fmt(a[i]) for a in arrays))
+    return ("\n".join(lines) + "\n").encode()
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 1e-5, 1e16,
+               float(2 ** 53), 0.1, -1.0]
+
+
+def _values(n, seed):
+    x = np.random.default_rng(seed).standard_normal(n) * 1e-12
+    x[:len(EDGE_VALUES)] = EDGE_VALUES
+    x[-len(EDGE_VALUES):] = EDGE_VALUES[::-1]
+    return x
+
+
+def _writer_cases(n):
+    re, im, other = _values(n, 1), _values(n, 2), _values(n, 3)
+    real = TimeSeries(8192.0, 0.25, re, calibration=3.5e-9,
+                      warnings=("short_record",))
+    cplx = TimeSeries(400.0, 0.0, re + 1j * im, center_freq=250e3)
+    cplx.values.imag[:] = im     # keep -0.0 imaginary parts
+    rec = DriveRecord(1000.0, TimeSeries(32000.0, 0.0, re),
+                      TimeSeries(32000.0, 0.0, im, calibration=2.0))
+    table = {"freq_hz": re, "value_db": im, "fit": other}
+    return {
+        "real": (lambda p: write_timeseries_csv(p, real),
+                 lambda: _ref_timeseries_csv(real)),
+        "complex": (lambda p: write_timeseries_csv(p, cplx),
+                    lambda: _ref_timeseries_csv(cplx)),
+        "drive": (lambda p: write_driverecord_csv(p, rec),
+                  lambda: _ref_driverecord_csv(rec)),
+        "table": (lambda p: write_table_csv(p, table),
+                  lambda: _ref_table_csv(table)),
+    }
+
+
+def _allow_cpus(monkeypatch, n_cpus):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(n_cpus)), raising=False)
+
+
+class TestStreamingCsv:
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    @pytest.mark.parametrize("above", [False, True])
+    @pytest.mark.parametrize("kind", ["real", "complex", "drive", "table"])
+    def test_bytes_equal_per_element_reference(self, tmp_path, monkeypatch,
+                                               kind, above, n_cpus):
+        # above the pool threshold, with a short last chunk
+        n = omio._POOL_MIN_ROWS + omio._CHUNK_ROWS // 2 + 3 if above else 300
+        _allow_cpus(monkeypatch, n_cpus)
+        assert (omio._pool_size(n) > 0) == (above and n_cpus > 1)
+        write, reference = _writer_cases(n)[kind]
+        path = tmp_path / f"{kind}.csv"
+        write(path)
+        assert path.read_bytes() == reference()
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_failure_leaves_no_file_and_no_child(self, tmp_path, monkeypatch,
+                                                 n_cpus):
+        _allow_cpus(monkeypatch, n_cpus)
+
+        def failing(columns, start, stop):
+            raise RuntimeError(f"formatting failed in pid {os.getpid()}")
+
+        monkeypatch.setattr(omio, "_format_rows", failing)
+        ts = TimeSeries(1.0, 0.0, _values(omio._POOL_MIN_ROWS * 2, 4))
+        path = tmp_path / "rec.csv"
+        with pytest.raises(RuntimeError, match="formatting failed") as err:
+            write_timeseries_csv(path, ts)
+        pid = int(str(err.value).rsplit(" ", 1)[1])
+        assert (pid != os.getpid()) == (n_cpus > 1)
+        assert list(tmp_path.iterdir()) == []
+        assert multiprocessing.active_children() == []
+        if pid != os.getpid():
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)       # the worker was reaped
+
+
+class TestFileMode:
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_files_follow_umask(self, tmp_path, umask):
+        ts = _real_ts()
+        old = os.umask(umask)
+        try:
+            write_timeseries_csv(tmp_path / "a.csv", ts)
+            write_timeseries_bin(tmp_path / "a.bin", ts)
+            write_table_csv(tmp_path / "t.csv", {"a": ts.values})
+            write_result_doc(tmp_path / "r.json", make_result_doc("x", {}, {}))
+        finally:
+            os.umask(old)
+        for path in tmp_path.iterdir():
+            assert path.stat().st_mode & 0o777 == 0o666 & ~umask, path.name
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+_real_arrays = hnp.arrays(np.float64, st.integers(2, 40), elements=_finite)
+_complex_arrays = hnp.arrays(
+    np.complex128, st.integers(2, 40),
+    elements=st.builds(complex, _finite, _finite))
+
+
+def _same_bits(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.one_of(_real_arrays, _complex_arrays))
+    @example(values=np.array(EDGE_VALUES))
+    @example(values=np.array([complex(0.0, -0.0), complex(-0.0, 5e-324)]))
+    def test_csv_and_bin_round_trip_bit_exact(self, tmp_path_factory, values):
+        d = tmp_path_factory.mktemp("rt")
+        ts = TimeSeries(400.0, 0.0, values)
+        write_timeseries_csv(d / "a.csv", ts)
+        write_timeseries_bin(d / "a.bin", ts)
+        assert _same_bits(read_timeseries_csv(d / "a.csv").values, values)
+        assert _same_bits(read_timeseries_bin(d / "a.bin").values, values)
