@@ -158,14 +158,14 @@ def cmd_simulate(args) -> int:
             base_noise_rms=p["base_noise_rms_m"],
             response_noise_rms=p["response_noise_rms_m"],
             piezo_corner_hz=p["piezo_corner_hz"])
-        rec_files = []
-        for i, rec in enumerate(records):
-            stem = f"sweep_{args.device}_{i:03d}"
-            if fmt == "csv":
-                name = f"{stem}.csv"
-                _io.write_driverecord_csv(os.path.join(out, name), rec)
-                rec_files.append(name)
-            else:
+        stems = [f"sweep_{args.device}_{i:03d}" for i in range(len(records))]
+        if fmt == "csv":
+            rec_files = [f"{stem}.csv" for stem in stems]
+            _io.write_driverecords_csv(
+                [os.path.join(out, name) for name in rec_files], records)
+        else:
+            rec_files = []
+            for stem, rec in zip(stems, records):
                 entry = {"drive_freq_hz": rec.drive_freq,
                          "base": f"{stem}_base.bin",
                          "response": f"{stem}_response.bin"}
@@ -223,20 +223,18 @@ def _load_drive_records(in_paths):
         entries = doc["outputs"]["files"].get("records", [])
         if not entries:
             raise _io.FormatError(f"{in_paths[0]}: manifest lists no records")
-        records = []
-        for entry in entries:
-            if isinstance(entry, str):      # CSV drive-record file
-                records.append(
-                    _io.read_driverecord_csv(os.path.join(base, entry)))
-            else:                           # binary base/response pair
-                records.append(_synth.DriveRecord(
+        # CSV drive-record files, read in one batch
+        csv_records = iter(_io.read_driverecords_csv(
+            [os.path.join(base, e) for e in entries if isinstance(e, str)]))
+        return [next(csv_records) if isinstance(entry, str)
+                else _synth.DriveRecord(    # binary base/response pair
                     drive_freq=float(entry["drive_freq_hz"]),
                     base_motion=_io.read_timeseries(
                         os.path.join(base, entry["base"])),
                     response_motion=_io.read_timeseries(
-                        os.path.join(base, entry["response"]))))
-        return records
-    return [_io.read_driverecord_csv(p) for p in in_paths]
+                        os.path.join(base, entry["response"])))
+                for entry in entries]
+    return _io.read_driverecords_csv(in_paths)
 
 
 def cmd_analyze(args) -> int:

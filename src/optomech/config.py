@@ -19,6 +19,9 @@ class ConfigError(ValueError):
 
 
 def _check_keys(d: dict, allowed, where: str):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, "
+                          f"got {type(d).__name__}")
     unknown = set(d) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
@@ -71,8 +74,7 @@ def _merge_section(user: dict, defaults: dict, where: str) -> dict:
     for key, dv in defaults.items():
         uv = user.get(key, dv)
         if isinstance(dv, dict):
-            uv = _merge_section(uv if isinstance(uv, dict) else {}, dv,
-                                f"{where}.{key}")
+            uv = _merge_section(uv, dv, f"{where}.{key}")
         out[key] = uv
     return out
 
@@ -108,8 +110,6 @@ class Config:
 
 
 def config_from_dict(d: dict) -> Config:
-    if not isinstance(d, dict):
-        raise ConfigError("config must be a JSON object")
     _check_keys(d, {"device", "cavity", "synth", "analysis"}, "config")
 
     device = d.get("device", {})

@@ -10,13 +10,17 @@ float64 payload) is for large records.  All writes are atomic
 umask.  Floats are written with shortest round-trip representation, so a
 rerun with the same inputs is byte-identical.
 
-CSV writers stream rows in fixed chunks, so memory stays bounded.  Records
-of at least ``_POOL_MIN_ROWS`` rows are formatted by forked workers, one per
-CPU the process may run on; the chunks are written in order, so the output
-bytes do not depend on the CPU count.
+CSV writers stream rows in fixed chunks, so memory stays bounded.  Long
+CSV records and whole sweeps are formatted and parsed on every CPU the
+process may run on, one forked worker per CPU: writers format the chunks
+of a long record, or of all the records of a sweep, on the workers; readers
+parse a long record in byte ranges, and the files of a sweep one per
+worker.  Results are put back in order, so the bytes written and the values
+read do not depend on the CPU count.
 """
 
 import contextlib
+import io
 import json
 import os
 import struct
@@ -33,6 +37,11 @@ _CHUNK_ROWS = 1 << 14  # rows formatted and written at a time
 # about what it saves below this many rows (measured on a 2-CPU x86-64 host,
 # where formatting takes ~2 us per value).
 _POOL_MIN_ROWS = 1 << 15
+# Shorter CSV bodies, and batches of files, are parsed in process: parsing
+# runs at ~30 MB/s per CPU, and a pool of two wins only above ~5 MiB on the
+# same host.
+_POOL_MIN_BYTES = 6 << 20
+_RANGE_BYTES = 1 << 20  # bytes of a long CSV body one worker parses at a time
 
 
 class FormatError(OSError):
@@ -78,77 +87,101 @@ def _format_rows(columns, start, stop) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-# Columns of the record a pool worker formats; set in each worker only.
-_worker_columns = None
+# The function a pool worker applies to its jobs; set in each worker only,
+# which also keeps a worker from starting a pool of its own.
+_worker_fn = None
 
 
-def _init_worker(columns):
-    global _worker_columns
-    _worker_columns = columns
+def _set_worker_fn(fn):
+    global _worker_fn
+    _worker_fn = fn
 
 
-def _format_chunk(rows) -> bytes:
-    return _format_rows(_worker_columns, *rows)
+def _call_worker_fn(job):
+    return _worker_fn(job)
 
 
-def _pool_size(n_rows) -> int:
-    """Worker processes to format ``n_rows`` rows; 0 formats them in this
-    process.  Platforms without CPU affinity or ``fork`` get 0."""
-    if n_rows < _POOL_MIN_ROWS or not hasattr(os, "sched_getaffinity"):
-        return 0
-    workers = min(len(os.sched_getaffinity(0)), -(-n_rows // _CHUNK_ROWS))
-    if workers < 2:
-        return 0
+def _pool_cpus() -> int:
+    """CPUs a pool may use: those this process may run on.  1, meaning no
+    pool, without CPU affinity or ``fork``, and inside a pool worker."""
+    if _worker_fn is not None or not hasattr(os, "sched_getaffinity"):
+        return 1
     import multiprocessing
     if "fork" not in multiprocessing.get_all_start_methods():
-        return 0
-    return workers
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
-def _write_csv(path, header_lines, columns):
-    """Stream a CSV of equal-length 1-D float columns after ``header_lines``.
+def _cpu_imap(fn, jobs, parallel):
+    """Yield ``fn(job)`` for each of ``jobs``, in order.
 
-    Rows are formatted ``_CHUNK_ROWS`` at a time.  A long record's chunks are
-    formatted by forked workers, one per CPU this process may run on, and
-    written in order, so the bytes never depend on the CPU count.  Workers
-    inherit the columns through fork (nothing is pickled but the row range
-    and the text); spawned workers would re-import numpy and receive the
-    columns pickled, which costs more than they save.  Fork is safe here
-    because this process runs no Python threads of its own and the workers
-    run only pure-Python formatting, never BLAS.  The pool is joined before
-    returning, so no worker outlives the write.
+    With ``parallel`` set, the jobs run on a pool of forked workers, one per
+    CPU of ``_pool_cpus()`` capped at the job count; with fewer than two
+    workers they run in this process.  Workers inherit ``fn`` through fork,
+    so it may close over large arrays: only the jobs and the results are
+    pickled.  Spawned workers would re-import numpy and need ``fn`` pickled.
+    Fork is safe here because this process runs no Python threads of its
+    own and no job calls BLAS, whose threads a forked child lacks.  The
+    pool is closed and joined when the iteration ends, also when it raises
+    or is closed early (wrap the call in ``contextlib.closing``), so no
+    worker outlives it.  It is never terminated: a worker killed while it
+    sends a result keeps the result queue's lock, and the pool's shutdown
+    then waits for that lock forever.  After an error the workers finish
+    the queued jobs instead.
     """
+    jobs = list(jobs)
+    workers = min(_pool_cpus(), len(jobs)) if parallel else 1
+    if workers < 2:
+        yield from map(fn, jobs)
+        return
+    import multiprocessing
+    pool = multiprocessing.get_context("fork").Pool(
+        workers, initializer=_set_worker_fn, initargs=(fn,))
+    try:
+        yield from pool.imap(_call_worker_fn, jobs)
+    finally:
+        pool.close()
+        pool.join()
+
+
+def _csv_columns(columns):
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
     if not columns:
         raise ValueError("a CSV needs at least one column")
     if any(c.ndim != 1 for c in columns):
         raise ValueError("CSV columns must be 1-D")
-    n = columns[0].size
-    if any(c.size != n for c in columns):
+    if any(c.size != columns[0].size for c in columns):
         raise ValueError("all columns must have equal length")
-    chunks = [(i, min(i + _CHUNK_ROWS, n)) for i in range(0, n, _CHUNK_ROWS)]
-    workers = _pool_size(n)
-    pool = None
-    if workers:
-        import multiprocessing
-        pool = multiprocessing.get_context("fork").Pool(
-            workers, initializer=_init_worker, initargs=(columns,))
-        texts = pool.imap(_format_chunk, chunks)
-    else:
-        texts = (_format_rows(columns, *rows) for rows in chunks)
-    try:
-        with _atomic_open(path) as fh:
-            fh.write(("\n".join(header_lines) + "\n").encode())
-            for text in texts:
-                fh.write(text)
-    except BaseException:
-        if pool is not None:
-            pool.terminate()
-        raise
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+    return columns
+
+
+def _write_csv(files):
+    """Stream CSVs of equal-length 1-D float columns, one per
+    ``(path, header_lines, columns)`` entry of ``files``, in order.
+
+    Rows are formatted ``_CHUNK_ROWS`` at a time.  When the files hold
+    ``_POOL_MIN_ROWS`` rows or more together, all their chunks are formatted
+    on one pool (``_cpu_imap``).  Workers only format text: this process
+    writes each file in order through ``_atomic_open``, so the bytes never
+    depend on the CPU count.
+    """
+    files = [(path, header, _csv_columns(columns))
+             for path, header, columns in files]
+    jobs = [(k, start) for k, (_, _, columns) in enumerate(files)
+            for start in range(0, columns[0].size, _CHUNK_ROWS)]
+
+    def format_chunk(job):
+        k, start = job
+        return _format_rows(files[k][2], start, start + _CHUNK_ROWS)
+
+    n_rows = sum(columns[0].size for _, _, columns in files)
+    with contextlib.closing(
+            _cpu_imap(format_chunk, jobs, n_rows >= _POOL_MIN_ROWS)) as texts:
+        for path, header, columns in files:
+            with _atomic_open(path) as fh:
+                fh.write(("\n".join(header) + "\n").encode())
+                for _ in range(0, columns[0].size, _CHUNK_ROWS):
+                    fh.write(next(texts))
 
 
 def write_timeseries_csv(path, ts: TimeSeries):
@@ -165,55 +198,137 @@ def write_timeseries_csv(path, ts: TimeSeries):
     else:
         lines.append("value")
         columns = [ts.values]
-    _write_csv(path, lines, columns)
+    _write_csv([(path, lines, columns)])
 
 
-def _parse_headers(fh):
+def _read_header(path, magic, kind):
+    """Metadata and warnings from the '#' lines of a CSV record, its column
+    line, and the byte offset of its first row.
+
+    Lines end at b"\\n"; a trailing "\\r" is stripped with the other
+    whitespace.
+    """
     meta = {}
     warnings = []
-    pos = fh.tell()
-    line = fh.readline()
-    while line.startswith("#"):
-        body = line[1:].strip()
-        if "=" in body:
-            key, val = body.split("=", 1)
-            if key.strip() == "warning":
-                warnings.append(val.strip())
-            else:
-                meta[key.strip()] = val.strip()
-        pos = fh.tell()
-        line = fh.readline()
-    fh.seek(pos)
-    return meta, warnings
+    with open(path, "rb") as fh:
+        if not fh.readline().startswith(magic):
+            raise FormatError(f"{path}: not an optomech {kind} CSV")
+        try:
+            line = fh.readline().decode("utf-8")
+            while line.startswith("#"):
+                body = line[1:].strip()
+                if "=" in body:
+                    key, val = body.split("=", 1)
+                    if key.strip() == "warning":
+                        warnings.append(val.strip())
+                    else:
+                        meta[key.strip()] = val.strip()
+                line = fh.readline().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: malformed {kind} CSV: {exc}") from exc
+        return meta, warnings, line.strip(), fh.tell()
+
+
+def _parse_rows(fh):
+    return np.loadtxt(fh, delimiter=",", ndmin=2)
+
+
+def _read_ranges(path, offset, ncols):
+    """Rows of a long CSV body parsed on the pool, one ~``_RANGE_BYTES``
+    range at a time, into one shared array.
+
+    Ranges end at newlines, and each range's rows are expected to be its
+    newline count.  Returns None, so that the caller re-reads the body
+    serially, if a range parses to a different shape (blank or '#' lines,
+    which ``loadtxt`` skips, or another column count) or fails to parse;
+    values and errors are then exactly those of the serial reader.
+    """
+    ranges = []                       # (start, stop, first row, rows)
+    n_rows = 0
+    with open(path, "rb") as fh:
+        start = offset
+        while True:
+            fh.seek(start)
+            block = fh.read(_RANGE_BYTES)
+            if not block:
+                break
+            stop = len(block)
+            if stop == _RANGE_BYTES:
+                stop = block.rfind(b"\n") + 1
+                if not stop:
+                    return None       # a line longer than a range
+            rows = block.count(b"\n", 0, stop)
+            rows += not block.endswith(b"\n", 0, stop)
+            ranges.append((start, start + stop, n_rows, rows))
+            n_rows += rows
+            start += stop
+    import mmap
+    # anonymous shared memory: the workers' writes land in this process
+    out = np.frombuffer(mmap.mmap(-1, n_rows * ncols * 8),
+                        dtype=np.float64).reshape(n_rows, ncols)
+
+    def parse_range(job):
+        start, stop, row, rows = job
+        with open(path, "rb") as fh:
+            fh.seek(start)
+            text = io.TextIOWrapper(io.BytesIO(fh.read(stop - start)),
+                                    encoding="utf-8")
+        part = _parse_rows(text)
+        if part.shape != (rows, ncols):
+            return False
+        out[row:row + rows] = part
+        return True
+
+    try:
+        with contextlib.closing(_cpu_imap(parse_range, ranges, True)) as done:
+            if all(done):
+                return out
+    except ValueError:
+        pass
+    return None
+
+
+def _read_rows(path, offset, ncols):
+    """The rows after byte ``offset`` of a CSV file as an (n, ncols) float64
+    array, parsed like ``np.loadtxt(fh, delimiter=",", ndmin=2)`` on the
+    file read from ``offset``.  Bodies of ``_POOL_MIN_BYTES`` or more are
+    parsed in ranges on the pool (``_read_ranges``).
+    """
+    data = None
+    if (os.path.getsize(path) - offset >= _POOL_MIN_BYTES
+            and _pool_cpus() > 1):
+        data = _read_ranges(path, offset, ncols)
+    if data is None:
+        with open(path, "r", encoding="utf-8") as fh:
+            fh.seek(offset)           # a plain byte offset is a seek cookie
+            data = _parse_rows(fh)
+    if data.shape[1] != ncols:
+        raise ValueError(f"expected {ncols} value(s) per row, "
+                         f"got {data.shape[1]}")
+    return data
 
 
 def read_timeseries_csv(path) -> TimeSeries:
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.startswith("# optomech_timeseries"):
-            raise FormatError(f"{path}: not an optomech timeseries CSV")
-        meta, warnings = _parse_headers(fh)
-        cols = fh.readline().strip()
-        try:
-            if cols == "value_re,value_im":
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
-                # a view keeps the sign of a zero imaginary part, which
-                # re + 1j*im would drop
-                values = data.view(np.complex128)[:, 0]
-            elif cols == "value":
-                values = np.loadtxt(fh, ndmin=1)
-            else:
-                raise FormatError(f"{path}: unexpected column header {cols!r}")
-            return TimeSeries(
-                sample_rate=float(meta["sample_rate_hz"]),
-                t0=float(meta.get("t0_s", 0.0)),
-                values=values,
-                calibration=float(meta.get("calibration_m_per_unit", 1.0)),
-                center_freq=float(meta.get("center_freq_hz", 0.0)),
-                warnings=tuple(warnings),
-            )
-        except (KeyError, ValueError) as exc:
-            raise FormatError(f"{path}: malformed timeseries CSV: {exc}") from exc
+    meta, warnings, cols, offset = _read_header(
+        path, b"# optomech_timeseries", "timeseries")
+    if cols not in ("value", "value_re,value_im"):
+        raise FormatError(f"{path}: unexpected column header {cols!r}")
+    try:
+        data = _read_rows(path, offset, 1 if cols == "value" else 2)
+        # a view keeps the sign of a zero imaginary part, which re + 1j*im
+        # would drop
+        values = (data.view(np.complex128) if cols == "value_re,value_im"
+                  else data)[:, 0]
+        return TimeSeries(
+            sample_rate=float(meta["sample_rate_hz"]),
+            t0=float(meta.get("t0_s", 0.0)),
+            values=values,
+            calibration=float(meta.get("calibration_m_per_unit", 1.0)),
+            center_freq=float(meta.get("center_freq_hz", 0.0)),
+            warnings=tuple(warnings),
+        )
+    except (KeyError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed timeseries CSV: {exc}") from exc
 
 
 def write_timeseries_bin(path, ts: TimeSeries):
@@ -268,7 +383,7 @@ def read_timeseries(path) -> TimeSeries:
     return read_timeseries_csv(path)
 
 
-def write_driverecord_csv(path, rec: DriveRecord):
+def _driverecord_csv(rec: DriveRecord):
     base, resp = rec.base_motion, rec.response_motion
     if base.is_complex or resp.is_complex:
         raise ValueError("drive records must be real-valued")
@@ -279,33 +394,50 @@ def write_driverecord_csv(path, rec: DriveRecord):
              f"# base_calibration_m_per_unit={_fmt(base.calibration)}",
              f"# response_calibration_m_per_unit={_fmt(resp.calibration)}",
              "base,response"]
-    _write_csv(path, lines, [base.values, resp.values])
+    return lines, [base.values, resp.values]
+
+
+def write_driverecord_csv(path, rec: DriveRecord):
+    _write_csv([(path, *_driverecord_csv(rec))])
+
+
+def write_driverecords_csv(paths, records):
+    """Write each drive record to the path at the same position, formatting
+    all of them on one pool when they are long enough together."""
+    _write_csv([(path, *_driverecord_csv(rec))
+                for path, rec in zip(paths, records, strict=True)])
 
 
 def read_driverecord_csv(path) -> DriveRecord:
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.startswith("# optomech_driverecord"):
-            raise FormatError(f"{path}: not an optomech drive-record CSV")
-        meta, _ = _parse_headers(fh)
-        cols = fh.readline().strip()
-        if cols != "base,response":
-            raise FormatError(f"{path}: unexpected column header {cols!r}")
-        try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-            fs = float(meta["sample_rate_hz"])
-            t0 = float(meta.get("t0_s", 0.0))
-            return DriveRecord(
-                drive_freq=float(meta["drive_freq_hz"]),
-                base_motion=TimeSeries(
-                    fs, t0, data[:, 0],
-                    float(meta.get("base_calibration_m_per_unit", 1.0))),
-                response_motion=TimeSeries(
-                    fs, t0, data[:, 1],
-                    float(meta.get("response_calibration_m_per_unit", 1.0))),
-            )
-        except (KeyError, ValueError) as exc:
-            raise FormatError(f"{path}: malformed drive-record CSV: {exc}") from exc
+    meta, _, cols, offset = _read_header(
+        path, b"# optomech_driverecord", "drive-record")
+    if cols != "base,response":
+        raise FormatError(f"{path}: unexpected column header {cols!r}")
+    try:
+        data = _read_rows(path, offset, 2)
+        fs = float(meta["sample_rate_hz"])
+        t0 = float(meta.get("t0_s", 0.0))
+        return DriveRecord(
+            drive_freq=float(meta["drive_freq_hz"]),
+            base_motion=TimeSeries(
+                fs, t0, data[:, 0],
+                float(meta.get("base_calibration_m_per_unit", 1.0))),
+            response_motion=TimeSeries(
+                fs, t0, data[:, 1],
+                float(meta.get("response_calibration_m_per_unit", 1.0))),
+        )
+    except (KeyError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed drive-record CSV: {exc}") from exc
+
+
+def read_driverecords_csv(paths) -> list:
+    """Drive records from several CSV files, in order.  Together at least
+    ``_POOL_MIN_BYTES`` long, the files are read on the pool, one per job."""
+    paths = list(paths)
+    n_bytes = sum(os.path.getsize(p) for p in paths)
+    with contextlib.closing(_cpu_imap(read_driverecord_csv, paths,
+                                      n_bytes >= _POOL_MIN_BYTES)) as records:
+        return list(records)
 
 
 def write_result_doc(path, doc: dict):
@@ -336,4 +468,4 @@ def make_result_doc(command: str, config: dict, outputs: dict) -> dict:
 
 def write_table_csv(path, columns: dict):
     """Column-oriented plot-ready data file: {name: 1-D array}."""
-    _write_csv(path, [",".join(columns)], list(columns.values()))
+    _write_csv([(path, [",".join(columns)], list(columns.values()))])

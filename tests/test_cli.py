@@ -240,6 +240,50 @@ class TestExitCodes:
         path.write_text("{nope")
         assert main(["--config", str(path), "design-check"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("config, section", [
+        ('{"device": []}', "device"),
+        ('{"analysis": []}', "analysis"),
+        ('{"synth": 5}', "synth"),
+        ('{"cavity": 3}', "cavity"),
+        ('{"device": {"inner": []}}', "device.inner"),
+        ('{"synth": {"brownian": 5}}', "synth.brownian"),
+        ('[]', "config"),
+    ])
+    def test_section_of_wrong_type_is_config_error(self, tmp_path, capsys,
+                                                   config, section):
+        path = tmp_path / "bad.json"
+        path.write_text(config)
+        assert main(["--config", str(path), "design-check"]) == EXIT_CONFIG
+        assert f"{section} must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via_manifest", [False, True])
+    @pytest.mark.parametrize("values_per_row", [1, 3])
+    def test_drive_record_with_wrong_column_count_is_io_error(
+            self, tmp_path, values_per_row, via_manifest):
+        rows = "\n".join(",".join([f"{k}e-12"] * values_per_row)
+                         for k in range(1, 641))
+        (tmp_path / "rec.csv").write_text(
+            "# optomech_driverecord v1\n# drive_freq_hz=1000.0\n"
+            f"# sample_rate_hz=32000.0\nbase,response\n{rows}\n")
+        target = tmp_path / "rec.csv"
+        if via_manifest:
+            target = tmp_path / "m.json"
+            write_result_doc(target, {
+                "schema": "optomech.result/1", "command": "simulate sweep",
+                "config": {}, "outputs": {"files": {"records": ["rec.csv"]}}})
+        assert main(["--out", str(tmp_path), "analyze", "transfer",
+                     str(target)]) == EXIT_IO
+
+    def test_non_utf8_record_is_io_error(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        path.write_bytes(b"# optomech_timeseries v1\n# t0_s=\xff\n"
+                         b"value\n1.0\n2.0\n")
+        assert main(["--out", str(tmp_path), "analyze", "q",
+                     str(path)]) == EXIT_IO
+        path.write_bytes(bytes(range(128, 256)) * 8)
+        assert main(["--out", str(tmp_path), "analyze", "q",
+                     str(path)]) == EXIT_IO
+
     def test_missing_input_is_io_error(self, tmp_path):
         assert main(["--out", str(tmp_path), "analyze", "q",
                      str(tmp_path / "missing.csv")]) == EXIT_IO

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from optomech import DriveRecord, TimeSeries
 from optomech import io as omio
 from optomech.io import (FormatError, RESULT_SCHEMA, SchemaError,
                          make_result_doc, read_driverecord_csv,
-                         read_result_doc, read_timeseries,
-                         read_timeseries_bin, read_timeseries_csv,
-                         write_driverecord_csv, write_result_doc,
+                         read_driverecords_csv, read_result_doc,
+                         read_timeseries, read_timeseries_bin,
+                         read_timeseries_csv, write_driverecord_csv,
+                         write_driverecords_csv, write_result_doc,
                          write_table_csv, write_timeseries,
                          write_timeseries_bin, write_timeseries_csv)
 
@@ -259,6 +261,28 @@ def _allow_cpus(monkeypatch, n_cpus):
                         lambda pid: set(range(n_cpus)), raising=False)
 
 
+def _job_pids(monkeypatch):
+    """The pids that run the jobs of every ``_cpu_imap`` call from now on."""
+    pids = set()
+    cpu_imap = omio._cpu_imap
+
+    def spy(fn, jobs, parallel):
+        for pid, out in cpu_imap(lambda job: (os.getpid(), fn(job)), jobs,
+                                 parallel):
+            pids.add(pid)
+            yield out
+
+    monkeypatch.setattr(omio, "_cpu_imap", spy)
+    return pids
+
+
+def _sweep(n_records, n):
+    return [DriveRecord(1000.0 + k, TimeSeries(32000.0, 0.0, _values(n, k)),
+                        TimeSeries(32000.0, 0.0, _values(n, k + 100),
+                                   calibration=2.0))
+            for k in range(n_records)]
+
+
 class TestStreamingCsv:
     @pytest.mark.parametrize("n_cpus", [1, 2])
     @pytest.mark.parametrize("above", [False, True])
@@ -268,33 +292,215 @@ class TestStreamingCsv:
         # above the pool threshold, with a short last chunk
         n = omio._POOL_MIN_ROWS + omio._CHUNK_ROWS // 2 + 3 if above else 300
         _allow_cpus(monkeypatch, n_cpus)
-        assert (omio._pool_size(n) > 0) == (above and n_cpus > 1)
+        pids = _job_pids(monkeypatch)
         write, reference = _writer_cases(n)[kind]
         path = tmp_path / f"{kind}.csv"
         write(path)
+        assert bool(pids - {os.getpid()}) == (above and n_cpus > 1)
         assert path.read_bytes() == reference()
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     @pytest.mark.parametrize("n_cpus", [1, 2])
+    @pytest.mark.parametrize("above", [False, True])
+    def test_sweep_bytes_equal_per_record_reference(self, tmp_path,
+                                                    monkeypatch, above,
+                                                    n_cpus):
+        # records below the pool threshold, together above it when `above`
+        n = omio._CHUNK_ROWS // 2 + 5
+        records = _sweep(omio._POOL_MIN_ROWS // n + 1 if above else 2, n)
+        _allow_cpus(monkeypatch, n_cpus)
+        pids = _job_pids(monkeypatch)
+        paths = [tmp_path / f"sweep_{k:03d}.csv" for k in range(len(records))]
+        write_driverecords_csv(paths, records)
+        assert bool(pids - {os.getpid()}) == (above and n_cpus > 1)
+        for path, rec in zip(paths, records):
+            assert path.read_bytes() == _ref_driverecord_csv(rec)
+        assert sorted(tmp_path.iterdir()) == paths
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
     def test_failure_leaves_no_file_and_no_child(self, tmp_path, monkeypatch,
                                                  n_cpus):
-        _allow_cpus(monkeypatch, n_cpus)
-
-        def failing(columns, start, stop):
-            raise RuntimeError(f"formatting failed in pid {os.getpid()}")
-
-        monkeypatch.setattr(omio, "_format_rows", failing)
         ts = TimeSeries(1.0, 0.0, _values(omio._POOL_MIN_ROWS * 2, 4))
+        _check_failed_write(tmp_path, monkeypatch, n_cpus,
+                            lambda: write_timeseries_csv(tmp_path / "rec.csv",
+                                                         ts))
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_sweep_failure_leaves_no_file_and_no_child(self, tmp_path,
+                                                       monkeypatch, n_cpus):
+        records = _sweep(4, omio._POOL_MIN_ROWS // 2)
+        paths = [tmp_path / f"sweep_{k}.csv" for k in range(4)]
+        _check_failed_write(tmp_path, monkeypatch, n_cpus,
+                            lambda: write_driverecords_csv(paths, records))
+
+
+def _check_failed_write(tmp_path, monkeypatch, n_cpus, write):
+    """A write whose formatting fails leaves no file and no child."""
+    _allow_cpus(monkeypatch, n_cpus)
+
+    def failing(columns, start, stop):
+        raise RuntimeError(f"formatting failed in pid {os.getpid()}")
+
+    monkeypatch.setattr(omio, "_format_rows", failing)
+    with pytest.raises(RuntimeError, match="formatting failed") as err:
+        write()
+    pid = int(str(err.value).rsplit(" ", 1)[1])
+    assert (pid != os.getpid()) == (n_cpus > 1)
+    assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
+    if pid != os.getpid():
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)       # the worker was reaped
+
+
+def _loadtxt_reference(path):
+    """The rows of a CSV record as one serial ``np.loadtxt`` reads them."""
+    lines = path.read_bytes().split(b"\n")
+    skip = next(i for i, line in enumerate(lines)
+                if not line.startswith(b"#")) + 1
+    return np.loadtxt(path, delimiter=",", ndmin=2, skiprows=skip)
+
+
+@pytest.fixture
+def small_ranges(monkeypatch):
+    """Pool thresholds small enough for records of a few thousand rows."""
+    monkeypatch.setattr(omio, "_POOL_MIN_BYTES", 1 << 16)
+    monkeypatch.setattr(omio, "_RANGE_BYTES", 1 << 14)
+
+
+def _read_record(path, kind):
+    if kind == "drive":
+        rec = read_driverecord_csv(path)
+        return [rec.base_motion.values, rec.response_motion.values]
+    return [read_timeseries_csv(path).values]
+
+
+def _reference_values(path, kind):
+    ref = _loadtxt_reference(path)
+    if kind == "complex":
+        return [ref.view(np.complex128)[:, 0]]
+    return [ref[:, k] for k in range(ref.shape[1])]
+
+
+def _same_values(got, want):
+    return len(got) == len(want) and all(
+        _same_bits(a, np.ascontiguousarray(b)) for a, b in zip(got, want))
+
+
+@pytest.mark.usefixtures("small_ranges")
+class TestParallelCsvRead:
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    @pytest.mark.parametrize("above", [False, True])
+    @pytest.mark.parametrize("kind", ["real", "complex", "drive"])
+    def test_values_equal_serial_loadtxt(self, tmp_path, monkeypatch, kind,
+                                         above, n_cpus):
+        n = 5003 if above else 300
+        path = tmp_path / f"{kind}.csv"
+        _writer_cases(n)[kind][0](path)
+        assert (path.stat().st_size >= omio._POOL_MIN_BYTES) == above
+        _allow_cpus(monkeypatch, n_cpus)
+        pids = _job_pids(monkeypatch)
+        got = _read_record(path, kind)
+        assert bool(pids - {os.getpid()}) == (above and n_cpus > 1)
+        assert _same_values(got, _reference_values(path, kind))
+
+    @pytest.mark.parametrize("edit", ["blank", "comment", "crlf",
+                                      "no_final_newline", "lone_cr"])
+    def test_irregular_bodies_read_like_serial(self, tmp_path, monkeypatch,
+                                               edit):
         path = tmp_path / "rec.csv"
-        with pytest.raises(RuntimeError, match="formatting failed") as err:
-            write_timeseries_csv(path, ts)
-        pid = int(str(err.value).rsplit(" ", 1)[1])
-        assert (pid != os.getpid()) == (n_cpus > 1)
-        assert list(tmp_path.iterdir()) == []
+        _writer_cases(5003)["complex"][0](path)
+        text = path.read_bytes()
+        middle = text.index(b"\n", len(text) * 3 // 4)
+        text = {
+            "blank": text[:middle] + b"\n" + text[middle:],
+            "comment": text[:middle] + b"\n# note" + text[middle:],
+            "crlf": text.replace(b"\n", b"\r\n"),
+            "no_final_newline": text[:-1],
+            "lone_cr": text[:middle] + b"\r" + text[middle + 1:],
+        }[edit]
+        path.write_bytes(text)
+        _allow_cpus(monkeypatch, 1)
+        serial = read_timeseries_csv(path).values
+        _allow_cpus(monkeypatch, 2)
+        assert _same_bits(read_timeseries_csv(path).values, serial)
+        assert _same_bits(serial, _reference_values(path, "complex")[0])
+
+    def test_early_stops_do_not_hang(self, tmp_path, monkeypatch):
+        # a blank line in the first range stops every read's pool while its
+        # workers are still sending results; more workers than CPUs here
+        path = tmp_path / "rec.csv"
+        _writer_cases(5003)["complex"][0](path)
+        text = path.read_bytes()
+        row = text.index(b"\n", text.index(b"value_re,value_im\n") + 18)
+        path.write_bytes(text[:row] + b"\n" + text[row:])
+        reference = _reference_values(path, "complex")[0]
+        _allow_cpus(monkeypatch, 4)
+
+        def hung(signum, frame):
+            raise TimeoutError("a pool did not shut down")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            for _ in range(20):
+                assert _same_bits(read_timeseries_csv(path).values, reference)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
         assert multiprocessing.active_children() == []
-        if pid != os.getpid():
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)       # the worker was reaped
+
+    def test_bad_value_in_last_range_is_serial_format_error(self, tmp_path,
+                                                            monkeypatch):
+        path = tmp_path / "rec.csv"
+        _writer_cases(5003)["real"][0](path)
+        text = path.read_bytes()
+        path.write_bytes(text[:text.rindex(b"\n", 0, -1) + 1] + b"oops\n")
+        errors = []
+        for n_cpus in (1, 2):
+            _allow_cpus(monkeypatch, n_cpus)
+            with pytest.raises(FormatError, match="oops") as err:
+                read_timeseries_csv(path)
+            errors.append(str(err.value))
+            assert multiprocessing.active_children() == []
+        # the row number counts from the start of the body, not of a range
+        assert errors[1] == errors[0]
+
+    @pytest.mark.parametrize("above", [False, True])
+    @pytest.mark.parametrize("values_per_row", [1, 3])
+    def test_drive_record_needs_two_values_per_row(self, tmp_path,
+                                                   monkeypatch, above,
+                                                   values_per_row):
+        n = 4001 if above else 300
+        path = tmp_path / "rec.csv"
+        rows = zip(*[_values(n, k).tolist() for k in range(values_per_row)])
+        path.write_text("\n".join(
+            ["# optomech_driverecord v1", "# drive_freq_hz=1000.0",
+             "# sample_rate_hz=32000.0", "base,response"]
+            + [",".join(map(repr, row)) for row in rows]) + "\n")
+        assert (path.stat().st_size >= omio._POOL_MIN_BYTES) == above
+        _allow_cpus(monkeypatch, 2)
+        with pytest.raises(FormatError, match="2 value"):
+            read_driverecord_csv(path)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_batch_read_equals_per_file_reads(self, tmp_path, monkeypatch,
+                                              n_cpus):
+        records = _sweep(6, 700)
+        paths = [tmp_path / f"sweep_{k:03d}.csv" for k in range(6)]
+        write_driverecords_csv(paths, records)
+        assert sum(p.stat().st_size for p in paths) >= omio._POOL_MIN_BYTES
+        _allow_cpus(monkeypatch, n_cpus)
+        pids = _job_pids(monkeypatch)
+        back = read_driverecords_csv(paths)
+        assert bool(pids - {os.getpid()}) == (n_cpus > 1)
+        assert [r.drive_freq for r in back] == [r.drive_freq for r in records]
+        for rec, path in zip(back, paths):
+            assert _same_values(
+                [rec.base_motion.values, rec.response_motion.values],
+                _reference_values(path, "drive"))
+            assert rec.response_motion.calibration == 2.0
 
 
 class TestFileMode:
