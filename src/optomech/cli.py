@@ -1,9 +1,11 @@
 """Command-line interface: simulate, analyze, design-check and report.
 
-Every command is reproducible: the config file plus the seed fully
-determine the numeric output, and repeated runs produce byte-identical
-files.  Exit codes: 0 success, 2 configuration error, 3 I/O error,
-4 fit failure or non-convergence.
+The config file plus the seed fully determine every record `simulate`
+writes, and reruns with the same set of allowed CPUs produce
+byte-identical files.  Fit results can differ in the last digits between
+one and two allowed CPUs (the BLAS thread count changes the summation
+order in the fits).  Exit codes: 0 success, 2 configuration error, 3 I/O
+error, 4 fit failure or non-convergence.
 """
 
 import argparse

@@ -4,10 +4,14 @@ Defaults are the nested-device design point (2.5 kHz outer / 250 kHz inner
 resonator, 5 cm cavity at 1064 nm with finesse 181,000).  Effective masses
 default to a 100 ug outer mass and a 50 ng inner mirror, which put the
 room-temperature outer thermal motion in the tens of picometers.  Unknown
-keys anywhere in the tree are rejected.
+keys anywhere in the tree are rejected, and every value must have its
+default's type: a finite JSON number where the default is a number (not a
+boolean), a string where it is a string, and null or a finite number
+where it is null.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .cavity import Cavity
@@ -27,20 +31,43 @@ def _check_keys(d: dict, allowed, where: str):
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
-def _mode_from_dict(d: dict, where: str, defaults: dict) -> MechMode:
-    _check_keys(d, {"f0_hz", "q", "m_eff_kg", "temp_k"}, where)
-    merged = dict(defaults, **d)
+def _is_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
     try:
-        return MechMode(f0=float(merged["f0_hz"]), q=float(merged["q"]),
-                        m_eff=float(merged["m_eff_kg"]),
-                        temp=float(merged["temp_k"]))
-    except (TypeError, ValueError) as exc:
+        return math.isfinite(value)
+    except OverflowError:                  # an int beyond float range
+        return False
+
+
+def _check_leaf(value, default, where: str):
+    if isinstance(default, str):
+        ok, kind = isinstance(value, str), "a string"
+    elif default is None:
+        ok, kind = value is None or _is_number(value), "null or a finite number"
+    else:
+        ok, kind = _is_number(value), "a finite number"
+    if not ok:
+        raise ConfigError(f"{where} must be {kind}, got {json.dumps(value)}")
+
+
+def _mode_from_dict(d: dict, where: str) -> MechMode:
+    try:
+        return MechMode(f0=float(d["f0_hz"]), q=float(d["q"]),
+                        m_eff=float(d["m_eff_kg"]), temp=float(d["temp_k"]))
+    except ValueError as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
-_INNER_DEFAULTS = {"f0_hz": 250e3, "q": 418000.0, "m_eff_kg": 5e-11,
-                   "temp_k": 300.0}
-_OUTER_DEFAULTS = {"f0_hz": 2.5e3, "q": 1e5, "m_eff_kg": 1e-7, "temp_k": 300.0}
+_DEVICE_DEFAULTS = {
+    "inner": {"f0_hz": 250e3, "q": 418000.0, "m_eff_kg": 5e-11,
+              "temp_k": 300.0},
+    "outer": {"f0_hz": 2.5e3, "q": 1e5, "m_eff_kg": 1e-7, "temp_k": 300.0},
+    "mass_ratio": None,                    # None: inner over outer m_eff
+}
+
+_CAVITY_DEFAULTS = {"length_m": 0.05, "wavelength_m": 1.064e-6,
+                    "finesse": 181000.0}
 
 _SYNTH_DEFAULTS = {
     "seed": 12345,
@@ -75,6 +102,8 @@ def _merge_section(user: dict, defaults: dict, where: str) -> dict:
         uv = user.get(key, dv)
         if isinstance(dv, dict):
             uv = _merge_section(uv, dv, f"{where}.{key}")
+        else:
+            _check_leaf(uv, dv, f"{where}.{key}")
         out[key] = uv
     return out
 
@@ -112,23 +141,22 @@ class Config:
 def config_from_dict(d: dict) -> Config:
     _check_keys(d, {"device", "cavity", "synth", "analysis"}, "config")
 
-    device = d.get("device", {})
-    _check_keys(device, {"inner", "outer", "mass_ratio"}, "device")
-    inner = _mode_from_dict(device.get("inner", {}), "device.inner",
-                            _INNER_DEFAULTS)
-    outer = _mode_from_dict(device.get("outer", {}), "device.outer",
-                            _OUTER_DEFAULTS)
-    mass_ratio = float(device.get("mass_ratio", inner.m_eff / outer.m_eff))
+    device = _merge_section(d.get("device", {}), _DEVICE_DEFAULTS, "device")
+    inner = _mode_from_dict(device["inner"], "device.inner")
+    outer = _mode_from_dict(device["outer"], "device.outer")
+    mass_ratio = device["mass_ratio"]
+    if mass_ratio is None:
+        mass_ratio = inner.m_eff / outer.m_eff
+    mass_ratio = float(mass_ratio)
     if not 0.0 < mass_ratio < 1.0:
         raise ConfigError(f"mass_ratio must be in (0, 1), got {mass_ratio}")
 
-    cav_d = d.get("cavity", {})
-    _check_keys(cav_d, {"length_m", "wavelength_m", "finesse"}, "cavity")
+    cav_d = _merge_section(d.get("cavity", {}), _CAVITY_DEFAULTS, "cavity")
     try:
-        cav = Cavity(length=float(cav_d.get("length_m", 0.05)),
-                     wavelength=float(cav_d.get("wavelength_m", 1.064e-6)),
-                     finesse=float(cav_d.get("finesse", 181000.0)))
-    except (TypeError, ValueError) as exc:
+        cav = Cavity(length=float(cav_d["length_m"]),
+                     wavelength=float(cav_d["wavelength_m"]),
+                     finesse=float(cav_d["finesse"]))
+    except ValueError as exc:
         raise ConfigError(f"invalid cavity: {exc}") from exc
 
     synth = _merge_section(d.get("synth", {}), _SYNTH_DEFAULTS, "synth")

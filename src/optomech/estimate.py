@@ -178,13 +178,17 @@ def _lorentzian_model(u, p):
     s = u - du
     den = s * s + c * c
     core = c * c / den
-    m = a * core + b
-    jac = np.empty((u.size, 4))
-    jac[:, 0] = 2.0 * a * c * c * s / den ** 2
-    jac[:, 1] = a * c * s * s / den ** 2
-    jac[:, 2] = core
-    jac[:, 3] = 1.0
-    return m, jac
+
+    def jac():
+        den2 = den ** 2
+        j = np.empty((u.size, 4))
+        j[:, 0] = 2.0 * a * c * c * s / den2
+        j[:, 1] = a * c * s * s / den2
+        j[:, 2] = core
+        j[:, 3] = 1.0
+        return j
+
+    return a * core + b, jac
 
 
 def _initial_lorentzian_guess(f, y):
@@ -247,7 +251,7 @@ def fit_lorentzian(spec: Spectrum, window_hint=None, weighting: str = "statistic
     res = None
     for _ in range(n_passes):
         if weighting == "statistical":
-            m0, _j = _lorentzian_model(u, p)
+            m0, _ = _lorentzian_model(u, p)
             sig = np.maximum(np.abs(m0), floor) / math.sqrt(spec.n_avg)
         else:
             sig = np.ones_like(v)
@@ -313,12 +317,15 @@ def detect_onset(ts: TimeSeries, threshold_frac: float = 0.95) -> TimeSeries:
 def _exp_model(t, p):
     a, inv_tau, b = p
     e = np.exp(-t * inv_tau)
-    m = a * e + b
-    jac = np.empty((t.size, 3))
-    jac[:, 0] = e
-    jac[:, 1] = -a * t * e
-    jac[:, 2] = 1.0
-    return m, jac
+
+    def jac():
+        j = np.empty((t.size, 3))
+        j[:, 0] = e
+        j[:, 1] = -a * t * e
+        j[:, 2] = 1.0
+        return j
+
+    return a * e + b, jac
 
 
 def fit_exp_decay(ts: TimeSeries, cavity_length: float | None = None,

@@ -1,9 +1,12 @@
 """Damped (Levenberg-Marquardt) least-squares core shared by the curve fits.
 
 Small and self-contained: callers provide a function returning the model
-values and the Jacobian at a parameter vector, plus per-point sigmas.
-Callers are expected to nondimensionalise data and parameters to O(1)
-before calling in here (the public fit routines do).
+values at a parameter vector together with a zero-argument callable that
+builds the Jacobian there from the model's intermediates, plus per-point
+sigmas.  The Jacobian is built only where it is used: at the start point
+and at every accepted step, never for a rejected trial step.  Callers are
+expected to nondimensionalise data and parameters to O(1) before calling
+in here (the public fit routines do).
 """
 
 from dataclasses import dataclass
@@ -27,7 +30,9 @@ def lm_fit(model_jac, p0, y, sigma, max_iter=200, gtol=1e-8, ftol=1e-12,
            lam0=1e-3):
     """Minimise sum(((y - model(p)) / sigma)^2) over p.
 
-    model_jac(p) must return (yhat, J) with J of shape (npoints, nparams).
+    model_jac(p) must return (yhat, jac), where jac() builds the Jacobian
+    J of shape (npoints, nparams) at p; it is called only for the start
+    point and for accepted steps.
     Convergence is the scale-free cosine test: every component of the
     gradient must be small relative to the corresponding Jacobian column
     norm times the residual norm (or the cost must sit at the numerical
@@ -43,16 +48,24 @@ def lm_fit(model_jac, p0, y, sigma, max_iter=200, gtol=1e-8, ftol=1e-12,
     n = y.size
     cost_floor = n * (1e4 * _EPS) ** 2
 
-    def cost_res(params):
+    def evaluate(params, accept_below=None):
+        """(cost, residuals, weighted Jacobian) at params, for the start
+        point (accept_below None) or a trial whose cost is finite and below
+        accept_below.  A rejected trial returns None and builds no
+        Jacobian; nothing of it outlives the call."""
         yhat, jac = model_jac(params)
         r = (y - yhat) / sigma
-        return float(r @ r), r, jac / sigma[:, None]
+        cost = float(r @ r)
+        if accept_below is not None and not (np.isfinite(cost)
+                                             and cost < accept_below):
+            return None
+        return cost, r, jac() / sigma[:, None]
 
     def cosine(g, a, cost):
         denom = np.sqrt(np.maximum(np.diag(a), 1e-300)) * np.sqrt(max(cost, 1e-300))
         return float(np.max(np.abs(g) / denom))
 
-    cost, r, jw = cost_res(p)
+    cost, r, jw = evaluate(p)
     lam = lam0
     converged = False
     grad_cos = np.inf
@@ -77,11 +90,11 @@ def lm_fit(model_jac, p0, y, sigma, max_iter=200, gtol=1e-8, ftol=1e-12,
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            cost_try, r_try, jw_try = cost_res(p + step)
-            if np.isfinite(cost_try) and cost_try < cost:
-                improvement = cost - cost_try
+            trial = evaluate(p + step, cost)
+            if trial is not None:
+                improvement = cost - trial[0]
                 p = p + step
-                cost, r, jw = cost_try, r_try, jw_try
+                cost, r, jw = trial
                 lam = max(lam / 3.0, 1e-14)
                 stepped = True
                 break

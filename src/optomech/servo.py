@@ -4,8 +4,14 @@ simulate_lock runs a discrete-time PID loop against the nonlinear
 transmission fringe: thermal motion of the outer resonator shifts the
 cavity detuning, the detector sees the fringe level, and the controller
 moves an ideal zero-order-hold actuator that subtracts from the detuning.
-The cooling operations are algebraic (linearised optomechanics), not
-dynamical.
+Only the controller state (actuator, integrator, previous error,
+saturation count) lives in the per-step Python loop, which records the
+actuator through a memoryview of a float array; the error signal and
+detuning are then derived from the actuator record with numpy in the
+loop's own operation order, so each element has the bits of the
+per-step value.  The open-loop reference (all gains zero) holds the
+actuator constant and needs no loop.  The cooling operations are
+algebraic (linearised optomechanics), not dynamical.
 """
 
 import math
@@ -74,6 +80,25 @@ def _tail_std(arr, frac=0.2):
     return float(np.std(tail))
 
 
+def _fringe_error(x, us, bias, hz_per_m, lw, setpoint):
+    """Error signal and detuning (Hz) for motion x under actuator us.
+
+    Evaluated element-wise in the loop's scalar order, bias +
+    hz_per_m*(x-u), then 2*delta/lw, then 1/(1+r*r) - setpoint, so every
+    element has the bits the loop computed for that step.
+    """
+    dets = x - us
+    dets *= hz_per_m
+    dets += bias
+    errs = dets * 2.0
+    errs /= lw
+    errs *= errs
+    errs += 1.0
+    np.divide(1.0, errs, out=errs)
+    errs -= setpoint
+    return errs, dets
+
+
 def simulate_lock(model: NestedModel, cav: Cavity, cfg: LockConfig,
                   duration: float, seed: int,
                   start_locked: bool = True) -> LockResult:
@@ -104,35 +129,39 @@ def simulate_lock(model: NestedModel, cav: Cavity, cfg: LockConfig,
 
     u_init = x[0] if start_locked else 0.0
     rng_range = cfg.actuator_range
+    kp, ki, kd = cfg.kp, cfg.ki, cfg.kd
 
-    def run(kp, ki, kd):
-        errs = np.empty(n)
-        us = np.empty(n)
-        dets = np.empty(n)
-        u = u_init
-        integ = 0.0
-        e_prev = 0.0
-        n_sat = 0
-        for i in range(n):
-            delta = bias + hz_per_m * (x[i] - u)
-            r = 2.0 * delta / lw
-            e = 1.0 / (1.0 + r * r) - setpoint
-            errs[i] = e
-            us[i] = u
-            dets[i] = delta
-            integ += ki * e * dt
-            u = u_init + kp * e + integ + kd * (e - e_prev) / dt
-            e_prev = e
-            if u > rng_range:
-                u = rng_range
-                n_sat += 1
-            elif u < -rng_range:
-                u = -rng_range
-                n_sat += 1
-        return errs, us, dets, n_sat
+    # With zero gains and finite errors every controller term is +-0.0, so
+    # after step 0 the actuator is u_init + 0.0 (which turns -0.0 into
+    # 0.0), then clipped.
+    open_us = np.full(n, min(max(u_init + 0.0, -rng_range), rng_range))
+    open_us[0] = u_init
+    open_errs, open_dets = _fringe_error(motion.values, open_us, bias,
+                                         hz_per_m, lw, setpoint)
+    del open_us
 
-    open_errs, _, open_dets, _ = run(0.0, 0.0, 0.0)
-    errs, us, dets, n_sat = run(cfg.kp, cfg.ki, cfg.kd)
+    us = np.empty(n)
+    buf = us.data    # a memoryview stores a float far faster than us[i] = u
+    u = u_init
+    integ = 0.0
+    e_prev = 0.0
+    n_sat = 0
+    for i, xi in enumerate(x):
+        r = 2.0 * (bias + hz_per_m * (xi - u)) / lw
+        e = 1.0 / (1.0 + r * r) - setpoint
+        buf[i] = u
+        integ += ki * e * dt
+        u = u_init + kp * e + integ + kd * (e - e_prev) / dt
+        e_prev = e
+        if u > rng_range:
+            u = rng_range
+            n_sat += 1
+        elif u < -rng_range:
+            u = -rng_range
+            n_sat += 1
+    del x, buf
+    errs, dets = _fringe_error(motion.values, us, bias, hz_per_m, lw,
+                               setpoint)
 
     open_rms = _tail_std(open_errs)
     closed_rms = _tail_std(errs)

@@ -256,6 +256,47 @@ class TestExitCodes:
         assert main(["--config", str(path), "design-check"]) == EXIT_CONFIG
         assert f"{section} must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, key, argv", [
+        ('{"device": {"mass_ratio": []}}', "device.mass_ratio",
+         ["design-check"]),
+        ('{"synth": {"seed": []}}', "synth.seed", ["simulate", "brownian"]),
+        ('{"synth": {"brownian": {"duration_s": []}}}',
+         "synth.brownian.duration_s", ["simulate", "brownian"]),
+        ('{"synth": {"lock": {"kp": "x"}}}', "synth.lock.kp",
+         ["simulate", "lock"]),
+        ('{"device": {"inner": {"q": true}}}', "device.inner.q",
+         ["design-check"]),
+        ('{"device": {"inner": {"q": "418000"}}}', "device.inner.q",
+         ["design-check"]),
+        ('{"cavity": {"finesse": NaN}}', "cavity.finesse", ["design-check"]),
+        ('{"cavity": {"length_m": 1e400}}', "cavity.length_m",
+         ["design-check"]),
+        ('{"cavity": {"length_m": 1' + "0" * 400 + '}}', "cavity.length_m",
+         ["design-check"]),
+        ('{"analysis": {"welch_window": 3}}', "analysis.welch_window",
+         ["design-check"]),
+        ('{"analysis": {"fit_window_hz": "wide"}}', "analysis.fit_window_hz",
+         ["design-check"]),
+    ], ids=["list-ratio", "list-seed", "list-duration", "str-gain", "bool",
+            "numeric-str", "nan", "inf", "huge-int", "num-for-str",
+            "str-for-null"])
+    def test_leaf_of_wrong_type_is_config_error(self, tmp_path, capsys,
+                                                config, key, argv):
+        path = tmp_path / "bad.json"
+        path.write_text(config)
+        rc = main(["--config", str(path), "--out", str(tmp_path)] + argv)
+        assert rc == EXIT_CONFIG
+        assert f"configuration error: {key} must be" in capsys.readouterr().err
+
+    def test_null_mass_ratio_is_the_mass_quotient(self, tmp_path):
+        from optomech import config_from_dict, default_config
+        cfg = config_from_dict({"device": {"mass_ratio": None}})
+        assert cfg.mass_ratio == default_config().mass_ratio
+        # integers are numbers too
+        cfg = config_from_dict({"synth": {"lock": {"kp": 0}},
+                                "device": {"inner": {"q": 418000}}})
+        assert cfg.synth["lock"]["kp"] == 0 and cfg.inner.q == 418000.0
+
     @pytest.mark.parametrize("via_manifest", [False, True])
     @pytest.mark.parametrize("values_per_row", [1, 3])
     def test_drive_record_with_wrong_column_count_is_io_error(

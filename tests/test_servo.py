@@ -1,4 +1,6 @@
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -159,3 +161,141 @@ class TestSimulateLock:
             LockConfig(loop_rate=0.0)
         with pytest.raises(ValueError):
             LockConfig(actuator_range=0.0)
+
+
+def _reference_simulate_lock(model, cav, cfg, duration, seed,
+                             start_locked=True):
+    """The per-step loop simulate_lock replaced: every run writes error,
+    actuator and detuning one element at a time, open loop included."""
+    fs = cfg.loop_rate
+    dt = 1.0 / fs
+    x = synth_brownian(model.outer, fs, duration, seed).values.tolist()
+    n = len(x)
+    hz_per_m = 2.0 * cav.fsr / cav.wavelength
+    lw = cav.linewidth_fwhm
+    bias = cfg.detuning_bias
+    setpoint = cfg.setpoint
+    if setpoint is None:
+        setpoint = float(fringe_response(bias, cav))
+    u_init = x[0] if start_locked else 0.0
+    rng_range = cfg.actuator_range
+
+    def run(kp, ki, kd):
+        errs = np.empty(n)
+        us = np.empty(n)
+        dets = np.empty(n)
+        u = u_init
+        integ = 0.0
+        e_prev = 0.0
+        n_sat = 0
+        for i in range(n):
+            delta = bias + hz_per_m * (x[i] - u)
+            r = 2.0 * delta / lw
+            e = 1.0 / (1.0 + r * r) - setpoint
+            errs[i] = e
+            us[i] = u
+            dets[i] = delta
+            integ += ki * e * dt
+            u = u_init + kp * e + integ + kd * (e - e_prev) / dt
+            e_prev = e
+            if u > rng_range:
+                u = rng_range
+                n_sat += 1
+            elif u < -rng_range:
+                u = -rng_range
+                n_sat += 1
+        return errs, us, dets, n_sat
+
+    def tail_std(arr):
+        return float(np.std(arr[int(round(arr.size * 0.8)):]))
+
+    open_errs, _, open_dets, _ = run(0.0, 0.0, 0.0)
+    errs, us, dets, n_sat = run(cfg.kp, cfg.ki, cfg.kd)
+    open_rms = tail_std(open_errs)
+    closed_rms = tail_std(errs)
+    sat_frac = n_sat / n
+    return {"error_signal": errs, "actuator": us, "detuning": dets,
+            "lock_acquired": closed_rms <= 0.1 * open_rms and sat_frac <= 0.01,
+            "saturation_fraction": sat_frac,
+            "open_loop_error_rms": open_rms,
+            "closed_loop_error_rms": closed_rms,
+            "open_loop_detuning_rms": tail_std(open_dets),
+            "closed_loop_detuning_rms": tail_std(dets)}
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+class TestSimulateLockMatchesPerStepLoop:
+    """simulate_lock must give the per-step reference's bits exactly."""
+
+    def _check(self, cfg, duration, seed, start_locked=True, temp=300.0):
+        model, _ = _lock_setup(temp=temp)
+        with warnings.catch_warnings():
+            # a 2-sample record leaves an empty tail: its rms is nan
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ref = _reference_simulate_lock(model, CAV, cfg, duration, seed,
+                                           start_locked)
+            res = simulate_lock(model, CAV, cfg, duration, seed,
+                                start_locked=start_locked)
+        for name in ("error_signal", "actuator", "detuning"):
+            got = getattr(res, name).values
+            assert got.dtype == ref[name].dtype
+            assert got.tobytes() == ref[name].tobytes(), name
+        assert res.lock_acquired is ref["lock_acquired"]
+        for name in ("saturation_fraction", "open_loop_error_rms",
+                     "closed_loop_error_rms", "open_loop_detuning_rms",
+                     "closed_loop_detuning_rms"):
+            got = getattr(res, name)
+            assert type(got) is float
+            if math.isnan(ref[name]):
+                assert _same_bits(got, ref[name]), name
+            else:
+                assert got == ref[name], name
+        return res
+
+    def _cfg(self, **kw):
+        _, base = _lock_setup()
+        args = dict(kp=base.kp, ki=base.ki, kd=base.kd,
+                    actuator_range=base.actuator_range,
+                    loop_rate=base.loop_rate,
+                    detuning_bias=base.detuning_bias)
+        args.update(kw)
+        return LockConfig(**args)
+
+    def test_all_gains_nonzero(self):
+        res = self._check(self._cfg(kp=2e-12, kd=1e-20), 0.002, seed=31)
+        assert res.saturation_fraction < 1.0
+
+    def test_default_integral_lock(self):
+        res = self._check(self._cfg(), 0.002, seed=23)
+        assert res.saturation_fraction == 0.0
+
+    def test_saturates_on_both_rails(self):
+        rail = 2e-13
+        res = self._check(self._cfg(actuator_range=rail, kp=1e-12), 0.004,
+                          seed=23)
+        act = res.actuator.values
+        assert np.any(act == rail) and np.any(act == -rail)
+
+    def test_not_start_locked(self):
+        self._check(self._cfg(kp=1e-12), 0.002, seed=7, start_locked=False)
+
+    def test_open_loop_clips_from_first_step(self):
+        rail = 1e-14
+        model, _ = _lock_setup()
+        x0 = synth_brownian(model.outer, 10e6, 0.002, 3).values[0]
+        assert abs(x0) > rail
+        res = self._check(self._cfg(actuator_range=rail), 0.002, seed=3)
+        assert res.actuator.values[0] == x0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_shortest_records(self, n):
+        self._check(self._cfg(kp=1e-12, kd=1e-20), n / 10e6, seed=5)
+
+    @pytest.mark.parametrize("start_locked", [True, False])
+    def test_zero_motion(self, start_locked):
+        # zero motion: the actuator starts at 0.0 and every error term is 0
+        self._check(self._cfg(), 0.001, seed=3, start_locked=start_locked,
+                    temp=0.0)
