@@ -6,7 +6,9 @@ Subpackages:
     synth     - seeded synthetic measurement records
     estimate  - Welch PSD, line-shape/exponential fits, transfer estimation
     servo     - side-of-fringe PID lock and cold-damping arithmetic
-    cli       - command-line interface, file formats, reports
+    config    - run configuration and its validation
+    io        - record, table and result-document file formats
+    cli       - command-line interface: simulate, analyze, design-check, report
 """
 
 from . import constants

@@ -1,7 +1,11 @@
 """Command-line interface: simulate, analyze, design-check and report.
 
-The config file plus the seed fully determine every record `simulate`
-writes, and reruns with the same set of allowed CPUs produce
+The commands share one builder per synthetic experiment and one fit per
+measured quantity.  `report` fits its synthetic ringdowns from their known
+onset at t = 0, while `analyze finesse` and `analyze mech-q` first trim a
+record at its 95% crossing (`detect_onset`), so the two differ on the same
+record.  The config file plus the seed fully determine every record
+`simulate` writes, and reruns with the same set of allowed CPUs produce
 byte-identical files.  Fit results can differ in the last digits between
 one and two allowed CPUs (the BLAS thread count changes the summation
 order in the fits).  Exit codes: 0 success, 2 configuration error, 3 I/O
@@ -65,153 +69,183 @@ def _load(args) -> Config:
     return cfg
 
 
-def _sweep_freqs(f_min, f_max, points_per_decade):
-    lo = math.ceil(math.log10(f_min) * points_per_decade)
-    hi = math.floor(math.log10(f_max) * points_per_decade)
-    return [10 ** (k / points_per_decade) for k in range(lo, hi + 1)]
+# Builders, one per synthetic experiment, each with its own seed offset
 
-
-def _brownian_record(cfg: Config, seed: int, temp_override=None):
+def _brownian(cfg: Config, seed: int, temp=None):
     p = cfg.synth["brownian"]
     mode = cfg.inner if p["device"] == "inner" else cfg.outer
-    if temp_override is not None:
-        mode = _mech.MechMode(mode.f0, mode.q, mode.m_eff, temp_override)
+    if temp is not None:
+        mode = _mech.MechMode(mode.f0, mode.q, mode.m_eff, temp)
     center = mode.f0 if p["mode"] == "envelope" else None
     return mode, _synth.synth_brownian(
-        mode, p["sample_rate_hz"], p["duration_s"], seed,
+        mode, p["sample_rate_hz"], p["duration_s"], seed + _SEED_BROWNIAN,
         noise_floor=p["noise_floor_m2_per_hz"], center_freq=center)
+
+
+def _optical_ringdown(cfg: Config, seed: int, finesse=None):
+    cav = cfg.cavity
+    if finesse is not None:
+        cav = _cavity.Cavity(cav.length, cav.wavelength, finesse)
+    p = cfg.synth["ringdown_optical"]
+    return cav, _synth.synth_optical_ringdown(
+        cav, p["sample_rate_hz"], p["duration_s"], p["snr"],
+        seed + _SEED_RINGDOWN_OPT)
+
+
+def _mech_ringdown(cfg: Config, seed: int):
+    p = cfg.synth["ringdown_mech"]
+    return _synth.synth_mech_ringdown(
+        cfg.outer, p["sample_rate_hz"], p["duration_s"], p["x0_m"],
+        seed + _SEED_RINGDOWN_MECH, snr=p["snr"],
+        envelope_cycles=p["envelope_cycles"])
+
+
+def _sweep(cfg: Config, seed: int, device: str, f_max=math.inf):
+    """Drive records of the nested device or the bare inner resonator."""
+    p = cfg.synth["sweep"]
+    if device == "nested":
+        model, mass_ratio, offset = cfg.nested, cfg.mass_ratio, _SEED_SWEEP_NESTED
+    else:
+        model, mass_ratio, offset = cfg.inner, None, _SEED_SWEEP_SINGLE
+    ppd = p["points_per_decade"]
+    lo = math.ceil(math.log10(p["f_min_hz"]) * ppd)
+    hi = math.floor(math.log10(min(p["f_max_hz"], f_max)) * ppd)
+    freqs = [10 ** (k / ppd) for k in range(lo, hi + 1)]
+    return _synth.synth_drive_sweep(
+        model, freqs, p["amplitude_m"], p["cycles_per_point"], seed + offset,
+        mass_ratio=mass_ratio, samples_per_cycle=p["samples_per_cycle"],
+        base_noise_rms=p["base_noise_rms_m"],
+        response_noise_rms=p["response_noise_rms_m"],
+        piezo_corner_hz=p["piezo_corner_hz"])
+
+
+def _lock(cfg: Config, seed: int):
+    p = cfg.synth["lock"]
+    # the lock metrics are rms values over the last 20%, empty below 3 samples
+    n = int(round(p["duration_s"] * p["loop_rate_hz"]))
+    if n < 3:
+        raise ConfigError(
+            f"synth.lock.duration_s must cover at least 3 loop samples, got {n}")
+    bias = p["detuning_bias_hz"]
+    if bias is None:
+        bias = -cfg.cavity.linewidth_fwhm / (2.0 * math.sqrt(3.0))
+    lock_cfg = _servo.LockConfig(kp=p["kp"], ki=p["ki"], kd=p["kd"],
+                                 actuator_range=p["actuator_range_m"],
+                                 loop_rate=p["loop_rate_hz"],
+                                 detuning_bias=bias)
+    return bias, _servo.simulate_lock(cfg.nested, cfg.cavity, lock_cfg,
+                                      p["duration_s"], seed + _SEED_LOCK)
+
+
+# Fits, one per measured quantity; quantity -> (result key, printed label)
+_QUANTITIES = {"q": ("q", "Q"), "finesse": ("finesse", "Finesse"),
+               "mech-q": ("q", "Q")}
+
+
+def _summary(fit, quantity: str) -> dict:
+    """A fitted quantity with its 1-sigma, convergence and printed line."""
+    key, label = _QUANTITIES[quantity]
+    value, sigma = fit.params[key], fit.sigmas[key]
+    return {key: value, f"{key}_sigma": sigma, "converged": fit.converged,
+            "formatted": f"{label} = {format_value_pm(value, sigma)}"}
 
 
 def _welch(cfg: Config, ts):
     a = cfg.analysis
-    seg = a["welch_segment_len"]
-    return _estimate.welch_psd(ts, None if seg is None else int(seg),
-                               a["welch_overlap"], a["welch_window"])
+    return _estimate.welch_psd(ts, a["welch_segment_len"], a["welch_overlap"],
+                               a["welch_window"])
 
 
-def _fit_window(cfg: Config, spec):
+def _fit_line(cfg: Config, ts):
+    """Welch PSD of ts and its Lorentzian fit about the peak."""
+    spec = _welch(cfg, ts)
+    window = None
     width = cfg.analysis["fit_window_hz"]
-    if width is None:
-        return None
-    f_pk = spec.freqs[int(np.argmax(spec.psd))]
-    return (f_pk - 0.5 * width, f_pk + 0.5 * width)
+    if width is not None:
+        f_pk = spec.freqs[int(np.argmax(spec.psd))]
+        window = (f_pk - 0.5 * width, f_pk + 0.5 * width)
+    return spec, _estimate.fit_lorentzian(spec, window)
+
+
+def _fit_decay(cfg: Config, ts, quantity: str):
+    """Exponential fit of a record that starts at its decay onset."""
+    kw = ({"cavity_length": cfg.cavity.length} if quantity == "finesse"
+          else {"f0": cfg.outer.f0})
+    return _estimate.fit_exp_decay(ts, **kw)
+
+
+def _transfer_bins(cfg: Config):
+    """Log bins per decade and the DC reference cut of every transfer curve."""
+    return cfg.analysis["bins_per_decade"], cfg.outer.f0 / 3.0
+
+
+def _fit_transfer(cfg: Config, records):
+    return _estimate.estimate_transfer(records, *_transfer_bins(cfg))
 
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    seed = int(cfg.synth["seed"])
+    seed = cfg.synth["seed"]
     out = _out_dir(args)
-    fmt = args.format
-    ext = "csv" if fmt == "csv" else "bin"
-    files = {}
+    fmt = args.format                # also the file extension
+    exp = args.experiment
+    series = {}                      # record name -> TimeSeries
     outputs = {"seed": seed}
 
-    if args.experiment == "brownian":
-        temp = args.temp if args.temp is not None else None
-        mode, ts = _brownian_record(cfg, seed + _SEED_BROWNIAN, temp)
-        path = os.path.join(out, f"brownian.{ext}")
-        _io.write_timeseries(path, ts, fmt)
-        files["brownian"] = os.path.basename(path)
+    if exp == "brownian":
+        mode, ts = _brownian(cfg, seed, args.temp)
+        series["brownian"] = ts
         outputs.update({"f0_hz": mode.f0, "q": mode.q, "temp_k": mode.temp,
                         "n_samples": ts.n, "warnings": list(ts.warnings)})
-    elif args.experiment == "ringdown-optical":
-        cav = cfg.cavity
-        if args.finesse is not None:
-            cav = _cavity.Cavity(cav.length, cav.wavelength, args.finesse)
-        p = cfg.synth["ringdown_optical"]
-        ts = _synth.synth_optical_ringdown(cav, p["sample_rate_hz"],
-                                           p["duration_s"], p["snr"],
-                                           seed + _SEED_RINGDOWN_OPT)
-        path = os.path.join(out, f"ringdown_optical.{ext}")
-        _io.write_timeseries(path, ts, fmt)
-        files["ringdown_optical"] = os.path.basename(path)
+    elif exp == "ringdown-optical":
+        cav, series["ringdown_optical"] = _optical_ringdown(cfg, seed,
+                                                            args.finesse)
         outputs.update({"finesse": cav.finesse, "tau_s": cav.decay_tau,
-                        "snr": p["snr"]})
-    elif args.experiment == "ringdown-mech":
-        p = cfg.synth["ringdown_mech"]
-        rec = _synth.synth_mech_ringdown(cfg.outer, p["sample_rate_hz"],
-                                         p["duration_s"], p["x0_m"],
-                                         seed + _SEED_RINGDOWN_MECH,
-                                         snr=p["snr"],
-                                         envelope_cycles=p["envelope_cycles"])
-        raw_path = os.path.join(out, f"ringdown_mech_raw.{ext}")
-        env_path = os.path.join(out, f"ringdown_mech_envelope.{ext}")
-        _io.write_timeseries(raw_path, rec.raw, fmt)
-        _io.write_timeseries(env_path, rec.envelope, fmt)
-        files["ringdown_mech_raw"] = os.path.basename(raw_path)
-        files["ringdown_mech_envelope"] = os.path.basename(env_path)
+                        "snr": cfg.synth["ringdown_optical"]["snr"]})
+    elif exp == "ringdown-mech":
+        rec = _mech_ringdown(cfg, seed)
+        series = {"ringdown_mech_raw": rec.raw,
+                  "ringdown_mech_envelope": rec.envelope}
         outputs.update({"f0_hz": cfg.outer.f0, "q": cfg.outer.q,
                         "tau_a_s": 2.0 * cfg.outer.q / cfg.outer.omega0})
-    elif args.experiment == "sweep":
-        p = cfg.synth["sweep"]
-        freqs = _sweep_freqs(p["f_min_hz"], p["f_max_hz"],
-                             p["points_per_decade"])
-        if args.device == "nested":
-            model = cfg.nested
-            mass_ratio = cfg.mass_ratio
-            sweep_seed = seed + _SEED_SWEEP_NESTED
-        else:
-            model = cfg.inner
-            mass_ratio = None
-            sweep_seed = seed + _SEED_SWEEP_SINGLE
-        records = _synth.synth_drive_sweep(
-            model, freqs, p["amplitude_m"], p["cycles_per_point"], sweep_seed,
-            mass_ratio=mass_ratio, samples_per_cycle=p["samples_per_cycle"],
-            base_noise_rms=p["base_noise_rms_m"],
-            response_noise_rms=p["response_noise_rms_m"],
-            piezo_corner_hz=p["piezo_corner_hz"])
+    elif exp == "sweep":
+        records = _sweep(cfg, seed, args.device)
         stems = [f"sweep_{args.device}_{i:03d}" for i in range(len(records))]
         if fmt == "csv":
             rec_files = [f"{stem}.csv" for stem in stems]
             _io.write_driverecords_csv(
                 [os.path.join(out, name) for name in rec_files], records)
-        else:
+        else:                        # a base and a response record each
             rec_files = []
             for stem, rec in zip(stems, records):
-                entry = {"drive_freq_hz": rec.drive_freq,
-                         "base": f"{stem}_base.bin",
-                         "response": f"{stem}_response.bin"}
-                _io.write_timeseries_bin(os.path.join(out, entry["base"]),
-                                         rec.base_motion)
-                _io.write_timeseries_bin(os.path.join(out, entry["response"]),
-                                         rec.response_motion)
-                rec_files.append(entry)
-        files["records"] = rec_files
+                series[f"{stem}_base"] = rec.base_motion
+                series[f"{stem}_response"] = rec.response_motion
+                rec_files.append({"drive_freq_hz": rec.drive_freq,
+                                  "base": f"{stem}_base.bin",
+                                  "response": f"{stem}_response.bin"})
         outputs.update({"device": args.device, "n_records": len(records),
                         "drive_freqs_hz": [r.drive_freq for r in records]})
-    elif args.experiment == "lock":
-        p = cfg.synth["lock"]
-        bias = p["detuning_bias_hz"]
-        if bias is None:
-            bias = -cfg.cavity.linewidth_fwhm / (2.0 * math.sqrt(3.0))
-        lock_cfg = _servo.LockConfig(kp=p["kp"], ki=p["ki"], kd=p["kd"],
-                                     actuator_range=p["actuator_range_m"],
-                                     loop_rate=p["loop_rate_hz"],
-                                     detuning_bias=bias)
-        res = _servo.simulate_lock(cfg.nested, cfg.cavity, lock_cfg,
-                                   p["duration_s"], seed + _SEED_LOCK)
-        for name, ts in (("lock_error", res.error_signal),
-                         ("lock_actuator", res.actuator),
-                         ("lock_detuning", res.detuning)):
-            path = os.path.join(out, f"{name}.{ext}")
-            _io.write_timeseries(path, ts, fmt)
-            files[name] = os.path.basename(path)
-        outputs.update({
-            "lock_acquired": bool(res.lock_acquired),
-            "saturation_fraction": res.saturation_fraction,
-            "open_loop_error_rms": res.open_loop_error_rms,
-            "closed_loop_error_rms": res.closed_loop_error_rms,
-            "open_loop_detuning_rms_hz": res.open_loop_detuning_rms,
-            "closed_loop_detuning_rms_hz": res.closed_loop_detuning_rms,
-            "detuning_bias_hz": bias,
-        })
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown experiment {args.experiment!r}")
+    else:                            # lock
+        bias, res = _lock(cfg, seed)
+        series = {"lock_error": res.error_signal,
+                  "lock_actuator": res.actuator,
+                  "lock_detuning": res.detuning}
+        outputs.update(
+            lock_acquired=bool(res.lock_acquired),
+            saturation_fraction=res.saturation_fraction,
+            open_loop_error_rms=res.open_loop_error_rms,
+            closed_loop_error_rms=res.closed_loop_error_rms,
+            open_loop_detuning_rms_hz=res.open_loop_detuning_rms,
+            closed_loop_detuning_rms_hz=res.closed_loop_detuning_rms,
+            detuning_bias_hz=bias)
 
-    outputs["files"] = files
-    doc = _io.make_result_doc(f"simulate {args.experiment}", cfg.to_dict(),
-                              outputs)
-    manifest = os.path.join(out, f"simulate_{args.experiment.replace('-', '_')}_manifest.json")
+    for name, ts in series.items():
+        _io.write_timeseries(os.path.join(out, f"{name}.{fmt}"), ts, fmt)
+    # a sweep manifest lists its records per drive frequency
+    outputs["files"] = ({"records": rec_files} if exp == "sweep"
+                        else {name: f"{name}.{fmt}" for name in series})
+    doc = _io.make_result_doc(f"simulate {exp}", cfg.to_dict(), outputs)
+    manifest = os.path.join(out, f"simulate_{exp.replace('-', '_')}_manifest.json")
     _io.write_result_doc(manifest, doc)
     print(manifest)
     return EXIT_OK
@@ -243,49 +277,26 @@ def cmd_analyze(args) -> int:
     cfg = _load(args)
     out = _out_dir(args)
     sub = args.quantity
-    outputs = {}
     exit_code = EXIT_OK
 
-    if sub == "q":
+    if sub in _QUANTITIES:
         ts = _io.read_timeseries(args.inputs[0])
-        spec = _welch(cfg, ts)
-        fit = _estimate.fit_lorentzian(spec, _fit_window(cfg, spec))
-        outputs = {
-            "q": fit.params["q"], "q_sigma": fit.sigmas["q"],
-            "f0_hz": fit.params["f0_hz"], "fwhm_hz": fit.params["fwhm_hz"],
-            "converged": fit.converged, "warnings": list(fit.warnings),
-            "formatted": f"Q = {format_value_pm(fit.params['q'], fit.sigmas['q'])}",
-            "n_avg": spec.n_avg,
-        }
-        print(outputs["formatted"])
-        if not fit.converged:
-            exit_code = EXIT_FIT
-    elif sub in ("finesse", "mech-q"):
-        ts = _io.read_timeseries(args.inputs[0])
-        ts = _estimate.detect_onset(ts)
-        if sub == "finesse":
-            fit = _estimate.fit_exp_decay(ts, cavity_length=cfg.cavity.length)
-            key = "finesse"
-            label = "Finesse"
+        if sub == "q":
+            spec, fit = _fit_line(cfg, ts)
+            extra = {"f0_hz": fit.params["f0_hz"],
+                     "fwhm_hz": fit.params["fwhm_hz"], "n_avg": spec.n_avg}
         else:
-            fit = _estimate.fit_exp_decay(ts, f0=cfg.outer.f0)
-            key = "q"
-            label = "Q"
-        outputs = {
-            key: fit.params[key], f"{key}_sigma": fit.sigmas[key],
-            "tau_s": fit.params["tau_s"], "tau_sigma_s": fit.sigmas["tau_s"],
-            "converged": fit.converged, "warnings": list(fit.warnings),
-            "formatted":
-                f"{label} = {format_value_pm(fit.params[key], fit.sigmas[key])}",
-        }
+            # a recorded ringdown may hold pre-trigger samples
+            fit = _fit_decay(cfg, _estimate.detect_onset(ts), sub)
+            extra = {"tau_s": fit.params["tau_s"],
+                     "tau_sigma_s": fit.sigmas["tau_s"]}
+        outputs = {**_summary(fit, sub), **extra,
+                   "warnings": list(fit.warnings)}
         print(outputs["formatted"])
         if not fit.converged:
             exit_code = EXIT_FIT
     elif sub == "transfer":
-        records = _load_drive_records(args.inputs)
-        est = _estimate.estimate_transfer(
-            records, cfg.analysis["bins_per_decade"],
-            dc_cutoff_hz=cfg.outer.f0 / 3.0)
+        est = _fit_transfer(cfg, _load_drive_records(args.inputs))
         table = os.path.join(out, "transfer_estimate.csv")
         _io.write_table_csv(table, {
             "freq_hz": est.bin_centers, "magnitude_db": est.magnitude_db,
@@ -299,17 +310,14 @@ def cmd_analyze(args) -> int:
             "table": os.path.basename(table),
         }
         print(table)
-    elif sub == "psd":
-        ts = _io.read_timeseries(args.inputs[0])
-        spec = _welch(cfg, ts)
+    else:                            # psd
+        spec = _welch(cfg, _io.read_timeseries(args.inputs[0]))
         table = os.path.join(out, "psd.csv")
         _io.write_table_csv(table, {"freq_hz": spec.freqs,
                                     "psd_m2_per_hz": spec.psd})
         outputs = {"n_avg": spec.n_avg, "resolution_hz": spec.resolution,
                    "table": os.path.basename(table)}
         print(table)
-    else:  # pragma: no cover
-        raise ConfigError(f"unknown quantity {args.quantity!r}")
 
     doc = _io.make_result_doc(f"analyze {sub}", cfg.to_dict(), outputs)
     _io.write_result_doc(
@@ -319,8 +327,7 @@ def cmd_analyze(args) -> int:
 
 def design_check_outputs(cfg: Config, bath_temp: float) -> dict:
     """The headline feasibility numbers, each with the formula used."""
-    w_inner = cfg.inner.omega0
-    iso = _mech.isolation_db(w_inner, cfg.outer)
+    iso = _mech.isolation_db(cfg.inner.omega0, cfg.outer)
     ratio = _cavity.sideband_ratio(cfg.inner.f0, cfg.cavity)
     n_min = _cavity.min_phonons(cfg.inner.f0, cfg.cavity)
     feasible, margin = _cavity.ground_state_feasible(cfg.inner.f0, cfg.inner.q,
@@ -350,24 +357,24 @@ def design_check_outputs(cfg: Config, bath_temp: float) -> dict:
 def cmd_design_check(args) -> int:
     cfg = _load(args)
     res = design_check_outputs(cfg, args.bath_temp)
-    rows = [
-        ("isolation at inner resonance", f"{res['isolation_at_inner_db']['value']:.1f} dB"),
-        ("sideband ratio", f"{res['sideband_ratio']['value']:.2f}"),
-        ("cooling floor n_min", f"{res['min_phonons']['value']:.2e}"),
-        ("fQ product", f"{res['fq_product_hz']['value']:.3e} Hz"),
-        (f"fQ threshold at {args.bath_temp:g} K",
-         f"{res['fq_threshold_hz']['value']:.3e} Hz"),
-        (f"ground state from {args.bath_temp:g} K",
-         ("PASS" if res["ground_state_feasible"]["value"] else "FAIL")
+    v = {key: item["value"] for key, item in res.items()}
+    rows = [                         # (result key, label, printed value)
+        ("isolation_at_inner_db", "isolation at inner resonance",
+         f"{v['isolation_at_inner_db']:.1f} dB"),
+        ("sideband_ratio", "sideband ratio", f"{v['sideband_ratio']:.2f}"),
+        ("min_phonons", "cooling floor n_min", f"{v['min_phonons']:.2e}"),
+        ("fq_product_hz", "fQ product", f"{v['fq_product_hz']:.3e} Hz"),
+        ("fq_threshold_hz", f"fQ threshold at {args.bath_temp:g} K",
+         f"{v['fq_threshold_hz']:.3e} Hz"),
+        ("ground_state_feasible", f"ground state from {args.bath_temp:g} K",
+         ("PASS" if v["ground_state_feasible"] else "FAIL")
          + f" (margin {res['ground_state_feasible']['margin']:.2f})"),
-        ("outer thermal rms", f"{res['outer_thermal_rms_m']['value']:.3g} m"),
+        ("outer_thermal_rms_m", "outer thermal rms",
+         f"{v['outer_thermal_rms_m']:.3g} m"),
     ]
-    keys = ["isolation_at_inner_db", "sideband_ratio", "min_phonons",
-            "fq_product_hz", "fq_threshold_hz", "ground_state_feasible",
-            "outer_thermal_rms_m"]
-    width = max(len(r[0]) for r in rows)
-    for (name, val), key in zip(rows, keys):
-        print(f"{name:<{width}}  {val:<22}  [{res[key]['formula']}]")
+    width = max(len(label) for _, label, _ in rows)
+    for key, label, text in rows:
+        print(f"{label:<{width}}  {text:<22}  [{res[key]['formula']}]")
     if args.out:
         out = _out_dir(args)
         doc = _io.make_result_doc("design-check", cfg.to_dict(), res)
@@ -375,132 +382,88 @@ def cmd_design_check(args) -> int:
     return EXIT_OK
 
 
-def _binned_theory_db(freqs, power_ratios, bins_per_decade, dc_cutoff_hz):
-    db = 10.0 * np.log10(power_ratios)
-    centers, mags, _, _, _ = _estimate.bin_log_mean(freqs, db, bins_per_decade,
-                                                    dc_cutoff_hz)
-    return centers, mags
+# Report sections: each writes its table and returns its result entry
 
-
-def _report_transfer(cfg: Config, seed: int, out: str, device: str):
-    p = cfg.synth["sweep"]
-    bpd = cfg.analysis["bins_per_decade"]
-    dc_cut = cfg.outer.f0 / 3.0
-    if device == "nested":
-        model = cfg.nested
-        mass_ratio = cfg.mass_ratio
-        f_max = p["f_max_hz"]
-        sweep_seed = seed + _SEED_SWEEP_NESTED
-    else:
-        model = cfg.inner
-        mass_ratio = None
-        f_max = min(p["f_max_hz"], cfg.inner.f0 / 5.0)
-        sweep_seed = seed + _SEED_SWEEP_SINGLE
-    freqs = _sweep_freqs(p["f_min_hz"], f_max, p["points_per_decade"])
-    records = _synth.synth_drive_sweep(
-        model, freqs, p["amplitude_m"], p["cycles_per_point"], sweep_seed,
-        mass_ratio=mass_ratio, samples_per_cycle=p["samples_per_cycle"],
-        base_noise_rms=p["base_noise_rms_m"],
-        response_noise_rms=p["response_noise_rms_m"],
-        piezo_corner_hz=p["piezo_corner_hz"])
-    est = _estimate.estimate_transfer(records, bpd, dc_cutoff_hz=dc_cut)
-
-    f_arr = np.array(freqs)
+def _report_transfer(cfg: Config, seed: int, table, device: str) -> dict:
+    f_max = math.inf if device == "nested" else cfg.inner.f0 / 5.0
+    records = _sweep(cfg, seed, device, f_max)
+    est = _fit_transfer(cfg, records)
+    f_arr = np.array([rec.drive_freq for rec in records])
     w_arr = 2.0 * np.pi * f_arr
     # the overlay is always the single-stage low-pass with independently
     # supplied outer parameters, never a fit to the estimate
-    theory_mode = cfg.outer if device == "nested" else cfg.inner
-    theory = _mech.transfer_power(w_arr, theory_mode)
-    if device == "nested":
-        model_ratio = _mech.chain_transfer(w_arr, cfg.nested, cfg.mass_ratio)
-    else:
-        model_ratio = theory
-    _, theory_db = _binned_theory_db(f_arr, theory, bpd, dc_cut)
-    _, model_db = _binned_theory_db(f_arr, model_ratio, bpd, dc_cut)
+    theory = _mech.transfer_power(
+        w_arr, cfg.outer if device == "nested" else cfg.inner)
+    model_ratio = (_mech.chain_transfer(w_arr, cfg.nested, cfg.mass_ratio)
+                   if device == "nested" else theory)
 
-    name = f"transfer_{device}.csv"
-    _io.write_table_csv(os.path.join(out, name), {
+    def binned_db(power_ratios):     # binned like the estimate
+        return _estimate.bin_log_mean(f_arr, 10.0 * np.log10(power_ratios),
+                                      *_transfer_bins(cfg))[1]
+
+    table(f"transfer_{device}", {
         "freq_hz": est.bin_centers, "measured_db": est.magnitude_db,
-        "errbar_db": est.errbar_db, "theory_db": theory_db,
-        "model_db": model_db})
-    return name, est
+        "errbar_db": est.errbar_db, "theory_db": binned_db(theory),
+        "model_db": binned_db(model_ratio)})
+    return {"dc_reference_db": est.dc_reference,
+            "n_records": est.n_records, "n_excluded": est.n_excluded}
+
+
+def _report_brownian(cfg: Config, seed: int, table) -> dict:
+    mode, ts = _brownian(cfg, seed)
+    spec, fit = _fit_line(cfg, ts)
+    pk = fit.params
+    half = pk["fwhm_hz"] / 2.0
+    table("brownian_psd", {
+        "freq_hz": spec.freqs, "psd_m2_per_hz": spec.psd,
+        "fit_m2_per_hz": pk["amplitude"] * half ** 2
+                         / ((spec.freqs - pk["f0_hz"]) ** 2 + half ** 2)
+                         + pk["offset"]})
+    return {**_summary(fit, "q"), "true_q": mode.q}
+
+
+def _report_ringdown(cfg: Config, seed: int, table, quantity: str) -> dict:
+    if quantity == "finesse":
+        _, ts = _optical_ringdown(cfg, seed)
+        name, columns, truth = ("ringdown_optical", ("signal", "fit"),
+                                cfg.cavity.finesse)
+    else:
+        ts = _mech_ringdown(cfg, seed).envelope
+        name, columns, truth = ("ringdown_mech", ("envelope_m", "fit_m"),
+                                cfg.outer.q)
+    fit = _fit_decay(cfg, ts, quantity)
+    p, t = fit.params, ts.times
+    table(name, {
+        "time_s": t, columns[0]: ts.values,
+        columns[1]: p["amplitude"] * np.exp(-(t - t[0]) / p["tau_s"])
+                    + p["offset"]})
+    return {**_summary(fit, quantity), f"true_{_QUANTITIES[quantity][0]}": truth}
 
 
 def cmd_report(args) -> int:
     cfg = _load(args)
-    seed = int(cfg.synth["seed"])
+    seed = cfg.synth["seed"]
     out = _out_dir(args)
     files = {}
+
+    def table(name, columns):        # written at once: no array outlives its section
+        files[name] = f"{name}.csv"
+        _io.write_table_csv(os.path.join(out, files[name]), columns)
+
     outputs = {"seed": seed}
-
-    # (a) transfer curves, single and nested, with the theory overlay
     for device in ("single", "nested"):
-        name, est = _report_transfer(cfg, seed, out, device)
-        files[f"transfer_{device}"] = name
-        outputs[f"transfer_{device}"] = {
-            "dc_reference_db": est.dc_reference,
-            "n_records": est.n_records, "n_excluded": est.n_excluded}
-
-    # (b) Brownian PSD of the inner resonator with the line-shape fit
-    mode, ts = _brownian_record(cfg, seed + _SEED_BROWNIAN)
-    spec = _welch(cfg, ts)
-    fit = _estimate.fit_lorentzian(spec, _fit_window(cfg, spec))
-    pk = fit.params
-    fit_curve = (pk["amplitude"] * (pk["fwhm_hz"] / 2.0) ** 2
-                 / ((spec.freqs - pk["f0_hz"]) ** 2 + (pk["fwhm_hz"] / 2.0) ** 2)
-                 + pk["offset"])
-    _io.write_table_csv(os.path.join(out, "brownian_psd.csv"), {
-        "freq_hz": spec.freqs, "psd_m2_per_hz": spec.psd,
-        "fit_m2_per_hz": fit_curve})
-    files["brownian_psd"] = "brownian_psd.csv"
-    outputs["inner_q_fit"] = {
-        "q": pk["q"], "q_sigma": fit.sigmas["q"], "true_q": mode.q,
-        "converged": fit.converged,
-        "formatted": f"Q = {format_value_pm(pk['q'], fit.sigmas['q'])}"}
-
-    # (c) optical and mechanical ringdowns with exponential fits
-    p = cfg.synth["ringdown_optical"]
-    rd = _synth.synth_optical_ringdown(cfg.cavity, p["sample_rate_hz"],
-                                       p["duration_s"], p["snr"],
-                                       seed + _SEED_RINGDOWN_OPT)
-    ofit = _estimate.fit_exp_decay(rd, cavity_length=cfg.cavity.length)
-    t = rd.times
-    _io.write_table_csv(os.path.join(out, "ringdown_optical.csv"), {
-        "time_s": t, "signal": rd.values,
-        "fit": ofit.params["amplitude"] * np.exp(-t / ofit.params["tau_s"])
-               + ofit.params["offset"]})
-    files["ringdown_optical"] = "ringdown_optical.csv"
-    outputs["finesse_fit"] = {
-        "finesse": ofit.params["finesse"], "finesse_sigma": ofit.sigmas["finesse"],
-        "true_finesse": cfg.cavity.finesse, "converged": ofit.converged,
-        "formatted":
-            f"Finesse = {format_value_pm(ofit.params['finesse'], ofit.sigmas['finesse'])}"}
-
-    p = cfg.synth["ringdown_mech"]
-    mrec = _synth.synth_mech_ringdown(cfg.outer, p["sample_rate_hz"],
-                                      p["duration_s"], p["x0_m"],
-                                      seed + _SEED_RINGDOWN_MECH, snr=p["snr"],
-                                      envelope_cycles=p["envelope_cycles"])
-    mfit = _estimate.fit_exp_decay(mrec.envelope, f0=cfg.outer.f0)
-    te = mrec.envelope.times
-    _io.write_table_csv(os.path.join(out, "ringdown_mech.csv"), {
-        "time_s": te, "envelope_m": mrec.envelope.values,
-        "fit_m": mfit.params["amplitude"] * np.exp(-(te - te[0]) / mfit.params["tau_s"])
-                 + mfit.params["offset"]})
-    files["ringdown_mech"] = "ringdown_mech.csv"
-    outputs["outer_q_fit"] = {
-        "q": mfit.params["q"], "q_sigma": mfit.sigmas["q"],
-        "true_q": cfg.outer.q, "converged": mfit.converged,
-        "formatted": f"Q = {format_value_pm(mfit.params['q'], mfit.sigmas['q'])}"}
-
+        outputs[f"transfer_{device}"] = _report_transfer(cfg, seed, table,
+                                                         device)
+    outputs["inner_q_fit"] = _report_brownian(cfg, seed, table)
+    outputs["finesse_fit"] = _report_ringdown(cfg, seed, table, "finesse")
+    outputs["outer_q_fit"] = _report_ringdown(cfg, seed, table, "mech-q")
     outputs["files"] = files
     doc = _io.make_result_doc("report", cfg.to_dict(), outputs)
     path = os.path.join(out, "report.json")
     _io.write_result_doc(path, doc)
     print(path)
-    if not (fit.converged and ofit.converged and mfit.converged):
-        return EXIT_FIT
-    return EXIT_OK
+    fits = ("inner_q_fit", "finesse_fit", "outer_q_fit")
+    return EXIT_OK if all(outputs[k]["converged"] for k in fits) else EXIT_FIT
 
 
 def _add_common(parser, suppress=False):
@@ -568,16 +531,13 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except _estimate.EstimationError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_FIT
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except ValueError as exc:      # ConfigError included
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -7,7 +7,7 @@ room-temperature outer thermal motion in the tens of picometers.  Unknown
 keys anywhere in the tree are rejected, and every value must have its
 default's type: a finite JSON number where the default is a number (not a
 boolean), a string where it is a string, and null or a finite number
-where it is null.
+where it is null.  Seeds and counts (_INTEGER_KEYS) must be JSON integers.
 """
 
 import json
@@ -40,13 +40,27 @@ def _is_number(value) -> bool:
         return False
 
 
+# seeds, sample and point counts: a float here would be silently truncated
+_INTEGER_KEYS = {"synth.seed", "synth.sweep.points_per_decade",
+                 "synth.sweep.cycles_per_point", "synth.sweep.samples_per_cycle",
+                 "synth.ringdown_mech.envelope_cycles",
+                 "analysis.welch_segment_len", "analysis.bins_per_decade"}
+
+
+def _is_integer(value) -> bool:
+    return _is_number(value) and isinstance(value, int)
+
+
 def _check_leaf(value, default, where: str):
+    number, kind = _is_number, "a finite number"
+    if where in _INTEGER_KEYS:
+        number, kind = _is_integer, "an integer"
     if isinstance(default, str):
         ok, kind = isinstance(value, str), "a string"
     elif default is None:
-        ok, kind = value is None or _is_number(value), "null or a finite number"
+        ok, kind = value is None or number(value), f"null or {kind}"
     else:
-        ok, kind = _is_number(value), "a finite number"
+        ok = number(value)
     if not ok:
         raise ConfigError(f"{where} must be {kind}, got {json.dumps(value)}")
 

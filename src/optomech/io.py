@@ -397,10 +397,6 @@ def _driverecord_csv(rec: DriveRecord):
     return lines, [base.values, resp.values]
 
 
-def write_driverecord_csv(path, rec: DriveRecord):
-    _write_csv([(path, *_driverecord_csv(rec))])
-
-
 def write_driverecords_csv(paths, records):
     """Write each drive record to the path at the same position, formatting
     all of them on one pool when they are long enough together."""

@@ -120,6 +120,22 @@ class TestSimulate:
                      "lock_detuning.csv"):
             assert (tmp_path / name).exists()
 
+    @pytest.mark.parametrize("duration, rc", [(2e-7, EXIT_CONFIG),
+                                              (3e-7, EXIT_OK)])
+    def test_lock_needs_a_nonempty_tail(self, tmp_path, capsys, duration, rc):
+        # the lock metrics are rms values over the last 20% of the record:
+        # at 10 MHz, 2 samples leave it empty (NaN in the manifest), 3 do not
+        cfg = _write_cfg(tmp_path, {"synth.lock.duration_s": duration})
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "simulate",
+                     "lock"]) == rc
+        manifest = out / "simulate_lock_manifest.json"
+        if rc == EXIT_CONFIG:
+            assert "synth.lock.duration_s" in capsys.readouterr().err
+            assert not manifest.exists()
+        else:
+            json.loads(manifest.read_text(), parse_constant=pytest.fail)
+
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         cfg = _write_cfg(tmp_path)
         env_dir = tmp_path / "envout"
@@ -211,12 +227,12 @@ class TestAnalyze:
 
     def test_transfer_identical_base_and_response(self, tmp_path):
         from optomech import DriveRecord, TimeSeries
-        from optomech.io import write_driverecord_csv
+        from optomech.io import write_driverecords_csv
         fs = 32000.0
         t = np.arange(6400) / fs
         base = TimeSeries(fs, 0.0, 1e-12 * np.sin(2 * np.pi * 1e3 * t))
-        write_driverecord_csv(tmp_path / "rec.csv",
-                              DriveRecord(1e3, base, base))
+        write_driverecords_csv([tmp_path / "rec.csv"],
+                               [DriveRecord(1e3, base, base)])
         rc = main(["--out", str(tmp_path), "analyze", "transfer",
                    str(tmp_path / "rec.csv")])
         assert rc == EXIT_OK
@@ -277,9 +293,25 @@ class TestExitCodes:
          ["design-check"]),
         ('{"analysis": {"fit_window_hz": "wide"}}', "analysis.fit_window_hz",
          ["design-check"]),
+        ('{"synth": {"seed": 1.7}}', "synth.seed", ["simulate", "brownian"]),
+        ('{"synth": {"sweep": {"points_per_decade": 2.5}}}',
+         "synth.sweep.points_per_decade", ["simulate", "sweep"]),
+        ('{"synth": {"sweep": {"cycles_per_point": 200.0}}}',
+         "synth.sweep.cycles_per_point", ["simulate", "sweep"]),
+        ('{"synth": {"sweep": {"samples_per_cycle": 32.5}}}',
+         "synth.sweep.samples_per_cycle", ["simulate", "sweep"]),
+        ('{"synth": {"ringdown_mech": {"envelope_cycles": 10.0}}}',
+         "synth.ringdown_mech.envelope_cycles", ["simulate", "ringdown-mech"]),
+        ('{"analysis": {"welch_segment_len": 4096.5}}',
+         "analysis.welch_segment_len", ["design-check"]),
+        ('{"analysis": {"bins_per_decade": 5.0}}', "analysis.bins_per_decade",
+         ["design-check"]),
     ], ids=["list-ratio", "list-seed", "list-duration", "str-gain", "bool",
             "numeric-str", "nan", "inf", "huge-int", "num-for-str",
-            "str-for-null"])
+            "str-for-null", "float-seed", "float-points-per-decade",
+            "float-cycles-per-point", "float-samples-per-cycle",
+            "float-envelope-cycles", "float-segment-len",
+            "float-bins-per-decade"])
     def test_leaf_of_wrong_type_is_config_error(self, tmp_path, capsys,
                                                 config, key, argv):
         path = tmp_path / "bad.json"
@@ -354,6 +386,12 @@ class TestExitCodes:
         assert main(["frobnicate"]) == EXIT_CONFIG
 
 
+def _table_columns(path):
+    """The text of each column of a report or analyze CSV table."""
+    header, *rows = path.read_text().splitlines()
+    return dict(zip(header.split(","), zip(*(r.split(",") for r in rows))))
+
+
 @pytest.fixture(scope="module")
 def report_dir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("report")
@@ -389,6 +427,27 @@ class TestReport:
                           delimiter=",", skiprows=1)
         # for a single resonator the generating model is the overlay itself
         assert np.allclose(rows[:, 3], rows[:, 4], atol=1e-12)
+
+    def test_fits_equal_analyze_of_simulated_records(self, report_dir):
+        # report and simulate + analyze build each record and fit each
+        # quantity through the same code, so the numbers agree exactly
+        cfg = str(report_dir / "config.json")
+        sim = report_dir / "sim"
+        for argv in (["simulate", "brownian"],
+                     ["analyze", "q", str(sim / "brownian.csv")],
+                     ["simulate", "sweep"],
+                     ["analyze", "transfer",
+                      str(sim / "simulate_sweep_manifest.json")]):
+            assert main(["--config", cfg, "--out", str(sim)] + argv) == EXIT_OK
+        rep = read_result_doc(report_dir / "run1" / "report.json")["outputs"]
+        ana = read_result_doc(sim / "analyze_q_result.json")["outputs"]
+        assert rep["inner_q_fit"]["q"] == ana["q"]
+        assert rep["inner_q_fit"]["q_sigma"] == ana["q_sigma"]
+        nested = _table_columns(report_dir / "run1" / "transfer_nested.csv")
+        est = _table_columns(sim / "transfer_estimate.csv")
+        assert nested["freq_hz"] == est["freq_hz"]
+        assert nested["measured_db"] == est["magnitude_db"]
+        assert nested["errbar_db"] == est["errbar_db"]
 
     def test_report_doc_contents(self, report_dir):
         doc = read_result_doc(report_dir / "run1" / "report.json")

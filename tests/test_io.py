@@ -14,9 +14,8 @@ from optomech.io import (FormatError, RESULT_SCHEMA, SchemaError,
                          make_result_doc, read_driverecord_csv,
                          read_driverecords_csv, read_result_doc,
                          read_timeseries, read_timeseries_bin,
-                         read_timeseries_csv, write_driverecord_csv,
-                         write_driverecords_csv, write_result_doc,
-                         write_table_csv, write_timeseries,
+                         read_timeseries_csv, write_driverecords_csv,
+                         write_result_doc, write_table_csv, write_timeseries,
                          write_timeseries_bin, write_timeseries_csv)
 
 
@@ -109,7 +108,7 @@ class TestDriveRecordFormat:
             TimeSeries(fs, 0.0, 5e-13 * np.sin(2 * np.pi * 1e3 * t + 0.4),
                        calibration=2.0))
         path = tmp_path / "rec.csv"
-        write_driverecord_csv(path, rec)
+        write_driverecords_csv([path], [rec])
         back = read_driverecord_csv(path)
         assert back.drive_freq == rec.drive_freq
         assert np.array_equal(back.base_motion.values, rec.base_motion.values)
@@ -249,7 +248,7 @@ def _writer_cases(n):
                  lambda: _ref_timeseries_csv(real)),
         "complex": (lambda p: write_timeseries_csv(p, cplx),
                     lambda: _ref_timeseries_csv(cplx)),
-        "drive": (lambda p: write_driverecord_csv(p, rec),
+        "drive": (lambda p: write_driverecords_csv([p], [rec]),
                   lambda: _ref_driverecord_csv(rec)),
         "table": (lambda p: write_table_csv(p, table),
                   lambda: _ref_table_csv(table)),
