@@ -1,15 +1,19 @@
 """Command-line interface: simulate, analyze, design-check and report.
 
 The commands share one builder per synthetic experiment and one fit per
-measured quantity.  `report` fits its synthetic ringdowns from their known
-onset at t = 0, while `analyze finesse` and `analyze mech-q` first trim a
-record at its 95% crossing (`detect_onset`), so the two differ on the same
-record.  The config file plus the seed fully determine every record
-`simulate` writes, and reruns with the same set of allowed CPUs produce
-byte-identical files.  Fit results can differ in the last digits between
-one and two allowed CPUs (the BLAS thread count changes the summation
-order in the fits).  Exit codes: 0 success, 2 configuration error, 3 I/O
-error, 4 fit failure or non-convergence.
+measured quantity.  `simulate ringdown-mech` and `report` stream the
+mechanical ringdown straight to its demodulated envelope; the raw
+oscillation (3M samples on the default config) is built and written, as
+`ringdown_mech_raw.<fmt>`, only by `simulate ringdown-mech --raw`.
+`report` fits its synthetic ringdowns from their known onset at t = 0,
+while `analyze finesse` and `analyze mech-q` first trim a record at its
+95% crossing (`detect_onset`), so the two differ on the same record.  The
+config file plus the seed fully determine every record `simulate` writes,
+and reruns with the same set of allowed CPUs produce byte-identical
+files.  Fit results can differ in the last digits between one and two
+allowed CPUs (the BLAS thread count changes the summation order in the
+fits).  Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 fit
+failure or non-convergence.
 """
 
 import argparse
@@ -92,12 +96,18 @@ def _optical_ringdown(cfg: Config, seed: int, finesse=None):
         seed + _SEED_RINGDOWN_OPT)
 
 
-def _mech_ringdown(cfg: Config, seed: int):
+def _mech_ringdown(cfg: Config, seed: int, raw=False):
+    """{record name: TimeSeries}: the envelope, and with raw the raw record."""
     p = cfg.synth["ringdown_mech"]
-    return _synth.synth_mech_ringdown(
-        cfg.outer, p["sample_rate_hz"], p["duration_s"], p["x0_m"],
-        seed + _SEED_RINGDOWN_MECH, snr=p["snr"],
-        envelope_cycles=p["envelope_cycles"])
+    args = (cfg.outer, p["sample_rate_hz"], p["duration_s"], p["x0_m"],
+            seed + _SEED_RINGDOWN_MECH)
+    kw = {"snr": p["snr"], "envelope_cycles": p["envelope_cycles"]}
+    if not raw:
+        return {"ringdown_mech_envelope": _synth.synth_mech_envelope(*args,
+                                                                     **kw)}
+    rec = _synth.synth_mech_ringdown(*args, **kw)
+    return {"ringdown_mech_raw": rec.raw,
+            "ringdown_mech_envelope": rec.envelope}
 
 
 def _sweep(cfg: Config, seed: int, device: str, f_max=math.inf):
@@ -203,9 +213,7 @@ def cmd_simulate(args) -> int:
         outputs.update({"finesse": cav.finesse, "tau_s": cav.decay_tau,
                         "snr": cfg.synth["ringdown_optical"]["snr"]})
     elif exp == "ringdown-mech":
-        rec = _mech_ringdown(cfg, seed)
-        series = {"ringdown_mech_raw": rec.raw,
-                  "ringdown_mech_envelope": rec.envelope}
+        series = _mech_ringdown(cfg, seed, args.raw)
         outputs.update({"f0_hz": cfg.outer.f0, "q": cfg.outer.q,
                         "tau_a_s": 2.0 * cfg.outer.q / cfg.outer.omega0})
     elif exp == "sweep":
@@ -245,7 +253,10 @@ def cmd_simulate(args) -> int:
     outputs["files"] = ({"records": rec_files} if exp == "sweep"
                         else {name: f"{name}.{fmt}" for name in series})
     doc = _io.make_result_doc(f"simulate {exp}", cfg.to_dict(), outputs)
-    manifest = os.path.join(out, f"simulate_{exp.replace('-', '_')}_manifest.json")
+    # the single sweep's manifest must not replace the nested sweep's
+    stem = ("sweep_single" if exp == "sweep" and args.device == "single"
+            else exp.replace("-", "_"))
+    manifest = os.path.join(out, f"simulate_{stem}_manifest.json")
     _io.write_result_doc(manifest, doc)
     print(manifest)
     return EXIT_OK
@@ -356,7 +367,18 @@ def design_check_outputs(cfg: Config, bath_temp: float) -> dict:
 
 def cmd_design_check(args) -> int:
     cfg = _load(args)
-    res = design_check_outputs(cfg, args.bath_temp)
+    # valid but extreme values can leave the float range on the way
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            res = design_check_outputs(cfg, args.bath_temp)
+    except ArithmeticError as exc:
+        raise ConfigError(
+            f"config values take design-check out of float range: {exc}"
+        ) from exc
+    for key, item in res.items():
+        if not all(math.isfinite(v) for v in item.values()
+                   if isinstance(v, float)):
+            raise ConfigError(f"design-check {key} is not finite: {item}")
     v = {key: item["value"] for key, item in res.items()}
     rows = [                         # (result key, label, printed value)
         ("isolation_at_inner_db", "isolation at inner resonance",
@@ -428,7 +450,7 @@ def _report_ringdown(cfg: Config, seed: int, table, quantity: str) -> dict:
         name, columns, truth = ("ringdown_optical", ("signal", "fit"),
                                 cfg.cavity.finesse)
     else:
-        ts = _mech_ringdown(cfg, seed).envelope
+        ts = _mech_ringdown(cfg, seed)["ringdown_mech_envelope"]
         name, columns, truth = ("ringdown_mech", ("envelope_m", "fit_m"),
                                 cfg.outer.q)
     fit = _fit_decay(cfg, ts, quantity)
@@ -499,6 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="finesse override for ringdown-optical")
     sim.add_argument("--device", choices=["nested", "single"],
                      default="nested", help="sweep device")
+    sim.add_argument("--raw", action="store_true",
+                     help="ringdown-mech: also write the raw record")
     sim.set_defaults(func=cmd_simulate)
 
     ana = sub.add_parser("analyze", help="run the estimation pipeline")

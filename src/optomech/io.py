@@ -439,7 +439,11 @@ def read_driverecords_csv(paths) -> list:
 def write_result_doc(path, doc: dict):
     if doc.get("schema") != RESULT_SCHEMA:
         raise SchemaError(f"result document must declare schema={RESULT_SCHEMA!r}")
-    payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    try:                               # NaN and infinity are not JSON
+        payload = json.dumps(doc, indent=2, sort_keys=True,
+                             allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     with _atomic_open(path) as fh:
         fh.write(payload.encode())
 

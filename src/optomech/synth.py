@@ -7,6 +7,11 @@ side-of-fringe optical transduction.
 
 All generators are pure functions of (inputs, seed): the same call returns
 a bit-identical record.
+
+Memory is bounded for the mechanical ringdown: it is generated in chunks of
+whole demodulation blocks (_CHUNK samples) and each chunk is reduced to its
+lock-in block means at once, so synth_mech_envelope holds a few MB at any
+record length, and synth_mech_ringdown holds only its raw record on top.
 """
 
 import math
@@ -19,6 +24,10 @@ from . import mech as _mech
 from .mech import MechMode, NestedModel
 
 TWO_PI = 2.0 * np.pi
+
+# samples per chunk of a streamed mechanical ringdown: a chunk and its
+# complex mixing product stay a few MB at any record length
+_CHUNK = 1 << 17
 
 
 @dataclass
@@ -163,6 +172,66 @@ def synth_optical_ringdown(cav: _cavity.Cavity, sample_rate: float,
     return TimeSeries(sample_rate, 0.0, values, calibration=1.0)
 
 
+def _mech_samples(mode: MechMode, sample_rate: float, duration: float,
+                  x0: float, seed: int, snr: float):
+    """(n, samples) of the free decay, after its checks.
+
+    samples(start, stop) -> (t, x) is the chunk kernel.  Successive calls
+    must cover the record in order: the noise comes from one default_rng
+    stream, and chunked standard_normal draws are bit-identical to one draw
+    of the whole record.
+    """
+    if sample_rate < 8.0 * mode.f0:
+        raise ValueError("sample_rate must be >= 8*f0 to resolve the carrier")
+    n = int(round(duration * sample_rate))
+    if n < 2:
+        raise ValueError("duration too short for the sample rate")
+    tau_a = 2.0 * mode.q / mode.omega0
+    rng = np.random.default_rng(seed)
+
+    def samples(start, stop):
+        t = np.arange(start, stop) / sample_rate
+        x = x0 * np.exp(-t / tau_a) * np.cos(mode.omega0 * t)
+        if np.isfinite(snr):
+            x = x + (x0 / snr) * rng.standard_normal(stop - start)
+        return t, x
+
+    return n, samples
+
+
+def _block_means(t, x, f0: float, n_blk: int):
+    """Means of x*exp(-2j*pi*f0*t) over consecutive n_blk-sample blocks."""
+    z = -1j * TWO_PI * f0 * t
+    np.exp(z, out=z)                 # in place: one complex array per chunk
+    np.multiply(x, z, out=z)
+    return z.reshape(-1, n_blk).mean(axis=1)
+
+
+def _envelope(samples, n: int, sample_rate: float, t0: float, f0: float,
+              cycles_per_block: int, calibration: float = 1.0) -> TimeSeries:
+    """Lock-in envelope of the n-sample record that samples(start, stop) yields.
+
+    The record is asked for in order, in chunks of whole demodulation blocks
+    (at least one block, about _CHUNK samples), and each chunk is reduced to
+    its block means at once; samples past the last whole block are never
+    asked for.
+    """
+    n_blk = int(round(cycles_per_block * sample_rate / f0))
+    if n_blk < 2:
+        raise ValueError("too few samples per demodulation block")
+    n_out = n // n_blk
+    if n_out < 2:
+        raise ValueError("record too short for envelope demodulation")
+    step = max(1, _CHUNK // n_blk) * n_blk
+    env = np.empty(n_out)
+    for start in range(0, n_out * n_blk, step):
+        stop = min(start + step, n_out * n_blk)
+        means = _block_means(*samples(start, stop), f0, n_blk)
+        env[start // n_blk:stop // n_blk] = 2.0 * np.abs(means)
+    return TimeSeries(sample_rate / n_blk, t0 + 0.5 * n_blk / sample_rate,
+                      env, calibration)
+
+
 def demodulate_envelope(ts: TimeSeries, f0: float,
                         cycles_per_block: int = 10) -> TimeSeries:
     """Lock-in style amplitude envelope of an oscillation at f0.
@@ -170,18 +239,24 @@ def demodulate_envelope(ts: TimeSeries, f0: float,
     The record is mixed down at f0 and block-averaged over an integer number
     of carrier cycles; the output sample rate drops by the block length.
     """
-    n_blk = int(round(cycles_per_block * ts.sample_rate / f0))
-    if n_blk < 2:
-        raise ValueError("too few samples per demodulation block")
-    n_out = ts.n // n_blk
-    if n_out < 2:
-        raise ValueError("record too short for envelope demodulation")
-    t = ts.times[:n_out * n_blk]
-    x = np.asarray(ts.values[:n_out * n_blk], dtype=float)
-    z = x * np.exp(-1j * TWO_PI * f0 * t)
-    env = 2.0 * np.abs(z.reshape(n_out, n_blk).mean(axis=1))
-    return TimeSeries(ts.sample_rate / n_blk, ts.t0 + 0.5 * n_blk / ts.sample_rate,
-                      env, ts.calibration)
+    def samples(start, stop):
+        return (ts.t0 + np.arange(start, stop) / ts.sample_rate,
+                np.asarray(ts.values[start:stop], dtype=float))
+
+    return _envelope(samples, ts.n, ts.sample_rate, ts.t0, f0,
+                     cycles_per_block, ts.calibration)
+
+
+def synth_mech_envelope(mode: MechMode, sample_rate: float, duration: float,
+                        x0: float, seed: int, snr: float = np.inf,
+                        envelope_cycles: int = 10) -> TimeSeries:
+    """The envelope of synth_mech_ringdown, without building the raw record.
+
+    Bit-identical to synth_mech_ringdown(...).envelope for the same
+    arguments; memory stays bounded by one chunk at any duration.
+    """
+    n, samples = _mech_samples(mode, sample_rate, duration, x0, seed, snr)
+    return _envelope(samples, n, sample_rate, 0.0, mode.f0, envelope_cycles)
 
 
 def synth_mech_ringdown(mode: MechMode, sample_rate: float, duration: float,
@@ -191,18 +266,12 @@ def synth_mech_ringdown(mode: MechMode, sample_rate: float, duration: float,
 
     Returns both the raw record and a demodulated envelope, mirroring a
     lock-in amplitude measurement.  Noise rms on the raw record is x0/snr.
+    Use synth_mech_envelope when only the envelope is needed.
     """
-    if sample_rate < 8.0 * mode.f0:
-        raise ValueError("sample_rate must be >= 8*f0 to resolve the carrier")
-    n = int(round(duration * sample_rate))
-    if n < 2:
-        raise ValueError("duration too short for the sample rate")
-    t = np.arange(n) / sample_rate
-    tau_a = 2.0 * mode.q / mode.omega0
-    values = x0 * np.exp(-t / tau_a) * np.cos(mode.omega0 * t)
-    if np.isfinite(snr):
-        rng = np.random.default_rng(seed)
-        values = values + (x0 / snr) * rng.standard_normal(n)
+    n, samples = _mech_samples(mode, sample_rate, duration, x0, seed, snr)
+    values = np.empty(n)
+    for start in range(0, n, _CHUNK):
+        values[start:start + _CHUNK] = samples(start, min(start + _CHUNK, n))[1]
     raw = TimeSeries(sample_rate, 0.0, values, calibration=1.0)
     env = demodulate_envelope(raw, mode.f0, envelope_cycles)
     return MechRingdown(raw=raw, envelope=env)

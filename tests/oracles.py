@@ -2,11 +2,14 @@
 
 These deliberately avoid the library code paths they check: a fixed-step
 RK4 integration of the coupled equations of motion, adaptive quadrature
-for spectral integrals, and brute-force scans for extrema.
+for spectral integrals, brute-force scans for extrema, and the whole-record
+mechanical ringdown that the streamed synthesis must reproduce bit for bit.
 """
 
 import numpy as np
 from scipy.integrate import quad
+
+from optomech.synth import MechRingdown, TimeSeries
 
 
 def rk4_chain_amplitudes(outer, inner, mass_ratio, freqs, settle_taus=9.0,
@@ -81,3 +84,38 @@ def scan_maximum(func, lo, hi, n_coarse=20001, n_refine=3):
         lo = x[max(i - 2, 0)]
         hi = x[min(i + 2, n_coarse - 1)]
     return 0.5 * (lo + hi)
+
+
+def full_array_demodulate(ts, f0, cycles_per_block=10):
+    """Lock-in envelope of ts, mixing the whole record in one array."""
+    n_blk = int(round(cycles_per_block * ts.sample_rate / f0))
+    if n_blk < 2:
+        raise ValueError("too few samples per demodulation block")
+    n_out = ts.n // n_blk
+    if n_out < 2:
+        raise ValueError("record too short for envelope demodulation")
+    t = ts.times[:n_out * n_blk]
+    x = np.asarray(ts.values[:n_out * n_blk], dtype=float)
+    z = x * np.exp(-1j * 2.0 * np.pi * f0 * t)
+    env = 2.0 * np.abs(z.reshape(n_out, n_blk).mean(axis=1))
+    return TimeSeries(ts.sample_rate / n_blk,
+                      ts.t0 + 0.5 * n_blk / ts.sample_rate, env, ts.calibration)
+
+
+def full_array_mech_ringdown(mode, sample_rate, duration, x0, seed,
+                             snr=np.inf, envelope_cycles=10):
+    """The mechanical ringdown built as one array, then demodulated whole."""
+    if sample_rate < 8.0 * mode.f0:
+        raise ValueError("sample_rate must be >= 8*f0 to resolve the carrier")
+    n = int(round(duration * sample_rate))
+    if n < 2:
+        raise ValueError("duration too short for the sample rate")
+    t = np.arange(n) / sample_rate
+    tau_a = 2.0 * mode.q / mode.omega0
+    values = x0 * np.exp(-t / tau_a) * np.cos(mode.omega0 * t)
+    if np.isfinite(snr):
+        rng = np.random.default_rng(seed)
+        values = values + (x0 / snr) * rng.standard_normal(n)
+    raw = TimeSeries(sample_rate, 0.0, values, calibration=1.0)
+    return MechRingdown(raw=raw, envelope=full_array_demodulate(
+        raw, mode.f0, envelope_cycles))

@@ -1,9 +1,14 @@
+import copy
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from optomech import default_config
 from optomech.cli import EXIT_CONFIG, EXIT_FIT, EXIT_IO, EXIT_OK, format_value_pm, main
 from optomech.io import read_result_doc, read_timeseries, write_result_doc
 
@@ -136,6 +141,46 @@ class TestSimulate:
         else:
             json.loads(manifest.read_text(), parse_constant=pytest.fail)
 
+    def test_ringdown_mech_writes_only_the_envelope(self, tmp_path):
+        cfg = _write_cfg(tmp_path)
+        assert main(["--config", cfg, "--out", str(tmp_path), "simulate",
+                     "ringdown-mech"]) == EXIT_OK
+        assert list(tmp_path.glob("ringdown_mech_raw.*")) == []
+        doc = read_result_doc(tmp_path / "simulate_ringdown_mech_manifest.json")
+        assert doc["outputs"]["files"] == {
+            "ringdown_mech_envelope": "ringdown_mech_envelope.csv"}
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_ringdown_mech_raw_flag_writes_the_reference(self, tmp_path, fmt):
+        from optomech import load_config
+        from optomech.cli import _SEED_RINGDOWN_MECH
+        from optomech.io import write_timeseries
+        from oracles import full_array_mech_ringdown
+        cfg = _write_cfg(tmp_path)
+        plain, raw, ref = (tmp_path / n for n in ("plain", "raw", "ref"))
+        for d, flags in ((plain, []), (raw, ["--raw"])):
+            assert main(["--config", cfg, "--out", str(d), "simulate",
+                         "ringdown-mech", "--format", fmt] + flags) == EXIT_OK
+        doc = read_result_doc(raw / "simulate_ringdown_mech_manifest.json")
+        assert doc["outputs"]["files"] == {
+            "ringdown_mech_raw": f"ringdown_mech_raw.{fmt}",
+            "ringdown_mech_envelope": f"ringdown_mech_envelope.{fmt}"}
+        c = load_config(cfg)
+        p = c.synth["ringdown_mech"]
+        rec = full_array_mech_ringdown(
+            c.outer, p["sample_rate_hz"], p["duration_s"], p["x0_m"],
+            c.synth["seed"] + _SEED_RINGDOWN_MECH, p["snr"],
+            p["envelope_cycles"])
+        ref.mkdir()
+        write_timeseries(ref / f"ringdown_mech_raw.{fmt}", rec.raw, fmt)
+        write_timeseries(ref / f"ringdown_mech_envelope.{fmt}", rec.envelope,
+                         fmt)
+        for name in (f"ringdown_mech_raw.{fmt}",
+                     f"ringdown_mech_envelope.{fmt}"):
+            assert (raw / name).read_bytes() == (ref / name).read_bytes()
+        name = f"ringdown_mech_envelope.{fmt}"
+        assert (plain / name).read_bytes() == (ref / name).read_bytes()
+
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         cfg = _write_cfg(tmp_path)
         env_dir = tmp_path / "envout"
@@ -199,6 +244,30 @@ class TestAnalyze:
         assert mags[i25] == pytest.approx(
             -10 * np.log10((centers[i25] / 2.5e3) ** 4), abs=1.5)
 
+    def test_single_sweep_keeps_the_nested_manifest(self, tmp_path):
+        cfg = _write_cfg(tmp_path)
+
+        def run(*argv):
+            assert main(["--config", cfg, "--out", str(tmp_path)]
+                        + list(argv)) == EXIT_OK
+
+        manifest = str(tmp_path / "simulate_sweep_manifest.json")
+        run("simulate", "sweep")
+        run("analyze", "transfer", manifest)
+        nested = read_result_doc(tmp_path / "analyze_transfer_result.json")
+        run("simulate", "sweep", "--device", "single")
+        single = read_result_doc(tmp_path / "simulate_sweep_single_manifest.json")
+        assert single["outputs"]["device"] == "single"
+        assert single["outputs"]["files"]["records"][0] == "sweep_single_000.csv"
+        run("analyze", "transfer", manifest)
+        again = read_result_doc(tmp_path / "analyze_transfer_result.json")
+        assert again["outputs"] == nested["outputs"]
+        # the nested isolation: about -40 dB a decade above the outer mode,
+        # where the single inner resonator passes the drive at about 0 dB
+        centers = np.array(again["outputs"]["bin_centers_hz"])
+        i25 = int(np.argmin(np.abs(centers - 25e3)))
+        assert again["outputs"]["magnitude_db"][i25] < -30.0
+
     def test_transfer_binary_sweep_matches_csv(self, tmp_path):
         cfg = _write_cfg(tmp_path)
         d_csv, d_bin = tmp_path / "csv", tmp_path / "bin"
@@ -238,6 +307,32 @@ class TestAnalyze:
         assert rc == EXIT_OK
         doc = read_result_doc(tmp_path / "analyze_transfer_result.json")
         assert doc["outputs"]["magnitude_db"] == [0.0]
+
+
+def _paths(node, path=()):
+    """(leaf paths, section paths) of a config document."""
+    leaves, sections = [], [path]
+    for key, val in node.items():
+        if isinstance(val, dict):
+            sub_leaves, sub_sections = _paths(val, path + (key,))
+            leaves += sub_leaves
+            sections += sub_sections
+        else:
+            leaves.append(path + (key,))
+    return leaves, sections
+
+
+_LEAVES, _SECTIONS = _paths(default_config().to_dict())
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6)
+# numbers that pass the type checks, at every scale of the float range
+_NUMBERS = (st.floats(allow_nan=False, allow_infinity=False)
+            | st.integers(-10**6, 10**6)
+            | st.integers(-323, 308).map(lambda e: float(f"1e{e}")))
 
 
 class TestExitCodes:
@@ -319,6 +414,44 @@ class TestExitCodes:
         rc = main(["--config", str(path), "--out", str(tmp_path)] + argv)
         assert rc == EXIT_CONFIG
         assert f"configuration error: {key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [
+        '{"device": {"inner": {"f0_hz": 1e308}}}',     # isolation of 0
+        '{"device": {"outer": {"q": 1e-308}}}',
+        '{"device": {"inner": {"f0_hz": 1e200}}}',     # w0^2 overflows
+        '{"device": {"inner": {"q": 1e306}}}',         # fQ of inf
+    ])
+    def test_design_check_beyond_float_range_is_config_error(
+            self, tmp_path, capsys, config):
+        path = tmp_path / "extreme.json"
+        path.write_text(config)
+        assert main(["design-check", "--config", str(path)]) == EXIT_CONFIG
+        assert "configuration error: " in capsys.readouterr().err
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_config_is_accepted_or_a_config_error(self, data):
+        # any JSON document derived from the default config either runs or
+        # exits 2: never a traceback, never another exit code
+        doc = copy.deepcopy(default_config().to_dict())
+        for path in data.draw(st.lists(st.sampled_from(_LEAVES), max_size=4)):
+            *parents, leaf = path
+            node = doc
+            for key in parents:
+                node = node[key]
+            node[leaf] = data.draw(_JSON_VALUES | _NUMBERS)
+        for path in data.draw(st.lists(st.sampled_from(_SECTIONS),
+                                       max_size=2)):
+            node = doc
+            for key in path:
+                node = node[key]
+            node[data.draw(st.text(max_size=8))] = data.draw(_JSON_VALUES)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            assert main(["design-check", "--config", path]) in (EXIT_OK,
+                                                                EXIT_CONFIG)
 
     def test_null_mass_ratio_is_the_mass_quotient(self, tmp_path):
         from optomech import config_from_dict, default_config

@@ -142,6 +142,15 @@ class TestResultDocs:
         with pytest.raises(SchemaError):
             read_result_doc(path)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     -float("inf")])
+    def test_non_finite_value_raises_before_any_file(self, tmp_path, bad):
+        # NaN and infinity have no JSON spelling: nothing is written
+        doc = make_result_doc("x", {}, {"rms": [1.0, {"tail": bad}]})
+        with pytest.raises(ValueError, match="res.json"):
+            write_result_doc(tmp_path / "res.json", doc)
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_json_is_format_error(self, tmp_path):
         path = tmp_path / "res.json"
         path.write_text("{not json")

@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from optomech import (Cavity, DriveRecord, MechMode, NestedModel, TimeSeries,
                       chain_transfer, demodulate_envelope, fit_exp_decay,
                       fringe_response, fringe_slope, linewidth, synth_brownian,
-                      synth_drive_sweep, synth_mech_ringdown,
-                      synth_optical_ringdown, thermal_psd,
+                      synth_drive_sweep, synth_mech_envelope,
+                      synth_mech_ringdown, synth_optical_ringdown, thermal_psd,
                       transduce_side_of_fringe, transfer_power, welch_psd)
+from optomech import synth as _synth
 from optomech.estimate import demod_amplitude
+from oracles import full_array_demodulate, full_array_mech_ringdown
 
 CAV = Cavity(0.05, 1.064e-6, 181000.0)
 
@@ -135,6 +139,74 @@ class TestMechRingdown:
         rec = synth_mech_ringdown(m, 25e3, 2.0, 1e-9, seed=0)
         again = demodulate_envelope(rec.raw, m.f0, 10)
         assert np.array_equal(rec.envelope.values, again.values)
+
+
+def _same_series(a, b):
+    assert (a.sample_rate, a.t0, a.calibration) == \
+           (b.sample_rate, b.t0, b.calibration)
+    assert a.values.tobytes() == b.values.tobytes()
+
+
+class TestStreamedMechRingdown:
+    """The chunked ringdown equals the whole-record reference bit for bit."""
+
+    OUTER = MechMode(2.5e3, 1e5, 1e-7, 300.0)
+
+    # (chunk, mode, sample rate, duration, snr, envelope cycles); a chunk of
+    # 1000 samples puts many chunks, or blocks longer than one, in a short
+    # record
+    @pytest.mark.parametrize("chunk, f0, fs, duration, snr, cycles", [
+        (1 << 17, 2.5e3, 25e3, 12.34567, 50.0, 10),   # > 2 chunks, ragged
+        (1 << 17, 2.5e3, 25e3, 12.34567, np.inf, 10),
+        (1000, 2.5e3, 25e3, 3.0001, 50.0, 10),        # chunk of 10 blocks
+        (1000, 2.5e3, 25e3, 2.77777, 20.0, 7),        # 1000 % 70 != 0
+        (1000, 2.5e3, 26e3, 2.0, 50.0, 200),          # block of 2080 > chunk
+        (1000, 2.5e3, 26e3, 2.0, np.inf, 200),
+        (1000, 3.3e3, 31e3, 0.05, 50.0, 3),           # partial last block
+    ])
+    def test_matches_full_array_reference(self, monkeypatch, chunk, f0, fs,
+                                          duration, snr, cycles):
+        monkeypatch.setattr(_synth, "_CHUNK", chunk)
+        m = MechMode(f0, 1e4, 1e-7, 300.0)
+        args = (m, fs, duration, 1e-9, 11, snr, cycles)
+        ref = full_array_mech_ringdown(*args)
+        rec = synth_mech_ringdown(*args)
+        _same_series(rec.raw, ref.raw)
+        _same_series(rec.envelope, ref.envelope)
+        _same_series(synth_mech_envelope(*args), ref.envelope)
+        _same_series(demodulate_envelope(ref.raw, f0, cycles), ref.envelope)
+
+    def test_demodulates_a_record_with_an_offset_and_calibration(self):
+        ts = TimeSeries(25e3, 0.37, np.random.default_rng(3).standard_normal(
+            50_123), calibration=2e-9)
+        _same_series(demodulate_envelope(ts, 2.5e3, 10),
+                     full_array_demodulate(ts, 2.5e3, 10))
+
+    @pytest.mark.parametrize("fs, duration, cycles", [
+        (19e3, 1.0, 10),        # carrier too slow to resolve
+        (25e3, 1.0, 0),         # too few samples per block
+        (25e3, 0.007, 10),      # record too short for two blocks
+        (25e3, 1e-5, 10),       # shorter than two samples
+    ])
+    def test_rejects_what_the_reference_rejects(self, fs, duration, cycles):
+        args = (self.OUTER, fs, duration, 1e-9, 0, 50.0, cycles)
+        with pytest.raises(ValueError) as ref:
+            full_array_mech_ringdown(*args)
+        for synth in (synth_mech_envelope, synth_mech_ringdown):
+            with pytest.raises(ValueError) as exc:
+                synth(*args)
+            assert str(exc.value) == str(ref.value)
+
+    def test_envelope_memory_is_bounded(self):
+        # 3M samples: the raw record alone would be 24 MB
+        tracemalloc.start()
+        try:
+            env = synth_mech_envelope(self.OUTER, 25e3, 120.0, 1e-9, 0, 50.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert env.n == 30_000
+        assert peak < 24e6 / 4
 
 
 class TestDriveSweep:
