@@ -8,12 +8,11 @@ oscillation (3M samples on the default config) is built and written, as
 `report` fits its synthetic ringdowns from their known onset at t = 0,
 while `analyze finesse` and `analyze mech-q` first trim a record at its
 95% crossing (`detect_onset`), so the two differ on the same record.  The
-config file plus the seed fully determine every record `simulate` writes,
-and reruns with the same set of allowed CPUs produce byte-identical
-files.  Fit results can differ in the last digits between one and two
-allowed CPUs (the BLAS thread count changes the summation order in the
-fits).  Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 fit
-failure or non-convergence.
+config file plus the seed fully determine every output, byte for byte, at
+any number of allowed CPUs on a given machine (not across CPU
+architectures or numpy builds): no fit sums through a multithreaded BLAS.
+Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 fit failure
+or non-convergence.
 """
 
 import argparse

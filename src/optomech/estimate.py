@@ -181,11 +181,11 @@ def _lorentzian_model(u, p):
 
     def jac():
         den2 = den ** 2
-        j = np.empty((u.size, 4))
-        j[:, 0] = 2.0 * a * c * c * s / den2
-        j[:, 1] = a * c * s * s / den2
-        j[:, 2] = core
-        j[:, 3] = 1.0
+        j = np.empty((4, u.size))
+        j[0] = 2.0 * a * c * c * s / den2
+        j[1] = a * c * s * s / den2
+        j[2] = core
+        j[3] = 1.0
         return j
 
     return a * core + b, jac
@@ -319,10 +319,10 @@ def _exp_model(t, p):
     e = np.exp(-t * inv_tau)
 
     def jac():
-        j = np.empty((t.size, 3))
-        j[:, 0] = e
-        j[:, 1] = -a * t * e
-        j[:, 2] = 1.0
+        j = np.empty((3, t.size))
+        j[0] = e
+        j[1] = -a * t * e
+        j[2] = 1.0
         return j
 
     return a * e + b, jac
@@ -400,27 +400,38 @@ def fit_exp_decay(ts: TimeSeries, cavity_length: float | None = None,
                      warnings=tuple(warnings))
 
 
-def demod_amplitude(ts: TimeSeries, freq: float):
-    """Single-bin discrete correlation: calibrated amplitude of a tone.
-
-    Returns (amplitude_m, detectable) where detectable compares the tone to
-    the off-tone residual noise level in the same record.
-    """
-    x = np.asarray(ts.values, dtype=float) * ts.calibration
-    n = x.size
+def _tone_phasor(ts: TimeSeries, freq: float):
+    """exp(-2j*pi*freq*t) over the whole cycles of freq that ts holds; it
+    depends on the record only through its sample rate, length and t0."""
+    n = ts.n
     fs = ts.sample_rate
     n_cyc = math.floor(freq * n / fs)
     if n_cyc < 1:
         raise EstimationError(f"record too short to demodulate at {freq} Hz")
     n_use = min(int(round(n_cyc * fs / freq)), n)
     t = ts.t0 + np.arange(n_use) / fs
+    return np.exp(-1j * TWO_PI * freq * t)
+
+
+def _demod(ts: TimeSeries, ph):
+    """demod_amplitude of ts against its tone phasor ph (_tone_phasor)."""
+    x = np.asarray(ts.values, dtype=float) * ts.calibration
+    n_use = ph.size
     xm = x[:n_use] - np.mean(x[:n_use])
-    ph = np.exp(-1j * TWO_PI * freq * t)
     z = 2.0 * np.mean(xm * ph)
     amp = abs(z)
     resid = xm - np.real(z * np.conj(ph))  # subtract the fitted tone
     sigma_tone = float(np.std(resid)) * math.sqrt(2.0 / n_use)
     return amp, amp > 10.0 * sigma_tone
+
+
+def demod_amplitude(ts: TimeSeries, freq: float):
+    """Single-bin discrete correlation: calibrated amplitude of a tone.
+
+    Returns (amplitude_m, detectable) where detectable compares the tone to
+    the off-tone residual noise level in the same record.
+    """
+    return _demod(ts, _tone_phasor(ts, freq))
 
 
 def _log_bin_edges(fmin, fmax, bins_per_decade):
@@ -485,11 +496,15 @@ def estimate_transfer(records, bins_per_decade: int = 5,
     pts = []
     n_excluded = 0
     for rec in records:
-        base_amp, base_ok = demod_amplitude(rec.base_motion, rec.drive_freq)
+        base, resp = rec.base_motion, rec.response_motion
+        ph = _tone_phasor(base, rec.drive_freq)
+        base_amp, base_ok = _demod(base, ph)
         if not base_ok:
             n_excluded += 1
             continue
-        resp_amp, _ = demod_amplitude(rec.response_motion, rec.drive_freq)
+        if resp.t0 != base.t0:       # sample rate and length already match
+            ph = _tone_phasor(resp, rec.drive_freq)
+        resp_amp, _ = _demod(resp, ph)
         pts.append((rec.drive_freq, 20.0 * math.log10(resp_amp / base_amp)))
     if not pts:
         raise EstimationError("all records were excluded (no drive tone found)")

@@ -7,6 +7,16 @@ sigmas.  The Jacobian is built only where it is used: at the start point
 and at every accepted step, never for a rejected trial step.  Callers are
 expected to nondimensionalise data and parameters to O(1) before calling
 in here (the public fit routines do).
+
+The Jacobian is a new C-contiguous float array of shape
+(n_params, n_points), one row per parameter, which lm_fit weights in
+place.  The normal equations J^T W J and J^T W r and the cost r.r are
+sums over those contiguous rows taken with np.einsum, never with a BLAS
+product (``@``, ``np.dot`` and the like): a multithreaded BLAS splits
+such a sum by its thread count, so the last digits of every fit would
+depend on how many CPUs the process may use, and its worker threads
+spin for the whole fit.  Only the small solve and inverse of the
+(n_params, n_params) system go to LAPACK.
 """
 
 from dataclasses import dataclass
@@ -26,13 +36,31 @@ class LMResult:
     grad_cosine: float
 
 
+def _dot(x, y):
+    """Sum of x * y over two 1-D arrays, in an order fixed by their length."""
+    return float(np.einsum("i,i->", x, y))
+
+
+def _normal_equations(jw, r):
+    """(J^T W J, J^T W r) from the weighted Jacobian rows jw and the
+    weighted residuals r; the upper triangle is summed and mirrored."""
+    m = jw.shape[0]
+    a = np.empty((m, m))
+    g = np.empty(m)
+    for i in range(m):
+        for k in range(i, m):
+            a[i, k] = a[k, i] = _dot(jw[i], jw[k])
+        g[i] = _dot(jw[i], r)
+    return a, g
+
+
 def lm_fit(model_jac, p0, y, sigma, max_iter=200, gtol=1e-8, ftol=1e-12,
            lam0=1e-3):
     """Minimise sum(((y - model(p)) / sigma)^2) over p.
 
     model_jac(p) must return (yhat, jac), where jac() builds the Jacobian
-    J of shape (npoints, nparams) at p; it is called only for the start
-    point and for accepted steps.
+    at p as a new C-contiguous array of shape (nparams, npoints); it is
+    called only for the start point and for accepted steps.
     Convergence is the scale-free cosine test: every component of the
     gradient must be small relative to the corresponding Jacobian column
     norm times the residual norm (or the cost must sit at the numerical
@@ -49,31 +77,31 @@ def lm_fit(model_jac, p0, y, sigma, max_iter=200, gtol=1e-8, ftol=1e-12,
     cost_floor = n * (1e4 * _EPS) ** 2
 
     def evaluate(params, accept_below=None):
-        """(cost, residuals, weighted Jacobian) at params, for the start
-        point (accept_below None) or a trial whose cost is finite and below
+        """(cost, J^T W J, J^T W r) at params, for the start point
+        (accept_below None) or a trial whose cost is finite and below
         accept_below.  A rejected trial returns None and builds no
         Jacobian; nothing of it outlives the call."""
         yhat, jac = model_jac(params)
         r = (y - yhat) / sigma
-        cost = float(r @ r)
+        cost = _dot(r, r)
         if accept_below is not None and not (np.isfinite(cost)
                                              and cost < accept_below):
             return None
-        return cost, r, jac() / sigma[:, None]
+        jw = jac()
+        jw /= sigma
+        return (cost,) + _normal_equations(jw, r)
 
     def cosine(g, a, cost):
         denom = np.sqrt(np.maximum(np.diag(a), 1e-300)) * np.sqrt(max(cost, 1e-300))
         return float(np.max(np.abs(g) / denom))
 
-    cost, r, jw = evaluate(p)
+    cost, a, g = evaluate(p)         # g = -0.5 * gradient of the cost
     lam = lam0
     converged = False
     grad_cos = np.inf
     improvement = None
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        a = jw.T @ jw
-        g = jw.T @ r                     # -0.5 * gradient of the cost
         grad_cos = cosine(g, a, cost)
         if cost <= cost_floor or grad_cos <= gtol:
             converged = True
@@ -94,20 +122,17 @@ def lm_fit(model_jac, p0, y, sigma, max_iter=200, gtol=1e-8, ftol=1e-12,
             if trial is not None:
                 improvement = cost - trial[0]
                 p = p + step
-                cost, r, jw = trial
+                cost, a, g = trial
                 lam = max(lam / 3.0, 1e-14)
                 stepped = True
                 break
             lam *= 3.0
         if not stepped:
             # No improving step exists at float precision: stationary.
-            a = jw.T @ jw
-            g = jw.T @ r
-            grad_cos = cosine(g, a, cost)
             converged = cost <= cost_floor or grad_cos <= 1e-4
             break
 
-    a = jw.T @ jw
+    # a is always the normal matrix at p, the last accepted point
     try:
         cov = np.linalg.inv(a)
     except np.linalg.LinAlgError:

@@ -2,13 +2,17 @@
 
 These deliberately avoid the library code paths they check: a fixed-step
 RK4 integration of the coupled equations of motion, adaptive quadrature
-for spectral integrals, brute-force scans for extrema, and the whole-record
-mechanical ringdown that the streamed synthesis must reproduce bit for bit.
+for spectral integrals, brute-force scans for extrema, the whole-record
+mechanical ringdown that the streamed synthesis must reproduce bit for bit,
+and the transfer estimate with its own tone phasor per demodulated record.
 """
+
+import math
 
 import numpy as np
 from scipy.integrate import quad
 
+from optomech.estimate import TransferEstimate, bin_log_mean, demod_amplitude
 from optomech.synth import MechRingdown, TimeSeries
 
 
@@ -119,3 +123,24 @@ def full_array_mech_ringdown(mode, sample_rate, duration, x0, seed,
     raw = TimeSeries(sample_rate, 0.0, values, calibration=1.0)
     return MechRingdown(raw=raw, envelope=full_array_demodulate(
         raw, mode.f0, envelope_cycles))
+
+
+def per_record_transfer(records, bins_per_decade=5, dc_cutoff_hz=None):
+    """estimate_transfer with one demod_amplitude call per base and
+    response record, so no tone phasor is shared between the two."""
+    pts, n_excluded = [], 0
+    for rec in records:
+        base_amp, base_ok = demod_amplitude(rec.base_motion, rec.drive_freq)
+        if not base_ok:
+            n_excluded += 1
+            continue
+        resp_amp, _ = demod_amplitude(rec.response_motion, rec.drive_freq)
+        pts.append((rec.drive_freq, 20.0 * math.log10(resp_amp / base_amp)))
+    freqs = np.array([p[0] for p in pts])
+    dbs = np.array([p[1] for p in pts])
+    centers, mags, errs, counts, dc_reference = bin_log_mean(
+        freqs, dbs, bins_per_decade, dc_cutoff_hz)
+    return TransferEstimate(bin_centers=centers, magnitude_db=mags,
+                            errbar_db=errs, dc_reference=dc_reference,
+                            bin_counts=counts, n_records=len(records),
+                            n_excluded=n_excluded)

@@ -244,6 +244,22 @@ class TestAnalyze:
         assert mags[i25] == pytest.approx(
             -10 * np.log10((centers[i25] / 2.5e3) ** 4), abs=1.5)
 
+    def test_transfer_same_as_per_record_demodulation(self, tmp_path,
+                                                      monkeypatch):
+        from oracles import per_record_transfer
+        from optomech import estimate
+        cfg = _write_cfg(tmp_path)
+        assert main(["--config", cfg, "--out", str(tmp_path), "simulate",
+                     "sweep"]) == EXIT_OK
+        argv = ["--config", cfg, "--out", str(tmp_path), "analyze",
+                "transfer", str(tmp_path / "simulate_sweep_manifest.json")]
+        result = tmp_path / "analyze_transfer_result.json"
+        assert main(argv) == EXIT_OK
+        got = result.read_bytes()
+        monkeypatch.setattr(estimate, "estimate_transfer", per_record_transfer)
+        assert main(argv) == EXIT_OK
+        assert result.read_bytes() == got
+
     def test_single_sweep_keeps_the_nested_manifest(self, tmp_path):
         cfg = _write_cfg(tmp_path)
 

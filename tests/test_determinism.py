@@ -1,0 +1,110 @@
+"""Config and seed determine every output, at any allowed-CPU count.
+
+The whole simulate -> analyze -> report session runs in subprocesses on
+one CPU, on two, and on two with OpenBLAS held to one thread; the three
+output trees must be byte-identical.  The fits get there by summing
+without BLAS, whose multithreaded products split their sums by thread
+count, so no module may call one.
+"""
+
+import ast
+import json
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+
+import pytest
+
+import optomech
+
+_SRC = pathlib.Path(optomech.__file__).resolve().parent
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+_CONFIG = {
+    "synth": {
+        "brownian": {"duration_s": 300.0},
+        "ringdown_mech": {"duration_s": 20.0, "sample_rate_hz": 25e3},
+        "sweep": {"f_min_hz": 300.0, "f_max_hz": 40e3,
+                  "points_per_decade": 10},
+    }
+}
+
+_SESSION = [
+    ["simulate", "brownian"],
+    ["simulate", "ringdown-optical"],
+    ["simulate", "ringdown-mech"],
+    ["simulate", "sweep"],
+    ["analyze", "q", "brownian.csv"],
+    ["analyze", "finesse", "ringdown_optical.csv"],
+    ["analyze", "mech-q", "ringdown_mech_envelope.csv"],
+    ["analyze", "transfer", "simulate_sweep_manifest.json"],
+    ["report"],
+]
+
+
+def _session(tmp_path, cpus, openblas_threads=None):
+    """Run the session in a fresh tmp_path/out, restricted to cpus; return
+    the output tree and each command's stdout."""
+    out = tmp_path / "out"
+    if out.exists():
+        shutil.rmtree(out)
+    out.mkdir()
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_CONFIG))
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(_SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(openblas_threads)
+    runs = []
+    for argv in _SESSION:
+        proc = subprocess.run(
+            [sys.executable, "-m", "optomech.cli", "--config", str(cfg),
+             "--out", str(out)] + argv,
+            cwd=out, env=env, capture_output=True, timeout=300,
+            preexec_fn=lambda: os.sched_setaffinity(0, cpus))
+        assert proc.returncode == 0, (argv, proc.stderr.decode())
+        runs.append((argv, proc.stdout))
+    tree = {str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+    return tree, runs
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two allowed CPUs")
+def test_outputs_identical_at_one_and_two_cpus(tmp_path):
+    allowed = sorted(os.sched_getaffinity(0))
+    one, two = {allowed[0]}, set(allowed[:2])
+    ref_tree, ref_runs = _session(tmp_path, one)
+    assert "report.json" in ref_tree and "analyze_q_result.json" in ref_tree
+    for name, cpus, threads in (("two CPUs", two, None),
+                                ("two CPUs, one BLAS thread", two, 1)):
+        tree, runs = _session(tmp_path, cpus, threads)
+        assert sorted(tree) == sorted(ref_tree), name
+        changed = [f for f in ref_tree if tree[f] != ref_tree[f]]
+        assert not changed, (name, changed)
+        assert runs == ref_runs, name
+
+
+_BLAS_CALLS = {"dot", "matmul", "inner", "vdot", "tensordot"}
+
+
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_blas_products(path):
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Call):
+            fn = node.func
+            name = (fn.attr if isinstance(fn, ast.Attribute)
+                    else fn.id if isinstance(fn, ast.Name) else None)
+            if name in _BLAS_CALLS:
+                found.append((node.lineno, name))
+    assert not found, found

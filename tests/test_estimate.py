@@ -9,6 +9,7 @@ from optomech import (DriveRecord, EstimationError, MechMode, Spectrum,
                       synth_brownian, synth_drive_sweep, thermal_psd,
                       transfer_power, welch_psd)
 from optomech.estimate import bin_log_mean, demod_amplitude
+from oracles import per_record_transfer
 
 
 def _sine_series(fs=10000.0, n=2 ** 16, amp=1e-12, f0=1250.0):
@@ -296,6 +297,39 @@ class TestEstimateTransfer:
                   (est.bin_centers < 2.5e3 * 10 ** 0.2)
         dev = np.abs(est.magnitude_db - th_binned)[~res_bin]
         assert np.max(dev) <= 1.0
+
+    def test_shared_phasor_matches_per_record_demodulation(self):
+        outer = MechMode(2.5e3, 1e5, 1e-7, 300.0)
+        freqs = list(np.logspace(np.log10(300.0), np.log10(40e3), 18))
+        recs = synth_drive_sweep(outer, freqs, 1e-12, 100, seed=5,
+                                 base_noise_rms=1e-15,
+                                 response_noise_rms=1e-16)
+        # responses whose clock starts later than their base (the tone
+        # phase differs, and so do the last bits of the amplitude), and a
+        # base without a drive tone
+        for k in range(1, len(recs), 3):
+            rec = recs[k]
+            resp = rec.response_motion
+            late = TimeSeries(resp.sample_rate,
+                              resp.t0 + 3.3 / rec.drive_freq, resp.values,
+                              resp.calibration)
+            recs[k] = DriveRecord(rec.drive_freq, rec.base_motion, late)
+        rec = recs[9]
+        noise = np.random.default_rng(1).standard_normal(rec.base_motion.n)
+        recs[9] = DriveRecord(rec.drive_freq,
+                              TimeSeries(rec.base_motion.sample_rate, 0.0,
+                                         1e-12 * noise),
+                              rec.response_motion)
+        for cutoff in (None, outer.f0 / 3.0):
+            got = estimate_transfer(recs, 5, cutoff)
+            ref = per_record_transfer(recs, 5, cutoff)
+            for name in ("bin_centers", "magnitude_db", "errbar_db",
+                         "bin_counts"):
+                assert (getattr(got, name).tobytes()
+                        == getattr(ref, name).tobytes()), name
+            assert got.dc_reference == ref.dc_reference
+            assert (got.n_records, got.n_excluded) == (18, 1)
+            assert (ref.n_records, ref.n_excluded) == (18, 1)
 
     def test_demod_accuracy(self):
         fs, f = 44000.0, 997.0

@@ -1,6 +1,11 @@
 """lm_fit builds the Jacobian only at accepted points; the fits it serves
 must return exactly what the eager version (a Jacobian at every trial)
-returned."""
+returned.  Its reductions use no BLAS: the fits stay within the last
+digits of other summation orders, and the normal equations do not depend
+on the alignment of their operands."""
+
+import functools
+import math
 
 import numpy as np
 import pytest
@@ -8,15 +13,40 @@ import pytest
 from optomech import (MechMode, TimeSeries, fit_exp_decay, fit_lorentzian,
                       synth_brownian, thermal_psd, welch_psd)
 from optomech import estimate
-from optomech.fitting import LMResult, lm_fit
+from optomech.fitting import LMResult, _normal_equations, lm_fit
 
 _EPS = np.finfo(float).eps
 
 
+def _einsum_products(jw, r):
+    """(J^T W J, J^T W r, r.r) for the (n_params, n_points) weighted
+    Jacobian, summed along its contiguous rows."""
+    a = np.array([[np.einsum("i,i->", u, v) for v in jw] for u in jw])
+    g = np.array([np.einsum("i,i->", u, r) for u in jw])
+    return a, g, float(np.einsum("i,i->", r, r))
+
+
+def _blas_products(jw, r):
+    """The same products as the fits formed them through BLAS, on the
+    (n_points, n_params) Jacobian: their last digits depend on the BLAS
+    thread count."""
+    jw = np.ascontiguousarray(jw.T)
+    return jw.T @ jw, jw.T @ r, float(r @ r)
+
+
+def _fsum_products(jw, r):
+    """The products with each sum correctly rounded (math.fsum): the
+    reference the other summation orders are judged against."""
+    a = np.array([[math.fsum(u * v) for v in jw] for u in jw])
+    g = np.array([math.fsum(u * r) for u in jw])
+    return a, g, math.fsum(r * r)
+
+
 def _eager_lm_fit(model_jac, p0, y, sigma, max_iter=200, gtol=1e-8,
-                  ftol=1e-12, lam0=1e-3):
+                  ftol=1e-12, lam0=1e-3, products=_einsum_products):
     """The Levenberg-Marquardt loop as it was with model_jac(p) -> (yhat, J):
-    every trial step builds and weights the full Jacobian."""
+    every trial step builds and weights the full Jacobian, and the normal
+    matrix is rebuilt after the loop."""
     p = np.asarray(p0, dtype=float).copy()
     y = np.asarray(y, dtype=float)
     sigma = np.broadcast_to(np.asarray(sigma, dtype=float), y.shape)
@@ -28,7 +58,8 @@ def _eager_lm_fit(model_jac, p0, y, sigma, max_iter=200, gtol=1e-8,
     def cost_res(params):
         yhat, jac = model_jac(params)
         r = (y - yhat) / sigma
-        return float(r @ r), r, jac / sigma[:, None]
+        jw = jac / sigma
+        return products(jw, r)[2], r, jw
 
     def cosine(g, a, cost):
         denom = np.sqrt(np.maximum(np.diag(a), 1e-300)) * np.sqrt(max(cost, 1e-300))
@@ -41,8 +72,7 @@ def _eager_lm_fit(model_jac, p0, y, sigma, max_iter=200, gtol=1e-8,
     improvement = None
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        a = jw.T @ jw
-        g = jw.T @ r
+        a, g, _ = products(jw, r)
         grad_cos = cosine(g, a, cost)
         if cost <= cost_floor or grad_cos <= gtol:
             converged = True
@@ -69,13 +99,12 @@ def _eager_lm_fit(model_jac, p0, y, sigma, max_iter=200, gtol=1e-8,
                 break
             lam *= 3.0
         if not stepped:
-            a = jw.T @ jw
-            g = jw.T @ r
+            a, g, _ = products(jw, r)
             grad_cos = cosine(g, a, cost)
             converged = cost <= cost_floor or grad_cos <= 1e-4
             break
 
-    a = jw.T @ jw
+    a = products(jw, r)[0]
     try:
         cov = np.linalg.inv(a)
     except np.linalg.LinAlgError:
@@ -91,11 +120,11 @@ def _eager_lorentzian_model(u, p):
     den = s * s + c * c
     core = c * c / den
     m = a * core + b
-    jac = np.empty((u.size, 4))
-    jac[:, 0] = 2.0 * a * c * c * s / den ** 2
-    jac[:, 1] = a * c * s * s / den ** 2
-    jac[:, 2] = core
-    jac[:, 3] = 1.0
+    jac = np.empty((4, u.size))
+    jac[0] = 2.0 * a * c * c * s / den ** 2
+    jac[1] = a * c * s * s / den ** 2
+    jac[2] = core
+    jac[3] = 1.0
     return m, jac
 
 
@@ -103,15 +132,16 @@ def _eager_exp_model(t, p):
     a, inv_tau, b = p
     e = np.exp(-t * inv_tau)
     m = a * e + b
-    jac = np.empty((t.size, 3))
-    jac[:, 0] = e
-    jac[:, 1] = -a * t * e
-    jac[:, 2] = 1.0
+    jac = np.empty((3, t.size))
+    jac[0] = e
+    jac[1] = -a * t * e
+    jac[2] = 1.0
     return m, jac
 
 
-def _eager(monkeypatch):
-    monkeypatch.setattr(estimate, "lm_fit", _eager_lm_fit)
+def _eager(monkeypatch, products=_einsum_products):
+    monkeypatch.setattr(estimate, "lm_fit",
+                        functools.partial(_eager_lm_fit, products=products))
     monkeypatch.setattr(estimate, "_lorentzian_model", _eager_lorentzian_model)
     monkeypatch.setattr(estimate, "_exp_model", _eager_exp_model)
 
@@ -179,6 +209,92 @@ class TestFitsMatchEagerJacobian:
         assert "tau_exceeds_record_length" in got.warnings
 
 
+def _assert_close_fit(got, ref, rtol_params, rtol_sigmas):
+    assert got.params.keys() == ref.params.keys()
+    for key in ref.params:
+        np.testing.assert_allclose(got.params[key], ref.params[key],
+                                   rtol=rtol_params, atol=0, err_msg=key)
+        np.testing.assert_allclose(got.sigmas[key], ref.sigmas[key],
+                                   rtol=rtol_sigmas, atol=0, err_msg=key)
+    assert got.n_iter == ref.n_iter
+    assert got.converged is ref.converged
+    assert got.warnings == ref.warnings
+
+
+_LORENTZIAN_CASES = [(seed, weighting) for seed in (14, 7, 3)
+                     for weighting in ("statistical", "uniform")]
+_DECAY_CASES = [{}, {"cavity_length": 0.05}, {"f0": 2.5e3}]
+
+
+class TestFitsNearOtherSummationOrders:
+    """Summing the normal equations along the Jacobian rows with einsum
+    moves the fits only in their last digits: they match correctly rounded
+    sums to 1e-12 and the former BLAS products (whose order depends on the
+    BLAS thread count) to 1e-9 in the parameters.  The sigmas of the
+    two-pass statistical fit follow the first pass's stopping point, which
+    the BLAS rounding moves by up to 2e-9 (seed 7), so they are held to
+    1e-8 against BLAS."""
+
+    @pytest.mark.parametrize("seed, weighting", _LORENTZIAN_CASES)
+    def test_fit_lorentzian(self, monkeypatch, seed, weighting):
+        spec, window = _brownian_spectrum(seed=seed)
+        got = fit_lorentzian(spec, window, weighting=weighting)
+        _eager(monkeypatch, _fsum_products)
+        exact = fit_lorentzian(spec, window, weighting=weighting)
+        _assert_close_fit(got, exact, 1e-12, 1e-12)
+        _eager(monkeypatch, _blas_products)
+        blas = fit_lorentzian(spec, window, weighting=weighting)
+        _assert_close_fit(got, blas, 1e-9, 1e-8)
+
+    @pytest.mark.parametrize("kwargs", _DECAY_CASES)
+    def test_fit_exp_decay(self, monkeypatch, kwargs):
+        ts = _decay()
+        got = fit_exp_decay(ts, **kwargs)
+        _eager(monkeypatch, _fsum_products)
+        exact = fit_exp_decay(ts, **kwargs)
+        _assert_close_fit(got, exact, 1e-12, 1e-12)
+        _eager(monkeypatch, _blas_products)
+        blas = fit_exp_decay(ts, **kwargs)
+        _assert_close_fit(got, blas, 1e-9, 1e-9)
+
+
+class TestNormalEquations:
+    @pytest.mark.parametrize("model, p", [
+        (estimate._lorentzian_model, [0.1, 1.2, 0.9, 0.01]),
+        (estimate._exp_model, [1.0, 3.0, 0.1]),
+    ])
+    def test_jacobian_is_one_contiguous_row_per_parameter(self, model, p):
+        x = np.linspace(-2.0, 2.0, 101)
+        jac = model(x, np.array(p))[1]()
+        assert jac.shape == (len(p), x.size)
+        assert jac.dtype == np.float64 and jac.flags.c_contiguous
+
+    def test_matches_the_products(self):
+        rng = np.random.default_rng(3)
+        jw = rng.standard_normal((4, 1001))
+        r = rng.standard_normal(1001)
+        a, g = _normal_equations(jw, r)
+        np.testing.assert_allclose(a, jw @ jw.T, rtol=1e-12)
+        np.testing.assert_allclose(g, jw @ r, rtol=1e-12)
+        assert np.array_equal(a, a.T)
+
+    @pytest.mark.parametrize("n", [4099, 65536])
+    def test_independent_of_operand_alignment(self, n):
+        rng = np.random.default_rng(n)
+        jw_ref = rng.standard_normal((4, n))
+        r_ref = rng.standard_normal(n)
+        a_ref, g_ref = _normal_equations(jw_ref.copy(), r_ref.copy())
+        for off in range(1, 8):
+            # views that start off * 8 bytes into their buffers
+            jw = np.empty(4 * n + off)[off:].reshape(4, n)
+            r = np.empty(n + off)[off:]
+            jw[...] = jw_ref
+            r[...] = r_ref
+            a, g = _normal_equations(jw, r)
+            assert a.tobytes() == a_ref.tobytes(), off
+            assert g.tobytes() == g_ref.tobytes(), off
+
+
 class TestJacobianOnlyAtAcceptedPoints:
     def _counting_fit(self, model, p0, y, sigma, **kw):
         """Run lm_fit and record, per model evaluation, its cost and how
@@ -188,7 +304,7 @@ class TestJacobianOnlyAtAcceptedPoints:
         def model_jac(p):
             yhat, jac = model(p)
             r = (y - yhat) / sigma
-            rec = {"cost": float(r @ r), "jac_calls": 0}
+            rec = {"cost": float(np.einsum("i,i->", r, r)), "jac_calls": 0}
             evals.append(rec)
 
             def counted():
