@@ -9,7 +9,15 @@ Subpackages:
     config    - run configuration and its validation
     io        - record, table and result-document file formats
     cli       - command-line interface: simulate, analyze, design-check, report
+
+Importing the package sets OPENBLAS_NUM_THREADS to 1 unless it is already
+set, before numpy loads: nothing here calls BLAS, and a pool of idle BLAS
+threads only costs start-up time.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import constants
 from .cavity import (Cavity, finesse_from_tau, fringe_response, fringe_slope,

@@ -11,6 +11,9 @@ while `analyze finesse` and `analyze mech-q` first trim a record at its
 config file plus the seed fully determine every output, byte for byte, at
 any number of allowed CPUs on a given machine (not across CPU
 architectures or numpy builds): no fit sums through a multithreaded BLAS.
+Nothing here calls BLAS at all, so importing the package sets
+OPENBLAS_NUM_THREADS to 1 unless the environment already sets it, and a
+command starts no OpenBLAS thread pool.
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 fit failure
 or non-convergence.
 """
@@ -165,15 +168,15 @@ def _welch(cfg: Config, ts):
                                a["welch_window"])
 
 
-def _fit_line(cfg: Config, ts):
-    """Welch PSD of ts and its Lorentzian fit about the peak."""
-    spec = _welch(cfg, ts)
+def _fit_line(cfg: Config, spec):
+    """Lorentzian fit of a Welch PSD about its peak.  It takes the spectrum,
+    not the record, so that callers can drop the record before fitting."""
     window = None
     width = cfg.analysis["fit_window_hz"]
     if width is not None:
         f_pk = spec.freqs[int(np.argmax(spec.psd))]
         window = (f_pk - 0.5 * width, f_pk + 0.5 * width)
-    return spec, _estimate.fit_lorentzian(spec, window)
+    return _estimate.fit_lorentzian(spec, window)
 
 
 def _fit_decay(cfg: Config, ts, quantity: str):
@@ -292,7 +295,9 @@ def cmd_analyze(args) -> int:
     if sub in _QUANTITIES:
         ts = _io.read_timeseries(args.inputs[0])
         if sub == "q":
-            spec, fit = _fit_line(cfg, ts)
+            spec = _welch(cfg, ts)
+            del ts                   # the record is not held during the fit
+            fit = _fit_line(cfg, spec)
             extra = {"f0_hz": fit.params["f0_hz"],
                      "fwhm_hz": fit.params["fwhm_hz"], "n_avg": spec.n_avg}
         else:
@@ -432,7 +437,9 @@ def _report_transfer(cfg: Config, seed: int, table, device: str) -> dict:
 
 def _report_brownian(cfg: Config, seed: int, table) -> dict:
     mode, ts = _brownian(cfg, seed)
-    spec, fit = _fit_line(cfg, ts)
+    spec = _welch(cfg, ts)
+    del ts
+    fit = _fit_line(cfg, spec)
     pk = fit.params
     half = pk["fwhm_hz"] / 2.0
     table("brownian_psd", {

@@ -5,7 +5,9 @@ CSV records are human-inspectable with '#'-prefixed header lines carrying
 the metadata (sample_rate_hz, t0_s, calibration_m_per_unit, center_freq_hz;
 center_freq_hz is 0 for baseband records, and complex-envelope records use
 two value columns).  The binary variant (magic "OMB1", little-endian
-float64 payload) is for large records.  All writes are atomic
+float64 payload) is for large records; its reader checks the payload size
+against the header and reads the payload straight into the record's one
+array.  All writes are atomic
 (temp file + rename), and files are created with mode 0666 minus the
 umask.  Floats are written with shortest round-trip representation, so a
 rerun with the same inputs is byte-identical.
@@ -31,6 +33,9 @@ from .synth import DriveRecord, TimeSeries
 
 RESULT_SCHEMA = "optomech.result/1"
 _TS_MAGIC = b"OMB1"
+# magic, flags (bit 0: complex payload), sample rate, t0, calibration,
+# center frequency, sample count
+_TS_HEAD = struct.Struct("<4sB3x4dQ")
 
 _CHUNK_ROWS = 1 << 14  # rows formatted and written at a time
 # Shorter records are formatted in process: starting a pool (~25 ms) costs
@@ -120,8 +125,11 @@ def _cpu_imap(fn, jobs, parallel):
     workers they run in this process.  Workers inherit ``fn`` through fork,
     so it may close over large arrays: only the jobs and the results are
     pickled.  Spawned workers would re-import numpy and need ``fn`` pickled.
-    Fork is safe here because this process runs no Python threads of its
-    own and no job calls BLAS, whose threads a forked child lacks.  The
+    Fork is safe here because this process runs no threads of its own: no
+    Python threads, and no BLAS threads either, since importing optomech
+    holds OpenBLAS to one thread unless the environment sets
+    OPENBLAS_NUM_THREADS.  Even then no job calls BLAS, whose threads a
+    forked child lacks.  The
     pool is closed and joined when the iteration ends, also when it raises
     or is closed early (wrap the call in ``contextlib.closing``), so no
     worker outlives it.  It is never terminated: a worker killed while it
@@ -333,9 +341,8 @@ def read_timeseries_csv(path) -> TimeSeries:
 
 def write_timeseries_bin(path, ts: TimeSeries):
     flags = 1 if ts.is_complex else 0
-    head = _TS_MAGIC + struct.pack("<B3x", flags)
-    head += struct.pack("<4dQ", ts.sample_rate, ts.t0, ts.calibration,
-                        ts.center_freq, ts.n)
+    head = _TS_HEAD.pack(_TS_MAGIC, flags, ts.sample_rate, ts.t0,
+                         ts.calibration, ts.center_freq, ts.n)
     # complex128 memory is already the interleaved re/im float64 payload
     payload = np.ascontiguousarray(ts.values,
                                    dtype="<c16" if flags else "<f8")
@@ -345,24 +352,34 @@ def write_timeseries_bin(path, ts: TimeSeries):
 
 
 def read_timeseries_bin(path) -> TimeSeries:
+    """An OMB1 record, read straight into its one array.
+
+    The payload size is checked against the header's sample count before
+    anything is allocated: a mismatch raises FormatError naming the expected
+    and the found byte counts.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _TS_MAGIC:
-        raise FormatError(f"{path}: bad magic, not an OMB1 record")
+        head = fh.read(_TS_HEAD.size)
+        if head[:4] != _TS_MAGIC:
+            raise FormatError(f"{path}: bad magic, not an OMB1 record")
+        if len(head) < _TS_HEAD.size:
+            raise FormatError(f"{path}: malformed OMB1 record: header is "
+                              f"{len(head)} bytes, expected {_TS_HEAD.size}")
+        _, flags, fs, t0, cal, cf, n = _TS_HEAD.unpack(head)
+        dtype = np.dtype("<c16" if flags & 1 else "<f8")
+        expected = n * dtype.itemsize
+        found = os.fstat(fh.fileno()).st_size - _TS_HEAD.size
+        if found != expected:
+            raise FormatError(
+                f"{path}: {'complex ' if flags & 1 else ''}payload of {found} "
+                f"bytes, expected {expected} for {n} samples")
+        values = np.empty(n, dtype=dtype)
+        if fh.readinto(values.view(np.uint8)) != expected:
+            raise FormatError(f"{path}: payload changed while being read")
     try:
-        (flags,) = struct.unpack_from("<B3x", raw, 4)
-        fs, t0, cal, cf, n = struct.unpack_from("<4dQ", raw, 8)
-        body = np.frombuffer(raw, dtype="<f8", offset=8 + struct.calcsize("<4dQ"))
-        if flags & 1:
-            if body.size != 2 * n:
-                raise FormatError(f"{path}: truncated complex payload")
-            values = body.view("<c16").astype(np.complex128)
-        else:
-            if body.size != n:
-                raise FormatError(f"{path}: truncated payload")
-            values = body.copy()
-        return TimeSeries(fs, t0, values, cal, cf)
-    except struct.error as exc:
+        return TimeSeries(fs, t0, values.astype(dtype.newbyteorder("="),
+                                                copy=False), cal, cf)
+    except ValueError as exc:
         raise FormatError(f"{path}: malformed OMB1 record: {exc}") from exc
 
 

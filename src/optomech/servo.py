@@ -5,12 +5,14 @@ transmission fringe: thermal motion of the outer resonator shifts the
 cavity detuning, the detector sees the fringe level, and the controller
 moves an ideal zero-order-hold actuator that subtracts from the detuning.
 Only the controller state (actuator, integrator, previous error,
-saturation count) lives in the per-step Python loop, which records the
-actuator through a memoryview of a float array; the error signal and
-detuning are then derived from the actuator record with numpy in the
-loop's own operation order, so each element has the bits of the
-per-step value.  The open-loop reference (all gains zero) holds the
-actuator constant and needs no loop.  The cooling operations are
+saturation count) lives in the per-step Python loop, which reads the
+motion as Python floats one chunk at a time and records the actuator
+through a memoryview of a float array; the error signal and detuning are
+then derived from the actuator record with numpy in the loop's own
+operation order, so each element has the bits of the per-step value.  The
+open-loop reference (all gains zero) holds the actuator constant, needs no
+loop, and is evaluated only over the last 20% of the run that its rms
+values read.  The cooling operations are
 algebraic (linearised optomechanics), not dynamical.
 """
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from .cavity import Cavity, fringe_response
 from .mech import MechMode, NestedModel
-from .synth import TimeSeries, synth_brownian
+from .synth import TimeSeries, _chunks, synth_brownian
 
 
 @dataclass(frozen=True)
@@ -75,9 +77,13 @@ class LockResult:
     closed_loop_detuning_rms: float
 
 
-def _tail_std(arr, frac=0.2):
-    tail = arr[int(round(arr.size * (1.0 - frac))):]
-    return float(np.std(tail))
+def _tail_start(n, frac=0.2):
+    """Index of the first sample of the last frac of an n-sample record."""
+    return int(round(n * (1.0 - frac)))
+
+
+def _tail_std(arr):
+    return float(np.std(arr[_tail_start(arr.size):]))
 
 
 def _fringe_error(x, us, bias, hz_per_m, lw, setpoint):
@@ -117,8 +123,7 @@ def simulate_lock(model: NestedModel, cav: Cavity, cfg: LockConfig,
     fs = cfg.loop_rate
     dt = 1.0 / fs
     motion = synth_brownian(outer, fs, duration, seed)
-    x = motion.values.tolist()
-    n = len(x)
+    n = motion.n
 
     hz_per_m = 2.0 * cav.fsr / cav.wavelength
     lw = cav.linewidth_fwhm
@@ -127,16 +132,17 @@ def simulate_lock(model: NestedModel, cav: Cavity, cfg: LockConfig,
     if setpoint is None:
         setpoint = float(fringe_response(bias, cav))
 
-    u_init = x[0] if start_locked else 0.0
+    u_init = float(motion.values[0]) if start_locked else 0.0
     rng_range = cfg.actuator_range
     kp, ki, kd = cfg.kp, cfg.ki, cfg.kd
 
-    # With zero gains and finite errors every controller term is +-0.0, so
-    # after step 0 the actuator is u_init + 0.0 (which turns -0.0 into
-    # 0.0), then clipped.
-    open_us = np.full(n, min(max(u_init + 0.0, -rng_range), rng_range))
-    open_us[0] = u_init
-    open_errs, open_dets = _fringe_error(motion.values, open_us, bias,
+    # The open-loop reference, over the tail its rms values read only (it
+    # starts at step 2 or later).  With zero gains and finite errors every
+    # controller term is +-0.0, so after step 0 the actuator is
+    # u_init + 0.0 (which turns -0.0 into 0.0), then clipped.
+    tail = _tail_start(n)
+    open_us = np.full(n - tail, min(max(u_init + 0.0, -rng_range), rng_range))
+    open_errs, open_dets = _fringe_error(motion.values[tail:], open_us, bias,
                                          hz_per_m, lw, setpoint)
     del open_us
 
@@ -146,24 +152,25 @@ def simulate_lock(model: NestedModel, cav: Cavity, cfg: LockConfig,
     integ = 0.0
     e_prev = 0.0
     n_sat = 0
-    for i, xi in enumerate(x):
-        r = 2.0 * (bias + hz_per_m * (xi - u)) / lw
-        e = 1.0 / (1.0 + r * r) - setpoint
-        buf[i] = u
-        integ += ki * e * dt
-        u = u_init + kp * e + integ + kd * (e - e_prev) / dt
-        e_prev = e
-        if u > rng_range:
-            u = rng_range
-            n_sat += 1
-        elif u < -rng_range:
-            u = -rng_range
-            n_sat += 1
-    del x, buf
+    for start, stop in _chunks(n):   # a list of Python floats per chunk
+        for i, xi in enumerate(motion.values[start:stop].tolist(), start):
+            r = 2.0 * (bias + hz_per_m * (xi - u)) / lw
+            e = 1.0 / (1.0 + r * r) - setpoint
+            buf[i] = u
+            integ += ki * e * dt
+            u = u_init + kp * e + integ + kd * (e - e_prev) / dt
+            e_prev = e
+            if u > rng_range:
+                u = rng_range
+                n_sat += 1
+            elif u < -rng_range:
+                u = -rng_range
+                n_sat += 1
+    del buf
     errs, dets = _fringe_error(motion.values, us, bias, hz_per_m, lw,
                                setpoint)
 
-    open_rms = _tail_std(open_errs)
+    open_rms = float(np.std(open_errs))
     closed_rms = _tail_std(errs)
     sat_frac = n_sat / n
     acquired = closed_rms <= 0.1 * open_rms and sat_frac <= 0.01
@@ -173,7 +180,7 @@ def simulate_lock(model: NestedModel, cav: Cavity, cfg: LockConfig,
         error_signal=mk(errs), actuator=mk(us), detuning=mk(dets),
         lock_acquired=acquired, saturation_fraction=sat_frac,
         open_loop_error_rms=open_rms, closed_loop_error_rms=closed_rms,
-        open_loop_detuning_rms=_tail_std(open_dets),
+        open_loop_detuning_rms=float(np.std(open_dets)),
         closed_loop_detuning_rms=_tail_std(dets),
     )
 

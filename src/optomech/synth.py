@@ -8,10 +8,16 @@ side-of-fringe optical transduction.
 All generators are pure functions of (inputs, seed): the same call returns
 a bit-identical record.
 
-Memory is bounded for the mechanical ringdown: it is generated in chunks of
-whole demodulation blocks (_CHUNK samples) and each chunk is reduced to its
+Memory is bounded by the records themselves.  The band-centered Brownian
+record is built in its one complex array, _CHUNK bins at a time, and
+inverse transformed in place, so synth_brownian(center_freq=...) holds the
+record plus a few MB of chunk temporaries (pocketfft's own scratch, which
+numpy does not allocate, aside).  The mechanical ringdown is generated in
+chunks of whole demodulation blocks and each chunk is reduced to its
 lock-in block means at once, so synth_mech_envelope holds a few MB at any
 record length, and synth_mech_ringdown holds only its raw record on top.
+The baseband Brownian path still builds its spectrum from whole-array
+temporaries.
 """
 
 import math
@@ -25,9 +31,15 @@ from .mech import MechMode, NestedModel
 
 TWO_PI = 2.0 * np.pi
 
-# samples per chunk of a streamed mechanical ringdown: a chunk and its
-# complex mixing product stay a few MB at any record length
+# samples per chunk of a streamed record: a chunk and its temporaries stay
+# a few MB at any record length
 _CHUNK = 1 << 17
+
+
+def _chunks(n: int):
+    """(start, stop) of consecutive _CHUNK-sample slices covering n samples."""
+    for start in range(0, n, _CHUNK):
+        yield start, min(start + _CHUNK, n)
 
 
 @dataclass
@@ -53,7 +65,9 @@ class TimeSeries:
             raise ValueError(f"sample_rate must be > 0, got {self.sample_rate}")
         if self.values.size < 2:
             raise ValueError("a TimeSeries needs at least 2 samples")
-        if not np.all(np.isfinite(self.values)):
+        # checked a chunk at a time: no record-sized mask beside the record
+        if not all(np.isfinite(self.values[start:stop]).all()
+                   for start, stop in _chunks(self.values.size)):
             raise ValueError("TimeSeries values must be finite")
 
     @property
@@ -140,12 +154,31 @@ def synth_brownian(mode: MechMode, sample_rate: float, duration: float,
 
     if center_freq - sample_rate / 2.0 <= 0:
         raise ValueError("envelope band must lie at positive frequencies")
-    deltas = np.fft.fftfreq(n, 1.0 / sample_rate)
-    target = 2.0 * (_mech.thermal_psd(center_freq + deltas, mode) + noise_floor)
-    a = rng.standard_normal(n)
-    b = rng.standard_normal(n)
-    spec = (a + 1j * b) * np.sqrt(target * sample_rate * n / 2.0)
-    values = np.fft.ifft(spec)
+    # The spectrum is built in place, _CHUNK bins at a time: the amplitude
+    # goes into spec.imag, the a draws into spec.real, then the b draws
+    # replace the amplitude they multiply.  Chunked draws from one
+    # default_rng stream equal one whole draw, and each element has the bits
+    # of (a + 1j*b) * sqrt(target*fs*n/2) over whole arrays.
+    spec = np.empty(n, dtype=np.complex128)
+    df = 1.0 / (n * (1.0 / sample_rate))        # np.fft.fftfreq's bin width
+    for start, stop in _chunks(n):
+        f = np.arange(start, stop, dtype=float)
+        f[f >= (n - 1) // 2 + 1] -= n            # fftfreq's bin order
+        f *= df
+        f += center_freq
+        amp = _mech.thermal_psd(f, mode)
+        amp += noise_floor
+        amp *= 2.0
+        amp *= sample_rate
+        amp *= n
+        amp /= 2.0
+        spec.imag[start:stop] = np.sqrt(amp, out=amp)
+    for start, stop in _chunks(n):
+        np.multiply(rng.standard_normal(stop - start), spec.imag[start:stop],
+                    out=spec.real[start:stop])
+    for start, stop in _chunks(n):
+        spec.imag[start:stop] *= rng.standard_normal(stop - start)
+    values = np.fft.ifft(spec, out=spec)
     return TimeSeries(sample_rate, 0.0, values, calibration, center_freq,
                       warnings)
 
@@ -270,8 +303,8 @@ def synth_mech_ringdown(mode: MechMode, sample_rate: float, duration: float,
     """
     n, samples = _mech_samples(mode, sample_rate, duration, x0, seed, snr)
     values = np.empty(n)
-    for start in range(0, n, _CHUNK):
-        values[start:start + _CHUNK] = samples(start, min(start + _CHUNK, n))[1]
+    for start, stop in _chunks(n):
+        values[start:stop] = samples(start, stop)[1]
     raw = TimeSeries(sample_rate, 0.0, values, calibration=1.0)
     env = demodulate_envelope(raw, mode.f0, envelope_cycles)
     return MechRingdown(raw=raw, envelope=env)

@@ -3,8 +3,10 @@
 These deliberately avoid the library code paths they check: a fixed-step
 RK4 integration of the coupled equations of motion, adaptive quadrature
 for spectral integrals, brute-force scans for extrema, the whole-record
-mechanical ringdown that the streamed synthesis must reproduce bit for bit,
-and the transfer estimate with its own tone phasor per demodulated record.
+mechanical ringdown and whole-array Brownian envelope that the chunked
+synthesis must reproduce bit for bit, the transfer estimate with its own
+tone phasor per demodulated record, and the side-of-fringe lock as one
+per-step loop over the whole record.
 """
 
 import math
@@ -12,8 +14,10 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from optomech import mech as _mech
+from optomech.cavity import fringe_response
 from optomech.estimate import TransferEstimate, bin_log_mean, demod_amplitude
-from optomech.synth import MechRingdown, TimeSeries
+from optomech.synth import MechRingdown, TimeSeries, synth_brownian
 
 
 def rk4_chain_amplitudes(outer, inner, mass_ratio, freqs, settle_taus=9.0,
@@ -125,6 +129,24 @@ def full_array_mech_ringdown(mode, sample_rate, duration, x0, seed,
         raw, mode.f0, envelope_cycles))
 
 
+def full_array_envelope_brownian(mode, sample_rate, duration, seed,
+                                 noise_floor=0.0, calibration=1.0):
+    """synth_brownian's band-centered record at center_freq = mode.f0, with
+    the shaped spectrum built from whole-record arrays."""
+    n = int(round(duration * sample_rate))
+    rng = np.random.default_rng(seed)
+    warnings = ()
+    if duration * mode.f0 / mode.q < 10.0:
+        warnings = ("duration_too_short_to_resolve_linewidth",)
+    deltas = np.fft.fftfreq(n, 1.0 / sample_rate)
+    target = 2.0 * (_mech.thermal_psd(mode.f0 + deltas, mode) + noise_floor)
+    a = rng.standard_normal(n)
+    b = rng.standard_normal(n)
+    spec = (a + 1j * b) * np.sqrt(target * sample_rate * n / 2.0)
+    return TimeSeries(sample_rate, 0.0, np.fft.ifft(spec), calibration,
+                      mode.f0, warnings)
+
+
 def per_record_transfer(records, bins_per_decade=5, dc_cutoff_hz=None):
     """estimate_transfer with one demod_amplitude call per base and
     response record, so no tone phasor is shared between the two."""
@@ -144,3 +166,64 @@ def per_record_transfer(records, bins_per_decade=5, dc_cutoff_hz=None):
                             errbar_db=errs, dc_reference=dc_reference,
                             bin_counts=counts, n_records=len(records),
                             n_excluded=n_excluded)
+
+
+def whole_list_simulate_lock(model, cav, cfg, duration, seed,
+                             start_locked=True):
+    """simulate_lock as one per-step loop over the whole record as a list
+    of Python floats: every run, the open loop's included, writes error,
+    actuator and detuning one element at a time over all n steps."""
+    fs = cfg.loop_rate
+    dt = 1.0 / fs
+    x = synth_brownian(model.outer, fs, duration, seed).values.tolist()
+    n = len(x)
+    hz_per_m = 2.0 * cav.fsr / cav.wavelength
+    lw = cav.linewidth_fwhm
+    bias = cfg.detuning_bias
+    setpoint = cfg.setpoint
+    if setpoint is None:
+        setpoint = float(fringe_response(bias, cav))
+    u_init = x[0] if start_locked else 0.0
+    rng_range = cfg.actuator_range
+
+    def run(kp, ki, kd):
+        errs = np.empty(n)
+        us = np.empty(n)
+        dets = np.empty(n)
+        u = u_init
+        integ = 0.0
+        e_prev = 0.0
+        n_sat = 0
+        for i in range(n):
+            delta = bias + hz_per_m * (x[i] - u)
+            r = 2.0 * delta / lw
+            e = 1.0 / (1.0 + r * r) - setpoint
+            errs[i] = e
+            us[i] = u
+            dets[i] = delta
+            integ += ki * e * dt
+            u = u_init + kp * e + integ + kd * (e - e_prev) / dt
+            e_prev = e
+            if u > rng_range:
+                u = rng_range
+                n_sat += 1
+            elif u < -rng_range:
+                u = -rng_range
+                n_sat += 1
+        return errs, us, dets, n_sat
+
+    def tail_std(arr):
+        return float(np.std(arr[int(round(arr.size * 0.8)):]))
+
+    open_errs, _, open_dets, _ = run(0.0, 0.0, 0.0)
+    errs, us, dets, n_sat = run(cfg.kp, cfg.ki, cfg.kd)
+    open_rms = tail_std(open_errs)
+    closed_rms = tail_std(errs)
+    sat_frac = n_sat / n
+    return {"error_signal": errs, "actuator": us, "detuning": dets,
+            "lock_acquired": closed_rms <= 0.1 * open_rms and sat_frac <= 0.01,
+            "saturation_fraction": sat_frac,
+            "open_loop_error_rms": open_rms,
+            "closed_loop_error_rms": closed_rms,
+            "open_loop_detuning_rms": tail_std(open_dets),
+            "closed_loop_detuning_rms": tail_std(dets)}

@@ -506,6 +506,26 @@ class TestExitCodes:
         assert main(["--out", str(tmp_path), "analyze", "q",
                      str(path)]) == EXIT_IO
 
+    @pytest.mark.parametrize("tail, count", [(b"\0" * 3, None),
+                                             (b"\0" * 8, None),
+                                             (b"", 1 << 60)],
+                             ids=["3-extra-bytes", "8-extra-bytes",
+                                  "count-2**60"])
+    def test_bad_binary_payload_is_io_error(self, tmp_path, capsys, tail,
+                                            count):
+        assert main(["--out", str(tmp_path), "simulate", "ringdown-optical",
+                     "--format", "bin"]) == EXIT_OK
+        path = tmp_path / "ringdown_optical.bin"
+        data = bytearray(path.read_bytes())
+        if count is not None:
+            data[40:48] = count.to_bytes(8, "little")
+        path.write_bytes(bytes(data) + tail)
+        capsys.readouterr()
+        assert main(["--out", str(tmp_path), "analyze", "finesse",
+                     str(path)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: ") and "expected" in err
+
     def test_missing_input_is_io_error(self, tmp_path):
         assert main(["--out", str(tmp_path), "analyze", "q",
                      str(tmp_path / "missing.csv")]) == EXIT_IO

@@ -1,10 +1,12 @@
 """Config and seed determine every output, at any allowed-CPU count.
 
 The whole simulate -> analyze -> report session runs in subprocesses on
-one CPU, on two, and on two with OpenBLAS held to one thread; the three
+one CPU, on two, and on two with OpenBLAS given two threads; the three
 output trees must be byte-identical.  The fits get there by summing
 without BLAS, whose multithreaded products split their sums by thread
-count, so no module may call one.
+count, so no module may call one.  Importing optomech holds OpenBLAS to
+one thread unless the environment sets OPENBLAS_NUM_THREADS, so the third
+run is the one that still loads a threaded BLAS.
 """
 
 import ast
@@ -44,6 +46,17 @@ _SESSION = [
 ]
 
 
+def _env(openblas_threads=None):
+    """This environment with the thread variables removed, optomech on the
+    path, and OPENBLAS_NUM_THREADS set if openblas_threads is given."""
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(_SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(openblas_threads)
+    return env
+
+
 def _session(tmp_path, cpus, openblas_threads=None):
     """Run the session in a fresh tmp_path/out, restricted to cpus; return
     the output tree and each command's stdout."""
@@ -53,11 +66,7 @@ def _session(tmp_path, cpus, openblas_threads=None):
     out.mkdir()
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(_CONFIG))
-    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(_SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-    if openblas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = str(openblas_threads)
+    env = _env(openblas_threads)
     runs = []
     for argv in _SESSION:
         proc = subprocess.run(
@@ -81,12 +90,40 @@ def test_outputs_identical_at_one_and_two_cpus(tmp_path):
     ref_tree, ref_runs = _session(tmp_path, one)
     assert "report.json" in ref_tree and "analyze_q_result.json" in ref_tree
     for name, cpus, threads in (("two CPUs", two, None),
-                                ("two CPUs, one BLAS thread", two, 1)):
+                                ("two CPUs, two BLAS threads", two, 2)):
         tree, runs = _session(tmp_path, cpus, threads)
         assert sorted(tree) == sorted(ref_tree), name
         changed = [f for f in ref_tree if tree[f] != ref_tree[f]]
         assert not changed, (name, changed)
         assert runs == ref_runs, name
+
+
+_THREADS_AFTER_IMPORT = """\
+import os
+import optomech.cli
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+print(len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task")
+      else "")
+"""
+
+
+def _import_cli(openblas_threads=None):
+    """(OPENBLAS_NUM_THREADS, thread count or "") after a fresh process
+    imports optomech.cli."""
+    proc = subprocess.run([sys.executable, "-c", _THREADS_AFTER_IMPORT],
+                          env=_env(openblas_threads), capture_output=True,
+                          text=True, timeout=60, check=True)
+    return tuple(proc.stdout.splitlines())
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts threads in /proc/self/task")
+def test_import_starts_no_blas_threads():
+    assert _import_cli() == ("1", "1")
+
+
+def test_user_blas_thread_count_is_kept():
+    assert _import_cli(2)[0] == "2"
 
 
 _BLAS_CALLS = {"dot", "matmul", "inner", "vdot", "tensordot"}

@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,93 @@ class TestTimeSeriesFormats:
         trunc.write_bytes(data[:len(data) - 16])
         with pytest.raises(FormatError):
             read_timeseries_bin(trunc)
+
+
+def _bin_with_payload(path, ts, extra=b"", n=None):
+    """An OMB1 file of ts, with its header count replaced by n and extra
+    bytes after the payload."""
+    write_timeseries_bin(path, ts)
+    data = bytearray(path.read_bytes())
+    if n is not None:
+        data[40:48] = n.to_bytes(8, "little")
+    path.write_bytes(bytes(data) + extra)
+    return path
+
+
+class TestBinaryReader:
+    """The reader checks the payload size against the header before it
+    allocates, and reads the payload straight into the record's array."""
+
+    @pytest.mark.parametrize("maker, item", [(_real_ts, 8), (_complex_ts, 16)])
+    @pytest.mark.parametrize("extra", [3, 8, 16])
+    def test_extra_payload_bytes_name_both_sizes(self, tmp_path, maker,
+                                                 item, extra):
+        ts = maker()
+        path = _bin_with_payload(tmp_path / "a.bin", ts, b"\0" * extra)
+        expected = ts.n * item
+        with pytest.raises(FormatError,
+                           match=f"payload of {expected + extra} bytes, "
+                                 f"expected {expected} for {ts.n} samples"):
+            read_timeseries_bin(path)
+
+    def test_short_payload_names_both_sizes(self, tmp_path):
+        path = _bin_with_payload(tmp_path / "a.bin", _real_ts())
+        path.write_bytes(path.read_bytes()[:-13])
+        with pytest.raises(FormatError,
+                           match=f"payload of {257 * 8 - 13} bytes, "
+                                 f"expected {257 * 8}"):
+            read_timeseries_bin(path)
+
+    @pytest.mark.parametrize("maker", [_real_ts, _complex_ts])
+    def test_huge_header_count_is_checked_before_allocating(self, tmp_path,
+                                                            maker):
+        path = _bin_with_payload(tmp_path / "a.bin", maker(), n=1 << 60)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=f"for {1 << 60} samples"):
+                read_timeseries_bin(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_short_header(self, tmp_path):
+        path = tmp_path / "a.bin"
+        path.write_bytes(b"OMB1" + b"\0" * 20)
+        with pytest.raises(FormatError, match="header is 24 bytes"):
+            read_timeseries_bin(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_payload(self, tmp_path, bad):
+        path = _bin_with_payload(tmp_path / "a.bin", _real_ts())
+        data = bytearray(path.read_bytes())
+        data[-8:] = np.float64(bad).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="finite"):
+            read_timeseries_bin(path)
+
+    def test_one_sample_record(self, tmp_path):
+        path = _bin_with_payload(tmp_path / "a.bin", _real_ts(), n=1)
+        path.write_bytes(path.read_bytes()[:48 + 8])
+        with pytest.raises(FormatError, match="at least 2 samples"):
+            read_timeseries_bin(path)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_memory_is_the_payload(self, tmp_path, dtype):
+        n = 1 << 21
+        values = np.arange(n * (2 if dtype is np.complex128 else 1),
+                           dtype=float).view(dtype)
+        write_timeseries_bin(tmp_path / "a.bin", TimeSeries(1.0, 0.0, values))
+        del values
+        tracemalloc.start()
+        try:
+            ts = read_timeseries_bin(tmp_path / "a.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ts.values.dtype == dtype and ts.n == n
+        assert ts.values.flags.c_contiguous and ts.values.flags.writeable
+        assert peak <= 1.05 * ts.values.nbytes
 
 
 class TestDriveRecordFormat:

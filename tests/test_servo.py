@@ -8,6 +8,8 @@ import pytest
 from optomech import (Cavity, CoolingConfig, LockConfig, MechMode, NestedModel,
                       effective_temperature, fringe_response, linewidth,
                       optical_damping_rate, simulate_lock, synth_brownian)
+from optomech import synth as _synth
+from oracles import whole_list_simulate_lock
 
 CAV = Cavity(0.05, 1.064e-6, 181000.0)
 INNER = MechMode(250e3, 418000.0, 5e-11, 300.0)
@@ -163,66 +165,6 @@ class TestSimulateLock:
             LockConfig(actuator_range=0.0)
 
 
-def _reference_simulate_lock(model, cav, cfg, duration, seed,
-                             start_locked=True):
-    """The per-step loop simulate_lock replaced: every run writes error,
-    actuator and detuning one element at a time, open loop included."""
-    fs = cfg.loop_rate
-    dt = 1.0 / fs
-    x = synth_brownian(model.outer, fs, duration, seed).values.tolist()
-    n = len(x)
-    hz_per_m = 2.0 * cav.fsr / cav.wavelength
-    lw = cav.linewidth_fwhm
-    bias = cfg.detuning_bias
-    setpoint = cfg.setpoint
-    if setpoint is None:
-        setpoint = float(fringe_response(bias, cav))
-    u_init = x[0] if start_locked else 0.0
-    rng_range = cfg.actuator_range
-
-    def run(kp, ki, kd):
-        errs = np.empty(n)
-        us = np.empty(n)
-        dets = np.empty(n)
-        u = u_init
-        integ = 0.0
-        e_prev = 0.0
-        n_sat = 0
-        for i in range(n):
-            delta = bias + hz_per_m * (x[i] - u)
-            r = 2.0 * delta / lw
-            e = 1.0 / (1.0 + r * r) - setpoint
-            errs[i] = e
-            us[i] = u
-            dets[i] = delta
-            integ += ki * e * dt
-            u = u_init + kp * e + integ + kd * (e - e_prev) / dt
-            e_prev = e
-            if u > rng_range:
-                u = rng_range
-                n_sat += 1
-            elif u < -rng_range:
-                u = -rng_range
-                n_sat += 1
-        return errs, us, dets, n_sat
-
-    def tail_std(arr):
-        return float(np.std(arr[int(round(arr.size * 0.8)):]))
-
-    open_errs, _, open_dets, _ = run(0.0, 0.0, 0.0)
-    errs, us, dets, n_sat = run(cfg.kp, cfg.ki, cfg.kd)
-    open_rms = tail_std(open_errs)
-    closed_rms = tail_std(errs)
-    sat_frac = n_sat / n
-    return {"error_signal": errs, "actuator": us, "detuning": dets,
-            "lock_acquired": closed_rms <= 0.1 * open_rms and sat_frac <= 0.01,
-            "saturation_fraction": sat_frac,
-            "open_loop_error_rms": open_rms,
-            "closed_loop_error_rms": closed_rms,
-            "open_loop_detuning_rms": tail_std(open_dets),
-            "closed_loop_detuning_rms": tail_std(dets)}
-
-
 def _same_bits(a: float, b: float) -> bool:
     return struct.pack("<d", a) == struct.pack("<d", b)
 
@@ -235,7 +177,7 @@ class TestSimulateLockMatchesPerStepLoop:
         with warnings.catch_warnings():
             # a 2-sample record leaves an empty tail: its rms is nan
             warnings.simplefilter("ignore", RuntimeWarning)
-            ref = _reference_simulate_lock(model, CAV, cfg, duration, seed,
+            ref = whole_list_simulate_lock(model, CAV, cfg, duration, seed,
                                            start_locked)
             res = simulate_lock(model, CAV, cfg, duration, seed,
                                 start_locked=start_locked)
@@ -293,6 +235,18 @@ class TestSimulateLockMatchesPerStepLoop:
     @pytest.mark.parametrize("n", [2, 3])
     def test_shortest_records(self, n):
         self._check(self._cfg(kp=1e-12, kd=1e-20), n / 10e6, seed=5)
+
+    # lengths that end a chunk of the loop early, late or on its edge, span
+    # several chunks, or are prime (the Brownian motion's irfft takes
+    # pocketfft's Bluestein path at 131,101 samples)
+    @pytest.mark.parametrize("start_locked", [True, False])
+    @pytest.mark.parametrize("n", [2, 3, _synth._CHUNK - 1, _synth._CHUNK + 1,
+                                   2 * _synth._CHUNK, 3 * _synth._CHUNK + 7,
+                                   131_101])
+    def test_chunk_edges(self, n, start_locked):
+        res = self._check(self._cfg(kp=1e-12, kd=1e-20), n / 10e6, seed=5,
+                          start_locked=start_locked)
+        assert res.actuator.n == n
 
     @pytest.mark.parametrize("start_locked", [True, False])
     def test_zero_motion(self, start_locked):

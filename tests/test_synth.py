@@ -11,7 +11,8 @@ from optomech import (Cavity, DriveRecord, MechMode, NestedModel, TimeSeries,
                       transduce_side_of_fringe, transfer_power, welch_psd)
 from optomech import synth as _synth
 from optomech.estimate import demod_amplitude
-from oracles import full_array_demodulate, full_array_mech_ringdown
+from oracles import (full_array_demodulate, full_array_envelope_brownian,
+                     full_array_mech_ringdown)
 
 CAV = Cavity(0.05, 1.064e-6, 181000.0)
 
@@ -76,6 +77,44 @@ class TestBrownian:
         m = MechMode(1e3, 50.0, 1e-9, 300.0)
         ts = synth_brownian(m, 8192.0, 16.0, seed=2)
         assert abs(np.mean(ts.values)) < 3 * np.std(ts.values) / np.sqrt(ts.n)
+
+
+# record lengths that end a chunk early, late or on its edge, span several
+# chunks, or are prime (pocketfft's Bluestein path, 131,101 > _CHUNK)
+_CHUNK_EDGE_LENGTHS = [2, 3, _synth._CHUNK - 1, _synth._CHUNK + 1,
+                       2 * _synth._CHUNK, 3 * _synth._CHUNK + 7, 131_101]
+
+
+class TestChunkedEnvelopeBrownian:
+    """The in-place envelope synthesis equals the whole-array one bit for
+    bit, and holds little more than its record."""
+
+    INNER = MechMode(250e3, 418000.0, 5e-11, 300.0)
+
+    @pytest.mark.parametrize("noise_floor", [0.0, 3e-30])
+    @pytest.mark.parametrize("n", _CHUNK_EDGE_LENGTHS)
+    def test_matches_full_array_reference(self, n, noise_floor):
+        fs = 400.0
+        ts = synth_brownian(self.INNER, fs, n / fs, 17, noise_floor,
+                            center_freq=self.INNER.f0, calibration=2.0)
+        ref = full_array_envelope_brownian(self.INNER, fs, n / fs, 17,
+                                           noise_floor, calibration=2.0)
+        assert ts.n == n and ts.values.dtype == ref.values.dtype
+        _same_series(ts, ref)
+        assert ts.center_freq == ref.center_freq
+        assert ts.warnings == ref.warnings
+
+    def test_memory_is_about_the_record(self):
+        n = 1 << 21
+        tracemalloc.start()
+        try:
+            ts = synth_brownian(self.INNER, 400.0, n / 400.0, 0,
+                                center_freq=self.INNER.f0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ts.values.nbytes == 16 * n
+        assert peak <= 1.25 * ts.values.nbytes
 
 
 class TestOpticalRingdown:
