@@ -146,21 +146,25 @@ def welch_psd(ts: TimeSeries, segment_len: int | None = None,
     starts = range(0, n - segment_len + 1, hop)
     n_avg = len(starts)
 
+    # every segment reuses the same three arrays for its windowed samples,
+    # spectrum and power, with the bits of np.abs(fft(x[s:s+L] * w)) ** 2
     if ts.is_complex:
-        acc = np.zeros(segment_len)
-        for s in starts:
-            seg = x[s:s + segment_len] * w
-            acc += np.abs(np.fft.fft(seg)) ** 2
-        acc /= n_avg
+        fft, nbins, seg = np.fft.fft, segment_len, np.empty(segment_len, complex)
+    else:
+        fft, nbins, seg = np.fft.rfft, segment_len // 2 + 1, np.empty(segment_len)
+    spec = np.empty(nbins, complex)
+    power = np.empty(nbins)
+    acc = np.zeros(nbins)
+    for s in starts:
+        np.multiply(x[s:s + segment_len], w, out=seg)
+        fft(seg, out=spec)
+        np.abs(spec, out=power)
+        acc += np.square(power, out=power)
+    acc /= n_avg
+    if ts.is_complex:
         psd = np.fft.fftshift(acc) / (fs * sw2) / 2.0
         freqs = ts.center_freq + np.fft.fftshift(np.fft.fftfreq(segment_len, 1.0 / fs))
     else:
-        nbins = segment_len // 2 + 1
-        acc = np.zeros(nbins)
-        for s in starts:
-            seg = x[s:s + segment_len] * w
-            acc += np.abs(np.fft.rfft(seg)) ** 2
-        acc /= n_avg
         psd = acc * 2.0 / (fs * sw2)
         psd[0] /= 2.0
         if segment_len % 2 == 0:
@@ -172,23 +176,39 @@ def welch_psd(ts: TimeSeries, segment_len: int | None = None,
                     var_inflation=_variance_inflation(w, hop, n_avg))
 
 
-def _lorentzian_model(u, p):
+def _lorentzian_model(u, p, work):
+    """Values a*c^2/((u-du)^2+c^2) + b, c = wdt/2, at p = (du, wdt, a, b),
+    and a jac() that fills the (4, u.size) Jacobian.
+
+    work is an (8, u.size) float array that the fit allocates once and
+    passes to every call.  The values and the Jacobian are views into it,
+    valid only until the next call; each element is computed with the
+    operations, in the order, of the whole-array expressions in the
+    comments.
+    """
     du, wdt, a, b = p
     c = 0.5 * wdt
-    s = u - du
-    den = s * s + c * c
-    core = c * c / den
+    s, den, core, m = work[:4]
+    j = work[4:]
+    np.subtract(u, du, out=s)                # s = u - du
+    np.multiply(s, s, out=den)               # den = s * s + c * c
+    den += c * c
+    np.divide(c * c, den, out=core)          # core = c * c / den
+    np.multiply(a, core, out=m)              # m = a * core + b
+    m += b
 
     def jac():
-        den2 = den ** 2
-        j = np.empty((4, u.size))
-        j[0] = 2.0 * a * c * c * s / den2
-        j[1] = a * c * s * s / den2
+        den2 = np.square(den, out=j[3])      # den ** 2, until row 3 is set
+        np.multiply(2.0 * a * c * c, s, out=j[0])
+        j[0] /= den2                         # 2.0 * a * c * c * s / den2
+        np.multiply(a * c, s, out=j[1])
+        j[1] *= s
+        j[1] /= den2                         # a * c * s * s / den2
         j[2] = core
         j[3] = 1.0
         return j
 
-    return a * core + b, jac
+    return m, jac
 
 
 def _initial_lorentzian_guess(f, y):
@@ -244,14 +264,15 @@ def fit_lorentzian(spec: Spectrum, window_hint=None, weighting: str = "statistic
     v = y / amp0
     p0 = np.array([0.0, 1.0, 1.0, offset0 / amp0])
 
-    model = lambda p: _lorentzian_model(u, p)
+    work = np.empty((8, u.size))
+    model = lambda p: _lorentzian_model(u, p, work)
     floor = 1e-6
     n_passes = 2 if weighting == "statistical" else 1
     p = p0
     res = None
     for _ in range(n_passes):
         if weighting == "statistical":
-            m0, _ = _lorentzian_model(u, p)
+            m0, _ = model(p)             # a view into work: use it at once
             sig = np.maximum(np.abs(m0), floor) / math.sqrt(spec.n_avg)
         else:
             sig = np.ones_like(v)
@@ -314,18 +335,31 @@ def detect_onset(ts: TimeSeries, threshold_frac: float = 0.95) -> TimeSeries:
                       x[start:], ts.calibration, ts.center_freq, ts.warnings)
 
 
-def _exp_model(t, p):
+def _exp_model(t, p, work):
+    """Values a*exp(-t*inv_tau) + b at p = (a, inv_tau, b) and a jac() that
+    fills the (3, t.size) Jacobian.
+
+    work is a (5, t.size) float array that the fit allocates once and
+    passes to every call, with the lifetime and operation order of
+    _lorentzian_model's.
+    """
     a, inv_tau, b = p
-    e = np.exp(-t * inv_tau)
+    e, m = work[:2]
+    j = work[2:]
+    np.negative(t, out=e)                    # e = exp(-t * inv_tau)
+    e *= inv_tau
+    np.exp(e, out=e)
+    np.multiply(a, e, out=m)                 # m = a * e + b
+    m += b
 
     def jac():
-        j = np.empty((3, t.size))
         j[0] = e
-        j[1] = -a * t * e
+        np.multiply(-a, t, out=j[1])         # -a * t * e
+        j[1] *= e
         j[2] = 1.0
         return j
 
-    return a * e + b, jac
+    return m, jac
 
 
 def fit_exp_decay(ts: TimeSeries, cavity_length: float | None = None,
@@ -362,7 +396,8 @@ def fit_exp_decay(ts: TimeSeries, cavity_length: float | None = None,
     tn = t / t_span
     vn = y / y_scale
     p0 = np.array([amp0 / y_scale, t_span / tau0, offset0 / y_scale])
-    res = lm_fit(lambda p: _exp_model(tn, p), p0, vn,
+    work = np.empty((5, n))
+    res = lm_fit(lambda p: _exp_model(tn, p, work), p0, vn,
                  np.ones_like(vn), max_iter=max_iter)
     a, inv_tau, b = res.params
     dof = max(n - 3, 1)

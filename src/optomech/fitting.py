@@ -8,15 +8,18 @@ and at every accepted step, never for a rejected trial step.  Callers are
 expected to nondimensionalise data and parameters to O(1) before calling
 in here (the public fit routines do).
 
-The Jacobian is a new C-contiguous float array of shape
-(n_params, n_points), one row per parameter, which lm_fit weights in
-place.  The normal equations J^T W J and J^T W r and the cost r.r are
-sums over those contiguous rows taken with np.einsum, never with a BLAS
-product (``@``, ``np.dot`` and the like): a multithreaded BLAS splits
-such a sum by its thread count, so the last digits of every fit would
-depend on how many CPUs the process may use, and its worker threads
-spin for the whole fit.  Only the small solve and inverse of the
-(n_params, n_params) system go to LAPACK.
+The Jacobian is a C-contiguous float array of shape (n_params,
+n_points), one row per parameter, which lm_fit weights in place.  Like
+the model values, it may be a work array that the model refills on every
+call: it need only stay valid until the next model evaluation, so a fit
+allocates its arrays once, not once per iteration.  The normal equations
+J^T W J and J^T W r and the cost r.r are sums over those contiguous rows
+taken with np.einsum, never with a BLAS product (``@``, ``np.dot`` and
+the like): a multithreaded BLAS splits such a sum by its thread count,
+so the last digits of every fit would depend on how many CPUs the
+process may use, and its worker threads spin for the whole fit.  Only
+the small solve and inverse of the (n_params, n_params) system go to
+LAPACK.
 """
 
 from dataclasses import dataclass
@@ -58,9 +61,12 @@ def lm_fit(model_jac, p0, y, sigma, max_iter=200, gtol=1e-8, ftol=1e-12,
            lam0=1e-3):
     """Minimise sum(((y - model(p)) / sigma)^2) over p.
 
-    model_jac(p) must return (yhat, jac), where jac() builds the Jacobian
-    at p as a new C-contiguous array of shape (nparams, npoints); it is
-    called only for the start point and for accepted steps.
+    model_jac(p) must return (yhat, jac), where jac() returns the Jacobian
+    at p as a C-contiguous array of shape (nparams, npoints); it is called
+    only for the start point and for accepted steps.  Both may live in
+    buffers that the next model_jac call refills: lm_fit uses yhat before
+    it calls jac(), weights the Jacobian in place and is done with both
+    before it calls model_jac again.
     Convergence is the scale-free cosine test: every component of the
     gradient must be small relative to the corresponding Jacobian column
     norm times the residual norm (or the cost must sit at the numerical
@@ -75,6 +81,7 @@ def lm_fit(model_jac, p0, y, sigma, max_iter=200, gtol=1e-8, ftol=1e-12,
         raise ValueError("sigma must be > 0")
     n = y.size
     cost_floor = n * (1e4 * _EPS) ** 2
+    r = np.empty(y.shape)            # weighted residuals, refilled per call
 
     def evaluate(params, accept_below=None):
         """(cost, J^T W J, J^T W r) at params, for the start point
@@ -82,7 +89,8 @@ def lm_fit(model_jac, p0, y, sigma, max_iter=200, gtol=1e-8, ftol=1e-12,
         accept_below.  A rejected trial returns None and builds no
         Jacobian; nothing of it outlives the call."""
         yhat, jac = model_jac(params)
-        r = (y - yhat) / sigma
+        np.subtract(y, yhat, out=r)          # r = (y - yhat) / sigma
+        np.divide(r, sigma, out=r)
         cost = _dot(r, r)
         if accept_below is not None and not (np.isfinite(cost)
                                              and cost < accept_below):

@@ -16,6 +16,8 @@ numpy does not allocate, aside).  The mechanical ringdown is generated in
 chunks of whole demodulation blocks and each chunk is reduced to its
 lock-in block means at once, so synth_mech_envelope holds a few MB at any
 record length, and synth_mech_ringdown holds only its raw record on top.
+Every chunk's times, samples and noise are computed into the same three
+chunk-sized work arrays, which are allocated once per record.
 The baseband Brownian path still builds its spectrum from whole-array
 temporaries.
 """
@@ -212,7 +214,9 @@ def _mech_samples(mode: MechMode, sample_rate: float, duration: float,
     samples(start, stop) -> (t, x) is the chunk kernel.  Successive calls
     must cover the record in order: the noise comes from one default_rng
     stream, and chunked standard_normal draws are bit-identical to one draw
-    of the whole record.
+    of the whole record.  t and x are views into work arrays that every
+    call refills, so they are valid only until the next call; each element
+    has the bits of the whole-array expressions in the comments.
     """
     if sample_rate < 8.0 * mode.f0:
         raise ValueError("sample_rate must be >= 8*f0 to resolve the carrier")
@@ -221,12 +225,26 @@ def _mech_samples(mode: MechMode, sample_rate: float, duration: float,
         raise ValueError("duration too short for the sample rate")
     tau_a = 2.0 * mode.q / mode.omega0
     rng = np.random.default_rng(seed)
+    work = np.empty((3, 0))          # t, x, scratch; grown on demand
 
     def samples(start, stop):
-        t = np.arange(start, stop) / sample_rate
-        x = x0 * np.exp(-t / tau_a) * np.cos(mode.omega0 * t)
+        nonlocal work
+        if work.shape[1] < stop - start:
+            work = np.empty((3, stop - start))
+        t, x, tmp = work[:, :stop - start]
+        np.divide(np.arange(start, stop), sample_rate, out=t)
+        # x = x0 * np.exp(-t / tau_a) * np.cos(mode.omega0 * t),
+        # plus (x0 / snr) * rng.standard_normal(stop - start) if snr is finite
+        np.negative(t, out=x)
+        x /= tau_a
+        np.exp(x, out=x)
+        np.multiply(x0, x, out=x)
+        np.multiply(mode.omega0, t, out=tmp)
+        x *= np.cos(tmp, out=tmp)
         if np.isfinite(snr):
-            x = x + (x0 / snr) * rng.standard_normal(stop - start)
+            rng.standard_normal(out=tmp)
+            tmp *= x0 / snr
+            x += tmp
         return t, x
 
     return n, samples

@@ -4,9 +4,10 @@ These deliberately avoid the library code paths they check: a fixed-step
 RK4 integration of the coupled equations of motion, adaptive quadrature
 for spectral integrals, brute-force scans for extrema, the whole-record
 mechanical ringdown and whole-array Brownian envelope that the chunked
-synthesis must reproduce bit for bit, the transfer estimate with its own
-tone phasor per demodulated record, and the side-of-fringe lock as one
-per-step loop over the whole record.
+synthesis must reproduce bit for bit, the Welch average with fresh arrays
+for every segment, the transfer estimate with its own tone phasor per
+demodulated record, and the side-of-fringe lock as one per-step loop over
+the whole record.
 """
 
 import math
@@ -16,7 +17,8 @@ from scipy.integrate import quad
 
 from optomech import mech as _mech
 from optomech.cavity import fringe_response
-from optomech.estimate import TransferEstimate, bin_log_mean, demod_amplitude
+from optomech.estimate import (_WINDOWS, TransferEstimate, bin_log_mean,
+                               demod_amplitude)
 from optomech.synth import MechRingdown, TimeSeries, synth_brownian
 
 
@@ -145,6 +147,37 @@ def full_array_envelope_brownian(mode, sample_rate, duration, seed,
     spec = (a + 1j * b) * np.sqrt(target * sample_rate * n / 2.0)
     return TimeSeries(sample_rate, 0.0, np.fft.ifft(spec), calibration,
                       mode.f0, warnings)
+
+
+def whole_array_welch(ts, segment_len, overlap_frac=0.5, window="hann"):
+    """(freqs, psd) of welch_psd, with each segment windowed, transformed
+    and squared into new arrays."""
+    x = ts.values
+    fs = ts.sample_rate
+    hop = max(1, int(round(segment_len * (1.0 - overlap_frac))))
+    w = _WINDOWS[window](segment_len)
+    sw2 = float(np.sum(w * w))
+    starts = range(0, x.size - segment_len + 1, hop)
+    if ts.is_complex:
+        acc = np.zeros(segment_len)
+        for s in starts:
+            seg = x[s:s + segment_len] * w
+            acc += np.abs(np.fft.fft(seg)) ** 2
+        acc /= len(starts)
+        psd = np.fft.fftshift(acc) / (fs * sw2) / 2.0
+        freqs = ts.center_freq + np.fft.fftshift(
+            np.fft.fftfreq(segment_len, 1.0 / fs))
+        return freqs, psd
+    acc = np.zeros(segment_len // 2 + 1)
+    for s in starts:
+        seg = x[s:s + segment_len] * w
+        acc += np.abs(np.fft.rfft(seg)) ** 2
+    acc /= len(starts)
+    psd = acc * 2.0 / (fs * sw2)
+    psd[0] /= 2.0
+    if segment_len % 2 == 0:
+        psd[-1] /= 2.0
+    return np.fft.rfftfreq(segment_len, 1.0 / fs), psd
 
 
 def per_record_transfer(records, bins_per_decade=5, dc_cutoff_hz=None):

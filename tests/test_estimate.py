@@ -9,7 +9,8 @@ from optomech import (DriveRecord, EstimationError, MechMode, Spectrum,
                       synth_brownian, synth_drive_sweep, thermal_psd,
                       transfer_power, welch_psd)
 from optomech.estimate import bin_log_mean, demod_amplitude
-from oracles import per_record_transfer
+from optomech.estimate import _WINDOWS
+from oracles import per_record_transfer, whole_array_welch
 
 
 def _sine_series(fs=10000.0, n=2 ** 16, amp=1e-12, f0=1250.0):
@@ -75,6 +76,22 @@ class TestWelchPsd:
         hann = welch_psd(ts, 1024, overlap_frac=0.5, window="hann")
         assert hann.var_inflation == pytest.approx(35.0 / 18.0 * 1.0, rel=0.3)
         assert hann.var_inflation > 1.5
+
+    @pytest.mark.parametrize("window", sorted(_WINDOWS))
+    @pytest.mark.parametrize("overlap_frac", [0.0, 0.5])
+    @pytest.mark.parametrize("segment_len", [256, 255])
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_same_bits_as_whole_array_segments(self, is_complex, segment_len,
+                                               overlap_frac, window):
+        rng = np.random.default_rng(segment_len)
+        x = 1e-9 * rng.standard_normal(4000)
+        if is_complex:
+            x = x + 1e-9j * rng.standard_normal(x.size)
+        ts = TimeSeries(1e4, 0.0, x, center_freq=2e4 if is_complex else 0.0)
+        spec = welch_psd(ts, segment_len, overlap_frac, window)
+        freqs, psd = whole_array_welch(ts, segment_len, overlap_frac, window)
+        assert spec.psd.tobytes() == psd.tobytes()
+        assert spec.freqs.tobytes() == freqs.tobytes()
 
     def test_errors(self):
         ts = _sine_series(n=1024)

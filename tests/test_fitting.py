@@ -6,6 +6,7 @@ on the alignment of their operands."""
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,7 +114,9 @@ def _eager_lm_fit(model_jac, p0, y, sigma, max_iter=200, gtol=1e-8,
                     n_iter=n_iter, grad_cosine=grad_cos)
 
 
-def _eager_lorentzian_model(u, p):
+def _eager_lorentzian_model(u, p, work=None):
+    """_lorentzian_model as whole-array expressions with fresh arrays and
+    the Jacobian built with the values; work is not used."""
     du, wdt, a, b = p
     c = 0.5 * wdt
     s = u - du
@@ -128,7 +131,8 @@ def _eager_lorentzian_model(u, p):
     return m, jac
 
 
-def _eager_exp_model(t, p):
+def _eager_exp_model(t, p, work=None):
+    """_exp_model likewise."""
     a, inv_tau, b = p
     e = np.exp(-t * inv_tau)
     m = a * e + b
@@ -258,14 +262,58 @@ class TestFitsNearOtherSummationOrders:
         _assert_close_fit(got, blas, 1e-9, 1e-9)
 
 
+_MODELS = [
+    (estimate._lorentzian_model, [0.1, 1.2, 0.9, 0.01]),
+    (estimate._exp_model, [1.0, 3.0, 0.1]),
+]
+# the rows of the work array each model fills
+_WORK_ROWS = {estimate._lorentzian_model: 8, estimate._exp_model: 5}
+_EAGER = {estimate._lorentzian_model: _eager_lorentzian_model,
+          estimate._exp_model: _eager_exp_model}
+
+
+class TestModelsInWorkArrays:
+    @pytest.mark.parametrize("model, p", _MODELS)
+    @pytest.mark.parametrize("n", [1, 101, 4099])
+    def test_same_bits_as_whole_array_expressions(self, model, p, n):
+        x = np.linspace(-2.0, 2.0, n)
+        work = np.empty((_WORK_ROWS[model], n))
+        for scale in (1.0, 0.7, 1.3):          # refills the same work array
+            q = np.array(p) * scale
+            m_ref, j_ref = _EAGER[model](x, q)
+            m, jac = model(x, q, work)
+            assert m.tobytes() == m_ref.tobytes()
+            j = jac()
+            assert j.tobytes() == j_ref.tobytes()
+            j /= 3.0                             # as lm_fit weights it
+            assert jac().tobytes() == j_ref.tobytes()
+
+    @pytest.mark.parametrize("model, p", _MODELS)
+    def test_repeat_evaluation_allocates_no_record_sized_array(self, model, p):
+        """Once its work array exists, a model evaluation and its Jacobian
+        allocate less than one n-point float array between them."""
+        n = 2 ** 17
+        x = np.linspace(-2.0, 2.0, n)
+        work = np.empty((_WORK_ROWS[model], n))
+        p = np.array(p)
+        tracemalloc.start()
+        try:
+            model(x, p, work)[1]()
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            model(x, p * 1.1, work)[1]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < n * 8
+
+
 class TestNormalEquations:
-    @pytest.mark.parametrize("model, p", [
-        (estimate._lorentzian_model, [0.1, 1.2, 0.9, 0.01]),
-        (estimate._exp_model, [1.0, 3.0, 0.1]),
-    ])
+    @pytest.mark.parametrize("model, p", _MODELS)
     def test_jacobian_is_one_contiguous_row_per_parameter(self, model, p):
         x = np.linspace(-2.0, 2.0, 101)
-        jac = model(x, np.array(p))[1]()
+        work = np.empty((_WORK_ROWS[model], x.size))
+        jac = model(x, np.array(p), work)[1]()
         assert jac.shape == (len(p), x.size)
         assert jac.dtype == np.float64 and jac.flags.c_contiguous
 
@@ -333,7 +381,8 @@ class TestJacobianOnlyAtAcceptedPoints:
         f, y = spec.freqs[mask], spec.psd[mask]
         f0, fwhm0, amp0, off0 = estimate._initial_lorentzian_guess(f, y)
         u = (f - f0) / fwhm0
-        model = lambda p: estimate._lorentzian_model(u, p)
+        work = np.empty((8, u.size))
+        model = lambda p: estimate._lorentzian_model(u, p, work)
         p0 = np.array([0.0, 1.0, 1.0, off0 / amp0])
         sigma = np.maximum(np.abs(model(p0)[0]), 1e-6)
         res, evals = self._counting_fit(model, p0, y / amp0, sigma)
@@ -345,9 +394,10 @@ class TestJacobianOnlyAtAcceptedPoints:
     def test_exp_decay_far_start(self):
         t = np.linspace(0.0, 1.0, 400)
         y = 1.5 * np.exp(-t * 6.0) + 0.05
+        work = np.empty((5, t.size))
         with np.errstate(over="ignore"):     # trials that overflow: rejected
             res, evals = self._counting_fit(
-                lambda p: estimate._exp_model(t, p),
+                lambda p: estimate._exp_model(t, p, work),
                 np.array([0.2, 40.0, 0.5]), y, np.ones_like(y), lam0=1e-6)
         flags = self._accepted(evals)
         assert res.converged
