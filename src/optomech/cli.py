@@ -293,15 +293,15 @@ def cmd_analyze(args) -> int:
     exit_code = EXIT_OK
 
     if sub in _QUANTITIES:
-        ts = _io.read_timeseries(args.inputs[0])
         if sub == "q":
-            spec = _welch(cfg, ts)
-            del ts                   # the record is not held during the fit
+            # Welch reads the record a block at a time: it is never held
+            spec = _welch(cfg, _io.open_timeseries(args.inputs[0]))
             fit = _fit_line(cfg, spec)
             extra = {"f0_hz": fit.params["f0_hz"],
                      "fwhm_hz": fit.params["fwhm_hz"], "n_avg": spec.n_avg}
         else:
             # a recorded ringdown may hold pre-trigger samples
+            ts = _io.read_timeseries(args.inputs[0])
             fit = _fit_decay(cfg, _estimate.detect_onset(ts), sub)
             extra = {"tau_s": fit.params["tau_s"],
                      "tau_sigma_s": fit.sigmas["tau_s"]}
@@ -326,7 +326,7 @@ def cmd_analyze(args) -> int:
         }
         print(table)
     else:                            # psd
-        spec = _welch(cfg, _io.read_timeseries(args.inputs[0]))
+        spec = _welch(cfg, _io.open_timeseries(args.inputs[0]))
         table = os.path.join(out, "psd.csv")
         _io.write_table_csv(table, {"freq_hz": spec.freqs,
                                     "psd_m2_per_hz": spec.psd})

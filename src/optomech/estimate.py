@@ -8,6 +8,7 @@ reduced chi^2 and (for spectra) by the variance inflation that windowing
 and segment overlap introduce between neighbouring bins.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .fitting import lm_fit
-from .synth import DriveRecord, TimeSeries
+from .synth import DriveRecord, TimeSeries, _all_finite
 
 TWO_PI = 2.0 * np.pi
 
@@ -116,23 +117,73 @@ def _variance_inflation(w, hop, n_segments):
     return nu_window * nu_overlap
 
 
-def welch_psd(ts: TimeSeries, segment_len: int | None = None,
+def _shift_left(buf, hop, keep):
+    """buf[:keep] = buf[hop:hop + keep], in pieces that do not overlap:
+    numpy would copy an overlapping source to a temporary first."""
+    for i in range(0, keep, hop):
+        j = min(i + hop, keep)
+        buf[i:j] = buf[i + hop:j + hop]
+
+
+def _segments(blocks, n, segment_len, hop, dtype):
+    """The Welch segments [k*hop, k*hop + segment_len) of the n samples the
+    blocks hold, in order, each valid until the next is requested.
+
+    A segment inside one block is a view into it.  One that begins before
+    the current block is completed in a carry buffer of one segment, which
+    holds the samples from its start to the end of the last block; a record
+    in one block needs no buffer.  Every block is checked for finiteness,
+    and the blocks must hold n samples.
+    """
+    buf = None                       # allocated when a segment spans blocks
+    start = 0                        # the next segment's first sample
+    b0 = 0                           # the current block's first sample
+    for block in blocks:
+        if not _all_finite(block):
+            raise ValueError("input contains non-finite samples")
+        b1 = b0 + block.size
+        while start < b0:            # buf[:b0 - start] holds [start, b0)
+            fill = b0 - start
+            take = segment_len - fill
+            if block.size < take:    # the block does not complete it
+                buf[fill:fill + block.size] = block
+                break
+            buf[fill:] = block[:take]
+            yield buf
+            start += hop
+            if start < b0:
+                _shift_left(buf, hop, b0 - start)
+        else:
+            while start + segment_len <= b1:
+                yield block[start - b0:start - b0 + segment_len]
+                start += hop
+            if b1 < n:               # carry the next segment's samples
+                if buf is None:
+                    buf = np.empty(segment_len, dtype)
+                buf[:b1 - start] = block[start - b0:]
+        b0 = b1
+    if b0 != n:
+        raise ValueError(f"the record's blocks held {b0} samples, not {n}")
+
+
+def welch_psd(ts, segment_len: int | None = None,
               overlap_frac: float = 0.5, window: str = "hann") -> Spectrum:
-    """Averaged-periodogram PSD of a TimeSeries.
+    """Averaged-periodogram PSD of a TimeSeries or a BlockSeries.
 
     Real records give the one-sided density on [0, fs/2].  Complex-envelope
     records give the equivalent one-sided density of the underlying physical
     signal on [center_freq - fs/2, center_freq + fs/2); it sums to half the
     envelope mean square, i.e. to the in-band physical mean square.
+
+    The record is read once, in order, a block at a time (ts.blocks()), so
+    a BlockSeries read from a file is never held whole: Welch keeps one
+    segment of carried samples and the segment's work arrays.
     """
     if not 0.0 <= overlap_frac <= 0.9:
         raise ValueError("overlap_frac must be in [0, 0.9]")
     if window not in _WINDOWS:
         raise ValueError(f"unknown window {window!r}; use one of {sorted(_WINDOWS)}")
-    x = ts.values
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input contains non-finite samples")
-    n = x.size
+    n = ts.n
     fs = ts.sample_rate
     if segment_len is None:
         segment_len = _default_segment_len(n, overlap_frac)
@@ -143,23 +194,24 @@ def welch_psd(ts: TimeSeries, segment_len: int | None = None,
     hop = max(1, int(round(segment_len * (1.0 - overlap_frac))))
     w = _WINDOWS[window](segment_len)
     sw2 = float(np.sum(w * w))
-    starts = range(0, n - segment_len + 1, hop)
-    n_avg = len(starts)
+    n_avg = len(range(0, n - segment_len + 1, hop))
 
     # every segment reuses the same three arrays for its windowed samples,
     # spectrum and power, with the bits of np.abs(fft(x[s:s+L] * w)) ** 2
     if ts.is_complex:
-        fft, nbins, seg = np.fft.fft, segment_len, np.empty(segment_len, complex)
+        fft, nbins, dtype = np.fft.fft, segment_len, complex
     else:
-        fft, nbins, seg = np.fft.rfft, segment_len // 2 + 1, np.empty(segment_len)
+        fft, nbins, dtype = np.fft.rfft, segment_len // 2 + 1, float
+    seg = np.empty(segment_len, dtype)
     spec = np.empty(nbins, complex)
     power = np.empty(nbins)
     acc = np.zeros(nbins)
-    for s in starts:
-        np.multiply(x[s:s + segment_len], w, out=seg)
-        fft(seg, out=spec)
-        np.abs(spec, out=power)
-        acc += np.square(power, out=power)
+    with contextlib.closing(ts.blocks()) as blocks:
+        for x in _segments(blocks, n, segment_len, hop, dtype):
+            np.multiply(x, w, out=seg)
+            fft(seg, out=spec)
+            np.abs(spec, out=power)
+            acc += np.square(power, out=power)
     acc /= n_avg
     if ts.is_complex:
         psd = np.fft.fftshift(acc) / (fs * sw2) / 2.0
@@ -270,12 +322,13 @@ def fit_lorentzian(spec: Spectrum, window_hint=None, weighting: str = "statistic
     n_passes = 2 if weighting == "statistical" else 1
     p = p0
     res = None
+    sig = np.ones_like(v)            # the weights, refilled by each pass
     for _ in range(n_passes):
         if weighting == "statistical":
             m0, _ = model(p)             # a view into work: use it at once
-            sig = np.maximum(np.abs(m0), floor) / math.sqrt(spec.n_avg)
-        else:
-            sig = np.ones_like(v)
+            np.abs(m0, out=sig)          # max(|m0|, floor) / sqrt(n_avg)
+            np.maximum(sig, floor, out=sig)
+            sig /= math.sqrt(spec.n_avg)
         res = lm_fit(model, p, v, sig, max_iter=max_iter)
         p = res.params
 

@@ -7,7 +7,10 @@ center_freq_hz is 0 for baseband records, and complex-envelope records use
 two value columns).  The binary variant (magic "OMB1", little-endian
 float64 payload) is for large records; its reader checks the payload size
 against the header and reads the payload straight into the record's one
-array.  All writes are atomic
+array.  open_timeseries reads a record of either format as a BlockSeries,
+a block at a time, for analyses that need it only once and in order:
+.bin payloads in reused blocks, long CSV bodies a parsed range at a time,
+so that neither is held whole.  All writes are atomic
 (temp file + rename), and files are created with mode 0666 minus the
 umask.  Floats are written with shortest round-trip representation, so a
 rerun with the same inputs is byte-identical.
@@ -17,10 +20,12 @@ CSV records and whole sweeps are formatted and parsed on every CPU the
 process may run on, one forked worker per CPU: writers format the chunks
 of a long record, or of all the records of a sweep, on the workers; readers
 parse a long record in byte ranges, and the files of a sweep one per
-worker.  Results are put back in order, so the bytes written and the values
-read do not depend on the CPU count.
+worker.  Results are put back in order, a few jobs ahead of the one in
+use, so the bytes written and the values read do not depend on the CPU
+count and results never pile up.
 """
 
+import collections
 import contextlib
 import io
 import json
@@ -29,7 +34,7 @@ import struct
 
 import numpy as np
 
-from .synth import DriveRecord, TimeSeries
+from .synth import BlockSeries, DriveRecord, TimeSeries, _all_finite, _chunks
 
 RESULT_SCHEMA = "optomech.result/1"
 _TS_MAGIC = b"OMB1"
@@ -47,6 +52,7 @@ _POOL_MIN_ROWS = 1 << 15
 # same host.
 _POOL_MIN_BYTES = 6 << 20
 _RANGE_BYTES = 1 << 20  # bytes of a long CSV body one worker parses at a time
+_JOBS_PER_WORKER = 2    # pool jobs in flight per worker (see _cpu_imap)
 
 
 class FormatError(OSError):
@@ -125,6 +131,11 @@ def _cpu_imap(fn, jobs, parallel):
     workers they run in this process.  Workers inherit ``fn`` through fork,
     so it may close over large arrays: only the jobs and the results are
     pickled.  Spawned workers would re-import numpy and need ``fn`` pickled.
+    At most m = ``_JOBS_PER_WORKER`` * workers jobs are submitted and not
+    yet yielded: job k + m is submitted only once the caller, done with the
+    result of job k, asks for the next one.  So results never pile up, and
+    job k may write into slot k % (``_JOBS_PER_WORKER`` * allowed CPUs) of
+    a ring that the caller reads its result from.
     Fork is safe here because this process runs no threads of its own: no
     Python threads, and no BLAS threads either, since importing optomech
     holds OpenBLAS to one thread unless the environment sets
@@ -146,7 +157,13 @@ def _cpu_imap(fn, jobs, parallel):
     pool = multiprocessing.get_context("fork").Pool(
         workers, initializer=_set_worker_fn, initargs=(fn,))
     try:
-        yield from pool.imap(_call_worker_fn, jobs)
+        pending = collections.deque()
+        for job in jobs:
+            if len(pending) == _JOBS_PER_WORKER * workers:
+                yield pending.popleft().get()
+            pending.append(pool.apply_async(_call_worker_fn, (job,)))
+        while pending:
+            yield pending.popleft().get()
     finally:
         pool.close()
         pool.join()
@@ -241,101 +258,193 @@ def _parse_rows(fh):
     return np.loadtxt(fh, delimiter=",", ndmin=2)
 
 
-def _read_ranges(path, offset, ncols):
-    """Rows of a long CSV body parsed on the pool, one ~``_RANGE_BYTES``
-    range at a time, into one shared array.
+def _line_rows(block, stop):
+    """The number of lines in ``block[:stop]``, which starts a line, or None
+    if ``loadtxt`` may not read each line as one row: it skips empty lines
+    and comments ('#'), and the text reader also ends a line at a carriage
+    return not followed by a newline.  Any other line is one row or a parse
+    error."""
+    ends = np.flatnonzero(np.frombuffer(block, np.uint8, count=stop) == 10)
+    if (block.find(b"#", 0, stop) >= 0 or (ends.size and ends[0] == 0)
+            or (np.diff(ends) == 1).any()):
+        return None
+    if block.find(b"\r", 0, stop) >= 0 and (
+            block.startswith(b"\r\n") or block.find(b"\n\r\n", 0, stop) >= 0
+            or block.count(b"\r", 0, stop) != block.count(b"\r\n", 0, stop)):
+        return None
+    return ends.size + (not block.endswith(b"\n", 0, stop))
 
-    Ranges end at newlines, and each range's rows are expected to be its
-    newline count.  Returns None, so that the caller re-reads the body
-    serially, if a range parses to a different shape (blank or '#' lines,
-    which ``loadtxt`` skips, or another column count) or fails to parse;
-    values and errors are then exactly those of the serial reader.
-    """
-    ranges = []                       # (start, stop, first row, rows)
-    n_rows = 0
+
+def _scan_ranges(path, offset):
+    """The body after byte ``offset`` cut at newlines into ranges of about
+    ``_RANGE_BYTES``, as ``(start, stop, rows)`` with ``rows`` the lines in
+    ``[start, stop)``; None, so that the body is parsed whole, if a line is
+    longer than a range or may not be one row (``_line_rows``)."""
+    ranges = []
     with open(path, "rb") as fh:
         start = offset
         while True:
             fh.seek(start)
             block = fh.read(_RANGE_BYTES)
             if not block:
-                break
+                return ranges
             stop = len(block)
             if stop == _RANGE_BYTES:
                 stop = block.rfind(b"\n") + 1
                 if not stop:
                     return None       # a line longer than a range
-            rows = block.count(b"\n", 0, stop)
-            rows += not block.endswith(b"\n", 0, stop)
-            ranges.append((start, start + stop, n_rows, rows))
-            n_rows += rows
+            rows = _line_rows(block, stop)
+            if rows is None:
+                return None
+            ranges.append((start, start + stop, rows))
             start += stop
-    import mmap
-    # anonymous shared memory: the workers' writes land in this process
-    out = np.frombuffer(mmap.mmap(-1, n_rows * ncols * 8),
-                        dtype=np.float64).reshape(n_rows, ncols)
-
-    def parse_range(job):
-        start, stop, row, rows = job
-        with open(path, "rb") as fh:
-            fh.seek(start)
-            text = io.TextIOWrapper(io.BytesIO(fh.read(stop - start)),
-                                    encoding="utf-8")
-        part = _parse_rows(text)
-        if part.shape != (rows, ncols):
-            return False
-        out[row:row + rows] = part
-        return True
-
-    try:
-        with contextlib.closing(_cpu_imap(parse_range, ranges, True)) as done:
-            if all(done):
-                return out
-    except ValueError:
-        pass
-    return None
 
 
-def _read_rows(path, offset, ncols):
-    """The rows after byte ``offset`` of a CSV file as an (n, ncols) float64
-    array, parsed like ``np.loadtxt(fh, delimiter=",", ndmin=2)`` on the
-    file read from ``offset``.  Bodies of ``_POOL_MIN_BYTES`` or more are
-    parsed in ranges on the pool (``_read_ranges``).
+class _CsvBody:
+    """The rows after byte ``offset`` of a CSV file, parsed like
+    ``np.loadtxt(fh, delimiter=",", ndmin=2)`` on the file read from
+    ``offset``, with ``ncols`` values per row.
+
+    A body of ``_POOL_MIN_BYTES`` or more that ``_scan_ranges`` cuts into
+    ranges is parsed a range at a time, on the pool when there is one, and
+    handed over in order (``blocks``), so it is never held whole.  Any
+    other body is parsed at once, serially, when it is opened.  A range
+    that fails to parse, or parses to another shape, ends the iteration
+    with the error of the serial parse, so the values and the errors never
+    depend on the CPU count.
     """
-    data = None
-    if (os.path.getsize(path) - offset >= _POOL_MIN_BYTES
-            and _pool_cpus() > 1):
-        data = _read_ranges(path, offset, ncols)
-    if data is None:
-        with open(path, "r", encoding="utf-8") as fh:
-            fh.seek(offset)           # a plain byte offset is a seek cookie
+
+    def __init__(self, path, offset, ncols):
+        self.path, self.offset, self.ncols = path, offset, ncols
+        self.ranges = None
+        if os.path.getsize(path) - offset >= _POOL_MIN_BYTES:
+            self.ranges = _scan_ranges(path, offset)
+        if self.ranges is None:
+            self.data = self._parse_whole()
+            self.n = self.data.shape[0]
+        else:
+            self.n = sum(rows for _, _, rows in self.ranges)
+
+    def _parse_whole(self):
+        with open(self.path, "r", encoding="utf-8") as fh:
+            fh.seek(self.offset)      # a plain byte offset is a seek cookie
             data = _parse_rows(fh)
-    if data.shape[1] != ncols:
-        raise ValueError(f"expected {ncols} value(s) per row, "
-                         f"got {data.shape[1]}")
-    return data
+        if data.shape[1] != self.ncols:
+            raise ValueError(f"expected {self.ncols} value(s) per row, "
+                             f"got {data.shape[1]}")
+        return data
+
+    def blocks(self):
+        """The rows in order, as (rows, ncols) float64 arrays; each is valid
+        until the next is requested."""
+        if self.ranges is None:
+            yield self.data
+            return
+        import mmap
+        path, ncols = self.path, self.ncols
+        # one slot per job in flight, in anonymous shared memory, so that
+        # the workers' writes land in this process
+        slots = _JOBS_PER_WORKER * _pool_cpus()
+        size = max(rows for _, _, rows in self.ranges)
+        ring = np.frombuffer(mmap.mmap(-1, slots * size * ncols * 8),
+                             dtype=np.float64).reshape(slots, size, ncols)
+        jobs = [(k % slots, *r) for k, r in enumerate(self.ranges)]
+
+        def parse_range(job):
+            slot, start, stop, rows = job
+            with open(path, "rb") as fh:
+                fh.seek(start)
+                text = io.TextIOWrapper(io.BytesIO(fh.read(stop - start)),
+                                        encoding="utf-8")
+            part = _parse_rows(text)
+            if part.shape != (rows, ncols):
+                return False
+            ring[slot, :rows] = part
+            return True
+
+        try:
+            with contextlib.closing(_cpu_imap(parse_range, jobs, True)) as done:
+                for (slot, _, _, rows), ok in zip(jobs, done):
+                    if not ok:
+                        break
+                    yield ring[slot, :rows]
+                else:
+                    return
+        except ValueError:
+            pass
+        self._parse_whole()           # raises the serial parse's error
+        raise ValueError("the rows changed while being read")
+
+    def read(self):
+        """All the rows, as one (n, ncols) float64 array."""
+        if self.ranges is None:
+            return self.data
+        out = np.empty((self.n, self.ncols))
+        row = 0
+        with contextlib.closing(self.blocks()) as blocks:
+            for part in blocks:
+                out[row:row + part.shape[0]] = part
+                row += part.shape[0]
+        return out
 
 
-def read_timeseries_csv(path) -> TimeSeries:
+def _csv_values(rows, is_complex):
+    # a view keeps the sign of a zero imaginary part, which re + 1j*im
+    # would drop
+    return (rows.view(np.complex128) if is_complex else rows)[:, 0]
+
+
+def _timeseries_csv(path):
+    """(TimeSeries fields but the values, is_complex, body) of a timeseries
+    CSV; the fields raise FormatError if malformed."""
     meta, warnings, cols, offset = _read_header(
         path, b"# optomech_timeseries", "timeseries")
     if cols not in ("value", "value_re,value_im"):
         raise FormatError(f"{path}: unexpected column header {cols!r}")
+    is_complex = cols == "value_re,value_im"
     try:
-        data = _read_rows(path, offset, 1 if cols == "value" else 2)
-        # a view keeps the sign of a zero imaginary part, which re + 1j*im
-        # would drop
-        values = (data.view(np.complex128) if cols == "value_re,value_im"
-                  else data)[:, 0]
-        return TimeSeries(
-            sample_rate=float(meta["sample_rate_hz"]),
-            t0=float(meta.get("t0_s", 0.0)),
-            values=values,
-            calibration=float(meta.get("calibration_m_per_unit", 1.0)),
-            center_freq=float(meta.get("center_freq_hz", 0.0)),
-            warnings=tuple(warnings),
-        )
+        body = _CsvBody(path, offset, 2 if is_complex else 1)
+        fields = {"sample_rate": float(meta["sample_rate_hz"]),
+                  "t0": float(meta.get("t0_s", 0.0)),
+                  "calibration": float(meta.get("calibration_m_per_unit",
+                                                1.0)),
+                  "center_freq": float(meta.get("center_freq_hz", 0.0)),
+                  "warnings": tuple(warnings)}
     except (KeyError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed timeseries CSV: {exc}") from exc
+    return fields, is_complex, body
+
+
+def read_timeseries_csv(path) -> TimeSeries:
+    fields, is_complex, body = _timeseries_csv(path)
+    try:
+        return TimeSeries(values=_csv_values(body.read(), is_complex),
+                          **fields)
+    except ValueError as exc:
+        raise FormatError(f"{path}: malformed timeseries CSV: {exc}") from exc
+
+
+def _timeseries_csv_blocks(path) -> BlockSeries:
+    """A timeseries CSV as a BlockSeries: a long body is parsed a range at a
+    time as it is read (``_CsvBody``)."""
+    fields, is_complex, body = _timeseries_csv(path)
+
+    def blocks():
+        try:
+            with contextlib.closing(body.blocks()) as parts:
+                for part in parts:
+                    values = _csv_values(part, is_complex)
+                    if not _all_finite(values):
+                        raise ValueError("TimeSeries values must be finite")
+                    yield values
+        except ValueError as exc:
+            raise FormatError(
+                f"{path}: malformed timeseries CSV: {exc}") from exc
+
+    try:
+        return BlockSeries(n=body.n, dtype=complex if is_complex else float,
+                           blocks=blocks, **fields)
+    except ValueError as exc:
         raise FormatError(f"{path}: malformed timeseries CSV: {exc}") from exc
 
 
@@ -351,34 +460,69 @@ def write_timeseries_bin(path, ts: TimeSeries):
         fh.write(payload)
 
 
-def read_timeseries_bin(path) -> TimeSeries:
-    """An OMB1 record, read straight into its one array.
+def _read_bin_header(fh, path):
+    """(sample rate, t0, calibration, center frequency, n, payload dtype)
+    from the header of an OMB1 file open at its start.
 
     The payload size is checked against the header's sample count before
     anything is allocated: a mismatch raises FormatError naming the expected
     and the found byte counts.
     """
+    head = fh.read(_TS_HEAD.size)
+    if head[:4] != _TS_MAGIC:
+        raise FormatError(f"{path}: bad magic, not an OMB1 record")
+    if len(head) < _TS_HEAD.size:
+        raise FormatError(f"{path}: malformed OMB1 record: header is "
+                          f"{len(head)} bytes, expected {_TS_HEAD.size}")
+    _, flags, fs, t0, cal, cf, n = _TS_HEAD.unpack(head)
+    dtype = np.dtype("<c16" if flags & 1 else "<f8")
+    expected = n * dtype.itemsize
+    found = os.fstat(fh.fileno()).st_size - _TS_HEAD.size
+    if found != expected:
+        raise FormatError(
+            f"{path}: {'complex ' if flags & 1 else ''}payload of {found} "
+            f"bytes, expected {expected} for {n} samples")
+    return fs, t0, cal, cf, n, dtype
+
+
+def _readinto(fh, values, path):
+    if fh.readinto(values.view(np.uint8)) != values.nbytes:
+        raise FormatError(f"{path}: payload changed while being read")
+    return values.astype(values.dtype.newbyteorder("="), copy=False)
+
+
+def read_timeseries_bin(path) -> TimeSeries:
+    """An OMB1 record, read straight into its one array once the payload
+    size is checked (``_read_bin_header``)."""
     with open(path, "rb") as fh:
-        head = fh.read(_TS_HEAD.size)
-        if head[:4] != _TS_MAGIC:
-            raise FormatError(f"{path}: bad magic, not an OMB1 record")
-        if len(head) < _TS_HEAD.size:
-            raise FormatError(f"{path}: malformed OMB1 record: header is "
-                              f"{len(head)} bytes, expected {_TS_HEAD.size}")
-        _, flags, fs, t0, cal, cf, n = _TS_HEAD.unpack(head)
-        dtype = np.dtype("<c16" if flags & 1 else "<f8")
-        expected = n * dtype.itemsize
-        found = os.fstat(fh.fileno()).st_size - _TS_HEAD.size
-        if found != expected:
-            raise FormatError(
-                f"{path}: {'complex ' if flags & 1 else ''}payload of {found} "
-                f"bytes, expected {expected} for {n} samples")
-        values = np.empty(n, dtype=dtype)
-        if fh.readinto(values.view(np.uint8)) != expected:
-            raise FormatError(f"{path}: payload changed while being read")
+        fs, t0, cal, cf, n, dtype = _read_bin_header(fh, path)
+        values = _readinto(fh, np.empty(n, dtype=dtype), path)
     try:
-        return TimeSeries(fs, t0, values.astype(dtype.newbyteorder("="),
-                                                copy=False), cal, cf)
+        return TimeSeries(fs, t0, values, cal, cf)
+    except ValueError as exc:
+        raise FormatError(f"{path}: malformed OMB1 record: {exc}") from exc
+
+
+def _timeseries_bin_blocks(path) -> BlockSeries:
+    """An OMB1 record as a BlockSeries.  The header and the payload size are
+    checked first; the payload is then read into one reused block, a chunk
+    of samples (``synth._chunks``) at a time."""
+    with open(path, "rb") as fh:
+        fs, t0, cal, cf, n, dtype = _read_bin_header(fh, path)
+
+    def blocks():
+        with open(path, "rb") as fh:
+            fh.seek(_TS_HEAD.size)
+            buf = np.empty(next(_chunks(n))[1], dtype=dtype)  # the longest
+            for start, stop in _chunks(n):
+                values = _readinto(fh, buf[:stop - start], path)
+                if not _all_finite(values):
+                    raise FormatError(f"{path}: malformed OMB1 record: "
+                                      "TimeSeries values must be finite")
+                yield values
+
+    try:
+        return BlockSeries(fs, t0, n, dtype.newbyteorder("="), blocks, cal, cf)
     except ValueError as exc:
         raise FormatError(f"{path}: malformed OMB1 record: {exc}") from exc
 
@@ -392,12 +536,20 @@ def write_timeseries(path, ts: TimeSeries, fmt: str = "csv"):
         raise ValueError(f"unknown format {fmt!r}; use 'csv' or 'bin'")
 
 
-def read_timeseries(path) -> TimeSeries:
+def _is_bin(path) -> bool:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == _TS_MAGIC:
-        return read_timeseries_bin(path)
-    return read_timeseries_csv(path)
+        return fh.read(4) == _TS_MAGIC
+
+
+def read_timeseries(path) -> TimeSeries:
+    return read_timeseries_bin(path) if _is_bin(path) else read_timeseries_csv(path)
+
+
+def open_timeseries(path) -> BlockSeries:
+    """A record file of either format as a BlockSeries, for analyses that
+    read a record once, in order, such as welch_psd."""
+    return (_timeseries_bin_blocks(path) if _is_bin(path)
+            else _timeseries_csv_blocks(path))
 
 
 def _driverecord_csv(rec: DriveRecord):
@@ -427,7 +579,7 @@ def read_driverecord_csv(path) -> DriveRecord:
     if cols != "base,response":
         raise FormatError(f"{path}: unexpected column header {cols!r}")
     try:
-        data = _read_rows(path, offset, 2)
+        data = _CsvBody(path, offset, 2).read()
         fs = float(meta["sample_rate_hz"])
         t0 = float(meta.get("t0_s", 0.0))
         return DriveRecord(

@@ -23,6 +23,7 @@ temporaries.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,20 @@ def _chunks(n: int):
         yield start, min(start + _CHUNK, n)
 
 
+def _all_finite(values) -> bool:
+    """Whether every value is finite, checked a chunk at a time: no
+    record-sized mask beside the record."""
+    return all(np.isfinite(values[start:stop]).all()
+               for start, stop in _chunks(values.size))
+
+
+def _check_record(sample_rate, n):
+    if not sample_rate > 0:
+        raise ValueError(f"sample_rate must be > 0, got {sample_rate}")
+    if n < 2:
+        raise ValueError("a TimeSeries needs at least 2 samples")
+
+
 @dataclass
 class TimeSeries:
     """Uniformly sampled record.
@@ -63,13 +78,8 @@ class TimeSeries:
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
-        if not self.sample_rate > 0:
-            raise ValueError(f"sample_rate must be > 0, got {self.sample_rate}")
-        if self.values.size < 2:
-            raise ValueError("a TimeSeries needs at least 2 samples")
-        # checked a chunk at a time: no record-sized mask beside the record
-        if not all(np.isfinite(self.values[start:stop]).all()
-                   for start, stop in _chunks(self.values.size)):
+        _check_record(self.sample_rate, self.values.size)
+        if not _all_finite(self.values):
             raise ValueError("TimeSeries values must be finite")
 
     @property
@@ -87,6 +97,39 @@ class TimeSeries:
     @property
     def is_complex(self):
         return np.iscomplexobj(self.values)
+
+    def blocks(self):
+        """The values as one block, the array itself (see BlockSeries)."""
+        yield self.values
+
+
+@dataclass
+class BlockSeries:
+    """A uniformly sampled record read in order, one block of samples at a
+    time, so that it is never held whole (io.open_timeseries).
+
+    blocks() returns a generator of 1-D arrays of dtype that together hold
+    the n samples, in order; each block is valid only until the next one is
+    requested.  The other fields mean what they mean on TimeSeries, and
+    welch_psd takes either.
+    """
+
+    sample_rate: float
+    t0: float
+    n: int
+    dtype: np.dtype
+    blocks: Callable
+    calibration: float = 1.0
+    center_freq: float = 0.0
+    warnings: tuple = ()
+
+    def __post_init__(self):
+        self.dtype = np.dtype(self.dtype)
+        _check_record(self.sample_rate, self.n)
+
+    @property
+    def is_complex(self):
+        return self.dtype.kind == "c"
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import copy
 import json
+import multiprocessing
 import os
 import tempfile
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optomech import default_config
+from optomech import estimate as _estimate
 from optomech.cli import EXIT_CONFIG, EXIT_FIT, EXIT_IO, EXIT_OK, format_value_pm, main
 from optomech.io import read_result_doc, read_timeseries, write_result_doc
 
@@ -553,6 +555,105 @@ class TestExitCodes:
 
     def test_usage_error(self):
         assert main(["frobnicate"]) == EXIT_CONFIG
+
+
+def _analyses(cfg, out, path):
+    """Exit codes of `analyze q` and `analyze psd` on path, and the files
+    they leave in the new directory out."""
+    out.mkdir()
+    rcs = [main(["--config", cfg, "--out", str(out), "analyze", quantity,
+                 str(path)]) for quantity in ("q", "psd")]
+    return rcs, {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@pytest.fixture(scope="module")
+def streamed_record(tmp_path_factory):
+    """A 120 s Brownian record as CSV (2.2 MB) and .bin, with the files that
+    `analyze q` and `analyze psd` leave for the .bin."""
+    d = tmp_path_factory.mktemp("streamed")
+    cfg = _write_cfg(d, {"synth.brownian.duration_s": 120.0})
+    for fmt in ("csv", "bin"):
+        assert main(["--config", cfg, "--out", str(d), "simulate", "brownian",
+                     "--format", fmt]) == EXIT_OK
+    rcs, files = _analyses(cfg, d / "bin_out", d / "brownian.bin")
+    assert rcs == [EXIT_OK, EXIT_OK]
+    return cfg, d, files
+
+
+def _allow_cpus(monkeypatch, n_cpus):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(n_cpus)), raising=False)
+
+
+@pytest.mark.usefixtures("small_ranges")
+class TestStreamedAnalysis:
+    """`analyze q` and `analyze psd` read their record a block at a time
+    (CSV bodies in 16 KiB ranges here) with the outputs and exit codes of a
+    whole read, and leave no result behind on an error."""
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    @pytest.mark.parametrize("edit", ["none", "blank", "comment", "crlf",
+                                      "no_final_newline", "lone_cr"])
+    def test_csv_bodies_give_the_bytes_of_the_bin_record(
+            self, tmp_path, monkeypatch, streamed_record, edit, n_cpus):
+        cfg, d, bin_files = streamed_record
+        text = (d / "brownian.csv").read_bytes()
+        middle = text.index(b"\n", len(text) * 3 // 4)
+        text = {
+            "none": text,
+            "blank": text[:middle] + b"\n" + text[middle:],
+            "comment": text[:middle] + b"\n# note" + text[middle:],
+            "crlf": text.replace(b"\n", b"\r\n"),
+            "no_final_newline": text[:-1],
+            "lone_cr": text[:middle] + b"\r" + text[middle + 1:],
+        }[edit]
+        path = tmp_path / "brownian.csv"
+        path.write_bytes(text)
+        _allow_cpus(monkeypatch, n_cpus)
+        assert _analyses(cfg, tmp_path / "out", path) == (
+            [EXIT_OK, EXIT_OK], bin_files)
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    @pytest.mark.parametrize("bad", ["nan_in_last_range",
+                                     "three_values_mid_file"])
+    def test_bad_csv_rows_exit_3(self, tmp_path, monkeypatch,
+                                 streamed_record, bad, n_cpus):
+        cfg, d, _ = streamed_record
+        text = (d / "brownian.csv").read_bytes()
+        if bad == "nan_in_last_range":
+            row = text.rindex(b"\n", 0, -1) + 1
+            end = len(text) - 1
+        else:
+            row = text.index(b"\n", len(text) // 2) + 1
+            end = text.index(b"\n", row)
+        path = tmp_path / "brownian.csv"
+        path.write_bytes(text[:row] + (b"nan,nan" if bad == "nan_in_last_range"
+                                       else b"1e-12,2e-12,3e-12") + text[end:])
+        _allow_cpus(monkeypatch, n_cpus)
+        assert _analyses(cfg, tmp_path / "out", path) == (
+            [EXIT_IO, EXIT_IO], {})
+        assert multiprocessing.active_children() == []
+
+    def test_bin_payload_mismatch_exits_3_before_any_segment(
+            self, tmp_path, monkeypatch, streamed_record):
+        cfg, d, _ = streamed_record
+        path = tmp_path / "brownian.bin"
+        path.write_bytes((d / "brownian.bin").read_bytes() + b"\0" * 16)
+
+        def segments(*args):
+            raise AssertionError("a segment was read")
+
+        monkeypatch.setattr(_estimate, "_segments", segments)
+        assert _analyses(cfg, tmp_path / "out", path) == (
+            [EXIT_IO, EXIT_IO], {})
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_segment_longer_than_record_exits_2(self, tmp_path,
+                                                streamed_record, fmt):
+        _, d, _ = streamed_record
+        cfg = _write_cfg(tmp_path, {"analysis.welch_segment_len": 1 << 20})
+        assert _analyses(cfg, tmp_path / "out", d / f"brownian.{fmt}") == (
+            [EXIT_CONFIG, EXIT_CONFIG], {})
 
 
 def _table_columns(path):

@@ -24,9 +24,11 @@ import optomech
 _SRC = pathlib.Path(optomech.__file__).resolve().parent
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+# the 400 s Brownian CSV (about 7.3 MB) is long enough for the pooled
+# range reader (io._POOL_MIN_BYTES)
 _CONFIG = {
     "synth": {
-        "brownian": {"duration_s": 300.0},
+        "brownian": {"duration_s": 400.0},
         "ringdown_mech": {"duration_s": 20.0, "sample_rate_hz": 25e3},
         "sweep": {"f_min_hz": 300.0, "f_max_hz": 40e3,
                   "points_per_decade": 10},
@@ -39,6 +41,9 @@ _SESSION = [
     ["simulate", "ringdown-mech"],
     ["simulate", "sweep"],
     ["analyze", "q", "brownian.csv"],
+    ["analyze", "psd", "brownian.csv"],
+    ["simulate", "brownian", "--format", "bin"],
+    ["analyze", "q", "brownian.bin"],
     ["analyze", "finesse", "ringdown_optical.csv"],
     ["analyze", "mech-q", "ringdown_mech_envelope.csv"],
     ["analyze", "transfer", "simulate_sweep_manifest.json"],

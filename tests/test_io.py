@@ -9,15 +9,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from optomech import DriveRecord, TimeSeries
+from optomech import BlockSeries, DriveRecord, TimeSeries, welch_psd
 from optomech import io as omio
+from optomech import synth as omsynth
 from optomech.io import (FormatError, RESULT_SCHEMA, SchemaError,
-                         make_result_doc, read_driverecord_csv,
+                         make_result_doc, open_timeseries,
+                         read_driverecord_csv,
                          read_driverecords_csv, read_result_doc,
                          read_timeseries, read_timeseries_bin,
                          read_timeseries_csv, write_driverecords_csv,
                          write_result_doc, write_table_csv, write_timeseries,
                          write_timeseries_bin, write_timeseries_csv)
+from oracles import whole_array_welch
 
 
 def _real_ts():
@@ -457,13 +460,6 @@ def _loadtxt_reference(path):
     return np.loadtxt(path, delimiter=",", ndmin=2, skiprows=skip)
 
 
-@pytest.fixture
-def small_ranges(monkeypatch):
-    """Pool thresholds small enough for records of a few thousand rows."""
-    monkeypatch.setattr(omio, "_POOL_MIN_BYTES", 1 << 16)
-    monkeypatch.setattr(omio, "_RANGE_BYTES", 1 << 14)
-
-
 def _read_record(path, kind):
     if kind == "drive":
         rec = read_driverecord_csv(path)
@@ -501,7 +497,8 @@ class TestParallelCsvRead:
         assert _same_values(got, _reference_values(path, kind))
 
     @pytest.mark.parametrize("edit", ["blank", "comment", "crlf",
-                                      "no_final_newline", "lone_cr"])
+                                      "no_final_newline", "lone_cr",
+                                      "crlf_blank", "first_line_blank"])
     def test_irregular_bodies_read_like_serial(self, tmp_path, monkeypatch,
                                                edit):
         path = tmp_path / "rec.csv"
@@ -514,6 +511,10 @@ class TestParallelCsvRead:
             "crlf": text.replace(b"\n", b"\r\n"),
             "no_final_newline": text[:-1],
             "lone_cr": text[:middle] + b"\r" + text[middle + 1:],
+            "crlf_blank": (text[:middle] + b"\n" + text[middle:]).replace(
+                b"\n", b"\r\n"),
+            "first_line_blank": text.replace(b"value_re,value_im\n",
+                                             b"value_re,value_im\n\n"),
         }[edit]
         path.write_bytes(text)
         _allow_cpus(monkeypatch, 1)
@@ -597,6 +598,121 @@ class TestParallelCsvRead:
                 [rec.base_motion.values, rec.response_motion.values],
                 _reference_values(path, "drive"))
             assert rec.response_motion.calibration == 2.0
+
+
+def _noise_ts(n, is_complex, seed=7):
+    rng = np.random.default_rng(seed)
+    x = 1e-9 * rng.standard_normal(n)
+    if is_complex:
+        x = x + 1e-9j * rng.standard_normal(n)
+    return TimeSeries(1e4, 0.25, x, center_freq=2e4 if is_complex else 0.0)
+
+
+def _assert_whole_array_bits(spec, ts, segment_len, overlap_frac):
+    freqs, psd = whole_array_welch(ts, segment_len, overlap_frac)
+    assert spec.psd.tobytes() == psd.tobytes()
+    assert spec.freqs.tobytes() == freqs.tobytes()
+
+
+class TestStreamedWelch:
+    """welch_psd over every record source has the bits of the whole-array
+    segment loop, also when its segments span blocks, and over a .bin file
+    its memory does not grow with the record."""
+
+    @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_in_memory_blocks(self, is_complex, overlap):
+        ts = _noise_ts(1001, is_complex)  # most hops below leave a remainder
+        cuts = [[], [1], [500], list(range(10, 1001, 10)),
+                [3, 4, 300, 300, 301, 960, 1000]]  # blocks of 0 to 1000 samples
+        for segment_len in (2, 37, 256, 1001):
+            _assert_whole_array_bits(welch_psd(ts, segment_len, overlap), ts,
+                                     segment_len, overlap)
+            for inner in cuts:
+                bounds = [0, *inner, ts.n]
+
+                def blocks():
+                    for a, b in zip(bounds[:-1], bounds[1:]):
+                        yield ts.values[a:b].copy()
+
+                rec = BlockSeries(ts.sample_rate, ts.t0, ts.n,
+                                  ts.values.dtype, blocks,
+                                  center_freq=ts.center_freq)
+                _assert_whole_array_bits(welch_psd(rec, segment_len, overlap),
+                                         ts, segment_len, overlap)
+
+    @pytest.mark.usefixtures("small_ranges")
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    @pytest.mark.parametrize("above", [False, True])
+    @pytest.mark.parametrize("is_complex", [False, True])
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    def test_file_sources(self, tmp_path, monkeypatch, fmt, is_complex,
+                          above, n_cpus):
+        # .bin blocks of 1000 samples and CSV ranges of 360 to 700 rows,
+        # shorter than the longest segment
+        monkeypatch.setattr(omsynth, "_CHUNK", 1000)
+        ts = _noise_ts(5003 if above else 300, is_complex)
+        path = tmp_path / f"rec.{fmt}"
+        write_timeseries(path, ts, fmt)
+        if fmt == "csv":
+            assert (path.stat().st_size >= omio._POOL_MIN_BYTES) == above
+        _allow_cpus(monkeypatch, n_cpus)
+        pids = _job_pids(monkeypatch)
+        for overlap in (0.0, 0.5, 0.9):
+            for segment_len in (64, 255, 2048):
+                if segment_len <= ts.n:
+                    spec = welch_psd(open_timeseries(path), segment_len,
+                                     overlap)
+                    _assert_whole_array_bits(spec, ts, segment_len, overlap)
+        assert bool(pids - {os.getpid()}) == (
+            fmt == "csv" and above and n_cpus > 1)
+        assert multiprocessing.active_children() == []
+
+    def test_ring_slots_with_more_workers_than_cpus(self, tmp_path,
+                                                    monkeypatch):
+        # 4 KiB ranges on 4 workers, sharing 8 slots that are each reused
+        # about 27 times: a slot refilled before its block was used would
+        # change the bits
+        monkeypatch.setattr(omio, "_POOL_MIN_BYTES", 1 << 12)
+        monkeypatch.setattr(omio, "_RANGE_BYTES", 1 << 12)
+        ts = _noise_ts(20011, True)
+        path = tmp_path / "rec.csv"
+        write_timeseries_csv(path, ts)
+        _allow_cpus(monkeypatch, 4)
+
+        def hung(signum, frame):
+            raise TimeoutError("a pool did not shut down")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(120)
+        try:
+            for _ in range(5):
+                spec = welch_psd(open_timeseries(path), 1000)
+                _assert_whole_array_bits(spec, ts, 1000, 0.5)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+
+    def test_bin_memory_is_a_few_segments(self, tmp_path):
+        segment_len = 1 << 17
+        peaks = []
+        for n in (1 << 19, 1 << 21):
+            values = np.arange(2 * n, dtype=float).view(np.complex128)
+            write_timeseries_bin(tmp_path / "a.bin",
+                                 TimeSeries(1.0, 0.0, values))
+            del values
+            rec = open_timeseries(tmp_path / "a.bin")
+            tracemalloc.start()
+            try:
+                welch_psd(rec, segment_len)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # a block, the carry buffer, the window and the segment's work
+        # arrays, while the longer record is 32 MB, 16 segments
+        assert peaks[0] == peaks[1]
+        assert peaks[1] < 8 * segment_len * 16
 
 
 class TestFileMode:
