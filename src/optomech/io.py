@@ -12,8 +12,11 @@ a block at a time, for analyses that need it only once and in order:
 .bin payloads in reused blocks, long CSV bodies a parsed range at a time,
 so that neither is held whole.  All writes are atomic
 (temp file + rename), and files are created with mode 0666 minus the
-umask.  Floats are written with shortest round-trip representation, so a
-rerun with the same inputs is byte-identical.
+umask.  CSV floats are written exactly as repr writes them, the shortest
+decimal that reads back as the same double, so a rerun with the same
+inputs is byte-identical; _shortest.csv_text computes the digits of a
+whole chunk at once with Ryu's common case and leaves the few values it
+does not cover to repr.
 
 CSV writers stream rows in fixed chunks, so memory stays bounded.  Long
 CSV records and whole sweeps are formatted and parsed on every CPU the
@@ -34,6 +37,9 @@ import struct
 
 import numpy as np
 
+# imported with io, not at the first CSV write: a module loaded after a
+# command has freed large blocks keeps the malloc heap from shrinking
+from ._shortest import csv_text
 from .synth import BlockSeries, DriveRecord, TimeSeries, _all_finite, _chunks
 
 RESULT_SCHEMA = "optomech.result/1"
@@ -43,13 +49,17 @@ _TS_MAGIC = b"OMB1"
 _TS_HEAD = struct.Struct("<4sB3x4dQ")
 
 _CHUNK_ROWS = 1 << 14  # rows formatted and written at a time
-# Shorter records are formatted in process: starting a pool (~25 ms) costs
-# about what it saves below this many rows (measured on a 2-CPU x86-64 host,
-# where formatting takes ~2 us per value).
-_POOL_MIN_ROWS = 1 << 15
+# Shorter records are formatted in process.  Measured on a 2-CPU x86-64
+# host: formatting and writing take ~0.34 us per value in process, while a
+# pool of two costs 30-70 ms more (start, join, and sending the text back),
+# so it first saves wall time at ~2e5 values, about 131,072 rows of a
+# two-column record (in process 89 ms, pool 84 ms); a one-column record
+# breaks even only at ~1e6 rows.  The pool always costs more CPU time.
+_POOL_MIN_ROWS = 1 << 17
 # Shorter CSV bodies, and batches of files, are parsed in process: parsing
-# runs at ~30 MB/s per CPU, and a pool of two wins only above ~5 MiB on the
-# same host.
+# runs at ~40 MB/s per CPU (36-44 MB/s measured), and a pool of two wins
+# only above ~5 MiB on the same host (4 MiB: 113 ms serial, 156 ms pooled;
+# 6 MiB: 157 ms serial, 117 ms pooled).
 _POOL_MIN_BYTES = 6 << 20
 _RANGE_BYTES = 1 << 20  # bytes of a long CSV body one worker parses at a time
 _JOBS_PER_WORKER = 2    # pool jobs in flight per worker (see _cpu_imap)
@@ -89,13 +99,8 @@ def _fmt(x) -> str:
 
 
 def _format_rows(columns, start, stop) -> bytes:
-    """CSV lines of rows [start, stop): each float as its shortest repr."""
-    cols = [c[start:stop].tolist() for c in columns]
-    if len(cols) == 1:
-        lines = map(repr, cols[0])
-    else:
-        lines = map(",".join, zip(*[map(repr, c) for c in cols]))
-    return ("\n".join(lines) + "\n").encode()
+    """CSV lines of rows [start, stop): each float as its repr."""
+    return csv_text(np.stack([c[start:stop] for c in columns], axis=1))
 
 
 # The function a pool worker applies to its jobs; set in each worker only,

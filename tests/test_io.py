@@ -1,3 +1,4 @@
+import hashlib
 import multiprocessing
 import os
 import signal
@@ -355,6 +356,25 @@ def _writer_cases(n):
     }
 
 
+# sha256 of each _writer_cases(n) output as the per-value repr writer wrote
+# it, so that any change to CSV bytes fails here and not only in a
+# comparison between CPU counts
+_WRITER_SHA256 = {
+    300: {
+        "real": "04d6111fce2f55d11a4f1e1ab9aecc16b3715e5f293a500ac8e04469ad8b344d",
+        "complex": "3bbd45de45efcf2fefe21aba5e6dcdd7409375e5de9e78b8f346619d7d5c9998",
+        "drive": "9974c51dd4cae17154df7e6c81390b1f7479a5ef5af2ad72b5546c645c9b066f",
+        "table": "4c84b78b40e66f64bf786fd74762c04b2dd71915bd80706068fb101b0e9e799e",
+    },
+    50_003: {
+        "real": "c557edfe4c5566c72c437641a3d4f4031945e62c79c11afe710ead1fc6abaad2",
+        "complex": "c47ea2ffda12a225ce08cc473f300192f61e5a3c34ca2f35dc37bb9ec135cfb4",
+        "drive": "2e025474f89553e9d84f1a7d4c39b272d71a9ae8e7558d5a9e369ee74ac95730",
+        "table": "14763f57ea5d1a01a8d89f92777a1eb7ffccd081354456ed6f26556c375840f4",
+    },
+}
+
+
 def _allow_cpus(monkeypatch, n_cpus):
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(n_cpus)), raising=False)
@@ -398,6 +418,14 @@ class TestStreamingCsv:
         assert bool(pids - {os.getpid()}) == (above and n_cpus > 1)
         assert path.read_bytes() == reference()
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    @pytest.mark.parametrize("n", sorted(_WRITER_SHA256))
+    @pytest.mark.parametrize("kind", ["real", "complex", "drive", "table"])
+    def test_bytes_are_pinned(self, tmp_path, kind, n):
+        path = tmp_path / f"{kind}.csv"
+        _writer_cases(n)[kind][0](path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == _WRITER_SHA256[n][kind]
 
     @pytest.mark.parametrize("n_cpus", [1, 2])
     @pytest.mark.parametrize("above", [False, True])
@@ -703,6 +731,10 @@ class TestStreamedWelch:
                                  TimeSeries(1.0, 0.0, values))
             del values
             rec = open_timeseries(tmp_path / "a.bin")
+            # a first call imports numpy.fft and fills the interpreter's
+            # free lists, which earlier tests may or may not have done:
+            # each traced call follows the same untraced one
+            welch_psd(rec, segment_len)
             tracemalloc.start()
             try:
                 welch_psd(rec, segment_len)
