@@ -5,15 +5,17 @@ double, the closest to it when several are as short: positional when the
 decimal point falls within 16 digits of the first digit (with ".0" on
 integral values), ``d.ddde±XX`` otherwise.  ``csv_text`` writes the same
 bytes for a whole array of rows at once with numpy.  The digits come from
-the common case of Ryu (Adams, "Ryu: fast float to string conversion",
-PLDI 2018); the text is laid out eight bytes at a time in int64 words.
+Ryu (Adams, "Ryu: fast float to string conversion", PLDI 2018); the text
+is laid out eight bytes at a time in int64 words.
 
-Ryu's common case does not cover every value, and those are written with
-``repr`` itself, the definition being matched: zeros and subnormals
-(biased exponent 0), infinities and NaN (2047), values whose exact
-decimal digits may end in zeros (e2 >= 0 with q <= 21, e2 < 0 with
-q <= 1) and values whose scaled significand mv is a multiple of 2^q
-(integers and short binary fractions), in Ryu's notation.
+Besides Ryu's common case, the kernel covers the values whose scaled
+significand mv is a multiple of 2^q (integers and short binary fractions,
+such as the frequency grid of a PSD): vr is then exact, and a last
+removed digit of 5 is a tie, rounded to even (Ryu's vrIsTrailingZeros).
+The rest are written with ``repr`` itself, the definition being matched:
+zeros and subnormals (biased exponent 0), infinities and NaN (2047), and
+values whose interval bounds may be exact decimals too (e2 >= 0 with
+q <= 21, e2 < 0 with q <= 1), in Ryu's notation.
 
 The 668 rows of power-of-five multipliers and every table derived from
 them are built from exact Python integers on first use, not at import.
@@ -64,7 +66,7 @@ def _pow5_bits(e):
 
 def exponent_params(b):
     """(e2, q, j, row of ``pow5_rows``) for biased exponent b, or None
-    where the common case does not apply.
+    where its values are left to ``repr``.
 
     e2 = b - 1077, so that the value is (4 m2) 2^e2 / 4 with m2 the
     significand and its hidden bit.  q = floor(log10(2^e2)) - (e2 > 3) for
@@ -91,11 +93,13 @@ def _tables():
     (``_mapped``)."""
     rows = pow5_rows()
     mult = [[0] * 2048 for _ in range(4)]
-    shift, keep, e10, vm_pow2 = [21] * 2048, [0] * 2048, [0] * 2048, [0] * 2048
+    shift, e10, vm_pow2 = [21] * 2048, [0] * 2048, [0] * 2048
+    exact, to_repr = [0] * 2048, [True] * 2048
     for b in range(2048):
         params = exponent_params(b)
         if params is None:
-            continue                    # keep 0: left to repr
+            continue
+        to_repr[b] = False
         e2, q, j, row = params
         m = rows[row]
         for k in range(4):
@@ -103,8 +107,9 @@ def _tables():
         # vr = (4 m2 M) >> j = (2 m2 M) >> (j - 1), whose bits start in
         # limb 3 of 2 m2 M, at bit j - 1 - 96 (between 21 and 24)
         shift[b] = j - 97
-        # m2 & keep == 0: mv = 4 m2 a multiple of 2^q, m2 one of 2^(q - 2)
-        keep[b] = -1 if e2 >= 0 else (1 << min(q - 2, 62)) - 1
+        # m2 & exact == 0: mv = 4 m2 a multiple of 2^q, m2 one of
+        # 2^(q - 2), so that vr is exact (never for e2 >= 0 and q > 21)
+        exact[b] = -1 if e2 >= 0 else (1 << min(q - 2, 62)) - 1
         e10[b] = q if e2 >= 0 else q + e2
         # at a power of two (m2 = 2^52, Ryu's mmShift = 0) the lower bound
         # is (4 m2 - 1) M >> j, not (4 m2 - 2) M >> j
@@ -135,13 +140,14 @@ def _tables():
                  for c in range(_SLOT_BYTES)]
     return _mapped(
         mult=("q", (4, 2048), [v for limbs in mult for v in limbs]),
-        keep=("q", 2048, keep), vm_pow2=("q", 2048, vm_pow2),
+        exact=("q", 2048, exact), vm_pow2=("q", 2048, vm_pow2),
         p10=("q", 19, [10 ** k for k in range(19)]),
         dot_masks=("q", (3, 3, _TEXT_BYTES + 1), dot_masks),
         tail=("q", 2 * _TAIL_ROWS,
               [int.from_bytes(t, "little") for t in tails]),
         tail_len=("q", 2 * _TAIL_ROWS, [len(t) for t in tails]),
         shift=("q", 2048, shift), e10=("q", 2048, e10),
+        to_repr=("?", 2048, to_repr),
         slot_keep=("?", (8 * (_TEXT_BYTES + 1), _SLOT_BYTES), slot_keep))
 
 
@@ -172,11 +178,12 @@ def _shortest(bits, t):
     """(digits, decimal exponent, written by repr) for the float64 values
     with int64 bit patterns ``bits``: the shortest digits d with d 10^e in
     the value's rounding interval, the closest to the value when several
-    are as short (Ryu's common case)."""
+    are as short, and the even one of two as close (Ryu)."""
     b = (bits >> 52) & 0x7FF
     frac = bits & ((1 << 52) - 1)
     m2 = frac | (1 << 52)
-    fallback = (m2 & np.take(t.keep, b)) == 0
+    fallback = np.take(t.to_repr, b)
+    exact = (m2 & np.take(t.exact, b)) == 0
     # P = 2 m2 M in 32-bit limbs: 2 m2 = x1 2^32 + x0, M = sum(M_k 2^32k).
     # x0 M_k fills 64 bits, so it is split into a low (lo) and a high (hi)
     # half; x1 < 2^22, so x1 M_k < 2^54 is added whole.  Column c of P:
@@ -225,13 +232,23 @@ def _shortest(bits, t):
             removed[of] += more
         qp //= 10
         qm //= 10
-    # round up when the last removed digit is 5 or more (the value lies
-    # above vr, so a 5 is past the half) and when the result is vm, which
-    # lies outside the interval
+    # round up when the last removed digit is 5 or more, and when the
+    # result is vm, which lies outside the interval.  Unless vr is exact,
+    # the value lies above vr, so a 5 is past the half.  An exact vr (mv a
+    # multiple of 2^q) with a last removed 5 is a tie, rounded to even.
+    # Ryu also checks that the digits removed before that 5 are zeros;
+    # here they always are.  vr = (mv / 2^q) 5^i with i >= 3, so its last
+    # k <= 3 digits are a multiple of 5^k: 5x and 5xx only as 50 and 500.
+    # Four or more removed digits 5xxx other than 50..0 would put vr more
+    # than 400 from the multiple of 10^removed in [vm, vp], but
+    # vp - vm <= 4 * 5^-e2 / 10^q + 1 < 401.
     cut = removed > 0
     r = vr // np.take(t.p10, removed - 1, mode="clip")     # vr at 0
     out = np.where(cut, r // 10, r)
-    round_up = cut & (r - 10 * out >= 5)
+    last = r - 10 * out                                    # 0 at 0
+    round_up = cut & (last >= 5)
+    tie = np.flatnonzero(exact & (last == 5))
+    round_up[tie] = (np.take(out, tie) & 1) == 1
     out += round_up | (out == vm // np.take(t.p10, removed))
     return out, np.take(t.e10, b) + removed, fallback
 

@@ -19,6 +19,7 @@ or non-convergence.
 """
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -31,7 +32,8 @@ from . import io as _io
 from . import mech as _mech
 from . import servo as _servo
 from . import synth as _synth
-from .config import Config, ConfigError, default_config, load_config
+from .config import (Config, ConfigError, _is_number, default_config,
+                     load_config)
 from .constants import BOLTZMANN, PLANCK
 
 EXIT_OK = 0
@@ -264,14 +266,38 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _manifest_records(path) -> list:
+    """The ``outputs.files.records`` entries of a sweep manifest, each a
+    CSV file name or a binary base/response pair with its drive frequency;
+    anything else raises FormatError naming the manifest."""
+    doc = _io.read_result_doc(path)
+    files = doc.get("outputs")
+    files = files.get("files") if isinstance(files, dict) else None
+    entries = files.get("records") if isinstance(files, dict) else None
+    if not isinstance(entries, list):
+        raise _io.FormatError(f"{path}: not a sweep manifest: "
+                              "outputs.files.records is not a list")
+    if not entries:
+        raise _io.FormatError(f"{path}: manifest lists no records")
+    for k, entry in enumerate(entries):
+        pair = (isinstance(entry, dict)
+                and _is_number(entry.get("drive_freq_hz"))
+                and isinstance(entry.get("base"), str)
+                and isinstance(entry.get("response"), str))
+        if not (isinstance(entry, str) or pair):
+            raise _io.FormatError(
+                f"{path}: record {k} is neither a file name nor an object "
+                f"with a finite drive_freq_hz and base and response file "
+                f"names: {json.dumps(entry)}")
+    return entries
+
+
 def _load_drive_records(in_paths):
-    """Drive records from a manifest (schema-checked) or record files."""
+    """Drive records from a manifest (checked by ``_manifest_records``) or
+    record files."""
     if len(in_paths) == 1 and in_paths[0].endswith(".json"):
-        doc = _io.read_result_doc(in_paths[0])
+        entries = _manifest_records(in_paths[0])
         base = os.path.dirname(os.path.abspath(in_paths[0]))
-        entries = doc["outputs"]["files"].get("records", [])
-        if not entries:
-            raise _io.FormatError(f"{in_paths[0]}: manifest lists no records")
         # CSV drive-record files, read in one batch
         csv_records = iter(_io.read_driverecords_csv(
             [os.path.join(base, e) for e in entries if isinstance(e, str)]))
@@ -415,6 +441,10 @@ def _report_transfer(cfg: Config, seed: int, table, device: str) -> dict:
     records = _sweep(cfg, seed, device, f_max)
     est = _fit_transfer(cfg, records)
     f_arr = np.array([rec.drive_freq for rec in records])
+    # the sweep is freed before the first table is written: memory that
+    # the CSV kernel keeps from its first use would otherwise land above
+    # it and keep the heap from shrinking (4 MB more peak RSS in report)
+    del records
     w_arr = 2.0 * np.pi * f_arr
     # the overlay is always the single-stage low-pass with independently
     # supplied outer parameters, never a fit to the estimate
@@ -507,6 +537,16 @@ def _add_common(parser, suppress=False):
                         **kw)
 
 
+class _Inputs(argparse.Action):
+    """The inputs of `analyze`: one record, except for transfer."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if namespace.quantity != "transfer" and len(values) > 1:
+            parser.error(f"analyze {namespace.quantity} reads one record, "
+                         f"got {len(values)} inputs")
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="optomech",
@@ -535,8 +575,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(ana, suppress=True)
     ana.add_argument("quantity",
                      choices=["q", "finesse", "mech-q", "transfer", "psd"])
-    ana.add_argument("inputs", nargs="+",
-                     help="input data file(s) or a simulate manifest")
+    ana.add_argument("inputs", nargs="+", action=_Inputs,
+                     help="the record to analyze; for transfer, drive-record "
+                          "files or a simulate manifest")
     ana.set_defaults(func=cmd_analyze)
 
     chk = sub.add_parser("design-check",

@@ -8,6 +8,9 @@ keys anywhere in the tree are rejected, and every value must have its
 default's type: a finite JSON number where the default is a number (not a
 boolean), a string where it is a string, and null or a finite number
 where it is null.  Seeds and counts (_INTEGER_KEYS) must be JSON integers.
+No synthesized record, and no sweep in total, may hold more than
+MAX_RECORD_SAMPLES samples; the counts are checked here, before anything
+is allocated.
 """
 
 import json
@@ -16,6 +19,13 @@ from dataclasses import dataclass, field
 
 from .cavity import Cavity
 from .mech import MechMode, NestedModel
+
+
+# The most samples one synthesized record may hold (a drive record: per
+# channel), and a whole sweep together: 2^27, 22 times the 6 M samples of
+# the longest record the benchmark writes (a 240 s ringdown at 25 kHz).
+# A complex record of this length takes 2 GiB.
+MAX_RECORD_SAMPLES = 1 << 27
 
 
 class ConfigError(ValueError):
@@ -109,6 +119,37 @@ _ANALYSIS_DEFAULTS = {
 }
 
 
+def _check_samples(n, where: str):
+    if n > MAX_RECORD_SAMPLES:
+        raise ConfigError(f"{where} is more than {MAX_RECORD_SAMPLES:,} "
+                          "samples (MAX_RECORD_SAMPLES)")
+
+
+def _check_record_sizes(synth: dict):
+    """Each record's sample count, and the sweep's total, against
+    MAX_RECORD_SAMPLES, computed from the config values alone."""
+    for name, rate in (("brownian", "sample_rate_hz"),
+                       ("ringdown_optical", "sample_rate_hz"),
+                       ("ringdown_mech", "sample_rate_hz"),
+                       ("lock", "loop_rate_hz")):
+        p = synth[name]
+        _check_samples(p["duration_s"] * p[rate],
+                       f"synth.{name}: duration_s * {rate}")
+    p = synth["sweep"]
+    per_record = p["samples_per_cycle"] * p["cycles_per_point"]
+    _check_samples(per_record, "synth.sweep: samples_per_cycle * "
+                               "cycles_per_point")
+    if p["points_per_decade"] < 1:
+        raise ConfigError("synth.sweep.points_per_decade must be at least 1, "
+                          f"got {p['points_per_decade']}")
+    if 0 < p["f_min_hz"] <= p["f_max_hz"]:
+        # at most this many drive frequencies 10^(k / points_per_decade)
+        # lie in [f_min_hz, f_max_hz]
+        points = (float(p["points_per_decade"])
+                  * math.log10(p["f_max_hz"] / p["f_min_hz"]) + 1.0)
+        _check_samples(points * per_record, "synth.sweep in total")
+
+
 def _merge_section(user: dict, defaults: dict, where: str) -> dict:
     _check_keys(user, defaults, where)
     out = {}
@@ -180,6 +221,7 @@ def config_from_dict(d: dict) -> Config:
         raise ConfigError("synth.brownian.device must be 'inner' or 'outer'")
     if synth["brownian"]["mode"] not in ("envelope", "baseband"):
         raise ConfigError("synth.brownian.mode must be 'envelope' or 'baseband'")
+    _check_record_sizes(synth)
     try:
         NestedModel(outer=outer, inner=inner)   # validate the pairing
     except ValueError as exc:

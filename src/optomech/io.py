@@ -15,17 +15,17 @@ so that neither is held whole.  All writes are atomic
 umask.  CSV floats are written exactly as repr writes them, the shortest
 decimal that reads back as the same double, so a rerun with the same
 inputs is byte-identical; _shortest.csv_text computes the digits of a
-whole chunk at once with Ryu's common case and leaves the few values it
-does not cover to repr.
+whole chunk at once with Ryu and leaves zeros, subnormals, non-finite
+values and the few others it does not cover to repr.
 
-CSV writers stream rows in fixed chunks, so memory stays bounded.  Long
-CSV records and whole sweeps are formatted and parsed on every CPU the
-process may run on, one forked worker per CPU: writers format the chunks
-of a long record, or of all the records of a sweep, on the workers; readers
-parse a long record in byte ranges, and the files of a sweep one per
-worker.  Results are put back in order, a few jobs ahead of the one in
-use, so the bytes written and the values read do not depend on the CPU
-count and results never pile up.
+CSV writers stream rows in fixed chunks, so memory stays bounded, and
+format them in this process: at well under a microsecond per value, a
+pool of workers would spend more CPU time than it saves in wall time.
+Long CSV records and whole sweeps are parsed on every CPU the process may
+run on, one forked worker per CPU: a long record in byte ranges, the files
+of a sweep one per worker.  Results are put back in order, a few jobs
+ahead of the one in use, so the values read do not depend on the CPU count
+and results never pile up.
 """
 
 import collections
@@ -49,13 +49,6 @@ _TS_MAGIC = b"OMB1"
 _TS_HEAD = struct.Struct("<4sB3x4dQ")
 
 _CHUNK_ROWS = 1 << 14  # rows formatted and written at a time
-# Shorter records are formatted in process.  Measured on a 2-CPU x86-64
-# host: formatting and writing take ~0.34 us per value in process, while a
-# pool of two costs 30-70 ms more (start, join, and sending the text back),
-# so it first saves wall time at ~2e5 values, about 131,072 rows of a
-# two-column record (in process 89 ms, pool 84 ms); a one-column record
-# breaks even only at ~1e6 rows.  The pool always costs more CPU time.
-_POOL_MIN_ROWS = 1 << 17
 # Shorter CSV bodies, and batches of files, are parsed in process: parsing
 # runs at ~40 MB/s per CPU (36-44 MB/s measured), and a pool of two wins
 # only above ~5 MiB on the same host (4 MiB: 113 ms serial, 156 ms pooled;
@@ -187,31 +180,15 @@ def _csv_columns(columns):
 
 def _write_csv(files):
     """Stream CSVs of equal-length 1-D float columns, one per
-    ``(path, header_lines, columns)`` entry of ``files``, in order.
-
-    Rows are formatted ``_CHUNK_ROWS`` at a time.  When the files hold
-    ``_POOL_MIN_ROWS`` rows or more together, all their chunks are formatted
-    on one pool (``_cpu_imap``).  Workers only format text: this process
-    writes each file in order through ``_atomic_open``, so the bytes never
-    depend on the CPU count.
-    """
+    ``(path, header_lines, columns)`` entry of ``files``, in order, each
+    through ``_atomic_open``, formatting ``_CHUNK_ROWS`` rows at a time."""
     files = [(path, header, _csv_columns(columns))
              for path, header, columns in files]
-    jobs = [(k, start) for k, (_, _, columns) in enumerate(files)
-            for start in range(0, columns[0].size, _CHUNK_ROWS)]
-
-    def format_chunk(job):
-        k, start = job
-        return _format_rows(files[k][2], start, start + _CHUNK_ROWS)
-
-    n_rows = sum(columns[0].size for _, _, columns in files)
-    with contextlib.closing(
-            _cpu_imap(format_chunk, jobs, n_rows >= _POOL_MIN_ROWS)) as texts:
-        for path, header, columns in files:
-            with _atomic_open(path) as fh:
-                fh.write(("\n".join(header) + "\n").encode())
-                for _ in range(0, columns[0].size, _CHUNK_ROWS):
-                    fh.write(next(texts))
+    for path, header, columns in files:
+        with _atomic_open(path) as fh:
+            fh.write(("\n".join(header) + "\n").encode())
+            for start in range(0, columns[0].size, _CHUNK_ROWS):
+                fh.write(_format_rows(columns, start, start + _CHUNK_ROWS))
 
 
 def write_timeseries_csv(path, ts: TimeSeries):
@@ -572,8 +549,7 @@ def _driverecord_csv(rec: DriveRecord):
 
 
 def write_driverecords_csv(paths, records):
-    """Write each drive record to the path at the same position, formatting
-    all of them on one pool when they are long enough together."""
+    """Write each drive record to the path at the same position."""
     _write_csv([(path, *_driverecord_csv(rec))
                 for path, rec in zip(paths, records, strict=True)])
 
@@ -628,7 +604,10 @@ def read_result_doc(path) -> dict:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema") != RESULT_SCHEMA:
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: not a result document (a JSON "
+                          f"{type(doc).__name__}, not an object)")
+    if doc.get("schema") != RESULT_SCHEMA:
         raise SchemaError(
             f"{path}: schema mismatch (expected {RESULT_SCHEMA!r}, "
             f"got {doc.get('schema')!r})")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from optomech import default_config
 from optomech import estimate as _estimate
 from optomech.cli import EXIT_CONFIG, EXIT_FIT, EXIT_IO, EXIT_OK, format_value_pm, main
+from optomech.config import MAX_RECORD_SAMPLES, ConfigError
 from optomech.io import read_result_doc, read_timeseries, write_result_doc
 
 
@@ -497,6 +498,104 @@ class TestExitCodes:
                 "config": {}, "outputs": {"files": {"records": ["rec.csv"]}}})
         assert main(["--out", str(tmp_path), "analyze", "transfer",
                      str(target)]) == EXIT_IO
+
+    @pytest.mark.parametrize("outputs", [
+        {},
+        {"files": {}},
+        {"files": {"records": "sweep.csv"}},
+        {"files": {"records": []}},
+        {"files": {"records": [3]}},
+        {"files": {"records": ["rec.csv", None]}},
+        {"files": {"records": [{"drive_freq_hz": "x", "base": "b.bin",
+                                "response": "r.bin"}]}},
+        {"files": {"records": [{"drive_freq_hz": True, "base": "b.bin",
+                                "response": "r.bin"}]}},
+        {"files": {"records": [{"drive_freq_hz": 1e3, "base": "b.bin"}]}},
+        {"files": {"records": [{"drive_freq_hz": 1e3, "base": 2,
+                                "response": "r.bin"}]}},
+        [],
+    ], ids=["no-files", "no-records", "string-records", "empty-records",
+            "int-entry", "null-entry", "str-freq", "bool-freq",
+            "no-response", "int-base", "outputs-list"])
+    def test_malformed_manifest_is_io_error(self, tmp_path, capsys, outputs):
+        (tmp_path / "rec.csv").write_text("not read\n")
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "schema": "optomech.result/1", "command": "simulate sweep",
+            "config": {}, "outputs": outputs}))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "analyze", "transfer",
+                     str(manifest)]) == EXIT_IO
+        assert f"I/O error: {manifest}: " in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("doc", ["[1, 2]", '"optomech.result/1"', "3",
+                                     "null"])
+    def test_manifest_that_is_not_an_object_is_io_error(self, tmp_path,
+                                                         capsys, doc):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(doc)
+        assert main(["--out", str(tmp_path), "analyze", "transfer",
+                     str(manifest)]) == EXIT_IO
+        assert "not a result document" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("quantity", ["q", "psd", "finesse", "mech-q"])
+    def test_single_record_analysis_rejects_more_inputs(self, tmp_path,
+                                                        capsys, quantity):
+        path = tmp_path / "ten.csv"
+        path.write_text("not read\n")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "analyze", quantity, str(path),
+                     str(path), str(tmp_path / "missing.csv")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"analyze {quantity} reads one record, got 3 inputs" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("synth", [
+        {"brownian": {"duration_s": 1e15}},
+        {"brownian": {"sample_rate_hz": 1e300, "duration_s": 1e300}},
+        {"ringdown_optical": {"duration_s": 1e12}},
+        {"ringdown_mech": {"duration_s": 1e15}},
+        {"lock": {"duration_s": 1e9}},
+        {"sweep": {"samples_per_cycle": 10 ** 15}},
+        {"sweep": {"cycles_per_point": 10 ** 300}},
+        {"sweep": {"points_per_decade": 10 ** 12}},
+        {"sweep": {"f_min_hz": 1e-300, "f_max_hz": 1e300}},
+    ], ids=["brownian", "brownian-inf", "ringdown-optical", "ringdown-mech",
+            "lock", "sweep-record", "sweep-record-huge-int", "sweep-points",
+            "sweep-span"])
+    def test_record_beyond_the_size_limit_is_config_error(self, tmp_path,
+                                                          synth):
+        # sizes that would need petabytes: the config check runs first,
+        # so that nothing is allocated
+        from optomech import config_from_dict
+        with pytest.raises(ConfigError, match="MAX_RECORD_SAMPLES"):
+            config_from_dict({"synth": synth})
+
+    @pytest.mark.parametrize("experiment, synth", [
+        ("brownian", {"brownian": {"duration_s": 1e15}}),
+        ("lock", {"lock": {"duration_s": 1e9}}),
+        ("sweep", {"sweep": {"samples_per_cycle": 10 ** 15}}),
+    ])
+    def test_oversized_simulate_exits_2_before_writing(
+            self, tmp_path, capsys, experiment, synth):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"synth": synth}))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "simulate",
+                     experiment]) == EXIT_CONFIG
+        assert "MAX_RECORD_SAMPLES" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_size_limit_leaves_room_for_long_records(self):
+        from optomech import config_from_dict
+        # 16 times the 6 M samples of a 240 s ringdown at 25 kHz
+        assert MAX_RECORD_SAMPLES >= 16 * 6_000_000
+        # exactly at the limit: accepted
+        cfg = config_from_dict({"synth": {"lock": {
+            "duration_s": MAX_RECORD_SAMPLES / 1e7, "loop_rate_hz": 1e7}}})
+        assert cfg.synth["lock"]["duration_s"] * 1e7 == MAX_RECORD_SAMPLES
 
     def test_non_utf8_record_is_io_error(self, tmp_path):
         path = tmp_path / "rec.csv"

@@ -243,6 +243,15 @@ class TestResultDocs:
             write_result_doc(tmp_path / "res.json", doc)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '"optomech.result/1"', "3",
+                                      "null", "true"])
+    def test_document_that_is_not_an_object_is_schema_error(self, tmp_path,
+                                                            text):
+        path = tmp_path / "res.json"
+        path.write_text(text)
+        with pytest.raises(SchemaError, match="not a result document"):
+            read_result_doc(path)
+
     def test_invalid_json_is_format_error(self, tmp_path):
         path = tmp_path / "res.json"
         path.write_text("{not json")
@@ -402,20 +411,31 @@ def _sweep(n_records, n):
             for k in range(n_records)]
 
 
+@pytest.fixture
+def no_fork(monkeypatch):
+    """Make starting a process fail the test: CSV writers format every
+    chunk in the calling process."""
+    def fork():
+        raise AssertionError("a CSV write started a process")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+# rows of a long record: several chunks and a short last one
+_LONG_ROWS = 8 * omio._CHUNK_ROWS + omio._CHUNK_ROWS // 2 + 3
+
+
+@pytest.mark.usefixtures("no_fork")
 class TestStreamingCsv:
     @pytest.mark.parametrize("n_cpus", [1, 2])
-    @pytest.mark.parametrize("above", [False, True])
+    @pytest.mark.parametrize("long", [False, True])
     @pytest.mark.parametrize("kind", ["real", "complex", "drive", "table"])
     def test_bytes_equal_per_element_reference(self, tmp_path, monkeypatch,
-                                               kind, above, n_cpus):
-        # above the pool threshold, with a short last chunk
-        n = omio._POOL_MIN_ROWS + omio._CHUNK_ROWS // 2 + 3 if above else 300
+                                               kind, long, n_cpus):
         _allow_cpus(monkeypatch, n_cpus)
-        pids = _job_pids(monkeypatch)
-        write, reference = _writer_cases(n)[kind]
+        write, reference = _writer_cases(_LONG_ROWS if long else 300)[kind]
         path = tmp_path / f"{kind}.csv"
         write(path)
-        assert bool(pids - {os.getpid()}) == (above and n_cpus > 1)
         assert path.read_bytes() == reference()
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
@@ -428,18 +448,16 @@ class TestStreamingCsv:
         assert digest == _WRITER_SHA256[n][kind]
 
     @pytest.mark.parametrize("n_cpus", [1, 2])
-    @pytest.mark.parametrize("above", [False, True])
+    @pytest.mark.parametrize("long", [False, True])
     def test_sweep_bytes_equal_per_record_reference(self, tmp_path,
-                                                    monkeypatch, above,
+                                                    monkeypatch, long,
                                                     n_cpus):
-        # records below the pool threshold, together above it when `above`
+        # records shorter than a chunk, together a long record when `long`
         n = omio._CHUNK_ROWS // 2 + 5
-        records = _sweep(omio._POOL_MIN_ROWS // n + 1 if above else 2, n)
+        records = _sweep(_LONG_ROWS // n + 1 if long else 2, n)
         _allow_cpus(monkeypatch, n_cpus)
-        pids = _job_pids(monkeypatch)
         paths = [tmp_path / f"sweep_{k:03d}.csv" for k in range(len(records))]
         write_driverecords_csv(paths, records)
-        assert bool(pids - {os.getpid()}) == (above and n_cpus > 1)
         for path, rec in zip(paths, records):
             assert path.read_bytes() == _ref_driverecord_csv(rec)
         assert sorted(tmp_path.iterdir()) == paths
@@ -447,7 +465,7 @@ class TestStreamingCsv:
     @pytest.mark.parametrize("n_cpus", [1, 2])
     def test_failure_leaves_no_file_and_no_child(self, tmp_path, monkeypatch,
                                                  n_cpus):
-        ts = TimeSeries(1.0, 0.0, _values(omio._POOL_MIN_ROWS * 2, 4))
+        ts = TimeSeries(1.0, 0.0, _values(_LONG_ROWS, 4))
         _check_failed_write(tmp_path, monkeypatch, n_cpus,
                             lambda: write_timeseries_csv(tmp_path / "rec.csv",
                                                          ts))
@@ -455,29 +473,28 @@ class TestStreamingCsv:
     @pytest.mark.parametrize("n_cpus", [1, 2])
     def test_sweep_failure_leaves_no_file_and_no_child(self, tmp_path,
                                                        monkeypatch, n_cpus):
-        records = _sweep(4, omio._POOL_MIN_ROWS // 2)
+        records = _sweep(4, 2 * omio._CHUNK_ROWS)
         paths = [tmp_path / f"sweep_{k}.csv" for k in range(4)]
         _check_failed_write(tmp_path, monkeypatch, n_cpus,
                             lambda: write_driverecords_csv(paths, records))
 
 
 def _check_failed_write(tmp_path, monkeypatch, n_cpus, write):
-    """A write whose formatting fails leaves no file and no child."""
+    """A write whose formatting fails after its first chunk, in this
+    process, leaves no file and no child."""
     _allow_cpus(monkeypatch, n_cpus)
 
     def failing(columns, start, stop):
-        raise RuntimeError(f"formatting failed in pid {os.getpid()}")
+        if start:
+            raise RuntimeError(f"formatting failed in pid {os.getpid()}")
+        return b""
 
     monkeypatch.setattr(omio, "_format_rows", failing)
     with pytest.raises(RuntimeError, match="formatting failed") as err:
         write()
-    pid = int(str(err.value).rsplit(" ", 1)[1])
-    assert (pid != os.getpid()) == (n_cpus > 1)
+    assert int(str(err.value).rsplit(" ", 1)[1]) == os.getpid()
     assert list(tmp_path.iterdir()) == []
     assert multiprocessing.active_children() == []
-    if pid != os.getpid():
-        with pytest.raises(ProcessLookupError):
-            os.kill(pid, 0)       # the worker was reaped
 
 
 def _loadtxt_reference(path):

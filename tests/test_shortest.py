@@ -1,8 +1,9 @@
 """The CSV float kernel writes each value exactly as repr does.
 
-``_shortest.csv_text`` computes shortest round-trip digits with Ryu's
-common case and lays them out as ``repr(float)``; the values that case
-does not cover are written by ``repr`` itself.  Every test here compares
+``_shortest.csv_text`` computes shortest round-trip digits with Ryu and
+lays them out as ``repr(float)``; the values it does not cover (zeros,
+subnormals, non-finite values and a few exponents) are written by
+``repr`` itself.  Every test here compares
 the kernel's text with ``repr`` value by value.
 """
 
@@ -76,6 +77,20 @@ class TestSameAsRepr:
         _assert_repr_text(rng.standard_normal(40_000) * scale, ncols=2)
         _assert_repr_text(np.arange(40_000) * (scale / 3))
 
+    def test_exact_binary_fractions(self):
+        """Values whose vr is exact (mv a multiple of 2^q): removed digits
+        of 5 and then zeros are a tie, rounded to even."""
+        rng = np.random.default_rng(13)
+        b = rng.integers(1, 2047, 200_000)
+        zeros = rng.integers(0, 53, b.size)    # trailing zero bits of m2
+        frac = rng.integers(0, 2 ** 52, b.size) >> zeros << zeros
+        _assert_repr_text(((b << 52) | frac).view(np.float64))
+        # Welch frequency grids, baseband and band-centred, and halves
+        for n in (256, 4096, 1 << 17):
+            grid = np.fft.fftshift(np.fft.fftfreq(n, 1 / 400.0))
+            _assert_repr_text(np.concatenate([grid, 250e3 + grid]))
+        _assert_repr_text(np.arange(-2 ** 17, 2 ** 17) / 8.0)
+
     def test_positional_and_exponent_boundaries(self):
         # 1e-5 and 1e16 switch to the exponent form; 17 significant digits
         # and negative values take the longest text
@@ -88,17 +103,22 @@ class TestSameAsRepr:
 
 
 class TestFallback:
-    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.0, 0.5,
-               -2.0, 1024.0, float(2 ** 60), 1e20, float("inf"),
-               float("-inf"), float("nan")]
+    TO_REPR = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+               float(2 ** 60), 1e20, 2.0 ** 51 + 0.5, float(2 ** 52),
+               float("inf"), float("-inf"), float("nan")]
+    # exact binary fractions: the kernel's tie rule covers them
+    EXACT = [1.0, 0.5, -2.0, 1024.0, 0.75, 1e15 + 0.5, 2.0 ** -1000]
+    SPECIAL = TO_REPR + EXACT
 
     def test_values_left_to_repr(self):
-        assert _left_to_repr(self.SPECIAL).all()
-        assert not _left_to_repr([0.1, 1e-12, 3.3e300, -7.25e-5]).any()
+        assert _left_to_repr(self.TO_REPR).all()
+        assert not _left_to_repr([0.1, 1e-12, 3.3e300, -7.25e-5,
+                                  *self.EXACT]).any()
 
     def test_left_to_repr_exactly_where_ryu_leaves_the_common_case(self):
-        """Biased exponent 0 or 2047, e2 >= 0 with q <= 21, e2 < 0 with
-        q <= 1, or mv = 4 m2 a multiple of 2^q (exact integers here)."""
+        """Biased exponent 0 or 2047, e2 >= 0 with q <= 21, or e2 < 0 with
+        q <= 1, whatever the trailing zero bits of m2: values with mv a
+        multiple of 2^q are the kernel's."""
         rng = np.random.default_rng(11)
         b = rng.integers(0, 2048, 100_000)
         zeros = rng.integers(0, 60, b.size)    # trailing zero bits of m2
@@ -108,10 +128,9 @@ class TestFallback:
              else len(str(5 ** -e2)) - 1 - (-e2 > 1)
              for e2 in range(-1077, 2048 - 1077)]
         want = []
-        for bb, f in zip(b.tolist(), frac.tolist()):
-            e2, mv = bb - 1077, 4 * ((1 << 52) | f)
-            want.append(bb in (0, 2047) or q[bb] <= (21 if e2 >= 0 else 1)
-                        or (e2 < 0 and mv % 2 ** q[bb] == 0))
+        for bb in b.tolist():
+            e2 = bb - 1077
+            want.append(bb in (0, 2047) or q[bb] <= (21 if e2 >= 0 else 1))
         wrong = np.flatnonzero(_left_to_repr(x) != np.array(want))
         assert wrong.size == 0, f"misclassified: {x[wrong[:5]].tolist()}"
         _assert_repr_text(x)
@@ -140,7 +159,7 @@ class TestFallback:
         edges = sorted(edges)
         x[edges] = np.resize(self.SPECIAL, (len(edges), 1))
         _assert_repr_text(x, ncols)
-        finite = [v for v in self.SPECIAL if math.isfinite(v)]
+        finite = [v for v in self.TO_REPR if math.isfinite(v)]
         x[edges] = np.resize(finite, (len(edges), 1))
         assert _left_to_repr(x[edges]).all()
         ts = TimeSeries(1.0, 0.0, x.view(np.complex128)[:, 0] if ncols == 2
@@ -178,6 +197,10 @@ class TestTables:
             assert _shortest.exponent_params(b) == want, b
             # the 64-bit window of 2 m2 M starts in its limb 3
             assert not covered or 118 <= j <= 125
+            # an exact vr is a multiple of 5^3, and vp - vm < 401: the tie
+            # rule needs no check of the digits below a removed 5
+            assert not covered or e2 >= 0 or (
+                -e2 - q >= 3 and 10 ** (q + 1) <= 5 ** -e2 < 10 ** (q + 2))
 
     def test_tables_hold_the_rows_limb_for_limb(self):
         t = _shortest._tables()
@@ -185,12 +208,15 @@ class TestTables:
         for b in range(2048):
             params = _shortest.exponent_params(b)
             limbs = [int(t.mult[k][b]) for k in range(4)]
+            assert t.to_repr[b] == (params is None)
             if params is None:
-                assert limbs == [0] * 4 and t.keep[b] == 0
+                assert limbs == [0] * 4
                 continue
             e2, q, j, row = params
             m = rows[row]
             assert limbs == [(m >> (32 * k)) % 2 ** 32 for k in range(4)]
+            # m2 & exact == 0 exactly when mv = 4 m2 is a multiple of 2^q
+            assert t.exact[b] == (-1 if e2 >= 0 else 2 ** min(q - 2, 62) - 1)
             assert t.shift[b] == j - 97
             assert t.vm_pow2[b] == ((4 << 52) - 1) * m >> j
 
