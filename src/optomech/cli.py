@@ -33,7 +33,7 @@ from . import mech as _mech
 from . import servo as _servo
 from . import synth as _synth
 from .config import (Config, ConfigError, _is_number, default_config,
-                     load_config)
+                     load_config, sweep_exponents)
 from .constants import BOLTZMANN, PLANCK
 
 EXIT_OK = 0
@@ -121,10 +121,8 @@ def _sweep(cfg: Config, seed: int, device: str, f_max=math.inf):
         model, mass_ratio, offset = cfg.nested, cfg.mass_ratio, _SEED_SWEEP_NESTED
     else:
         model, mass_ratio, offset = cfg.inner, None, _SEED_SWEEP_SINGLE
-    ppd = p["points_per_decade"]
-    lo = math.ceil(math.log10(p["f_min_hz"]) * ppd)
-    hi = math.floor(math.log10(min(p["f_max_hz"], f_max)) * ppd)
-    freqs = [10 ** (k / ppd) for k in range(lo, hi + 1)]
+    freqs = [10 ** (k / p["points_per_decade"])
+             for k in sweep_exponents(p, f_max)]
     return _synth.synth_drive_sweep(
         model, freqs, p["amplitude_m"], p["cycles_per_point"], seed + offset,
         mass_ratio=mass_ratio, samples_per_cycle=p["samples_per_cycle"],

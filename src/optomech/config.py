@@ -142,12 +142,33 @@ def _check_record_sizes(synth: dict):
     if p["points_per_decade"] < 1:
         raise ConfigError("synth.sweep.points_per_decade must be at least 1, "
                           f"got {p['points_per_decade']}")
-    if 0 < p["f_min_hz"] <= p["f_max_hz"]:
+    if not (p["f_min_hz"] > 0 and p["f_max_hz"] > 0):
+        raise ConfigError("synth.sweep.f_min_hz and f_max_hz must be > 0, "
+                          f"got {p['f_min_hz']} and {p['f_max_hz']}")
+    if p["f_min_hz"] <= p["f_max_hz"]:
         # at most this many drive frequencies 10^(k / points_per_decade)
         # lie in [f_min_hz, f_max_hz]
         points = (float(p["points_per_decade"])
                   * math.log10(p["f_max_hz"] / p["f_min_hz"]) + 1.0)
         _check_samples(points * per_record, "synth.sweep in total")
+    try:
+        grid = sweep_exponents(p)
+    except OverflowError as exc:     # points_per_decade near the float limit
+        raise ConfigError(f"synth.sweep: {exc}") from exc
+    if not grid:
+        raise ConfigError(
+            "synth.sweep holds no drive frequency 10^(k / points_per_decade) "
+            f"from f_min_hz = {p['f_min_hz']} to f_max_hz = {p['f_max_hz']}")
+
+
+def sweep_exponents(sweep: dict, f_max=math.inf) -> range:
+    """The k of the drive frequencies 10^(k / points_per_decade) of a
+    ``synth.sweep`` section from f_min_hz up to f_max_hz or f_max, the
+    lesser."""
+    ppd = sweep["points_per_decade"]
+    lo = math.ceil(math.log10(sweep["f_min_hz"]) * ppd)
+    hi = math.floor(math.log10(min(sweep["f_max_hz"], f_max)) * ppd)
+    return range(lo, hi + 1)
 
 
 def _merge_section(user: dict, defaults: dict, where: str) -> dict:

@@ -18,17 +18,16 @@ inputs is byte-identical; _shortest.csv_text computes the digits of a
 whole chunk at once with Ryu and leaves zeros, subnormals, non-finite
 values and the few others it does not cover to repr.
 
-CSV writers stream rows in fixed chunks, so memory stays bounded, and
-format them in this process: at well under a microsecond per value, a
-pool of workers would spend more CPU time than it saves in wall time.
-Long CSV records and whole sweeps are parsed on every CPU the process may
-run on, one forked worker per CPU: a long record in byte ranges, the files
-of a sweep one per worker.  Results are put back in order, a few jobs
-ahead of the one in use, so the values read do not depend on the CPU count
-and results never pile up.
+CSV text is written and read in this process.  Writers stream rows in
+fixed chunks, so memory stays bounded.  Readers cut a body at newlines
+into ranges of about a MiB and parse a range at a time with
+_parse.parse_rows, which gives the bits np.loadtxt(fh, delimiter=",")
+gives in less than half the time; a range with a field outside its
+strict grammar is parsed by that np.loadtxt call itself.  At these speeds
+a pool of worker processes would spend more CPU time than it saves in
+wall time.
 """
 
-import collections
 import contextlib
 import io
 import json
@@ -37,8 +36,10 @@ import struct
 
 import numpy as np
 
-# imported with io, not at the first CSV write: a module loaded after a
-# command has freed large blocks keeps the malloc heap from shrinking
+# imported with io, not at the first CSV read or write: a module loaded
+# after a command has freed large blocks keeps the malloc heap from
+# shrinking
+from ._parse import PAD, parse_rows
 from ._shortest import csv_text
 from .synth import BlockSeries, DriveRecord, TimeSeries, _all_finite, _chunks
 
@@ -49,13 +50,8 @@ _TS_MAGIC = b"OMB1"
 _TS_HEAD = struct.Struct("<4sB3x4dQ")
 
 _CHUNK_ROWS = 1 << 14  # rows formatted and written at a time
-# Shorter CSV bodies, and batches of files, are parsed in process: parsing
-# runs at ~40 MB/s per CPU (36-44 MB/s measured), and a pool of two wins
-# only above ~5 MiB on the same host (4 MiB: 113 ms serial, 156 ms pooled;
-# 6 MiB: 157 ms serial, 117 ms pooled).
-_POOL_MIN_BYTES = 6 << 20
-_RANGE_BYTES = 1 << 20  # bytes of a long CSV body one worker parses at a time
-_JOBS_PER_WORKER = 2    # pool jobs in flight per worker (see _cpu_imap)
+# bytes of CSV body parsed at a time; a longer body is streamed
+_RANGE_BYTES = 1 << 20
 
 
 class FormatError(OSError):
@@ -94,77 +90,6 @@ def _fmt(x) -> str:
 def _format_rows(columns, start, stop) -> bytes:
     """CSV lines of rows [start, stop): each float as its repr."""
     return csv_text(np.stack([c[start:stop] for c in columns], axis=1))
-
-
-# The function a pool worker applies to its jobs; set in each worker only,
-# which also keeps a worker from starting a pool of its own.
-_worker_fn = None
-
-
-def _set_worker_fn(fn):
-    global _worker_fn
-    _worker_fn = fn
-
-
-def _call_worker_fn(job):
-    return _worker_fn(job)
-
-
-def _pool_cpus() -> int:
-    """CPUs a pool may use: those this process may run on.  1, meaning no
-    pool, without CPU affinity or ``fork``, and inside a pool worker."""
-    if _worker_fn is not None or not hasattr(os, "sched_getaffinity"):
-        return 1
-    import multiprocessing
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _cpu_imap(fn, jobs, parallel):
-    """Yield ``fn(job)`` for each of ``jobs``, in order.
-
-    With ``parallel`` set, the jobs run on a pool of forked workers, one per
-    CPU of ``_pool_cpus()`` capped at the job count; with fewer than two
-    workers they run in this process.  Workers inherit ``fn`` through fork,
-    so it may close over large arrays: only the jobs and the results are
-    pickled.  Spawned workers would re-import numpy and need ``fn`` pickled.
-    At most m = ``_JOBS_PER_WORKER`` * workers jobs are submitted and not
-    yet yielded: job k + m is submitted only once the caller, done with the
-    result of job k, asks for the next one.  So results never pile up, and
-    job k may write into slot k % (``_JOBS_PER_WORKER`` * allowed CPUs) of
-    a ring that the caller reads its result from.
-    Fork is safe here because this process runs no threads of its own: no
-    Python threads, and no BLAS threads either, since importing optomech
-    holds OpenBLAS to one thread unless the environment sets
-    OPENBLAS_NUM_THREADS.  Even then no job calls BLAS, whose threads a
-    forked child lacks.  The
-    pool is closed and joined when the iteration ends, also when it raises
-    or is closed early (wrap the call in ``contextlib.closing``), so no
-    worker outlives it.  It is never terminated: a worker killed while it
-    sends a result keeps the result queue's lock, and the pool's shutdown
-    then waits for that lock forever.  After an error the workers finish
-    the queued jobs instead.
-    """
-    jobs = list(jobs)
-    workers = min(_pool_cpus(), len(jobs)) if parallel else 1
-    if workers < 2:
-        yield from map(fn, jobs)
-        return
-    import multiprocessing
-    pool = multiprocessing.get_context("fork").Pool(
-        workers, initializer=_set_worker_fn, initargs=(fn,))
-    try:
-        pending = collections.deque()
-        for job in jobs:
-            if len(pending) == _JOBS_PER_WORKER * workers:
-                yield pending.popleft().get()
-            pending.append(pool.apply_async(_call_worker_fn, (job,)))
-        while pending:
-            yield pending.popleft().get()
-    finally:
-        pool.close()
-        pool.join()
 
 
 def _csv_columns(columns):
@@ -240,46 +165,88 @@ def _parse_rows(fh):
     return np.loadtxt(fh, delimiter=",", ndmin=2)
 
 
-def _line_rows(block, stop):
+def _line_rows(block, stop, newline, pair):
     """The number of lines in ``block[:stop]``, which starts a line, or None
     if ``loadtxt`` may not read each line as one row: it skips empty lines
     and comments ('#'), and the text reader also ends a line at a carriage
     return not followed by a newline.  Any other line is one row or a parse
-    error."""
-    ends = np.flatnonzero(np.frombuffer(block, np.uint8, count=stop) == 10)
-    if (block.find(b"#", 0, stop) >= 0 or (ends.size and ends[0] == 0)
-            or (np.diff(ends) == 1).any()):
+    error.  ``newline`` and ``pair`` are scratch arrays of ``stop`` bools
+    or more."""
+    if block.find(b"#", 0, stop) >= 0:
         return None
+    newline = np.equal(np.frombuffer(block, np.uint8, count=stop), 10,
+                       out=newline[:stop])
+    if newline[0] or np.logical_and(newline[1:], newline[:-1],
+                                    out=pair[:stop - 1]).any():
+        return None                   # an empty line
     if block.find(b"\r", 0, stop) >= 0 and (
-            block.startswith(b"\r\n") or block.find(b"\n\r\n", 0, stop) >= 0
+            block.startswith(b"\r\n", 0, stop)
+            or block.find(b"\n\r\n", 0, stop) >= 0
             or block.count(b"\r", 0, stop) != block.count(b"\r\n", 0, stop)):
         return None
-    return ends.size + (not block.endswith(b"\n", 0, stop))
+    return (int(np.count_nonzero(newline))
+            + (not block.endswith(b"\n", 0, stop)))
 
 
 def _scan_ranges(path, offset):
     """The body after byte ``offset`` cut at newlines into ranges of about
     ``_RANGE_BYTES``, as ``(start, stop, rows)`` with ``rows`` the lines in
     ``[start, stop)``; None, so that the body is parsed whole, if a line is
-    longer than a range or may not be one row (``_line_rows``)."""
+    longer than a range or may not be one row (``_line_rows``).  The body
+    is read into one reused buffer."""
     ranges = []
+    block = bytearray(_RANGE_BYTES)
+    newline, pair = np.empty(_RANGE_BYTES, bool), np.empty(_RANGE_BYTES, bool)
     with open(path, "rb") as fh:
         start = offset
         while True:
             fh.seek(start)
-            block = fh.read(_RANGE_BYTES)
-            if not block:
+            stop = fh.readinto(block)
+            if not stop:
                 return ranges
-            stop = len(block)
             if stop == _RANGE_BYTES:
                 stop = block.rfind(b"\n") + 1
                 if not stop:
                     return None       # a line longer than a range
-            rows = _line_rows(block, stop)
+            rows = _line_rows(block, stop, newline, pair)
             if rows is None:
                 return None
             ranges.append((start, start + stop, rows))
             start += stop
+
+
+def _range_rows(buf, rows, ncols):
+    """The (rows, ncols) values of a range of a CSV body, the text of the
+    bytearray ``buf`` after ``PAD`` but for its last byte: parsed by
+    ``parse_rows``, or by ``np.loadtxt`` where a field lies outside the
+    kernel's grammar; None if that fails or finds another shape."""
+    part = parse_rows(buf, rows, ncols)
+    if part is None:
+        text = memoryview(buf)[len(PAD):-1]
+        try:
+            part = _parse_rows(io.TextIOWrapper(io.BytesIO(text),
+                                                encoding="utf-8"))
+        except ValueError:
+            return None
+        if part.shape != (rows, ncols):
+            return None
+    return part
+
+
+def _read_ranges(path, ranges):
+    """Each ``(start, stop, rows)`` range of a file as a bytearray: ``PAD``,
+    the range's bytes and one byte more, as ``_range_rows`` takes it.  The
+    bytearray is reused; each is valid until the next is requested."""
+    buf = bytearray(PAD)
+    with open(path, "rb") as fh:
+        for start, stop, rows in ranges:
+            size = len(PAD) + stop - start + 1
+            buf[size:] = b""
+            buf.extend(bytes(size - len(buf)))
+            fh.seek(start)
+            if fh.readinto(memoryview(buf)[len(PAD):-1]) != stop - start:
+                raise ValueError("the rows changed while being read")
+            yield buf, rows
 
 
 class _CsvBody:
@@ -287,25 +254,27 @@ class _CsvBody:
     ``np.loadtxt(fh, delimiter=",", ndmin=2)`` on the file read from
     ``offset``, with ``ncols`` values per row.
 
-    A body of ``_POOL_MIN_BYTES`` or more that ``_scan_ranges`` cuts into
-    ranges is parsed a range at a time, on the pool when there is one, and
-    handed over in order (``blocks``), so it is never held whole.  Any
-    other body is parsed at once, serially, when it is opened.  A range
-    that fails to parse, or parses to another shape, ends the iteration
-    with the error of the serial parse, so the values and the errors never
-    depend on the CPU count.
+    A body that ``_scan_ranges`` cuts into several ranges is parsed a
+    range at a time (``_range_rows``) and handed over in order
+    (``blocks``), so it is never held whole.  Any other body is parsed at
+    once when it is opened.  A range that fails to parse, or parses to
+    another shape, ends the iteration with the error of ``np.loadtxt`` on
+    the whole body, so the errors never depend on how it is cut.
     """
 
     def __init__(self, path, offset, ncols):
         self.path, self.offset, self.ncols = path, offset, ncols
-        self.ranges = None
-        if os.path.getsize(path) - offset >= _POOL_MIN_BYTES:
-            self.ranges = _scan_ranges(path, offset)
-        if self.ranges is None:
-            self.data = self._parse_whole()
-            self.n = self.data.shape[0]
-        else:
+        self.ranges = _scan_ranges(path, offset)
+        if self.ranges is not None and len(self.ranges) > 1:
             self.n = sum(rows for _, _, rows in self.ranges)
+            return
+        data = None
+        if self.ranges:
+            (buf, rows), = _read_ranges(path, self.ranges)
+            data = _range_rows(buf, rows, ncols)
+        self.ranges = None
+        self.data = self._parse_whole() if data is None else data
+        self.n = self.data.shape[0]
 
     def _parse_whole(self):
         with open(self.path, "r", encoding="utf-8") as fh:
@@ -322,39 +291,15 @@ class _CsvBody:
         if self.ranges is None:
             yield self.data
             return
-        import mmap
-        path, ncols = self.path, self.ncols
-        # one slot per job in flight, in anonymous shared memory, so that
-        # the workers' writes land in this process
-        slots = _JOBS_PER_WORKER * _pool_cpus()
-        size = max(rows for _, _, rows in self.ranges)
-        ring = np.frombuffer(mmap.mmap(-1, slots * size * ncols * 8),
-                             dtype=np.float64).reshape(slots, size, ncols)
-        jobs = [(k % slots, *r) for k, r in enumerate(self.ranges)]
-
-        def parse_range(job):
-            slot, start, stop, rows = job
-            with open(path, "rb") as fh:
-                fh.seek(start)
-                text = io.TextIOWrapper(io.BytesIO(fh.read(stop - start)),
-                                        encoding="utf-8")
-            part = _parse_rows(text)
-            if part.shape != (rows, ncols):
-                return False
-            ring[slot, :rows] = part
-            return True
-
-        try:
-            with contextlib.closing(_cpu_imap(parse_range, jobs, True)) as done:
-                for (slot, _, _, rows), ok in zip(jobs, done):
-                    if not ok:
-                        break
-                    yield ring[slot, :rows]
-                else:
-                    return
-        except ValueError:
-            pass
-        self._parse_whole()           # raises the serial parse's error
+        with contextlib.closing(_read_ranges(self.path, self.ranges)) as texts:
+            for buf, rows in texts:
+                part = _range_rows(buf, rows, self.ncols)
+                if part is None:
+                    break
+                yield part
+            else:
+                return
+        self._parse_whole()           # raises the whole body's error
         raise ValueError("the rows changed while being read")
 
     def read(self):
@@ -577,13 +522,8 @@ def read_driverecord_csv(path) -> DriveRecord:
 
 
 def read_driverecords_csv(paths) -> list:
-    """Drive records from several CSV files, in order.  Together at least
-    ``_POOL_MIN_BYTES`` long, the files are read on the pool, one per job."""
-    paths = list(paths)
-    n_bytes = sum(os.path.getsize(p) for p in paths)
-    with contextlib.closing(_cpu_imap(read_driverecord_csv, paths,
-                                      n_bytes >= _POOL_MIN_BYTES)) as records:
-        return list(records)
+    """Drive records from several CSV files, in order."""
+    return [read_driverecord_csv(path) for path in paths]
 
 
 def write_result_doc(path, doc: dict):

@@ -52,9 +52,14 @@ def _all_finite(values) -> bool:
                for start, stop in _chunks(values.size))
 
 
-def _check_record(sample_rate, n):
-    if not sample_rate > 0:
-        raise ValueError(f"sample_rate must be > 0, got {sample_rate}")
+def _check_record(rec, n):
+    """The metadata of a TimeSeries or BlockSeries: finite, with a
+    positive sample rate, and at least 2 samples."""
+    for name in ("sample_rate", "t0", "calibration", "center_freq"):
+        if not math.isfinite(getattr(rec, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(rec, name)}")
+    if not rec.sample_rate > 0:
+        raise ValueError(f"sample_rate must be > 0, got {rec.sample_rate}")
     if n < 2:
         raise ValueError("a TimeSeries needs at least 2 samples")
 
@@ -78,7 +83,7 @@ class TimeSeries:
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
-        _check_record(self.sample_rate, self.values.size)
+        _check_record(self, self.values.size)
         if not _all_finite(self.values):
             raise ValueError("TimeSeries values must be finite")
 
@@ -125,7 +130,7 @@ class BlockSeries:
 
     def __post_init__(self):
         self.dtype = np.dtype(self.dtype)
-        _check_record(self.sample_rate, self.n)
+        _check_record(self, self.n)
 
     @property
     def is_complex(self):
@@ -141,8 +146,9 @@ class DriveRecord:
     response_motion: TimeSeries
 
     def __post_init__(self):
-        if not self.drive_freq > 0:
-            raise ValueError("drive_freq must be > 0")
+        if not 0 < self.drive_freq < math.inf:
+            raise ValueError(f"drive_freq must be finite and > 0, got "
+                             f"{self.drive_freq}")
         if self.base_motion.sample_rate != self.response_motion.sample_rate:
             raise ValueError("base and response must share a sample rate")
         if self.base_motion.n != self.response_motion.n:

@@ -2,6 +2,8 @@ import copy
 import json
 import multiprocessing
 import os
+import re
+import struct
 import tempfile
 
 import numpy as np
@@ -9,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optomech import default_config
+from optomech import TimeSeries, default_config
 from optomech import estimate as _estimate
 from optomech.cli import EXIT_CONFIG, EXIT_FIT, EXIT_IO, EXIT_OK, format_value_pm, main
 from optomech.config import MAX_RECORD_SAMPLES, ConfigError
-from optomech.io import read_result_doc, read_timeseries, write_result_doc
+from optomech.io import (read_result_doc, read_timeseries, write_result_doc,
+                         write_timeseries_bin)
 
 
 def _write_cfg(tmp_path, extra=None):
@@ -481,6 +484,41 @@ class TestExitCodes:
                                 "device": {"inner": {"q": 418000}}})
         assert cfg.synth["lock"]["kp"] == 0 and cfg.inner.q == 418000.0
 
+    @pytest.mark.parametrize("band", [(1000.0, 100.0), (1010.0, 1250.0)],
+                             ids=["reversed", "between-grid-points"])
+    def test_sweep_band_without_a_drive_frequency_is_config_error(
+            self, tmp_path, capsys, band):
+        # 10 points per decade: 1000 Hz and 1258.9 Hz are neighbours
+        cfg = _write_cfg(tmp_path, {"synth.sweep.f_min_hz": band[0],
+                                    "synth.sweep.f_max_hz": band[1]})
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["--config", cfg, "--out", str(out), "simulate",
+                     "sweep"]) == EXIT_CONFIG
+        assert "holds no drive frequency" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_non_finite_drive_frequency_is_io_error(self, tmp_path, fmt):
+        if fmt == "csv":
+            rows = "\n".join(f"{k}e-12,{k}e-12" for k in range(1, 641))
+            target = tmp_path / "rec.csv"
+            target.write_text("# optomech_driverecord v1\n# drive_freq_hz=inf"
+                              "\n# sample_rate_hz=32000.0\nbase,response\n"
+                              f"{rows}\n")
+        else:                        # the frequency is the manifest's
+            ramp = TimeSeries(32000.0, 0.0, np.linspace(1e-12, 2e-12, 640))
+            for name in ("b.bin", "r.bin"):
+                write_timeseries_bin(tmp_path / name, ramp)
+            target = tmp_path / "m.json"
+            target.write_text(
+                '{"schema": "optomech.result/1", "command": "simulate sweep",'
+                ' "config": {}, "outputs": {"files": {"records": [{'
+                '"drive_freq_hz": Infinity, "base": "b.bin",'
+                ' "response": "r.bin"}]}}}')
+        assert main(["--out", str(tmp_path), "analyze", "transfer",
+                     str(target)]) == EXIT_IO
+
     @pytest.mark.parametrize("via_manifest", [False, True])
     @pytest.mark.parametrize("values_per_row", [1, 3])
     def test_drive_record_with_wrong_column_count_is_io_error(
@@ -732,6 +770,56 @@ class TestStreamedAnalysis:
         assert _analyses(cfg, tmp_path / "out", path) == (
             [EXIT_IO, EXIT_IO], {})
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("field, rc", [
+        (" 1.0e-12", EXIT_OK), ("1_0", EXIT_IO), ("nan", EXIT_IO),
+        ("0x1p3", EXIT_IO), ("1.23456789012345678901234567890e-12", EXIT_OK),
+    ])
+    def test_fields_outside_the_grammar_read_like_loadtxt(
+            self, tmp_path, streamed_record, field, rc):
+        # one real part mid-file, in a middle range: the range is read by
+        # np.loadtxt, with its values or the whole body's error
+        cfg, d, _ = streamed_record
+        text = (d / "brownian.csv").read_bytes()
+        row = text.index(b"\n", len(text) // 2) + 1
+        text = text[:row] + field.encode() + text[text.index(b",", row):]
+        path = tmp_path / "brownian.csv"
+        path.write_bytes(text)
+        rcs, files = _analyses(cfg, tmp_path / "out", path)
+        assert rcs == [rc, rc]
+        if rc != EXIT_OK:
+            assert files == {}
+            return
+        # the same analyses of a .bin record of np.loadtxt's values
+        body = text[text.index(b"value_re,value_im\n") + 18:]
+        values = np.loadtxt(body.decode().splitlines(), delimiter=",")
+        ts = read_timeseries(d / "brownian.bin")
+        ts.values = np.ascontiguousarray(values).view(np.complex128)[:, 0]
+        write_timeseries_bin(tmp_path / "brownian.bin", ts)
+        assert files == _analyses(cfg, tmp_path / "bin_out",
+                                  tmp_path / "brownian.bin")[1]
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    @pytest.mark.parametrize("field, bad", [
+        ("sample_rate_hz", "inf"), ("t0_s", "nan"),
+        ("calibration_m_per_unit", "-inf"), ("center_freq_hz", "nan"),
+    ])
+    def test_non_finite_metadata_exits_3(self, tmp_path, streamed_record,
+                                         field, bad, fmt):
+        cfg, d, _ = streamed_record
+        data = (d / f"brownian.{fmt}").read_bytes()
+        if fmt == "csv":
+            data = re.sub(rb"# %s=[^\n]*" % field.encode(),
+                          b"# %s=%s" % (field.encode(), bad.encode()), data)
+        else:                        # the OMB1 header's four float64 fields
+            data = bytearray(data)
+            k = ["sample_rate_hz", "t0_s", "calibration_m_per_unit",
+                 "center_freq_hz"].index(field)
+            struct.pack_into("<d", data, 8 + 8 * k, float(bad))
+        path = tmp_path / f"brownian.{fmt}"
+        path.write_bytes(data)
+        assert _analyses(cfg, tmp_path / "out", path) == (
+            [EXIT_IO, EXIT_IO], {})
 
     def test_bin_payload_mismatch_exits_3_before_any_segment(
             self, tmp_path, monkeypatch, streamed_record):

@@ -24,8 +24,8 @@ import optomech
 _SRC = pathlib.Path(optomech.__file__).resolve().parent
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# the 400 s Brownian CSV (about 7.3 MB) is long enough for the pooled
-# range reader (io._POOL_MIN_BYTES)
+# the 400 s Brownian CSV (about 7.3 MB) is read a 1 MiB range at a time
+# (io._RANGE_BYTES), all in the calling process
 _CONFIG = {
     "synth": {
         "brownian": {"duration_s": 400.0},

@@ -1,7 +1,7 @@
 import hashlib
+import io
 import multiprocessing
 import os
-import signal
 import tracemalloc
 
 import numpy as np
@@ -389,21 +389,6 @@ def _allow_cpus(monkeypatch, n_cpus):
                         lambda pid: set(range(n_cpus)), raising=False)
 
 
-def _job_pids(monkeypatch):
-    """The pids that run the jobs of every ``_cpu_imap`` call from now on."""
-    pids = set()
-    cpu_imap = omio._cpu_imap
-
-    def spy(fn, jobs, parallel):
-        for pid, out in cpu_imap(lambda job: (os.getpid(), fn(job)), jobs,
-                                 parallel):
-            pids.add(pid)
-            yield out
-
-    monkeypatch.setattr(omio, "_cpu_imap", spy)
-    return pids
-
-
 def _sweep(n_records, n):
     return [DriveRecord(1000.0 + k, TimeSeries(32000.0, 0.0, _values(n, k)),
                         TimeSeries(32000.0, 0.0, _values(n, k + 100),
@@ -414,11 +399,21 @@ def _sweep(n_records, n):
 @pytest.fixture
 def no_fork(monkeypatch):
     """Make starting a process fail the test: CSV writers format every
-    chunk in the calling process."""
+    chunk, and CSV readers parse every range, in the calling process."""
     def fork():
-        raise AssertionError("a CSV write started a process")
+        raise AssertionError("a CSV write or read started a process")
 
     monkeypatch.setattr(os, "fork", fork)
+
+
+@pytest.fixture
+def no_loadtxt(monkeypatch):
+    """Make a fall back to np.loadtxt fail the test: the parse kernel reads
+    every field the writers write."""
+    def loadtxt(fh):
+        raise AssertionError("a CSV body was read with np.loadtxt")
+
+    monkeypatch.setattr(omio, "_parse_rows", loadtxt)
 
 
 # rows of a long record: several chunks and a short last one
@@ -505,6 +500,17 @@ def _loadtxt_reference(path):
     return np.loadtxt(path, delimiter=",", ndmin=2, skiprows=skip)
 
 
+def _body_loadtxt_error(path):
+    """The error of one np.loadtxt call on the body of a CSV record."""
+    lines = path.read_bytes().decode().splitlines(keepends=True)
+    skip = next(i for i, line in enumerate(lines)
+                if not line.startswith("#")) + 1
+    with pytest.raises(ValueError) as err:
+        np.loadtxt(io.StringIO("".join(lines[skip:])), delimiter=",",
+                   ndmin=2)
+    return err.value
+
+
 def _read_record(path, kind):
     if kind == "drive":
         rec = read_driverecord_csv(path)
@@ -524,8 +530,13 @@ def _same_values(got, want):
         _same_bits(a, np.ascontiguousarray(b)) for a, b in zip(got, want))
 
 
-@pytest.mark.usefixtures("small_ranges")
+@pytest.mark.usefixtures("small_ranges", "no_fork")
 class TestParallelCsvRead:
+    """CSV bodies read a range at a time, in this process, give the values
+    and the errors of one np.loadtxt call on the whole body, at any number
+    of allowed CPUs."""
+
+    @pytest.mark.usefixtures("no_loadtxt")
     @pytest.mark.parametrize("n_cpus", [1, 2])
     @pytest.mark.parametrize("above", [False, True])
     @pytest.mark.parametrize("kind", ["real", "complex", "drive"])
@@ -534,11 +545,9 @@ class TestParallelCsvRead:
         n = 5003 if above else 300
         path = tmp_path / f"{kind}.csv"
         _writer_cases(n)[kind][0](path)
-        assert (path.stat().st_size >= omio._POOL_MIN_BYTES) == above
+        assert (path.stat().st_size > omio._RANGE_BYTES) == above
         _allow_cpus(monkeypatch, n_cpus)
-        pids = _job_pids(monkeypatch)
         got = _read_record(path, kind)
-        assert bool(pids - {os.getpid()}) == (above and n_cpus > 1)
         assert _same_values(got, _reference_values(path, kind))
 
     @pytest.mark.parametrize("edit", ["blank", "comment", "crlf",
@@ -568,30 +577,6 @@ class TestParallelCsvRead:
         assert _same_bits(read_timeseries_csv(path).values, serial)
         assert _same_bits(serial, _reference_values(path, "complex")[0])
 
-    def test_early_stops_do_not_hang(self, tmp_path, monkeypatch):
-        # a blank line in the first range stops every read's pool while its
-        # workers are still sending results; more workers than CPUs here
-        path = tmp_path / "rec.csv"
-        _writer_cases(5003)["complex"][0](path)
-        text = path.read_bytes()
-        row = text.index(b"\n", text.index(b"value_re,value_im\n") + 18)
-        path.write_bytes(text[:row] + b"\n" + text[row:])
-        reference = _reference_values(path, "complex")[0]
-        _allow_cpus(monkeypatch, 4)
-
-        def hung(signum, frame):
-            raise TimeoutError("a pool did not shut down")
-
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(60)
-        try:
-            for _ in range(20):
-                assert _same_bits(read_timeseries_csv(path).values, reference)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        assert multiprocessing.active_children() == []
-
     def test_bad_value_in_last_range_is_serial_format_error(self, tmp_path,
                                                             monkeypatch):
         path = tmp_path / "rec.csv"
@@ -607,36 +592,64 @@ class TestParallelCsvRead:
             assert multiprocessing.active_children() == []
         # the row number counts from the start of the body, not of a range
         assert errors[1] == errors[0]
+        assert str(_body_loadtxt_error(path)) in errors[0]
+
+    @pytest.mark.parametrize("field", [" 1.0", "1_0", "nan", "0x1p3",
+                                       "1.23456789012345678901234567890"])
+    def test_field_outside_the_grammar_reads_like_loadtxt(self, tmp_path,
+                                                          field):
+        path = tmp_path / "rec.csv"
+        write_timeseries_csv(path, _noise_ts(5003, False))
+        text = path.read_bytes()
+        row = text.index(b"\n", len(text) // 2) + 1
+        path.write_bytes(text[:row] + field.encode()
+                         + text[text.index(b"\n", row):])
+        offset = text.index(b"\nvalue\n") + 7
+        ranges = omio._scan_ranges(path, offset)
+        assert ranges[1][0] < row < ranges[-2][1]      # in a middle range
+        try:
+            want = _reference_values(path, "real")[0]
+        except ValueError:
+            want = None
+        if want is not None and np.isfinite(want).all():
+            assert _same_bits(read_timeseries_csv(path).values, want)
+            return
+        problem = ("TimeSeries values must be finite" if want is not None
+                   else _body_loadtxt_error(path))
+        for read in (read_timeseries_csv,
+                     lambda p: welch_psd(open_timeseries(p), 1000)):
+            with pytest.raises(FormatError) as err:
+                read(path)
+            assert str(err.value) == (
+                f"{path}: malformed timeseries CSV: {problem}")
 
     @pytest.mark.parametrize("above", [False, True])
     @pytest.mark.parametrize("values_per_row", [1, 3])
     def test_drive_record_needs_two_values_per_row(self, tmp_path,
                                                    monkeypatch, above,
                                                    values_per_row):
-        n = 4001 if above else 300
+        n = 4001 if above else 200
         path = tmp_path / "rec.csv"
         rows = zip(*[_values(n, k).tolist() for k in range(values_per_row)])
         path.write_text("\n".join(
             ["# optomech_driverecord v1", "# drive_freq_hz=1000.0",
              "# sample_rate_hz=32000.0", "base,response"]
             + [",".join(map(repr, row)) for row in rows]) + "\n")
-        assert (path.stat().st_size >= omio._POOL_MIN_BYTES) == above
+        assert (path.stat().st_size > omio._RANGE_BYTES) == above
         _allow_cpus(monkeypatch, 2)
         with pytest.raises(FormatError, match="2 value"):
             read_driverecord_csv(path)
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.usefixtures("no_loadtxt")
     @pytest.mark.parametrize("n_cpus", [1, 2])
     def test_batch_read_equals_per_file_reads(self, tmp_path, monkeypatch,
                                               n_cpus):
         records = _sweep(6, 700)
         paths = [tmp_path / f"sweep_{k:03d}.csv" for k in range(6)]
         write_driverecords_csv(paths, records)
-        assert sum(p.stat().st_size for p in paths) >= omio._POOL_MIN_BYTES
         _allow_cpus(monkeypatch, n_cpus)
-        pids = _job_pids(monkeypatch)
         back = read_driverecords_csv(paths)
-        assert bool(pids - {os.getpid()}) == (n_cpus > 1)
         assert [r.drive_freq for r in back] == [r.drive_freq for r in records]
         for rec, path in zip(back, paths):
             assert _same_values(
@@ -686,7 +699,7 @@ class TestStreamedWelch:
                 _assert_whole_array_bits(welch_psd(rec, segment_len, overlap),
                                          ts, segment_len, overlap)
 
-    @pytest.mark.usefixtures("small_ranges")
+    @pytest.mark.usefixtures("small_ranges", "no_fork")
     @pytest.mark.parametrize("n_cpus", [1, 2])
     @pytest.mark.parametrize("above", [False, True])
     @pytest.mark.parametrize("is_complex", [False, True])
@@ -700,44 +713,14 @@ class TestStreamedWelch:
         path = tmp_path / f"rec.{fmt}"
         write_timeseries(path, ts, fmt)
         if fmt == "csv":
-            assert (path.stat().st_size >= omio._POOL_MIN_BYTES) == above
+            assert (path.stat().st_size > omio._RANGE_BYTES) == above
         _allow_cpus(monkeypatch, n_cpus)
-        pids = _job_pids(monkeypatch)
         for overlap in (0.0, 0.5, 0.9):
             for segment_len in (64, 255, 2048):
                 if segment_len <= ts.n:
                     spec = welch_psd(open_timeseries(path), segment_len,
                                      overlap)
                     _assert_whole_array_bits(spec, ts, segment_len, overlap)
-        assert bool(pids - {os.getpid()}) == (
-            fmt == "csv" and above and n_cpus > 1)
-        assert multiprocessing.active_children() == []
-
-    def test_ring_slots_with_more_workers_than_cpus(self, tmp_path,
-                                                    monkeypatch):
-        # 4 KiB ranges on 4 workers, sharing 8 slots that are each reused
-        # about 27 times: a slot refilled before its block was used would
-        # change the bits
-        monkeypatch.setattr(omio, "_POOL_MIN_BYTES", 1 << 12)
-        monkeypatch.setattr(omio, "_RANGE_BYTES", 1 << 12)
-        ts = _noise_ts(20011, True)
-        path = tmp_path / "rec.csv"
-        write_timeseries_csv(path, ts)
-        _allow_cpus(monkeypatch, 4)
-
-        def hung(signum, frame):
-            raise TimeoutError("a pool did not shut down")
-
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(120)
-        try:
-            for _ in range(5):
-                spec = welch_psd(open_timeseries(path), 1000)
-                _assert_whole_array_bits(spec, ts, 1000, 0.5)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        assert multiprocessing.active_children() == []
 
     def test_bin_memory_is_a_few_segments(self, tmp_path):
         segment_len = 1 << 17

@@ -17,6 +17,25 @@ from oracles import (full_array_demodulate, full_array_envelope_brownian,
 CAV = Cavity(0.05, 1.064e-6, 181000.0)
 
 
+class TestRecordMetadata:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("field", ["sample_rate", "t0", "calibration",
+                                       "center_freq"])
+    def test_non_finite_metadata_is_rejected(self, field, bad):
+        kw = {"sample_rate": 400.0, "t0": 0.0, "calibration": 1.0,
+              "center_freq": 0.0, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TimeSeries(values=np.zeros(4), **kw)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            _synth.BlockSeries(n=4, dtype=float, blocks=None, **kw)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0])
+    def test_drive_frequency_must_be_finite_and_positive(self, bad):
+        ts = TimeSeries(400.0, 0.0, np.zeros(4))
+        with pytest.raises(ValueError, match="drive_freq must be finite"):
+            DriveRecord(bad, ts, ts)
+
+
 class TestBrownian:
     def test_same_seed_bit_identical(self):
         m = MechMode(1e3, 50.0, 1e-9, 300.0)
