@@ -223,8 +223,8 @@ def cmd_simulate(args) -> int:
         stems = [f"sweep_{args.device}_{i:03d}" for i in range(len(records))]
         if fmt == "csv":
             rec_files = [f"{stem}.csv" for stem in stems]
-            _io.write_driverecords_csv(
-                [os.path.join(out, name) for name in rec_files], records)
+            for name, rec in zip(rec_files, records):
+                _io.write_driverecord_csv(os.path.join(out, name), rec)
         else:                        # a base and a response record each
             rec_files = []
             for stem, rec in zip(stems, records):
@@ -296,10 +296,8 @@ def _load_drive_records(in_paths):
     if len(in_paths) == 1 and in_paths[0].endswith(".json"):
         entries = _manifest_records(in_paths[0])
         base = os.path.dirname(os.path.abspath(in_paths[0]))
-        # CSV drive-record files, read in one batch
-        csv_records = iter(_io.read_driverecords_csv(
-            [os.path.join(base, e) for e in entries if isinstance(e, str)]))
-        return [next(csv_records) if isinstance(entry, str)
+        return [_io.read_driverecord_csv(os.path.join(base, entry))
+                if isinstance(entry, str)
                 else _synth.DriveRecord(    # binary base/response pair
                     drive_freq=float(entry["drive_freq_hz"]),
                     base_motion=_io.read_timeseries(
@@ -307,7 +305,7 @@ def _load_drive_records(in_paths):
                     response_motion=_io.read_timeseries(
                         os.path.join(base, entry["response"])))
                 for entry in entries]
-    return _io.read_driverecords_csv(in_paths)
+    return [_io.read_driverecord_csv(path) for path in in_paths]
 
 
 def cmd_analyze(args) -> int:
@@ -434,9 +432,14 @@ def cmd_design_check(args) -> int:
 
 # Report sections: each writes its table and returns its result entry
 
+def _report_sweep_top(cfg: Config, device: str) -> float:
+    """The highest drive frequency of report's sweep of a device: the bare
+    inner resonator is swept only up to a fifth of its resonance."""
+    return math.inf if device == "nested" else cfg.inner.f0 / 5.0
+
+
 def _report_transfer(cfg: Config, seed: int, table, device: str) -> dict:
-    f_max = math.inf if device == "nested" else cfg.inner.f0 / 5.0
-    records = _sweep(cfg, seed, device, f_max)
+    records = _sweep(cfg, seed, device, _report_sweep_top(cfg, device))
     est = _fit_transfer(cfg, records)
     f_arr = np.array([rec.drive_freq for rec in records])
     # the sweep is freed before the first table is written: memory that
@@ -498,6 +501,12 @@ def _report_ringdown(cfg: Config, seed: int, table, quantity: str) -> dict:
 
 def cmd_report(args) -> int:
     cfg = _load(args)
+    top = _report_sweep_top(cfg, "single")
+    if not sweep_exponents(cfg.synth["sweep"], top):
+        raise ConfigError(
+            f"synth.sweep.f_min_hz = {cfg.synth['sweep']['f_min_hz']} leaves "
+            f"report's single-resonator sweep no drive frequency: it stops "
+            f"at device.inner.f0_hz / 5 = {top} Hz")
     seed = cfg.synth["seed"]
     out = _out_dir(args)
     files = {}

@@ -5,7 +5,8 @@ sine of amplitude A integrates to A^2/2 over its peak.  fit_lorentzian and
 fit_exp_decay share the damped least-squares core in fitting.py and report
 1-sigma parameter uncertainties from the local curvature, rescaled by the
 reduced chi^2 and (for spectra) by the variance inflation that windowing
-and segment overlap introduce between neighbouring bins.
+and segment overlap introduce between neighbouring bins.  estimate_transfer
+demodulates with the one lock-in mixer (synth._phasor, synth._block_means).
 """
 
 import contextlib
@@ -16,9 +17,8 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .fitting import lm_fit
-from .synth import DriveRecord, TimeSeries, _all_finite
-
-TWO_PI = 2.0 * np.pi
+from .synth import (TWO_PI, DriveRecord, TimeSeries, _all_finite,
+                    _block_means, _phasor)
 
 
 class EstimationError(ValueError):
@@ -491,23 +491,24 @@ def fit_exp_decay(ts: TimeSeries, cavity_length: float | None = None,
 def _tone_phasor(ts: TimeSeries, freq: float):
     """exp(-2j*pi*freq*t) over the whole cycles of freq that ts holds; it
     depends on the record only through its sample rate, length and t0."""
-    n = ts.n
-    fs = ts.sample_rate
+    n, fs = ts.n, ts.sample_rate
     n_cyc = math.floor(freq * n / fs)
     if n_cyc < 1:
         raise EstimationError(f"record too short to demodulate at {freq} Hz")
     n_use = min(int(round(n_cyc * fs / freq)), n)
-    t = ts.t0 + np.arange(n_use) / fs
-    return np.exp(-1j * TWO_PI * freq * t)
+    return _phasor(ts.t0 + np.arange(n_use) / fs, freq)
 
 
-def _demod(ts: TimeSeries, ph):
-    """demod_amplitude of ts against its tone phasor ph (_tone_phasor)."""
+def _demod(ts: TimeSeries, ph, detect=True):
+    """demod_amplitude of ts against its tone phasor ph (_tone_phasor), the
+    mixer's one-block case; detect=False gives None for detectable."""
     x = np.asarray(ts.values, dtype=float) * ts.calibration
     n_use = ph.size
     xm = x[:n_use] - np.mean(x[:n_use])
-    z = 2.0 * np.mean(xm * ph)
+    z = 2.0 * _block_means(xm, ph, n_use)[0]
     amp = abs(z)
+    if not detect:
+        return amp, None
     resid = xm - np.real(z * np.conj(ph))  # subtract the fitted tone
     sigma_tone = float(np.std(resid)) * math.sqrt(2.0 / n_use)
     return amp, amp > 10.0 * sigma_tone
@@ -582,26 +583,22 @@ def estimate_transfer(records, bins_per_decade: int = 5,
     if not records:
         raise ValueError("no records given")
     pts = []
-    n_excluded = 0
     for rec in records:
         base, resp = rec.base_motion, rec.response_motion
         ph = _tone_phasor(base, rec.drive_freq)
         base_amp, base_ok = _demod(base, ph)
         if not base_ok:
-            n_excluded += 1
             continue
         if resp.t0 != base.t0:       # sample rate and length already match
             ph = _tone_phasor(resp, rec.drive_freq)
-        resp_amp, _ = _demod(resp, ph)
+        resp_amp, _ = _demod(resp, ph, detect=False)
         pts.append((rec.drive_freq, 20.0 * math.log10(resp_amp / base_amp)))
     if not pts:
         raise EstimationError("all records were excluded (no drive tone found)")
 
-    freqs = np.array([p[0] for p in pts])
-    dbs = np.array([p[1] for p in pts])
     centers, mags, errs, counts, dc_reference = bin_log_mean(
-        freqs, dbs, bins_per_decade, dc_cutoff_hz)
+        *np.array(pts).T, bins_per_decade, dc_cutoff_hz)
     return TransferEstimate(bin_centers=centers, magnitude_db=mags,
                             errbar_db=errs, dc_reference=dc_reference,
-                            bin_counts=counts,
-                            n_records=len(records), n_excluded=n_excluded)
+                            bin_counts=counts, n_records=len(records),
+                            n_excluded=len(records) - len(pts))

@@ -18,14 +18,11 @@ inputs is byte-identical; _shortest.csv_text computes the digits of a
 whole chunk at once with Ryu and leaves zeros, subnormals, non-finite
 values and the few others it does not cover to repr.
 
-CSV text is written and read in this process.  Writers stream rows in
-fixed chunks, so memory stays bounded.  Readers cut a body at newlines
-into ranges of about a MiB and parse a range at a time with
-_parse.parse_rows, which gives the bits np.loadtxt(fh, delimiter=",")
-gives in less than half the time; a range with a field outside its
-strict grammar is parsed by that np.loadtxt call itself.  At these speeds
-a pool of worker processes would spend more CPU time than it saves in
-wall time.
+Writers stream rows in fixed chunks, so memory stays bounded.  Readers
+cut a body at newlines into ranges of about a MiB and parse a range at a
+time with _parse.parse_rows, which gives the bits of
+np.loadtxt(fh, delimiter=","); a range with a field outside its strict
+grammar is parsed by that np.loadtxt call itself.
 """
 
 import contextlib
@@ -103,17 +100,14 @@ def _csv_columns(columns):
     return columns
 
 
-def _write_csv(files):
-    """Stream CSVs of equal-length 1-D float columns, one per
-    ``(path, header_lines, columns)`` entry of ``files``, in order, each
-    through ``_atomic_open``, formatting ``_CHUNK_ROWS`` rows at a time."""
-    files = [(path, header, _csv_columns(columns))
-             for path, header, columns in files]
-    for path, header, columns in files:
-        with _atomic_open(path) as fh:
-            fh.write(("\n".join(header) + "\n").encode())
-            for start in range(0, columns[0].size, _CHUNK_ROWS):
-                fh.write(_format_rows(columns, start, start + _CHUNK_ROWS))
+def _write_csv(path, header, columns):
+    """Stream a CSV of equal-length 1-D float columns through
+    ``_atomic_open``, formatting ``_CHUNK_ROWS`` rows at a time."""
+    columns = _csv_columns(columns)
+    with _atomic_open(path) as fh:
+        fh.write(("\n".join(header) + "\n").encode())
+        for start in range(0, columns[0].size, _CHUNK_ROWS):
+            fh.write(_format_rows(columns, start, start + _CHUNK_ROWS))
 
 
 def write_timeseries_csv(path, ts: TimeSeries):
@@ -130,7 +124,7 @@ def write_timeseries_csv(path, ts: TimeSeries):
     else:
         lines.append("value")
         columns = [ts.values]
-    _write_csv([(path, lines, columns)])
+    _write_csv(path, lines, columns)
 
 
 def _read_header(path, magic, kind):
@@ -479,7 +473,7 @@ def open_timeseries(path) -> BlockSeries:
             else _timeseries_csv_blocks(path))
 
 
-def _driverecord_csv(rec: DriveRecord):
+def write_driverecord_csv(path, rec: DriveRecord):
     base, resp = rec.base_motion, rec.response_motion
     if base.is_complex or resp.is_complex:
         raise ValueError("drive records must be real-valued")
@@ -490,13 +484,7 @@ def _driverecord_csv(rec: DriveRecord):
              f"# base_calibration_m_per_unit={_fmt(base.calibration)}",
              f"# response_calibration_m_per_unit={_fmt(resp.calibration)}",
              "base,response"]
-    return lines, [base.values, resp.values]
-
-
-def write_driverecords_csv(paths, records):
-    """Write each drive record to the path at the same position."""
-    _write_csv([(path, *_driverecord_csv(rec))
-                for path, rec in zip(paths, records, strict=True)])
+    _write_csv(path, lines, [base.values, resp.values])
 
 
 def read_driverecord_csv(path) -> DriveRecord:
@@ -519,11 +507,6 @@ def read_driverecord_csv(path) -> DriveRecord:
         )
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: malformed drive-record CSV: {exc}") from exc
-
-
-def read_driverecords_csv(paths) -> list:
-    """Drive records from several CSV files, in order."""
-    return [read_driverecord_csv(path) for path in paths]
 
 
 def write_result_doc(path, doc: dict):
@@ -561,4 +544,4 @@ def make_result_doc(command: str, config: dict, outputs: dict) -> dict:
 
 def write_table_csv(path, columns: dict):
     """Column-oriented plot-ready data file: {name: 1-D array}."""
-    _write_csv([(path, [",".join(columns)], list(columns.values()))])
+    _write_csv(path, [",".join(columns)], list(columns.values()))

@@ -3,22 +3,20 @@
 Covers every bench experiment the analysis pipeline consumes: Brownian
 motion of a mode (baseband or band-centered complex envelope), optical and
 mechanical ringdowns, driven transfer-function sweeps, and the nonlinear
-side-of-fringe optical transduction.
+side-of-fringe optical transduction.  All generators are pure functions of
+(inputs, seed): the same call returns a bit-identical record.
 
-All generators are pure functions of (inputs, seed): the same call returns
-a bit-identical record.
+One lock-in mixer serves synthesis and analysis: _phasor builds
+exp(-2j*pi*f*t) and _block_means averages a record times it over blocks,
+many a chunk for the mechanical envelope, one a record in estimate_transfer.
 
 Memory is bounded by the records themselves.  The band-centered Brownian
-record is built in its one complex array, _CHUNK bins at a time, and
-inverse transformed in place, so synth_brownian(center_freq=...) holds the
-record plus a few MB of chunk temporaries (pocketfft's own scratch, which
-numpy does not allocate, aside).  The mechanical ringdown is generated in
-chunks of whole demodulation blocks and each chunk is reduced to its
-lock-in block means at once, so synth_mech_envelope holds a few MB at any
-record length, and synth_mech_ringdown holds only its raw record on top.
-Every chunk's times, samples and noise are computed into the same three
-chunk-sized work arrays, which are allocated once per record.
-The baseband Brownian path still builds its spectrum from whole-array
+record is built and inverse transformed in its one complex array, _CHUNK
+bins at a time (pocketfft's own scratch aside).  The mechanical ringdown
+is generated and demodulated in chunks of whole blocks, in three work
+arrays allocated once per record, so synth_mech_envelope holds a few MB at
+any record length and synth_mech_ringdown only its raw record on top.  The
+baseband Brownian path still builds its spectrum from whole-array
 temporaries.
 """
 
@@ -30,9 +28,7 @@ import numpy as np
 
 from . import cavity as _cavity
 from . import mech as _mech
-from .mech import MechMode, NestedModel
-
-TWO_PI = 2.0 * np.pi
+from .mech import TWO_PI, MechMode, NestedModel
 
 # samples per chunk of a streamed record: a chunk and its temporaries stay
 # a few MB at any record length
@@ -62,6 +58,19 @@ def _check_record(rec, n):
         raise ValueError(f"sample_rate must be > 0, got {rec.sample_rate}")
     if n < 2:
         raise ValueError("a TimeSeries needs at least 2 samples")
+
+
+def _phasor(t, f: float):
+    """The mixing phasor exp(-2j*pi*f*t) at times t, as a new complex array."""
+    z = -1j * TWO_PI * f * t
+    return np.exp(z, out=z)
+
+
+def _block_means(x, ph, n_blk: int, in_place=False):
+    """Complex means of x*ph over consecutive n_blk-sample blocks; in_place
+    overwrites ph with the product, for a caller that needs ph no more."""
+    z = np.multiply(x, ph, out=ph if in_place else None)
+    return z.reshape(-1, n_blk).mean(axis=1)
 
 
 @dataclass
@@ -299,14 +308,6 @@ def _mech_samples(mode: MechMode, sample_rate: float, duration: float,
     return n, samples
 
 
-def _block_means(t, x, f0: float, n_blk: int):
-    """Means of x*exp(-2j*pi*f0*t) over consecutive n_blk-sample blocks."""
-    z = -1j * TWO_PI * f0 * t
-    np.exp(z, out=z)                 # in place: one complex array per chunk
-    np.multiply(x, z, out=z)
-    return z.reshape(-1, n_blk).mean(axis=1)
-
-
 def _envelope(samples, n: int, sample_rate: float, t0: float, f0: float,
               cycles_per_block: int, calibration: float = 1.0) -> TimeSeries:
     """Lock-in envelope of the n-sample record that samples(start, stop) yields.
@@ -326,7 +327,8 @@ def _envelope(samples, n: int, sample_rate: float, t0: float, f0: float,
     env = np.empty(n_out)
     for start in range(0, n_out * n_blk, step):
         stop = min(start + step, n_out * n_blk)
-        means = _block_means(*samples(start, stop), f0, n_blk)
+        t, x = samples(start, stop)
+        means = _block_means(x, _phasor(t, f0), n_blk, in_place=True)
         env[start // n_blk:stop // n_blk] = 2.0 * np.abs(means)
     return TimeSeries(sample_rate / n_blk, t0 + 0.5 * n_blk / sample_rate,
                       env, calibration)

@@ -5,9 +5,9 @@ RK4 integration of the coupled equations of motion, adaptive quadrature
 for spectral integrals, brute-force scans for extrema, the whole-record
 mechanical ringdown and whole-array Brownian envelope that the chunked
 synthesis must reproduce bit for bit, the Welch average with fresh arrays
-for every segment, the transfer estimate with its own tone phasor per
-demodulated record, and the side-of-fringe lock as one per-step loop over
-the whole record.
+for every segment, the transfer estimate with its own whole-array tone
+phasor per demodulated record, and the side-of-fringe lock as one per-step
+loop over the whole record.
 """
 
 import math
@@ -17,8 +17,7 @@ from scipy.integrate import quad
 
 from optomech import mech as _mech
 from optomech.cavity import fringe_response
-from optomech.estimate import (_WINDOWS, TransferEstimate, bin_log_mean,
-                               demod_amplitude)
+from optomech.estimate import _WINDOWS, TransferEstimate, bin_log_mean
 from optomech.synth import MechRingdown, TimeSeries, synth_brownian
 
 
@@ -180,16 +179,32 @@ def whole_array_welch(ts, segment_len, overlap_frac=0.5, window="hann"):
     return np.fft.rfftfreq(segment_len, 1.0 / fs), psd
 
 
+def whole_array_demod(ts, freq):
+    """(amplitude, detectable) of the tone at freq in ts: the whole cycles
+    of the mean-subtracted record mixed with their own phasor, and the tone
+    compared to the residual left after subtracting it."""
+    n, fs = ts.n, ts.sample_rate
+    n_use = min(int(round(math.floor(freq * n / fs) * fs / freq)), n)
+    x = np.asarray(ts.values, dtype=float) * ts.calibration
+    xm = x[:n_use] - np.mean(x[:n_use])
+    ph = np.exp(-1j * 2.0 * np.pi * freq * (ts.t0 + np.arange(n_use) / fs))
+    z = 2.0 * np.mean(xm * ph)
+    resid = xm - np.real(z * np.conj(ph))
+    sigma_tone = float(np.std(resid)) * math.sqrt(2.0 / n_use)
+    return abs(z), abs(z) > 10.0 * sigma_tone
+
+
 def per_record_transfer(records, bins_per_decade=5, dc_cutoff_hz=None):
-    """estimate_transfer with one demod_amplitude call per base and
-    response record, so no tone phasor is shared between the two."""
+    """estimate_transfer with each base and response record demodulated
+    whole by whole_array_demod, so no tone phasor is shared between the two
+    and no demodulation code of the library is used."""
     pts, n_excluded = [], 0
     for rec in records:
-        base_amp, base_ok = demod_amplitude(rec.base_motion, rec.drive_freq)
+        base_amp, base_ok = whole_array_demod(rec.base_motion, rec.drive_freq)
         if not base_ok:
             n_excluded += 1
             continue
-        resp_amp, _ = demod_amplitude(rec.response_motion, rec.drive_freq)
+        resp_amp, _ = whole_array_demod(rec.response_motion, rec.drive_freq)
         pts.append((rec.drive_freq, 20.0 * math.log10(resp_amp / base_amp)))
     freqs = np.array([p[0] for p in pts])
     dbs = np.array([p[1] for p in pts])

@@ -1,6 +1,5 @@
 import copy
 import json
-import multiprocessing
 import os
 import re
 import struct
@@ -318,12 +317,12 @@ class TestAnalyze:
 
     def test_transfer_identical_base_and_response(self, tmp_path):
         from optomech import DriveRecord, TimeSeries
-        from optomech.io import write_driverecords_csv
+        from optomech.io import write_driverecord_csv
         fs = 32000.0
         t = np.arange(6400) / fs
         base = TimeSeries(fs, 0.0, 1e-12 * np.sin(2 * np.pi * 1e3 * t))
-        write_driverecords_csv([tmp_path / "rec.csv"],
-                               [DriveRecord(1e3, base, base)])
+        write_driverecord_csv(tmp_path / "rec.csv",
+                              DriveRecord(1e3, base, base))
         rc = main(["--out", str(tmp_path), "analyze", "transfer",
                    str(tmp_path / "rec.csv")])
         assert rc == EXIT_OK
@@ -497,6 +496,23 @@ class TestExitCodes:
                      "sweep"]) == EXIT_CONFIG
         assert "holds no drive frequency" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    def test_report_band_above_the_single_sweep_cap_is_config_error(
+            self, tmp_path, capsys):
+        # report sweeps the bare inner resonator only up to inner f0 / 5
+        cfg = _write_cfg(tmp_path, {"synth.sweep.f_min_hz": 60000.0,
+                                    "synth.sweep.f_max_hz": 95000.0})
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["--config", cfg, "--out", str(out),
+                     "report"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "synth.sweep.f_min_hz = 60000.0" in err
+        assert "device.inner.f0_hz / 5 = 50000.0 Hz" in err
+        assert list(out.iterdir()) == []
+        # the nested sweep of simulate has no such cap
+        assert main(["--config", cfg, "--out", str(out), "simulate",
+                     "sweep"]) == EXIT_OK
 
     @pytest.mark.parametrize("fmt", ["csv", "bin"])
     def test_non_finite_drive_frequency_is_io_error(self, tmp_path, fmt):
@@ -769,7 +785,6 @@ class TestStreamedAnalysis:
         _allow_cpus(monkeypatch, n_cpus)
         assert _analyses(cfg, tmp_path / "out", path) == (
             [EXIT_IO, EXIT_IO], {})
-        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("field, rc", [
         (" 1.0e-12", EXIT_OK), ("1_0", EXIT_IO), ("nan", EXIT_IO),

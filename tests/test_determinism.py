@@ -150,3 +150,32 @@ def test_no_blas_products(path):
             if name in _BLAS_CALLS:
                 found.append((node.lineno, name))
     assert not found, found
+
+
+_PROCESS_MODULES = {"multiprocessing", "concurrent", "threading",
+                    "subprocess"}
+
+
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_processes_or_threads(path):
+    # every command runs in one process and one Python thread, so its
+    # outputs cannot depend on how many CPUs it may use
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+            if node.module == "os":
+                names += [f"os.{alias.name}" for alias in node.names]
+        elif (isinstance(node, ast.Attribute) and node.attr == "fork"
+              and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            names = ["os.fork"]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.split(".")[0] in _PROCESS_MODULES
+                  or name == "os.fork"]
+    assert not found, found

@@ -1,6 +1,5 @@
 import hashlib
 import io
-import multiprocessing
 import os
 import tracemalloc
 
@@ -15,10 +14,9 @@ from optomech import io as omio
 from optomech import synth as omsynth
 from optomech.io import (FormatError, RESULT_SCHEMA, SchemaError,
                          make_result_doc, open_timeseries,
-                         read_driverecord_csv,
-                         read_driverecords_csv, read_result_doc,
+                         read_driverecord_csv, read_result_doc,
                          read_timeseries, read_timeseries_bin,
-                         read_timeseries_csv, write_driverecords_csv,
+                         read_timeseries_csv, write_driverecord_csv,
                          write_result_doc, write_table_csv, write_timeseries,
                          write_timeseries_bin, write_timeseries_csv)
 from oracles import whole_array_welch
@@ -200,7 +198,7 @@ class TestDriveRecordFormat:
             TimeSeries(fs, 0.0, 5e-13 * np.sin(2 * np.pi * 1e3 * t + 0.4),
                        calibration=2.0))
         path = tmp_path / "rec.csv"
-        write_driverecords_csv([path], [rec])
+        write_driverecord_csv(path, rec)
         back = read_driverecord_csv(path)
         assert back.drive_freq == rec.drive_freq
         assert np.array_equal(back.base_motion.values, rec.base_motion.values)
@@ -358,7 +356,7 @@ def _writer_cases(n):
                  lambda: _ref_timeseries_csv(real)),
         "complex": (lambda p: write_timeseries_csv(p, cplx),
                     lambda: _ref_timeseries_csv(cplx)),
-        "drive": (lambda p: write_driverecords_csv([p], [rec]),
+        "drive": (lambda p: write_driverecord_csv(p, rec),
                   lambda: _ref_driverecord_csv(rec)),
         "table": (lambda p: write_table_csv(p, table),
                   lambda: _ref_table_csv(table)),
@@ -397,16 +395,6 @@ def _sweep(n_records, n):
 
 
 @pytest.fixture
-def no_fork(monkeypatch):
-    """Make starting a process fail the test: CSV writers format every
-    chunk, and CSV readers parse every range, in the calling process."""
-    def fork():
-        raise AssertionError("a CSV write or read started a process")
-
-    monkeypatch.setattr(os, "fork", fork)
-
-
-@pytest.fixture
 def no_loadtxt(monkeypatch):
     """Make a fall back to np.loadtxt fail the test: the parse kernel reads
     every field the writers write."""
@@ -420,7 +408,6 @@ def no_loadtxt(monkeypatch):
 _LONG_ROWS = 8 * omio._CHUNK_ROWS + omio._CHUNK_ROWS // 2 + 3
 
 
-@pytest.mark.usefixtures("no_fork")
 class TestStreamingCsv:
     @pytest.mark.parametrize("n_cpus", [1, 2])
     @pytest.mark.parametrize("long", [False, True])
@@ -452,8 +439,8 @@ class TestStreamingCsv:
         records = _sweep(_LONG_ROWS // n + 1 if long else 2, n)
         _allow_cpus(monkeypatch, n_cpus)
         paths = [tmp_path / f"sweep_{k:03d}.csv" for k in range(len(records))]
-        write_driverecords_csv(paths, records)
         for path, rec in zip(paths, records):
+            write_driverecord_csv(path, rec)
             assert path.read_bytes() == _ref_driverecord_csv(rec)
         assert sorted(tmp_path.iterdir()) == paths
 
@@ -470,13 +457,15 @@ class TestStreamingCsv:
                                                        monkeypatch, n_cpus):
         records = _sweep(4, 2 * omio._CHUNK_ROWS)
         paths = [tmp_path / f"sweep_{k}.csv" for k in range(4)]
-        _check_failed_write(tmp_path, monkeypatch, n_cpus,
-                            lambda: write_driverecords_csv(paths, records))
+        _check_failed_write(
+            tmp_path, monkeypatch, n_cpus,
+            lambda: [write_driverecord_csv(path, rec)
+                     for path, rec in zip(paths, records)])
 
 
 def _check_failed_write(tmp_path, monkeypatch, n_cpus, write):
     """A write whose formatting fails after its first chunk, in this
-    process, leaves no file and no child."""
+    process, leaves no file."""
     _allow_cpus(monkeypatch, n_cpus)
 
     def failing(columns, start, stop):
@@ -489,7 +478,6 @@ def _check_failed_write(tmp_path, monkeypatch, n_cpus, write):
         write()
     assert int(str(err.value).rsplit(" ", 1)[1]) == os.getpid()
     assert list(tmp_path.iterdir()) == []
-    assert multiprocessing.active_children() == []
 
 
 def _loadtxt_reference(path):
@@ -530,11 +518,10 @@ def _same_values(got, want):
         _same_bits(a, np.ascontiguousarray(b)) for a, b in zip(got, want))
 
 
-@pytest.mark.usefixtures("small_ranges", "no_fork")
+@pytest.mark.usefixtures("small_ranges")
 class TestParallelCsvRead:
-    """CSV bodies read a range at a time, in this process, give the values
-    and the errors of one np.loadtxt call on the whole body, at any number
-    of allowed CPUs."""
+    """CSV bodies read a range at a time give the values and the errors of
+    one np.loadtxt call on the whole body."""
 
     @pytest.mark.usefixtures("no_loadtxt")
     @pytest.mark.parametrize("n_cpus", [1, 2])
@@ -553,8 +540,7 @@ class TestParallelCsvRead:
     @pytest.mark.parametrize("edit", ["blank", "comment", "crlf",
                                       "no_final_newline", "lone_cr",
                                       "crlf_blank", "first_line_blank"])
-    def test_irregular_bodies_read_like_serial(self, tmp_path, monkeypatch,
-                                               edit):
+    def test_irregular_bodies_read_like_serial(self, tmp_path, edit):
         path = tmp_path / "rec.csv"
         _writer_cases(5003)["complex"][0](path)
         text = path.read_bytes()
@@ -571,28 +557,18 @@ class TestParallelCsvRead:
                                              b"value_re,value_im\n\n"),
         }[edit]
         path.write_bytes(text)
-        _allow_cpus(monkeypatch, 1)
-        serial = read_timeseries_csv(path).values
-        _allow_cpus(monkeypatch, 2)
-        assert _same_bits(read_timeseries_csv(path).values, serial)
-        assert _same_bits(serial, _reference_values(path, "complex")[0])
+        assert _same_bits(read_timeseries_csv(path).values,
+                          _reference_values(path, "complex")[0])
 
-    def test_bad_value_in_last_range_is_serial_format_error(self, tmp_path,
-                                                            monkeypatch):
+    def test_bad_value_in_last_range_is_serial_format_error(self, tmp_path):
         path = tmp_path / "rec.csv"
         _writer_cases(5003)["real"][0](path)
         text = path.read_bytes()
         path.write_bytes(text[:text.rindex(b"\n", 0, -1) + 1] + b"oops\n")
-        errors = []
-        for n_cpus in (1, 2):
-            _allow_cpus(monkeypatch, n_cpus)
-            with pytest.raises(FormatError, match="oops") as err:
-                read_timeseries_csv(path)
-            errors.append(str(err.value))
-            assert multiprocessing.active_children() == []
+        with pytest.raises(FormatError, match="oops") as err:
+            read_timeseries_csv(path)
         # the row number counts from the start of the body, not of a range
-        assert errors[1] == errors[0]
-        assert str(_body_loadtxt_error(path)) in errors[0]
+        assert str(_body_loadtxt_error(path)) in str(err.value)
 
     @pytest.mark.parametrize("field", [" 1.0", "1_0", "nan", "0x1p3",
                                        "1.23456789012345678901234567890"])
@@ -625,8 +601,7 @@ class TestParallelCsvRead:
 
     @pytest.mark.parametrize("above", [False, True])
     @pytest.mark.parametrize("values_per_row", [1, 3])
-    def test_drive_record_needs_two_values_per_row(self, tmp_path,
-                                                   monkeypatch, above,
+    def test_drive_record_needs_two_values_per_row(self, tmp_path, above,
                                                    values_per_row):
         n = 4001 if above else 200
         path = tmp_path / "rec.csv"
@@ -636,26 +611,8 @@ class TestParallelCsvRead:
              "# sample_rate_hz=32000.0", "base,response"]
             + [",".join(map(repr, row)) for row in rows]) + "\n")
         assert (path.stat().st_size > omio._RANGE_BYTES) == above
-        _allow_cpus(monkeypatch, 2)
         with pytest.raises(FormatError, match="2 value"):
             read_driverecord_csv(path)
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.usefixtures("no_loadtxt")
-    @pytest.mark.parametrize("n_cpus", [1, 2])
-    def test_batch_read_equals_per_file_reads(self, tmp_path, monkeypatch,
-                                              n_cpus):
-        records = _sweep(6, 700)
-        paths = [tmp_path / f"sweep_{k:03d}.csv" for k in range(6)]
-        write_driverecords_csv(paths, records)
-        _allow_cpus(monkeypatch, n_cpus)
-        back = read_driverecords_csv(paths)
-        assert [r.drive_freq for r in back] == [r.drive_freq for r in records]
-        for rec, path in zip(back, paths):
-            assert _same_values(
-                [rec.base_motion.values, rec.response_motion.values],
-                _reference_values(path, "drive"))
-            assert rec.response_motion.calibration == 2.0
 
 
 def _noise_ts(n, is_complex, seed=7):
@@ -699,7 +656,7 @@ class TestStreamedWelch:
                 _assert_whole_array_bits(welch_psd(rec, segment_len, overlap),
                                          ts, segment_len, overlap)
 
-    @pytest.mark.usefixtures("small_ranges", "no_fork")
+    @pytest.mark.usefixtures("small_ranges")
     @pytest.mark.parametrize("n_cpus", [1, 2])
     @pytest.mark.parametrize("above", [False, True])
     @pytest.mark.parametrize("is_complex", [False, True])
