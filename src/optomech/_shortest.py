@@ -21,9 +21,7 @@ The 668 rows of power-of-five multipliers and every table derived from
 them are built from exact Python integers on first use, not at import.
 """
 
-import array
 import functools
-import mmap
 from types import SimpleNamespace
 
 import numpy as np
@@ -89,8 +87,7 @@ def exponent_params(b):
 @functools.cache
 def _tables():
     """Every lookup table the conversion uses, built once per process from
-    Python integers and packed into one anonymous memory mapping
-    (``_mapped``)."""
+    Python integers."""
     rows = pow5_rows()
     mult = [[0] * 2048 for _ in range(4)]
     shift, e10, vm_pow2 = [21] * 2048, [0] * 2048, [0] * 2048
@@ -138,40 +135,18 @@ def _tables():
     slot_keep = [c < end or _TEXT_BYTES <= c < _TEXT_BYTES + tail
                  for end in range(_TEXT_BYTES + 1) for tail in range(8)
                  for c in range(_SLOT_BYTES)]
-    return _mapped(
-        mult=("q", (4, 2048), [v for limbs in mult for v in limbs]),
-        exact=("q", 2048, exact), vm_pow2=("q", 2048, vm_pow2),
-        p10=("q", 19, [10 ** k for k in range(19)]),
-        dot_masks=("q", (3, 3, _TEXT_BYTES + 1), dot_masks),
-        tail=("q", 2 * _TAIL_ROWS,
-              [int.from_bytes(t, "little") for t in tails]),
-        tail_len=("q", 2 * _TAIL_ROWS, [len(t) for t in tails]),
-        shift=("q", 2048, shift), e10=("q", 2048, e10),
-        to_repr=("?", 2048, to_repr),
-        slot_keep=("?", (8 * (_TEXT_BYTES + 1), _SLOT_BYTES), slot_keep))
-
-
-def _mapped(**tables):
-    """numpy arrays of the ``(typecode, shape, values)`` of each table, in
-    one anonymous memory mapping of their own.
-
-    Tables built on the malloc heap would sit above whatever a command has
-    freed by its first CSV write, and keep the heap from shrinking below
-    them (``report`` peaked 5 MB higher: its first table is written while
-    it holds a sweep)."""
-    packed = {name: (np.dtype(code), shape, array.array(
-        "B" if code == "?" else code, values).tobytes())
-        for name, (code, shape, values) in tables.items()}
-    buf = mmap.mmap(-1, sum(len(data) for _, _, data in packed.values()))
-    out, offset = {}, 0
-    # widest items first, so that every table starts aligned
-    for name, (dtype, shape, data) in sorted(
-            packed.items(), key=lambda item: -item[1][0].itemsize):
-        buf[offset:offset + len(data)] = data
-        out[name] = np.frombuffer(buf, dtype, len(data) // dtype.itemsize,
-                                  offset).reshape(shape)
-        offset += len(data)
-    return SimpleNamespace(**out)
+    return SimpleNamespace(
+        mult=np.array(mult, np.int64), exact=np.array(exact, np.int64),
+        vm_pow2=np.array(vm_pow2, np.int64),
+        p10=np.array([10 ** k for k in range(19)], np.int64),
+        dot_masks=np.array(dot_masks, np.int64).reshape(
+            3, 3, _TEXT_BYTES + 1),
+        tail=np.array([int.from_bytes(t, "little") for t in tails], np.int64),
+        tail_len=np.array([len(t) for t in tails], np.int64),
+        shift=np.array(shift, np.int64), e10=np.array(e10, np.int64),
+        to_repr=np.array(to_repr, bool),
+        slot_keep=np.array(slot_keep, bool).reshape(
+            8 * (_TEXT_BYTES + 1), _SLOT_BYTES))
 
 
 def _shortest(bits, t):

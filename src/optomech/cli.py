@@ -469,7 +469,6 @@ def _report_transfer(cfg: Config, seed: int, table, device: str) -> dict:
 def _report_brownian(cfg: Config, seed: int, table) -> dict:
     mode, ts = _brownian(cfg, seed)
     spec = _welch(cfg, ts)
-    del ts
     fit = _fit_line(cfg, spec)
     pk = fit.params
     half = pk["fwhm_hz"] / 2.0

@@ -8,6 +8,7 @@ keys anywhere in the tree are rejected, and every value must have its
 default's type: a finite JSON number where the default is a number (not a
 boolean), a string where it is a string, and null or a finite number
 where it is null.  Seeds and counts (_INTEGER_KEYS) must be JSON integers.
+The analysis values are checked against their ranges (_check_analysis).
 No synthesized record, and no sweep in total, may hold more than
 MAX_RECORD_SAMPLES samples; the counts are checked here, before anything
 is allocated.
@@ -18,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from .cavity import Cavity
+from .estimate import _WINDOWS
 from .mech import MechMode, NestedModel
 
 
@@ -117,6 +119,23 @@ _ANALYSIS_DEFAULTS = {
     "fit_window_hz": None,
     "bins_per_decade": 5,
 }
+
+
+def _check_analysis(a: dict):
+    """The analysis values that no record can make valid; welch_psd checks
+    the segment length against the record itself."""
+    for key, ok, rule in (
+            ("welch_window", a["welch_window"] in _WINDOWS,
+             f"one of {sorted(_WINDOWS)}"),
+            ("welch_overlap", 0.0 <= a["welch_overlap"] <= 0.9, "in [0, 0.9]"),
+            ("welch_segment_len", a["welch_segment_len"] is None
+             or a["welch_segment_len"] >= 2, "null or >= 2"),
+            ("fit_window_hz", a["fit_window_hz"] is None
+             or a["fit_window_hz"] > 0, "null or > 0"),
+            ("bins_per_decade", a["bins_per_decade"] >= 1, ">= 1")):
+        if not ok:
+            raise ConfigError(f"analysis.{key} must be {rule}, "
+                              f"got {json.dumps(a[key])}")
 
 
 def _check_samples(n, where: str):
@@ -243,6 +262,7 @@ def config_from_dict(d: dict) -> Config:
     if synth["brownian"]["mode"] not in ("envelope", "baseband"):
         raise ConfigError("synth.brownian.mode must be 'envelope' or 'baseband'")
     _check_record_sizes(synth)
+    _check_analysis(analysis)
     try:
         NestedModel(outer=outer, inner=inner)   # validate the pairing
     except ValueError as exc:

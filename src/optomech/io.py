@@ -9,8 +9,8 @@ float64 payload) is for large records; its reader checks the payload size
 against the header and reads the payload straight into the record's one
 array.  open_timeseries reads a record of either format as a BlockSeries,
 a block at a time, for analyses that need it only once and in order:
-.bin payloads in reused blocks, long CSV bodies a parsed range at a time,
-so that neither is held whole.  All writes are atomic
+.bin payloads in reused blocks, CSV bodies a parsed range at a time, so
+that neither is held whole.  All writes are atomic
 (temp file + rename), and files are created with mode 0666 minus the
 umask.  CSV floats are written exactly as repr writes them, the shortest
 decimal that reads back as the same double, so a rerun with the same
@@ -22,7 +22,10 @@ Writers stream rows in fixed chunks, so memory stays bounded.  Readers
 cut a body at newlines into ranges of about a MiB and parse a range at a
 time with _parse.parse_rows, which gives the bits of
 np.loadtxt(fh, delimiter=","); a range with a field outside its strict
-grammar is parsed by that np.loadtxt call itself.
+grammar is parsed by that np.loadtxt call itself.  Only a body whose rows
+cannot be counted that way (one with a comment, an empty line among its
+rows, a lone carriage return or a line longer than a range) is parsed
+whole by np.loadtxt when it is opened.
 """
 
 import contextlib
@@ -186,8 +189,9 @@ def _scan_ranges(path, offset):
     """The body after byte ``offset`` cut at newlines into ranges of about
     ``_RANGE_BYTES``, as ``(start, stop, rows)`` with ``rows`` the lines in
     ``[start, stop)``; None, so that the body is parsed whole, if a line is
-    longer than a range or may not be one row (``_line_rows``).  The body
-    is read into one reused buffer."""
+    longer than a range or may not be one row (``_line_rows``).  A range of
+    empty lines alone holds no rows and is left out.  The body is read into
+    one reused buffer."""
     ranges = []
     block = bytearray(_RANGE_BYTES)
     newline, pair = np.empty(_RANGE_BYTES, bool), np.empty(_RANGE_BYTES, bool)
@@ -203,9 +207,10 @@ def _scan_ranges(path, offset):
                 if not stop:
                     return None       # a line longer than a range
             rows = _line_rows(block, stop, newline, pair)
-            if rows is None:
-                return None
-            ranges.append((start, start + stop, rows))
+            if rows is not None:
+                ranges.append((start, start + stop, rows))
+            elif block[:stop].strip(b"\r\n"):
+                return None           # not a range of empty lines alone
             start += stop
 
 
@@ -248,27 +253,23 @@ class _CsvBody:
     ``np.loadtxt(fh, delimiter=",", ndmin=2)`` on the file read from
     ``offset``, with ``ncols`` values per row.
 
-    A body that ``_scan_ranges`` cuts into several ranges is parsed a
-    range at a time (``_range_rows``) and handed over in order
-    (``blocks``), so it is never held whole.  Any other body is parsed at
-    once when it is opened.  A range that fails to parse, or parses to
-    another shape, ends the iteration with the error of ``np.loadtxt`` on
-    the whole body, so the errors never depend on how it is cut.
+    A body that ``_scan_ranges`` can count is parsed a range at a time
+    (``_range_rows``) and handed over in order (``blocks``), so it is never
+    held whole; an empty body is counted too, as no rows.  Any other body
+    is parsed whole when it is opened.  A range that fails to parse, or
+    parses to another shape, ends the iteration with the error of
+    ``np.loadtxt`` on the whole body, so the errors never depend on how it
+    is cut.
     """
 
     def __init__(self, path, offset, ncols):
         self.path, self.offset, self.ncols = path, offset, ncols
         self.ranges = _scan_ranges(path, offset)
-        if self.ranges is not None and len(self.ranges) > 1:
+        if self.ranges is None:
+            self.data = self._parse_whole()
+            self.n = self.data.shape[0]
+        else:
             self.n = sum(rows for _, _, rows in self.ranges)
-            return
-        data = None
-        if self.ranges:
-            (buf, rows), = _read_ranges(path, self.ranges)
-            data = _range_rows(buf, rows, ncols)
-        self.ranges = None
-        self.data = self._parse_whole() if data is None else data
-        self.n = self.data.shape[0]
 
     def _parse_whole(self):
         with open(self.path, "r", encoding="utf-8") as fh:
@@ -298,8 +299,6 @@ class _CsvBody:
 
     def read(self):
         """All the rows, as one (n, ncols) float64 array."""
-        if self.ranges is None:
-            return self.data
         out = np.empty((self.n, self.ncols))
         row = 0
         with contextlib.closing(self.blocks()) as blocks:

@@ -474,6 +474,30 @@ class TestExitCodes:
             assert main(["design-check", "--config", path]) in (EXIT_OK,
                                                                 EXIT_CONFIG)
 
+    @pytest.mark.parametrize("key, value", [
+        ("welch_window", "nope"), ("welch_overlap", 0.95),
+        ("welch_segment_len", 1), ("fit_window_hz", 0),
+        ("bins_per_decade", 0)])
+    def test_analysis_value_out_of_range_is_config_error(self, tmp_path,
+                                                         capsys, key, value):
+        cfg = _write_cfg(tmp_path, {f"analysis.{key}": value})
+        out = tmp_path / "out"
+        out.mkdir()
+        for argv in (["report"], ["simulate", "brownian"]):
+            assert main(["--config", cfg, "--out", str(out)]
+                        + argv) == EXIT_CONFIG
+            assert (f"configuration error: analysis.{key} must be "
+                    in capsys.readouterr().err)
+            assert list(out.iterdir()) == []
+
+    def test_analysis_values_at_their_limits_are_accepted(self):
+        from optomech import config_from_dict
+        for analysis in ({"welch_overlap": 0, "welch_segment_len": 2,
+                          "fit_window_hz": 1e-300, "bins_per_decade": 1},
+                         {"welch_overlap": 0.9, "welch_window": "boxcar"}):
+            cfg = config_from_dict({"analysis": analysis})
+            assert all(cfg.analysis[k] == v for k, v in analysis.items())
+
     def test_null_mass_ratio_is_the_mass_quotient(self, tmp_path):
         from optomech import config_from_dict, default_config
         cfg = config_from_dict({"device": {"mass_ratio": None}})
@@ -552,6 +576,25 @@ class TestExitCodes:
                 "config": {}, "outputs": {"files": {"records": ["rec.csv"]}}})
         assert main(["--out", str(tmp_path), "analyze", "transfer",
                      str(target)]) == EXIT_IO
+
+    @pytest.mark.parametrize("body", [b"", b"\n\n\r\n"],
+                             ids=["header-only", "empty-lines"])
+    @pytest.mark.parametrize("kind, header, quantity", [
+        ("timeseries", b"# sample_rate_hz=100.0\nvalue\n", "q"),
+        ("drive-record", b"# drive_freq_hz=10.0\n# sample_rate_hz=100.0\n"
+         b"base,response\n", "transfer"),
+    ], ids=["timeseries", "drive-record"])
+    def test_empty_csv_body_is_io_error_without_a_warning(
+            self, tmp_path, capfd, body, kind, header, quantity):
+        # no np.loadtxt call, so no "input contained no data" on stderr
+        path = tmp_path / "rec.csv"
+        magic = kind.replace("-", "").encode()
+        path.write_bytes(b"# optomech_" + magic + b" v1\n" + header + body)
+        assert main(["--out", str(tmp_path / "out"), "analyze", quantity,
+                     str(path)]) == EXIT_IO
+        assert capfd.readouterr().err == (
+            f"I/O error: {path}: malformed {kind} CSV: "
+            "a TimeSeries needs at least 2 samples\n")
 
     @pytest.mark.parametrize("outputs", [
         {},

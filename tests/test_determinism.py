@@ -179,3 +179,23 @@ def test_no_processes_or_threads(path):
                   if name.split(".")[0] in _PROCESS_MODULES
                   or name == "os.fork"]
     assert not found, found
+
+
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_numpy_is_the_only_runtime_dependency(path):
+    # a test dependency such as scipy is installed where the tests run, so
+    # only this check keeps it out of the package
+    allowed = sys.stdlib_module_names | {"numpy"}
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.split(".")[0] not in allowed]
+    assert not found, found

@@ -518,6 +518,44 @@ def _same_values(got, want):
         _same_bits(a, np.ascontiguousarray(b)) for a, b in zip(got, want))
 
 
+_OUTSIDE_THE_GRAMMAR = [" 1.0", "1_0", "nan", "0x1p3",
+                        "1.23456789012345678901234567890"]
+
+
+def _put_field(path, n, field):
+    """Write a real record of n samples with ``field`` as a row near the
+    middle of its body: the row's byte offset, and the body's ranges."""
+    write_timeseries_csv(path, _noise_ts(n, False))
+    text = path.read_bytes()
+    row = text.index(b"\n", len(text) // 2) + 1
+    path.write_bytes(text[:row] + field.encode()
+                     + text[text.index(b"\n", row):])
+    return row, omio._scan_ranges(path, text.index(b"\nvalue\n") + 7)
+
+
+def _assert_both_readers_like_loadtxt(path, segment_len):
+    """read_timeseries_csv and welch_psd over open_timeseries give the
+    values of np.loadtxt on the body, or both the same FormatError."""
+    try:
+        want = _reference_values(path, "real")[0]
+    except ValueError:
+        want = None
+    if want is not None and np.isfinite(want).all():
+        ts = read_timeseries_csv(path)
+        assert _same_bits(ts.values, want)
+        assert _same_bits(welch_psd(open_timeseries(path), segment_len).psd,
+                          welch_psd(ts, segment_len).psd)
+        return
+    problem = ("TimeSeries values must be finite" if want is not None
+               else _body_loadtxt_error(path))
+    for read in (read_timeseries_csv,
+                 lambda p: welch_psd(open_timeseries(p), segment_len)):
+        with pytest.raises(FormatError) as err:
+            read(path)
+        assert str(err.value) == (
+            f"{path}: malformed timeseries CSV: {problem}")
+
+
 @pytest.mark.usefixtures("small_ranges")
 class TestParallelCsvRead:
     """CSV bodies read a range at a time give the values and the errors of
@@ -570,34 +608,33 @@ class TestParallelCsvRead:
         # the row number counts from the start of the body, not of a range
         assert str(_body_loadtxt_error(path)) in str(err.value)
 
-    @pytest.mark.parametrize("field", [" 1.0", "1_0", "nan", "0x1p3",
-                                       "1.23456789012345678901234567890"])
+    @pytest.mark.parametrize("field", _OUTSIDE_THE_GRAMMAR)
     def test_field_outside_the_grammar_reads_like_loadtxt(self, tmp_path,
                                                           field):
         path = tmp_path / "rec.csv"
-        write_timeseries_csv(path, _noise_ts(5003, False))
-        text = path.read_bytes()
-        row = text.index(b"\n", len(text) // 2) + 1
-        path.write_bytes(text[:row] + field.encode()
-                         + text[text.index(b"\n", row):])
-        offset = text.index(b"\nvalue\n") + 7
-        ranges = omio._scan_ranges(path, offset)
+        row, ranges = _put_field(path, 5003, field)
         assert ranges[1][0] < row < ranges[-2][1]      # in a middle range
-        try:
-            want = _reference_values(path, "real")[0]
-        except ValueError:
-            want = None
-        if want is not None and np.isfinite(want).all():
-            assert _same_bits(read_timeseries_csv(path).values, want)
-            return
-        problem = ("TimeSeries values must be finite" if want is not None
-                   else _body_loadtxt_error(path))
-        for read in (read_timeseries_csv,
-                     lambda p: welch_psd(open_timeseries(p), 1000)):
-            with pytest.raises(FormatError) as err:
+        _assert_both_readers_like_loadtxt(path, 1000)
+
+    @pytest.mark.parametrize("field", _OUTSIDE_THE_GRAMMAR)
+    def test_field_outside_the_grammar_in_one_range_reads_like_loadtxt(
+            self, tmp_path, field):
+        path = tmp_path / "rec.csv"
+        _, ranges = _put_field(path, 300, field)
+        assert len(ranges) == 1
+        _assert_both_readers_like_loadtxt(path, 100)
+
+    @pytest.mark.usefixtures("no_loadtxt")
+    @pytest.mark.parametrize("body", [b"", b"\n" * 3, b"\r\n" * 20000],
+                             ids=["none", "empty-lines", "ranges-of-them"])
+    def test_body_without_rows_is_no_samples(self, tmp_path, body):
+        path = tmp_path / "rec.csv"
+        head = b"# optomech_timeseries v1\n# sample_rate_hz=1.0\nvalue\n"
+        path.write_bytes(head + body)
+        assert omio._scan_ranges(path, len(head)) == []
+        for read in (read_timeseries_csv, open_timeseries):
+            with pytest.raises(FormatError, match="at least 2 samples$"):
                 read(path)
-            assert str(err.value) == (
-                f"{path}: malformed timeseries CSV: {problem}")
 
     @pytest.mark.parametrize("above", [False, True])
     @pytest.mark.parametrize("values_per_row", [1, 3])
