@@ -11,6 +11,8 @@ while `analyze finesse` and `analyze mech-q` first trim a record at its
 config file plus the seed fully determine every output, byte for byte, at
 any number of allowed CPUs on a given machine (not across CPU
 architectures or numpy builds): no fit sums through a multithreaded BLAS.
+A `simulate` override (--temp, --finesse) is applied to the config, so the
+manifest's config rebuilds the record without it.
 Nothing here calls BLAS at all, so importing the package sets
 OPENBLAS_NUM_THREADS to 1 unless the environment already sets it, and a
 command starts no OpenBLAS thread pool.
@@ -19,6 +21,7 @@ or non-convergence.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -32,8 +35,8 @@ from . import io as _io
 from . import mech as _mech
 from . import servo as _servo
 from . import synth as _synth
-from .config import (Config, ConfigError, _is_number, default_config,
-                     load_config, sweep_exponents)
+from .config import (Config, ConfigError, _check_values, _is_number,
+                     default_config, load_config, sweep_exponents)
 from .constants import BOLTZMANN, PLANCK
 
 EXIT_OK = 0
@@ -74,26 +77,23 @@ def _load(args) -> Config:
     cfg = load_config(args.config) if args.config else default_config()
     if args.seed is not None:
         cfg.synth["seed"] = int(args.seed)
+        _check_values(cfg)
     return cfg
 
 
 # Builders, one per synthetic experiment, each with its own seed offset
 
-def _brownian(cfg: Config, seed: int, temp=None):
+def _brownian(cfg: Config, seed: int):
     p = cfg.synth["brownian"]
-    mode = cfg.inner if p["device"] == "inner" else cfg.outer
-    if temp is not None:
-        mode = _mech.MechMode(mode.f0, mode.q, mode.m_eff, temp)
+    mode = getattr(cfg, p["device"])
     center = mode.f0 if p["mode"] == "envelope" else None
     return mode, _synth.synth_brownian(
         mode, p["sample_rate_hz"], p["duration_s"], seed + _SEED_BROWNIAN,
         noise_floor=p["noise_floor_m2_per_hz"], center_freq=center)
 
 
-def _optical_ringdown(cfg: Config, seed: int, finesse=None):
+def _optical_ringdown(cfg: Config, seed: int):
     cav = cfg.cavity
-    if finesse is not None:
-        cav = _cavity.Cavity(cav.length, cav.wavelength, finesse)
     p = cfg.synth["ringdown_optical"]
     return cav, _synth.synth_optical_ringdown(
         cav, p["sample_rate_hz"], p["duration_s"], p["snr"],
@@ -197,21 +197,28 @@ def _fit_transfer(cfg: Config, records):
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
+    exp = args.experiment
+    # an override goes into the config, so the manifest's config rebuilds
+    # the record; it applies only to the experiment it belongs to
+    if exp == "brownian" and args.temp is not None:
+        device = cfg.synth["brownian"]["device"]
+        setattr(cfg, device, dataclasses.replace(getattr(cfg, device),
+                                                 temp=args.temp))
+    if exp == "ringdown-optical" and args.finesse is not None:
+        cfg.cavity = dataclasses.replace(cfg.cavity, finesse=args.finesse)
     seed = cfg.synth["seed"]
     out = _out_dir(args)
     fmt = args.format                # also the file extension
-    exp = args.experiment
     series = {}                      # record name -> TimeSeries
     outputs = {"seed": seed}
 
     if exp == "brownian":
-        mode, ts = _brownian(cfg, seed, args.temp)
+        mode, ts = _brownian(cfg, seed)
         series["brownian"] = ts
         outputs.update({"f0_hz": mode.f0, "q": mode.q, "temp_k": mode.temp,
                         "n_samples": ts.n, "warnings": list(ts.warnings)})
     elif exp == "ringdown-optical":
-        cav, series["ringdown_optical"] = _optical_ringdown(cfg, seed,
-                                                            args.finesse)
+        cav, series["ringdown_optical"] = _optical_ringdown(cfg, seed)
         outputs.update({"finesse": cav.finesse, "tau_s": cav.decay_tau,
                         "snr": cfg.synth["ringdown_optical"]["snr"]})
     elif exp == "ringdown-mech":

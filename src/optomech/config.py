@@ -8,7 +8,9 @@ keys anywhere in the tree are rejected, and every value must have its
 default's type: a finite JSON number where the default is a number (not a
 boolean), a string where it is a string, and null or a finite number
 where it is null.  Seeds and counts (_INTEGER_KEYS) must be JSON integers.
-The analysis values are checked against their ranges (_check_analysis).
+Values that no record can make valid, such as a negative seed, a zero snr
+or a Welch overlap above 0.9, are checked against their rules
+(_VALUE_RULES).
 No synthesized record, and no sweep in total, may hold more than
 MAX_RECORD_SAMPLES samples; the counts are checked here, before anything
 is allocated.
@@ -121,21 +123,36 @@ _ANALYSIS_DEFAULTS = {
 }
 
 
-def _check_analysis(a: dict):
-    """The analysis values that no record can make valid; welch_psd checks
-    the segment length against the record itself."""
-    for key, ok, rule in (
-            ("welch_window", a["welch_window"] in _WINDOWS,
-             f"one of {sorted(_WINDOWS)}"),
-            ("welch_overlap", 0.0 <= a["welch_overlap"] <= 0.9, "in [0, 0.9]"),
-            ("welch_segment_len", a["welch_segment_len"] is None
-             or a["welch_segment_len"] >= 2, "null or >= 2"),
-            ("fit_window_hz", a["fit_window_hz"] is None
-             or a["fit_window_hz"] > 0, "null or > 0"),
-            ("bins_per_decade", a["bins_per_decade"] >= 1, ">= 1")):
-        if not ok:
-            raise ConfigError(f"analysis.{key} must be {rule}, "
-                              f"got {json.dumps(a[key])}")
+# The values that no record can make valid, as (dotted key, test, rule);
+# welch_psd checks the segment length against the record itself.
+_VALUE_RULES = (
+    ("synth.seed", lambda v: v >= 0, ">= 0"),
+    ("synth.ringdown_optical.snr", lambda v: v > 0, "> 0"),
+    ("synth.ringdown_mech.snr", lambda v: v > 0, "> 0"),
+    ("synth.sweep.piezo_corner_hz", lambda v: v is None or v > 0,
+     "null or > 0"),
+    ("analysis.welch_window", lambda v: v in _WINDOWS,
+     f"one of {sorted(_WINDOWS)}"),
+    ("analysis.welch_overlap", lambda v: 0.0 <= v <= 0.9, "in [0, 0.9]"),
+    ("analysis.welch_segment_len", lambda v: v is None or v >= 2,
+     "null or >= 2"),
+    ("analysis.fit_window_hz", lambda v: v is None or v > 0, "null or > 0"),
+    ("analysis.bins_per_decade", lambda v: v >= 1, ">= 1"),
+)
+
+
+def _check_values(cfg):
+    """Each _VALUE_RULES value of a Config against its rule; the CLI calls
+    this again after applying its --seed override."""
+    sections = {"synth": cfg.synth, "analysis": cfg.analysis}
+    for key, ok, rule in _VALUE_RULES:
+        *parents, leaf = key.split(".")
+        node = sections
+        for part in parents:
+            node = node[part]
+        if not ok(node[leaf]):
+            raise ConfigError(f"{key} must be {rule}, "
+                              f"got {json.dumps(node[leaf])}")
 
 
 def _check_samples(n, where: str):
@@ -262,13 +279,14 @@ def config_from_dict(d: dict) -> Config:
     if synth["brownian"]["mode"] not in ("envelope", "baseband"):
         raise ConfigError("synth.brownian.mode must be 'envelope' or 'baseband'")
     _check_record_sizes(synth)
-    _check_analysis(analysis)
+    cfg = Config(inner=inner, outer=outer, mass_ratio=mass_ratio, cavity=cav,
+                 synth=synth, analysis=analysis)
+    _check_values(cfg)
     try:
         NestedModel(outer=outer, inner=inner)   # validate the pairing
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return Config(inner=inner, outer=outer, mass_ratio=mass_ratio, cavity=cav,
-                  synth=synth, analysis=analysis)
+    return cfg
 
 
 def load_config(path) -> Config:

@@ -127,43 +127,29 @@ def _shift_left(buf, hop, keep):
 
 def _segments(blocks, n, segment_len, hop, dtype):
     """The Welch segments [k*hop, k*hop + segment_len) of the n samples the
-    blocks hold, in order, each valid until the next is requested.
-
-    A segment inside one block is a view into it.  One that begins before
-    the current block is completed in a carry buffer of one segment, which
-    holds the samples from its start to the end of the last block; a record
-    in one block needs no buffer.  Every block is checked for finiteness,
-    and the blocks must hold n samples.
+    blocks hold, in order, each built in one window that is valid until
+    the next is requested.  The blocks are copied into the window; once
+    full, it is yielded and its last segment_len - hop samples move to its
+    front.  Every block is checked for finiteness, and the blocks must
+    hold n samples.
     """
-    buf = None                       # allocated when a segment spans blocks
-    start = 0                        # the next segment's first sample
-    b0 = 0                           # the current block's first sample
+    buf = np.empty(segment_len, dtype)
+    fill = total = 0                 # buf[:fill] holds the next segment's start
     for block in blocks:
         if not _all_finite(block):
             raise ValueError("input contains non-finite samples")
-        b1 = b0 + block.size
-        while start < b0:            # buf[:b0 - start] holds [start, b0)
-            fill = b0 - start
-            take = segment_len - fill
-            if block.size < take:    # the block does not complete it
-                buf[fill:fill + block.size] = block
-                break
-            buf[fill:] = block[:take]
-            yield buf
-            start += hop
-            if start < b0:
-                _shift_left(buf, hop, b0 - start)
-        else:
-            while start + segment_len <= b1:
-                yield block[start - b0:start - b0 + segment_len]
-                start += hop
-            if b1 < n:               # carry the next segment's samples
-                if buf is None:
-                    buf = np.empty(segment_len, dtype)
-                buf[:b1 - start] = block[start - b0:]
-        b0 = b1
-    if b0 != n:
-        raise ValueError(f"the record's blocks held {b0} samples, not {n}")
+        total += block.size
+        while block.size:
+            take = min(segment_len - fill, block.size)
+            buf[fill:fill + take] = block[:take]
+            block = block[take:]
+            fill += take
+            if fill == segment_len:
+                yield buf
+                fill = segment_len - hop
+                _shift_left(buf, hop, fill)
+    if total != n:
+        raise ValueError(f"the record's blocks held {total} samples, not {n}")
 
 
 def welch_psd(ts, segment_len: int | None = None,
@@ -177,7 +163,7 @@ def welch_psd(ts, segment_len: int | None = None,
 
     The record is read once, in order, a block at a time (ts.blocks()), so
     a BlockSeries read from a file is never held whole: Welch keeps one
-    segment of carried samples and the segment's work arrays.
+    segment window (_segments) and the segment's work arrays.
     """
     if not 0.0 <= overlap_frac <= 0.9:
         raise ValueError("overlap_frac must be in [0, 0.9]")
@@ -433,12 +419,14 @@ def fit_exp_decay(ts: TimeSeries, cavity_length: float | None = None,
     head = float(np.mean(y[:n_edge]))
     tail = float(np.mean(y[-n_edge:]))
     span = float(np.max(y) - np.min(y))
+    if span == 0:
+        raise EstimationError("record is flat: no decay to fit")
     if head < tail and (tail - head) > 0.02 * max(span, 1e-300):
         raise EstimationError("record trend is rising, not a decay")
 
     # initial guesses on nondimensional axes
     t_span = t[-1] if t[-1] > 0 else 1.0
-    y_scale = span if span > 0 else max(abs(head), 1e-300)
+    y_scale = span
     offset0 = tail
     amp0 = head - offset0
     drop = (y - offset0) / (amp0 if amp0 != 0 else 1.0)

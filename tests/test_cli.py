@@ -97,6 +97,29 @@ class TestSimulate:
         ts = read_timeseries(tmp_path / "brownian.csv")
         assert np.all(ts.values == 0.0)
 
+    @pytest.mark.parametrize("exp", ["brownian", "ringdown-optical"])
+    def test_override_is_recorded_in_the_manifest(self, tmp_path, exp):
+        # the manifest's config alone, without the flag, rebuilds the
+        # record; each flag is ignored by the other experiment
+        cfg = _write_cfg(tmp_path)
+        flag, rerun = tmp_path / "flag", tmp_path / "rerun"
+        assert main(["--config", cfg, "--out", str(flag), "simulate", exp,
+                     "--temp", "0", "--finesse", "300000"]) == EXIT_OK
+        stem = exp.replace("-", "_")
+        manifest = f"simulate_{stem}_manifest.json"
+        config = read_result_doc(flag / manifest)["config"]
+        brownian = exp == "brownian"
+        assert config["device"]["inner"]["temp_k"] == (0.0 if brownian
+                                                       else 300.0)
+        assert config["cavity"]["finesse"] == (181000.0 if brownian
+                                               else 300000.0)
+        rerun_cfg = tmp_path / "manifest_config.json"
+        rerun_cfg.write_text(json.dumps(config))
+        assert main(["--config", str(rerun_cfg), "--out", str(rerun),
+                     "simulate", exp]) == EXIT_OK
+        for name in (f"{stem}.csv", manifest):
+            assert (rerun / name).read_bytes() == (flag / name).read_bytes()
+
     def test_binary_format_round_trip(self, tmp_path):
         cfg = _write_cfg(tmp_path)
         rc = main(["--config", cfg, "--out", str(tmp_path), "simulate",
@@ -230,6 +253,19 @@ class TestAnalyze:
         assert rc == EXIT_OK
         doc = read_result_doc(tmp_path / "analyze_mech_q_result.json")
         assert doc["outputs"]["q"] == pytest.approx(1e5, rel=0.10)
+
+    def test_flat_ringdown_is_a_fit_error(self, tmp_path, capsys):
+        # x0_m = 0 gives an envelope of zeros: no decay, so no Q
+        cfg = _write_cfg(tmp_path, {"synth.ringdown_mech.x0_m": 0.0})
+        assert main(["--config", cfg, "--out", str(tmp_path), "simulate",
+                     "ringdown-mech"]) == EXIT_OK
+        for argv in (["analyze", "mech-q",
+                      str(tmp_path / "ringdown_mech_envelope.csv")],
+                     ["report"]):
+            assert main(["--config", cfg, "--out", str(tmp_path)]
+                        + argv) == EXIT_FIT
+            assert ("fit error: record is flat"
+                    in capsys.readouterr().err)
 
     def test_transfer_via_manifest(self, tmp_path):
         cfg = _write_cfg(tmp_path)
@@ -489,6 +525,41 @@ class TestExitCodes:
             assert (f"configuration error: analysis.{key} must be "
                     in capsys.readouterr().err)
             assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("key, value, argv", [
+        ("synth.seed", -2, ["simulate", "brownian"]),
+        ("synth.ringdown_optical.snr", 0, ["simulate", "ringdown-optical"]),
+        ("synth.ringdown_mech.snr", 0, ["simulate", "ringdown-mech"]),
+        ("synth.sweep.piezo_corner_hz", 0, ["simulate", "sweep"])])
+    def test_synth_value_out_of_range_is_config_error(self, tmp_path, capsys,
+                                                      key, value, argv):
+        cfg = _write_cfg(tmp_path, {key: value})
+        out = tmp_path / "out"
+        out.mkdir()
+        for args in (["report"], argv):
+            assert main(["--config", cfg, "--out", str(out)]
+                        + args) == EXIT_CONFIG
+            assert (f"configuration error: {key} must be "
+                    in capsys.readouterr().err)
+            assert list(out.iterdir()) == []
+
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
+        # --seed is checked by the config file's rule for synth.seed
+        out = tmp_path / "out"
+        out.mkdir()
+        for argv in (["report"], ["simulate", "brownian"]):
+            assert main(["--seed", "-2", "--out", str(out)]
+                        + argv) == EXIT_CONFIG
+            assert ("configuration error: synth.seed must be >= 0, got -2"
+                    in capsys.readouterr().err)
+            assert list(out.iterdir()) == []
+
+    def test_synth_values_at_their_limits_are_accepted(self):
+        from optomech import config_from_dict
+        synth = {"seed": 0, "ringdown_optical": {"snr": 1e-300},
+                 "ringdown_mech": {"snr": 1e-300},
+                 "sweep": {"piezo_corner_hz": 1e-300}}
+        assert config_from_dict({"synth": synth}).synth["seed"] == 0
 
     def test_analysis_values_at_their_limits_are_accepted(self):
         from optomech import config_from_dict

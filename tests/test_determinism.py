@@ -154,13 +154,17 @@ def test_no_blas_products(path):
 
 _PROCESS_MODULES = {"multiprocessing", "concurrent", "threading",
                     "subprocess"}
+# nothing may start a process, or size its work by the CPUs it may use
+_OS_CALLS = {"os.fork", "os.sched_getaffinity", "os.cpu_count",
+             "os.process_cpu_count"}
 
 
 @pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_processes_or_threads(path):
-    # every command runs in one process and one Python thread, so its
-    # outputs cannot depend on how many CPUs it may use
+    # every command runs in one process and one Python thread and never
+    # reads the CPU count, so its outputs cannot depend on how many CPUs
+    # it may use
     tree = ast.parse(path.read_text(), str(path))
     found = []
     for node in ast.walk(tree):
@@ -170,14 +174,14 @@ def test_no_processes_or_threads(path):
             names = [node.module or ""]
             if node.module == "os":
                 names += [f"os.{alias.name}" for alias in node.names]
-        elif (isinstance(node, ast.Attribute) and node.attr == "fork"
+        elif (isinstance(node, ast.Attribute)
               and isinstance(node.value, ast.Name) and node.value.id == "os"):
-            names = ["os.fork"]
+            names = [f"os.{node.attr}"]
         else:
             continue
         found += [(node.lineno, name) for name in names
                   if name.split(".")[0] in _PROCESS_MODULES
-                  or name == "os.fork"]
+                  or name in _OS_CALLS]
     assert not found, found
 
 

@@ -228,6 +228,12 @@ class TestFitExpDecay:
         with pytest.raises(EstimationError):
             fit_exp_decay(ts)
 
+    def test_flat_record_is_a_fit_error(self):
+        # no decay to fit: not a fit of any tau with a sigma of 0
+        ts = TimeSeries(1e3, 0.0, np.full(500, 2.5))
+        with pytest.raises(EstimationError, match="record is flat"):
+            fit_exp_decay(ts)
+
     def test_tau_longer_than_record_flags_nonconverged(self):
         fs = 1e3
         t = np.arange(500) / fs

@@ -740,6 +740,24 @@ class TestStreamedWelch:
         assert peaks[0] == peaks[1]
         assert peaks[1] < 8 * segment_len * 16
 
+    def test_in_memory_record_memory_is_one_window(self):
+        segment_len = 1 << 17
+        peaks = []
+        for n in (1 << 19, 1 << 21):
+            ts = TimeSeries(1.0, 0.0,
+                            np.arange(2 * n, dtype=float).view(np.complex128))
+            welch_psd(ts, segment_len)   # untraced first call, as above
+            tracemalloc.start()
+            try:
+                welch_psd(ts, segment_len)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the segment window and the segment's work arrays, while the
+        # longer record, held by the caller, is 32 MB, 16 segments
+        assert peaks[0] == peaks[1]
+        assert peaks[1] < 8 * segment_len * 16
+
 
 class TestFileMode:
     @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
