@@ -32,9 +32,8 @@ from .mech import (MechMode, NestedModel, chain_response, chain_transfer,
                    transfer_power)
 from .servo import (CoolingConfig, LockConfig, LockResult, effective_temperature,
                     optical_damping_rate, simulate_lock)
-from .synth import (BlockSeries, DriveRecord, MechRingdown, TimeSeries,
-                    demodulate_envelope, synth_brownian, synth_drive_sweep,
-                    synth_mech_envelope, synth_mech_ringdown,
+from .synth import (BlockSeries, DriveRecord, TimeSeries, demodulate_envelope,
+                    synth_brownian, synth_drive_sweep, synth_mech_ringdown,
                     synth_optical_ringdown, transduce_side_of_fringe)
 
 __version__ = "0.1.0"

@@ -1,18 +1,19 @@
 """Command-line interface: simulate, analyze, design-check and report.
 
 The commands share one builder per synthetic experiment and one fit per
-measured quantity.  `simulate ringdown-mech` and `report` stream the
-mechanical ringdown straight to its demodulated envelope; the raw
-oscillation (3M samples on the default config) is built and written, as
-`ringdown_mech_raw.<fmt>`, only by `simulate ringdown-mech --raw`.
+measured quantity.  The mechanical ringdown is one block stream from
+synthesis to file to demodulation, never held whole: `simulate
+ringdown-mech --raw` also writes the raw oscillation (3M samples on the
+default config) as `ringdown_mech_raw.<fmt>`, and `analyze mech-q` fits
+the envelope of a record sampled at 8 f0 of the outer mode or faster.
 `report` fits its synthetic ringdowns from their known onset at t = 0,
 while `analyze finesse` and `analyze mech-q` first trim a record at its
 95% crossing (`detect_onset`), so the two differ on the same record.  The
 config file plus the seed fully determine every output, byte for byte, at
 any number of allowed CPUs on a given machine (not across CPU
 architectures or numpy builds): no fit sums through a multithreaded BLAS.
-A `simulate` override (--temp, --finesse) is applied to the config, so the
-manifest's config rebuilds the record without it.
+A `simulate` override (--temp, --finesse) is checked and set as its
+config value, so the manifest's config rebuilds the record without it.
 Nothing here calls BLAS at all, so importing the package sets
 OPENBLAS_NUM_THREADS to 1 unless the environment already sets it, and a
 command starts no OpenBLAS thread pool.
@@ -35,8 +36,8 @@ from . import io as _io
 from . import mech as _mech
 from . import servo as _servo
 from . import synth as _synth
-from .config import (Config, ConfigError, _check_values, _is_number,
-                     default_config, load_config, sweep_exponents)
+from .config import (Config, ConfigError, _check_leaf, _check_values,
+                     _is_number, default_config, load_config, sweep_exponents)
 from .constants import BOLTZMANN, PLANCK
 
 EXIT_OK = 0
@@ -101,17 +102,20 @@ def _optical_ringdown(cfg: Config, seed: int):
 
 
 def _mech_ringdown(cfg: Config, seed: int, raw=False):
-    """{record name: TimeSeries}: the envelope, and with raw the raw record."""
+    """{record name: record}: the envelope, and with raw the raw record, a
+    BlockSeries that is generated again as it is written."""
     p = cfg.synth["ringdown_mech"]
-    args = (cfg.outer, p["sample_rate_hz"], p["duration_s"], p["x0_m"],
-            seed + _SEED_RINGDOWN_MECH)
-    kw = {"snr": p["snr"], "envelope_cycles": p["envelope_cycles"]}
-    if not raw:
-        return {"ringdown_mech_envelope": _synth.synth_mech_envelope(*args,
-                                                                     **kw)}
-    rec = _synth.synth_mech_ringdown(*args, **kw)
-    return {"ringdown_mech_raw": rec.raw,
-            "ringdown_mech_envelope": rec.envelope}
+    rec = _synth.synth_mech_ringdown(
+        cfg.outer, p["sample_rate_hz"], p["duration_s"], p["x0_m"],
+        seed + _SEED_RINGDOWN_MECH, p["snr"])
+    env = {"ringdown_mech_envelope": _mech_envelope(cfg, rec)}
+    return {"ringdown_mech_raw": rec, **env} if raw else env
+
+
+def _mech_envelope(cfg: Config, rec):
+    """The lock-in envelope of a raw ringdown of the outer mode."""
+    return _synth.demodulate_envelope(
+        rec, cfg.outer.f0, cfg.synth["ringdown_mech"]["envelope_cycles"])
 
 
 def _sweep(cfg: Config, seed: int, device: str, f_max=math.inf):
@@ -179,6 +183,16 @@ def _fit_line(cfg: Config, spec):
     return _estimate.fit_lorentzian(spec, window)
 
 
+def _read_ringdown(cfg: Config, path, quantity: str):
+    """A recorded ringdown to fit.  A mech-q record sampled at 8 f0 of the
+    outer mode or faster is a raw oscillation: its envelope is read."""
+    if quantity == "mech-q":
+        rec = _io.open_timeseries(path)
+        if rec.sample_rate >= 8.0 * cfg.outer.f0:
+            return _mech_envelope(cfg, rec)
+    return _io.read_timeseries(path)
+
+
 def _fit_decay(cfg: Config, ts, quantity: str):
     """Exponential fit of a record that starts at its decay onset."""
     kw = ({"cavity_length": cfg.cavity.length} if quantity == "finesse"
@@ -202,14 +216,16 @@ def cmd_simulate(args) -> int:
     # the record; it applies only to the experiment it belongs to
     if exp == "brownian" and args.temp is not None:
         device = cfg.synth["brownian"]["device"]
+        _check_leaf(args.temp, 0.0, f"device.{device}.temp_k")
         setattr(cfg, device, dataclasses.replace(getattr(cfg, device),
                                                  temp=args.temp))
     if exp == "ringdown-optical" and args.finesse is not None:
+        _check_leaf(args.finesse, 0.0, "cavity.finesse")
         cfg.cavity = dataclasses.replace(cfg.cavity, finesse=args.finesse)
     seed = cfg.synth["seed"]
     out = _out_dir(args)
     fmt = args.format                # also the file extension
-    series = {}                      # record name -> TimeSeries
+    series = {}                      # record name -> TimeSeries or BlockSeries
     outputs = {"seed": seed}
 
     if exp == "brownian":
@@ -330,7 +346,7 @@ def cmd_analyze(args) -> int:
                      "fwhm_hz": fit.params["fwhm_hz"], "n_avg": spec.n_avg}
         else:
             # a recorded ringdown may hold pre-trigger samples
-            ts = _io.read_timeseries(args.inputs[0])
+            ts = _read_ringdown(cfg, args.inputs[0], sub)
             fit = _fit_decay(cfg, _estimate.detect_onset(ts), sub)
             extra = {"tau_s": fit.params["tau_s"],
                      "tau_sigma_s": fit.sigmas["tau_s"]}

@@ -129,6 +129,8 @@ _VALUE_RULES = (
     ("synth.seed", lambda v: v >= 0, ">= 0"),
     ("synth.ringdown_optical.snr", lambda v: v > 0, "> 0"),
     ("synth.ringdown_mech.snr", lambda v: v > 0, "> 0"),
+    ("synth.sweep.base_noise_rms_m", lambda v: v >= 0, ">= 0"),
+    ("synth.sweep.response_noise_rms_m", lambda v: v >= 0, ">= 0"),
     ("synth.sweep.piezo_corner_hz", lambda v: v is None or v > 0,
      "null or > 0"),
     ("analysis.welch_window", lambda v: v in _WINDOWS,

@@ -484,7 +484,7 @@ def _tone_phasor(ts: TimeSeries, freq: float):
     if n_cyc < 1:
         raise EstimationError(f"record too short to demodulate at {freq} Hz")
     n_use = min(int(round(n_cyc * fs / freq)), n)
-    return _phasor(ts.t0 + np.arange(n_use) / fs, freq)
+    return _phasor(freq, ts, 0, n_use)
 
 
 def _demod(ts: TimeSeries, ph, detect=True):
@@ -493,7 +493,7 @@ def _demod(ts: TimeSeries, ph, detect=True):
     x = np.asarray(ts.values, dtype=float) * ts.calibration
     n_use = ph.size
     xm = x[:n_use] - np.mean(x[:n_use])
-    z = 2.0 * _block_means(xm, ph, n_use)[0]
+    z = 2.0 * _block_means(xm * ph, n_use)[0]
     amp = abs(z)
     if not detect:
         return amp, None

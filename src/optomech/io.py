@@ -18,9 +18,10 @@ inputs is byte-identical; _shortest.csv_text computes the digits of a
 whole chunk at once with Ryu and leaves zeros, subnormals, non-finite
 values and the few others it does not cover to repr.
 
-Writers stream rows in fixed chunks, so memory stays bounded.  Readers
-cut a body at newlines into ranges of about a MiB and parse a range at a
-time with _parse.parse_rows, which gives the bits of
+Writers read a TimeSeries or BlockSeries one block at a time and format
+CSV rows in fixed chunks, so a streamed record is never held whole.
+Readers cut a body at newlines into ranges of about a MiB and parse a
+range at a time with _parse.parse_rows, which gives the bits of
 np.loadtxt(fh, delimiter=","); a range with a field outside its strict
 grammar is parsed by that np.loadtxt call itself.  Only a body whose rows
 cannot be counted that way (one with a comment, an empty line among its
@@ -103,17 +104,21 @@ def _csv_columns(columns):
     return columns
 
 
-def _write_csv(path, header, columns):
-    """Stream a CSV of equal-length 1-D float columns through
-    ``_atomic_open``, formatting ``_CHUNK_ROWS`` rows at a time."""
-    columns = _csv_columns(columns)
+def _write_csv(path, header, blocks):
+    """Stream a CSV through ``_atomic_open``: the header lines, then the
+    rows of each block, a list of equal-length 1-D float columns,
+    formatted ``_CHUNK_ROWS`` rows at a time."""
     with _atomic_open(path) as fh:
         fh.write(("\n".join(header) + "\n").encode())
-        for start in range(0, columns[0].size, _CHUNK_ROWS):
-            fh.write(_format_rows(columns, start, start + _CHUNK_ROWS))
+        for columns in blocks:
+            columns = _csv_columns(columns)
+            for start in range(0, columns[0].size, _CHUNK_ROWS):
+                fh.write(_format_rows(columns, start, start + _CHUNK_ROWS))
 
 
-def write_timeseries_csv(path, ts: TimeSeries):
+def write_timeseries_csv(path, ts):
+    """A TimeSeries or BlockSeries as a CSV record, written a block at a
+    time (ts.blocks())."""
     lines = ["# optomech_timeseries v1",
              f"# sample_rate_hz={_fmt(ts.sample_rate)}",
              f"# t0_s={_fmt(ts.t0)}",
@@ -121,13 +126,10 @@ def write_timeseries_csv(path, ts: TimeSeries):
              f"# center_freq_hz={_fmt(ts.center_freq)}"]
     for w in ts.warnings:
         lines.append(f"# warning={w}")
-    if ts.is_complex:
-        lines.append("value_re,value_im")
-        columns = [ts.values.real, ts.values.imag]
-    else:
-        lines.append("value")
-        columns = [ts.values]
-    _write_csv(path, lines, columns)
+    lines.append("value_re,value_im" if ts.is_complex else "value")
+    with contextlib.closing(ts.blocks()) as blocks:
+        _write_csv(path, lines, ([b.real, b.imag] if ts.is_complex else [b]
+                                 for b in blocks))
 
 
 def _read_header(path, magic, kind):
@@ -368,16 +370,18 @@ def _timeseries_csv_blocks(path) -> BlockSeries:
         raise FormatError(f"{path}: malformed timeseries CSV: {exc}") from exc
 
 
-def write_timeseries_bin(path, ts: TimeSeries):
+def write_timeseries_bin(path, ts):
+    """A TimeSeries or BlockSeries as an OMB1 record, written a block at a
+    time (ts.blocks())."""
     flags = 1 if ts.is_complex else 0
     head = _TS_HEAD.pack(_TS_MAGIC, flags, ts.sample_rate, ts.t0,
                          ts.calibration, ts.center_freq, ts.n)
-    # complex128 memory is already the interleaved re/im float64 payload
-    payload = np.ascontiguousarray(ts.values,
-                                   dtype="<c16" if flags else "<f8")
-    with _atomic_open(path) as fh:
+    with _atomic_open(path) as fh, contextlib.closing(ts.blocks()) as blocks:
         fh.write(head)
-        fh.write(payload)
+        for block in blocks:
+            # complex128 memory is already the interleaved re/im payload
+            fh.write(np.ascontiguousarray(block,
+                                          dtype="<c16" if flags else "<f8"))
 
 
 def _read_bin_header(fh, path):
@@ -447,7 +451,7 @@ def _timeseries_bin_blocks(path) -> BlockSeries:
         raise FormatError(f"{path}: malformed OMB1 record: {exc}") from exc
 
 
-def write_timeseries(path, ts: TimeSeries, fmt: str = "csv"):
+def write_timeseries(path, ts, fmt: str = "csv"):
     if fmt == "csv":
         write_timeseries_csv(path, ts)
     elif fmt == "bin":
@@ -483,7 +487,7 @@ def write_driverecord_csv(path, rec: DriveRecord):
              f"# base_calibration_m_per_unit={_fmt(base.calibration)}",
              f"# response_calibration_m_per_unit={_fmt(resp.calibration)}",
              "base,response"]
-    _write_csv(path, lines, [base.values, resp.values])
+    _write_csv(path, lines, [[base.values, resp.values]])
 
 
 def read_driverecord_csv(path) -> DriveRecord:
@@ -543,4 +547,4 @@ def make_result_doc(command: str, config: dict, outputs: dict) -> dict:
 
 def write_table_csv(path, columns: dict):
     """Column-oriented plot-ready data file: {name: 1-D array}."""
-    _write_csv(path, [",".join(columns)], list(columns.values()))
+    _write_csv(path, [",".join(columns)], [list(columns.values())])

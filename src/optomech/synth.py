@@ -8,18 +8,21 @@ side-of-fringe optical transduction.  All generators are pure functions of
 
 One lock-in mixer serves synthesis and analysis: _phasor builds
 exp(-2j*pi*f*t) and _block_means averages a record times it over blocks,
-many a chunk for the mechanical envelope, one a record in estimate_transfer.
+many a run for the mechanical envelope, one a record in estimate_transfer.
 
 Memory is bounded by the records themselves.  The band-centered Brownian
 record is built and inverse transformed in its one complex array, _CHUNK
 bins at a time (pocketfft's own scratch aside).  The mechanical ringdown
-is generated and demodulated in chunks of whole blocks, in three work
-arrays allocated once per record, so synth_mech_envelope holds a few MB at
-any record length and synth_mech_ringdown only its raw record on top.  The
+is never held whole: synth_mech_ringdown returns a BlockSeries that
+regenerates it from the seed, a chunk at a time, on every read, and
+demodulate_envelope cuts the blocks of any record into runs of whole
+demodulation blocks, so the ringdown, its envelope and its written record
+(io.write_timeseries) each take a few MB at any record length.  The
 baseband Brownian path still builds its spectrum from whole-array
 temporaries.
 """
 
+import contextlib
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -60,16 +63,20 @@ def _check_record(rec, n):
         raise ValueError("a TimeSeries needs at least 2 samples")
 
 
-def _phasor(t, f: float):
-    """The mixing phasor exp(-2j*pi*f*t) at times t, as a new complex array."""
-    z = -1j * TWO_PI * f * t
+def _phasor(f: float, rec, start: int, stop: int, out=None):
+    """The mixing phasor exp(-2j*pi*f*t) at the times of samples [start,
+    stop) of rec, t = rec.t0 + np.arange(start, stop) / rec.sample_rate, as
+    a new complex array or in the complex array out."""
+    t = np.arange(start, stop, dtype=float)
+    t /= rec.sample_rate
+    t += rec.t0
+    z = np.multiply(-1j * TWO_PI * f, t, out=out)
     return np.exp(z, out=z)
 
 
-def _block_means(x, ph, n_blk: int, in_place=False):
-    """Complex means of x*ph over consecutive n_blk-sample blocks; in_place
-    overwrites ph with the product, for a caller that needs ph no more."""
-    z = np.multiply(x, ph, out=ph if in_place else None)
+def _block_means(z, n_blk: int):
+    """Complex means of a mixed record z, a record times its phasor, over
+    consecutive n_blk-sample blocks."""
     return z.reshape(-1, n_blk).mean(axis=1)
 
 
@@ -120,12 +127,13 @@ class TimeSeries:
 @dataclass
 class BlockSeries:
     """A uniformly sampled record read in order, one block of samples at a
-    time, so that it is never held whole (io.open_timeseries).
+    time, so that it is never held whole (io.open_timeseries,
+    synth_mech_ringdown).
 
     blocks() returns a generator of 1-D arrays of dtype that together hold
     the n samples, in order; each block is valid only until the next one is
     requested.  The other fields mean what they mean on TimeSeries, and
-    welch_psd takes either.
+    welch_psd, demodulate_envelope and io.write_timeseries take either.
     """
 
     sample_rate: float
@@ -162,14 +170,6 @@ class DriveRecord:
             raise ValueError("base and response must share a sample rate")
         if self.base_motion.n != self.response_motion.n:
             raise ValueError("base and response must have equal length")
-
-
-@dataclass
-class MechRingdown:
-    """Raw oscillatory ringdown plus its lock-in style demodulated envelope."""
-
-    raw: TimeSeries
-    envelope: TimeSeries
 
 
 def synth_brownian(mode: MechMode, sample_rate: float, duration: float,
@@ -265,16 +265,18 @@ def synth_optical_ringdown(cav: _cavity.Cavity, sample_rate: float,
     return TimeSeries(sample_rate, 0.0, values, calibration=1.0)
 
 
-def _mech_samples(mode: MechMode, sample_rate: float, duration: float,
-                  x0: float, seed: int, snr: float):
-    """(n, samples) of the free decay, after its checks.
+def synth_mech_ringdown(mode: MechMode, sample_rate: float, duration: float,
+                        x0: float, seed: int,
+                        snr: float = np.inf) -> BlockSeries:
+    """Free decay x(t) = x0*exp(-t/tau_a)*cos(w0*t) with tau_a = 2*Q/w0,
+    plus white noise of rms x0/snr: the raw record of a lock-in amplitude
+    measurement (demodulate_envelope).
 
-    samples(start, stop) -> (t, x) is the chunk kernel.  Successive calls
-    must cover the record in order: the noise comes from one default_rng
-    stream, and chunked standard_normal draws are bit-identical to one draw
-    of the whole record.  t and x are views into work arrays that every
-    call refills, so they are valid only until the next call; each element
-    has the bits of the whole-array expressions in the comments.
+    The record is a BlockSeries that every blocks() call regenerates from
+    the seed, a _CHUNK-sample block at a time in two work arrays, so it is
+    never held whole.  Chunked standard_normal draws from one default_rng
+    stream are bit-identical to one draw of the whole record, and each
+    sample has the bits of the whole-array expressions in the comments.
     """
     if sample_rate < 8.0 * mode.f0:
         raise ValueError("sample_rate must be >= 8*f0 to resolve the carrier")
@@ -282,101 +284,76 @@ def _mech_samples(mode: MechMode, sample_rate: float, duration: float,
     if n < 2:
         raise ValueError("duration too short for the sample rate")
     tau_a = 2.0 * mode.q / mode.omega0
-    rng = np.random.default_rng(seed)
-    work = np.empty((3, 0))          # t, x, scratch; grown on demand
 
-    def samples(start, stop):
-        nonlocal work
-        if work.shape[1] < stop - start:
-            work = np.empty((3, stop - start))
-        t, x, tmp = work[:, :stop - start]
-        np.divide(np.arange(start, stop), sample_rate, out=t)
-        # x = x0 * np.exp(-t / tau_a) * np.cos(mode.omega0 * t),
-        # plus (x0 / snr) * rng.standard_normal(stop - start) if snr is finite
-        np.negative(t, out=x)
-        x /= tau_a
-        np.exp(x, out=x)
-        np.multiply(x0, x, out=x)
-        np.multiply(mode.omega0, t, out=tmp)
-        x *= np.cos(tmp, out=tmp)
-        if np.isfinite(snr):
-            rng.standard_normal(out=tmp)
-            tmp *= x0 / snr
-            x += tmp
-        return t, x
+    def blocks():
+        rng = np.random.default_rng(seed)
+        work = np.empty((2, min(n, _CHUNK)))
+        for start, stop in _chunks(n):
+            x, t = work[:, :stop - start]
+            # x = x0 * np.exp(-t / tau_a) * np.cos(mode.omega0 * t) with
+            # t = np.arange(n) / sample_rate, plus
+            # (x0 / snr) * rng.standard_normal(n) if snr is finite
+            np.divide(np.arange(start, stop), sample_rate, out=t)
+            np.negative(t, out=x)
+            x /= tau_a
+            np.exp(x, out=x)
+            x *= x0
+            t *= mode.omega0
+            x *= np.cos(t, out=t)
+            if np.isfinite(snr):
+                rng.standard_normal(out=t)
+                t *= x0 / snr
+                x += t
+            yield x
 
-    return n, samples
+    return BlockSeries(sample_rate, 0.0, n, float, blocks)
 
 
-def _envelope(samples, n: int, sample_rate: float, t0: float, f0: float,
-              cycles_per_block: int, calibration: float = 1.0) -> TimeSeries:
-    """Lock-in envelope of the n-sample record that samples(start, stop) yields.
+def demodulate_envelope(rec, f0: float,
+                        cycles_per_block: int = 10) -> TimeSeries:
+    """Lock-in amplitude envelope of an oscillation at f0 in a real
+    TimeSeries or BlockSeries.
 
-    The record is asked for in order, in chunks of whole demodulation blocks
-    (at least one block, about _CHUNK samples), and each chunk is reduced to
-    its block means at once; samples past the last whole block are never
-    asked for.
+    The record is mixed down at f0 and averaged over blocks of an integer
+    number of carrier cycles; the output sample rate drops by the block
+    length.  It is read once, in order (rec.blocks()), in runs of whole
+    blocks, about _CHUNK samples but at least one block: each run's phasor
+    is built in one reused array, multiplied in place by the samples as the
+    blocks hand them over, and reduced to its block means at once.
+    Samples past the last whole block are never mixed.
     """
-    n_blk = int(round(cycles_per_block * sample_rate / f0))
+    if rec.is_complex:
+        raise ValueError("envelope demodulation needs a real record")
+    fs = rec.sample_rate
+    n_blk = int(round(cycles_per_block * fs / f0))
     if n_blk < 2:
         raise ValueError("too few samples per demodulation block")
-    n_out = n // n_blk
+    n_out = rec.n // n_blk
     if n_out < 2:
         raise ValueError("record too short for envelope demodulation")
-    step = max(1, _CHUNK // n_blk) * n_blk
+    n_use = n_out * n_blk
+    z = np.empty(min(max(1, _CHUNK // n_blk) * n_blk, n_use), complex)
     env = np.empty(n_out)
-    for start in range(0, n_out * n_blk, step):
-        stop = min(start + step, n_out * n_blk)
-        t, x = samples(start, stop)
-        means = _block_means(x, _phasor(t, f0), n_blk, in_place=True)
-        env[start // n_blk:stop // n_blk] = 2.0 * np.abs(means)
-    return TimeSeries(sample_rate / n_blk, t0 + 0.5 * n_blk / sample_rate,
-                      env, calibration)
-
-
-def demodulate_envelope(ts: TimeSeries, f0: float,
-                        cycles_per_block: int = 10) -> TimeSeries:
-    """Lock-in style amplitude envelope of an oscillation at f0.
-
-    The record is mixed down at f0 and block-averaged over an integer number
-    of carrier cycles; the output sample rate drops by the block length.
-    """
-    def samples(start, stop):
-        return (ts.t0 + np.arange(start, stop) / ts.sample_rate,
-                np.asarray(ts.values[start:stop], dtype=float))
-
-    return _envelope(samples, ts.n, ts.sample_rate, ts.t0, f0,
-                     cycles_per_block, ts.calibration)
-
-
-def synth_mech_envelope(mode: MechMode, sample_rate: float, duration: float,
-                        x0: float, seed: int, snr: float = np.inf,
-                        envelope_cycles: int = 10) -> TimeSeries:
-    """The envelope of synth_mech_ringdown, without building the raw record.
-
-    Bit-identical to synth_mech_ringdown(...).envelope for the same
-    arguments; memory stays bounded by one chunk at any duration.
-    """
-    n, samples = _mech_samples(mode, sample_rate, duration, x0, seed, snr)
-    return _envelope(samples, n, sample_rate, 0.0, mode.f0, envelope_cycles)
-
-
-def synth_mech_ringdown(mode: MechMode, sample_rate: float, duration: float,
-                        x0: float, seed: int, snr: float = np.inf,
-                        envelope_cycles: int = 10) -> MechRingdown:
-    """Free decay x(t) = x0*exp(-t/tau_a)*cos(w0*t) with tau_a = 2*Q/w0.
-
-    Returns both the raw record and a demodulated envelope, mirroring a
-    lock-in amplitude measurement.  Noise rms on the raw record is x0/snr.
-    Use synth_mech_envelope when only the envelope is needed.
-    """
-    n, samples = _mech_samples(mode, sample_rate, duration, x0, seed, snr)
-    values = np.empty(n)
-    for start, stop in _chunks(n):
-        values[start:stop] = samples(start, stop)[1]
-    raw = TimeSeries(sample_rate, 0.0, values, calibration=1.0)
-    env = demodulate_envelope(raw, mode.f0, envelope_cycles)
-    return MechRingdown(raw=raw, envelope=env)
+    start = fill = 0            # run[:fill]: samples start + [0, fill), mixed
+    with contextlib.closing(rec.blocks()) as blocks:
+        for block in blocks:
+            block = block[:n_use - start - fill]
+            while block.size:
+                if not fill:
+                    run = z[:min(z.size, n_use - start)]
+                    _phasor(f0, rec, start, start + run.size, out=run)
+                take = min(run.size - fill, block.size)
+                part = run[fill:fill + take]
+                np.multiply(block[:take], part, out=part)
+                block = block[take:]
+                fill += take
+                if fill == run.size:
+                    means = _block_means(run, n_blk)
+                    k = start // n_blk
+                    env[k:k + means.size] = 2.0 * np.abs(means)
+                    start, fill = start + fill, 0
+    return TimeSeries(fs / n_blk, rec.t0 + 0.5 * n_blk / fs, env,
+                      rec.calibration)
 
 
 def _steady_state_response(freq_hz, model, mass_ratio):

@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from optomech import mech as _mech
 from optomech.cavity import fringe_response
 from optomech.estimate import _WINDOWS, TransferEstimate, bin_log_mean
-from optomech.synth import MechRingdown, TimeSeries, synth_brownian
+from optomech.synth import TimeSeries, synth_brownian
 
 
 def rk4_chain_amplitudes(outer, inner, mass_ratio, freqs, settle_taus=9.0,
@@ -113,7 +113,8 @@ def full_array_demodulate(ts, f0, cycles_per_block=10):
 
 def full_array_mech_ringdown(mode, sample_rate, duration, x0, seed,
                              snr=np.inf, envelope_cycles=10):
-    """The mechanical ringdown built as one array, then demodulated whole."""
+    """(raw, envelope): the mechanical ringdown built as one array, then
+    demodulated whole."""
     if sample_rate < 8.0 * mode.f0:
         raise ValueError("sample_rate must be >= 8*f0 to resolve the carrier")
     n = int(round(duration * sample_rate))
@@ -126,8 +127,7 @@ def full_array_mech_ringdown(mode, sample_rate, duration, x0, seed,
         rng = np.random.default_rng(seed)
         values = values + (x0 / snr) * rng.standard_normal(n)
     raw = TimeSeries(sample_rate, 0.0, values, calibration=1.0)
-    return MechRingdown(raw=raw, envelope=full_array_demodulate(
-        raw, mode.f0, envelope_cycles))
+    return raw, full_array_demodulate(raw, mode.f0, envelope_cycles)
 
 
 def full_array_envelope_brownian(mode, sample_rate, duration, seed,

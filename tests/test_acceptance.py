@@ -124,7 +124,8 @@ def test_criterion_7_ringdown_round_trips():
 
     outer = om.MechMode(2.5e3, 700000.0, 1e-7, 300.0)
     rec = om.synth_mech_ringdown(outer, 25e3, 120.0, 1e-9, seed=9, snr=50.0)
-    mfit = om.fit_exp_decay(rec.envelope, f0=outer.f0)
+    mfit = om.fit_exp_decay(om.demodulate_envelope(rec, outer.f0),
+                            f0=outer.f0)
     q_err = abs(mfit.params["q"] / outer.q - 1.0)
 
     ok = f_err <= 0.02 and q_err <= 0.10

@@ -4,6 +4,7 @@ import os
 import re
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,19 +196,56 @@ class TestSimulate:
             "ringdown_mech_envelope": f"ringdown_mech_envelope.{fmt}"}
         c = load_config(cfg)
         p = c.synth["ringdown_mech"]
-        rec = full_array_mech_ringdown(
+        rec, env = full_array_mech_ringdown(
             c.outer, p["sample_rate_hz"], p["duration_s"], p["x0_m"],
             c.synth["seed"] + _SEED_RINGDOWN_MECH, p["snr"],
             p["envelope_cycles"])
         ref.mkdir()
-        write_timeseries(ref / f"ringdown_mech_raw.{fmt}", rec.raw, fmt)
-        write_timeseries(ref / f"ringdown_mech_envelope.{fmt}", rec.envelope,
-                         fmt)
+        write_timeseries(ref / f"ringdown_mech_raw.{fmt}", rec, fmt)
+        write_timeseries(ref / f"ringdown_mech_envelope.{fmt}", env, fmt)
         for name in (f"ringdown_mech_raw.{fmt}",
                      f"ringdown_mech_envelope.{fmt}"):
             assert (raw / name).read_bytes() == (ref / name).read_bytes()
         name = f"ringdown_mech_envelope.{fmt}"
         assert (plain / name).read_bytes() == (ref / name).read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_raw_flag_holds_no_whole_record(self, tmp_path, fmt):
+        # a short first run loads what any first run loads; then 3M
+        # samples, whose raw record alone would be 24 MB
+        short = _write_cfg(tmp_path, {"synth.ringdown_mech.duration_s": 1.0})
+        assert main(["--config", short, "--out", str(tmp_path / "short"),
+                     "simulate", "ringdown-mech", "--raw", "--format",
+                     fmt]) == EXIT_OK
+        tracemalloc.start()
+        try:
+            assert main(["--out", str(tmp_path / "long"), "simulate",
+                         "ringdown-mech", "--raw", "--format",
+                         fmt]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert read_timeseries(
+            tmp_path / "long" / f"ringdown_mech_raw.{fmt}").n == 3_000_000
+        assert peak < 24e6 / 4
+
+    @pytest.mark.parametrize("flag, exp, key", [
+        ("--temp", "brownian", "device.inner.temp_k"),
+        ("--finesse", "ringdown-optical", "cavity.finesse")])
+    @pytest.mark.parametrize("value, shown", [("inf", "Infinity"),
+                                              ("nan", "NaN")])
+    def test_non_finite_override_is_config_error(self, tmp_path, capfd, flag,
+                                                 exp, key, value, shown):
+        # checked like the config value it sets, before anything runs: no
+        # numpy warning, no file
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["--out", str(out), "simulate", exp, flag,
+                     value]) == EXIT_CONFIG
+        assert capfd.readouterr() == (
+            "", f"configuration error: {key} must be a finite number, "
+                f"got {shown}\n")
+        assert list(out.iterdir()) == []
 
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         cfg = _write_cfg(tmp_path)
@@ -252,6 +290,24 @@ class TestAnalyze:
                    "mech-q", str(tmp_path / "ringdown_mech_envelope.csv")])
         assert rc == EXIT_OK
         doc = read_result_doc(tmp_path / "analyze_mech_q_result.json")
+        assert doc["outputs"]["q"] == pytest.approx(1e5, rel=0.10)
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_mech_q_of_a_raw_record_is_that_of_its_envelope(self, tmp_path,
+                                                            fmt):
+        # a record sampled at 8 f0 or faster is demodulated as it is read
+        cfg = _write_cfg(tmp_path)
+        assert main(["--config", cfg, "--out", str(tmp_path), "simulate",
+                     "ringdown-mech", "--raw", "--format", fmt]) == EXIT_OK
+        docs = []
+        for name in ("raw", "envelope"):
+            out = tmp_path / name
+            record = tmp_path / f"ringdown_mech_{name}.{fmt}"
+            assert main(["--config", cfg, "--out", str(out), "analyze",
+                         "mech-q", str(record)]) == EXIT_OK
+            docs.append((out / "analyze_mech_q_result.json").read_bytes())
+        assert docs[0] == docs[1]
+        doc = read_result_doc(tmp_path / "raw" / "analyze_mech_q_result.json")
         assert doc["outputs"]["q"] == pytest.approx(1e5, rel=0.10)
 
     def test_flat_ringdown_is_a_fit_error(self, tmp_path, capsys):
@@ -530,7 +586,9 @@ class TestExitCodes:
         ("synth.seed", -2, ["simulate", "brownian"]),
         ("synth.ringdown_optical.snr", 0, ["simulate", "ringdown-optical"]),
         ("synth.ringdown_mech.snr", 0, ["simulate", "ringdown-mech"]),
-        ("synth.sweep.piezo_corner_hz", 0, ["simulate", "sweep"])])
+        ("synth.sweep.piezo_corner_hz", 0, ["simulate", "sweep"]),
+        ("synth.sweep.base_noise_rms_m", -1, ["simulate", "sweep"]),
+        ("synth.sweep.response_noise_rms_m", -1e-300, ["simulate", "sweep"])])
     def test_synth_value_out_of_range_is_config_error(self, tmp_path, capsys,
                                                       key, value, argv):
         cfg = _write_cfg(tmp_path, {key: value})
@@ -558,7 +616,8 @@ class TestExitCodes:
         from optomech import config_from_dict
         synth = {"seed": 0, "ringdown_optical": {"snr": 1e-300},
                  "ringdown_mech": {"snr": 1e-300},
-                 "sweep": {"piezo_corner_hz": 1e-300}}
+                 "sweep": {"piezo_corner_hz": 1e-300, "base_noise_rms_m": 0,
+                           "response_noise_rms_m": 0}}
         assert config_from_dict({"synth": synth}).synth["seed"] == 0
 
     def test_analysis_values_at_their_limits_are_accepted(self):

@@ -6,9 +6,10 @@ import pytest
 from optomech import (Cavity, DriveRecord, MechMode, NestedModel, TimeSeries,
                       chain_transfer, demodulate_envelope, fit_exp_decay,
                       fringe_response, fringe_slope, linewidth, synth_brownian,
-                      synth_drive_sweep, synth_mech_envelope,
-                      synth_mech_ringdown, synth_optical_ringdown, thermal_psd,
+                      synth_drive_sweep, synth_mech_ringdown,
+                      synth_optical_ringdown, thermal_psd,
                       transduce_side_of_fringe, transfer_power, welch_psd)
+from optomech import io as _io
 from optomech import synth as _synth
 from optomech.estimate import demod_amplitude
 from oracles import (full_array_demodulate, full_array_envelope_brownian,
@@ -165,38 +166,50 @@ class TestOpticalRingdown:
             synth_optical_ringdown(CAV, 5e6, CAV.decay_tau, 100.0, 0)
 
 
+def _envelope(m, *args, **kw):
+    """The lock-in envelope of synth_mech_ringdown(m, *args, **kw)."""
+    return demodulate_envelope(synth_mech_ringdown(m, *args, **kw), m.f0)
+
+
+def _whole(rec):
+    """A BlockSeries read into one TimeSeries."""
+    return TimeSeries(rec.sample_rate, rec.t0,
+                      np.concatenate([b.copy() for b in rec.blocks()]),
+                      rec.calibration)
+
+
 class TestMechRingdown:
     def test_amplitude_decay_time(self):
         m = MechMode(2.5e3, 700000.0, 1e-7, 300.0)
         tau_a = 2 * m.q / m.omega0
         assert tau_a == pytest.approx(89.1, rel=0.01)      # seconds
-        rec = synth_mech_ringdown(m, 25e3, 20.0, 1e-9, seed=0)
         # envelope starts at x0 and decays with tau_a
-        env = rec.envelope
+        env = _envelope(m, 25e3, 20.0, 1e-9, seed=0)
         drop = env.values[-1] / env.values[0]
         expected = np.exp(-(env.times[-1] - env.times[0]) / tau_a)
         assert drop == pytest.approx(expected, rel=0.01)
 
     def test_infinite_q_gives_constant_envelope(self):
         m = MechMode(2.5e3, 1e12, 1e-7, 300.0)
-        rec = synth_mech_ringdown(m, 25e3, 4.0, 1e-9, seed=0)
-        env = rec.envelope.values
+        env = _envelope(m, 25e3, 4.0, 1e-9, seed=0).values
         assert np.max(np.abs(env / env[0] - 1.0)) < 1e-3
 
     def test_recovered_q_independent_of_amplitude(self):
         m = MechMode(2.5e3, 5000.0, 1e-7, 300.0)
         q_fit = []
         for x0 in (1e-9, 1e-7):
-            rec = synth_mech_ringdown(m, 25e3, 3.0, x0, seed=5, snr=50.0)
-            q_fit.append(fit_exp_decay(rec.envelope, f0=m.f0).params["q"])
+            env = _envelope(m, 25e3, 3.0, x0, seed=5, snr=50.0)
+            q_fit.append(fit_exp_decay(env, f0=m.f0).params["q"])
         assert q_fit[0] == pytest.approx(q_fit[1], rel=1e-12)
         assert q_fit[0] == pytest.approx(m.q, rel=0.10)
 
     def test_envelope_matches_lock_in_demodulation(self):
+        # the streamed record and the same record held whole
         m = MechMode(2.5e3, 5000.0, 1e-7, 300.0)
         rec = synth_mech_ringdown(m, 25e3, 2.0, 1e-9, seed=0)
-        again = demodulate_envelope(rec.raw, m.f0, 10)
-        assert np.array_equal(rec.envelope.values, again.values)
+        again = demodulate_envelope(_whole(rec), m.f0, 10)
+        assert np.array_equal(demodulate_envelope(rec, m.f0, 10).values,
+                              again.values)
 
 
 def _same_series(a, b):
@@ -226,13 +239,29 @@ class TestStreamedMechRingdown:
                                           duration, snr, cycles):
         monkeypatch.setattr(_synth, "_CHUNK", chunk)
         m = MechMode(f0, 1e4, 1e-7, 300.0)
-        args = (m, fs, duration, 1e-9, 11, snr, cycles)
-        ref = full_array_mech_ringdown(*args)
+        args = (m, fs, duration, 1e-9, 11, snr)
+        raw, env = full_array_mech_ringdown(*args, cycles)
         rec = synth_mech_ringdown(*args)
-        _same_series(rec.raw, ref.raw)
-        _same_series(rec.envelope, ref.envelope)
-        _same_series(synth_mech_envelope(*args), ref.envelope)
-        _same_series(demodulate_envelope(ref.raw, f0, cycles), ref.envelope)
+        # each read regenerates the record: the second gives the same bits
+        _same_series(_whole(rec), raw)
+        _same_series(demodulate_envelope(rec, f0, cycles), env)
+        _same_series(demodulate_envelope(raw, f0, cycles), env)
+
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    def test_demodulates_a_record_read_from_a_file(self, tmp_path,
+                                                   monkeypatch, fmt):
+        # .bin blocks of 1000 samples and CSV ranges of 16 KiB, read in runs
+        # of 14 blocks of 70 samples
+        monkeypatch.setattr(_synth, "_CHUNK", 1000)
+        monkeypatch.setattr(_io, "_RANGE_BYTES", 1 << 14)
+        m = MechMode(2.5e3, 1e4, 1e-7, 300.0)
+        args = (m, 25e3, 2.77777, 1e-9, 11, 20.0)
+        raw, env = full_array_mech_ringdown(*args, 7)
+        path = tmp_path / f"raw.{fmt}"
+        _io.write_timeseries(path, synth_mech_ringdown(*args), fmt)
+        _same_series(_io.read_timeseries(path), raw)
+        _same_series(demodulate_envelope(_io.open_timeseries(path), m.f0, 7),
+                     env)
 
     def test_demodulates_a_record_with_an_offset_and_calibration(self):
         ts = TimeSeries(25e3, 0.37, np.random.default_rng(3).standard_normal(
@@ -247,19 +276,24 @@ class TestStreamedMechRingdown:
         (25e3, 1e-5, 10),       # shorter than two samples
     ])
     def test_rejects_what_the_reference_rejects(self, fs, duration, cycles):
-        args = (self.OUTER, fs, duration, 1e-9, 0, 50.0, cycles)
+        args = (self.OUTER, fs, duration, 1e-9, 0, 50.0)
         with pytest.raises(ValueError) as ref:
-            full_array_mech_ringdown(*args)
-        for synth in (synth_mech_envelope, synth_mech_ringdown):
-            with pytest.raises(ValueError) as exc:
-                synth(*args)
-            assert str(exc.value) == str(ref.value)
+            full_array_mech_ringdown(*args, cycles)
+        with pytest.raises(ValueError) as exc:
+            demodulate_envelope(synth_mech_ringdown(*args), self.OUTER.f0,
+                                cycles)
+        assert str(exc.value) == str(ref.value)
+
+    def test_rejects_a_complex_record(self):
+        ts = TimeSeries(25e3, 0.0, np.ones(1000, complex))
+        with pytest.raises(ValueError, match="needs a real record"):
+            demodulate_envelope(ts, 2.5e3, 1)
 
     def test_envelope_memory_is_bounded(self):
         # 3M samples: the raw record alone would be 24 MB
         tracemalloc.start()
         try:
-            env = synth_mech_envelope(self.OUTER, 25e3, 120.0, 1e-9, 0, 50.0)
+            env = _envelope(self.OUTER, 25e3, 120.0, 1e-9, 0, 50.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
