@@ -36,6 +36,11 @@ class Cavity:
         return SPEED_OF_LIGHT / (2.0 * self.length)
 
     @property
+    def hz_per_m(self):
+        """Resonance shift per metre of mirror motion 2*fsr/wavelength, Hz/m."""
+        return 2.0 * self.fsr / self.wavelength
+
+    @property
     def linewidth_fwhm(self):
         """FWHM linewidth fsr/finesse, Hz."""
         return self.fsr / self.finesse

@@ -12,8 +12,10 @@ while `analyze finesse` and `analyze mech-q` first trim a record at its
 config file plus the seed fully determine every output, byte for byte, at
 any number of allowed CPUs on a given machine (not across CPU
 architectures or numpy builds): no fit sums through a multithreaded BLAS.
-A `simulate` override (--temp, --finesse) is checked and set as its
-config value, so the manifest's config rebuilds the record without it.
+The flags that set a config value (--seed, --temp, --finesse) are written
+into the config before it is built: they are checked as that value, and
+the manifest's config rebuilds the record without them.  A value that
+leaves the float range stops a command: exit 2, or 4 in analyze.
 Nothing here calls BLAS at all, so importing the package sets
 OPENBLAS_NUM_THREADS to 1 unless the environment already sets it, and a
 command starts no OpenBLAS thread pool.
@@ -22,7 +24,6 @@ or non-convergence.
 """
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -36,8 +37,8 @@ from . import io as _io
 from . import mech as _mech
 from . import servo as _servo
 from . import synth as _synth
-from .config import (Config, ConfigError, _check_leaf, _check_values,
-                     _is_number, default_config, load_config, sweep_exponents)
+from .config import (Config, ConfigError, _is_number, config_from_dict,
+                     read_config_json, sweep_exponents)
 from .constants import BOLTZMANN, PLANCK
 
 EXIT_OK = 0
@@ -74,12 +75,24 @@ def _out_dir(args) -> str:
     return out
 
 
-def _load(args) -> Config:
-    cfg = load_config(args.config) if args.config else default_config()
-    if args.seed is not None:
-        cfg.synth["seed"] = int(args.seed)
-        _check_values(cfg)
-    return cfg
+def _load(args, temp=None, finesse=None) -> Config:
+    """The config of --config, or the defaults, with --seed and the given
+    simulate flags written in as the values they set before it is built."""
+    d = read_config_json(args.config) if args.config else {}
+    try:
+        if args.seed is not None:
+            d.setdefault("synth", {})["seed"] = args.seed
+        if finesse is not None:
+            d.setdefault("cavity", {})["finesse"] = finesse
+        if temp is not None:         # the temperature of the brownian device
+            device = d.get("synth", {}).get("brownian", {}).get("device",
+                                                                "inner")
+            if device in ("inner", "outer"):     # else its own rule fails
+                d.setdefault("device", {}).setdefault(device,
+                                                      {})["temp_k"] = temp
+    except (AttributeError, TypeError):
+        pass                         # a part that is no object: reported below
+    return config_from_dict(d)
 
 
 # Builders, one per synthetic experiment, each with its own seed offset
@@ -137,11 +150,6 @@ def _sweep(cfg: Config, seed: int, device: str, f_max=math.inf):
 
 def _lock(cfg: Config, seed: int):
     p = cfg.synth["lock"]
-    # the lock metrics are rms values over the last 20%, empty below 3 samples
-    n = int(round(p["duration_s"] * p["loop_rate_hz"]))
-    if n < 3:
-        raise ConfigError(
-            f"synth.lock.duration_s must cover at least 3 loop samples, got {n}")
     bias = p["detuning_bias_hz"]
     if bias is None:
         bias = -cfg.cavity.linewidth_fwhm / (2.0 * math.sqrt(3.0))
@@ -205,23 +213,11 @@ def _transfer_bins(cfg: Config):
     return cfg.analysis["bins_per_decade"], cfg.outer.f0 / 3.0
 
 
-def _fit_transfer(cfg: Config, records):
-    return _estimate.estimate_transfer(records, *_transfer_bins(cfg))
-
-
 def cmd_simulate(args) -> int:
-    cfg = _load(args)
     exp = args.experiment
-    # an override goes into the config, so the manifest's config rebuilds
-    # the record; it applies only to the experiment it belongs to
-    if exp == "brownian" and args.temp is not None:
-        device = cfg.synth["brownian"]["device"]
-        _check_leaf(args.temp, 0.0, f"device.{device}.temp_k")
-        setattr(cfg, device, dataclasses.replace(getattr(cfg, device),
-                                                 temp=args.temp))
-    if exp == "ringdown-optical" and args.finesse is not None:
-        _check_leaf(args.finesse, 0.0, "cavity.finesse")
-        cfg.cavity = dataclasses.replace(cfg.cavity, finesse=args.finesse)
+    # an override applies only to the experiment it belongs to
+    cfg = _load(args, temp=args.temp if exp == "brownian" else None,
+                finesse=args.finesse if exp == "ringdown-optical" else None)
     seed = cfg.synth["seed"]
     out = _out_dir(args)
     fmt = args.format                # also the file extension
@@ -356,7 +352,8 @@ def cmd_analyze(args) -> int:
         if not fit.converged:
             exit_code = EXIT_FIT
     elif sub == "transfer":
-        est = _fit_transfer(cfg, _load_drive_records(args.inputs))
+        est = _estimate.estimate_transfer(_load_drive_records(args.inputs),
+                                         *_transfer_bins(cfg))
         table = os.path.join(out, "transfer_estimate.csv")
         _io.write_table_csv(table, {
             "freq_hz": est.bin_centers, "magnitude_db": est.magnitude_db,
@@ -415,15 +412,11 @@ def design_check_outputs(cfg: Config, bath_temp: float) -> dict:
 
 
 def cmd_design_check(args) -> int:
+    if not (_is_number(args.bath_temp) and args.bath_temp > 0):
+        raise ConfigError("--bath-temp must be a finite number > 0, "
+                          f"got {args.bath_temp:g}")
     cfg = _load(args)
-    # valid but extreme values can leave the float range on the way
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            res = design_check_outputs(cfg, args.bath_temp)
-    except ArithmeticError as exc:
-        raise ConfigError(
-            f"config values take design-check out of float range: {exc}"
-        ) from exc
+    res = design_check_outputs(cfg, args.bath_temp)
     for key, item in res.items():
         if not all(math.isfinite(v) for v in item.values()
                    if isinstance(v, float)):
@@ -463,7 +456,7 @@ def _report_sweep_top(cfg: Config, device: str) -> float:
 
 def _report_transfer(cfg: Config, seed: int, table, device: str) -> dict:
     records = _sweep(cfg, seed, device, _report_sweep_top(cfg, device))
-    est = _fit_transfer(cfg, records)
+    est = _estimate.estimate_transfer(records, *_transfer_bins(cfg))
     f_arr = np.array([rec.drive_freq for rec in records])
     # the sweep is freed before the first table is written: memory that
     # the CSV kernel keeps from its first use would otherwise land above
@@ -630,7 +623,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        # valid but extreme values can leave the float range on the way: the
+        # command stops there, before it writes its results, instead of
+        # printing a numpy warning
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
+    except ArithmeticError as exc:   # numpy's FloatingPointError included
+        fit = args.command == "analyze"      # a record's values, not config's
+        print(f"{'fit' if fit else 'configuration'} error: values take "
+              f"{args.command} out of float range: {exc}", file=sys.stderr)
+        return EXIT_FIT if fit else EXIT_CONFIG
     except _estimate.EstimationError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_FIT

@@ -10,7 +10,7 @@ boolean), a string where it is a string, and null or a finite number
 where it is null.  Seeds and counts (_INTEGER_KEYS) must be JSON integers.
 Values that no record can make valid, such as a negative seed, a zero snr
 or a Welch overlap above 0.9, are checked against their rules
-(_VALUE_RULES).
+(_VALUE_RULES) with their types, in _check_leaf.
 No synthesized record, and no sweep in total, may hold more than
 MAX_RECORD_SAMPLES samples; the counts are checked here, before anything
 is allocated.
@@ -61,20 +61,49 @@ _INTEGER_KEYS = {"synth.seed", "synth.sweep.points_per_decade",
                  "analysis.welch_segment_len", "analysis.bins_per_decade"}
 
 
-def _is_integer(value) -> bool:
-    return _is_number(value) and isinstance(value, int)
+def _one_of(choices):
+    return (lambda v: v in choices), f"one of {sorted(choices)}"
+
+
+# The values that no record can make valid, as dotted key -> (test, rule);
+# welch_psd checks the segment length against the record itself.
+_VALUE_RULES = {
+    "synth.seed": (lambda v: v >= 0, ">= 0"),
+    "synth.brownian.device": _one_of(("inner", "outer")),
+    "synth.brownian.mode": _one_of(("baseband", "envelope")),
+    "synth.ringdown_optical.snr": (lambda v: v > 0, "> 0"),
+    "synth.ringdown_mech.snr": (lambda v: v > 0, "> 0"),
+    "synth.sweep.f_min_hz": (lambda v: v > 0, "> 0"),
+    "synth.sweep.f_max_hz": (lambda v: v > 0, "> 0"),
+    "synth.sweep.points_per_decade": (lambda v: v >= 1, ">= 1"),
+    "synth.sweep.base_noise_rms_m": (lambda v: v >= 0, ">= 0"),
+    "synth.sweep.response_noise_rms_m": (lambda v: v >= 0, ">= 0"),
+    "synth.sweep.piezo_corner_hz": (lambda v: v is None or v > 0,
+                                    "null or > 0"),
+    "analysis.welch_window": _one_of(_WINDOWS),
+    "analysis.welch_overlap": (lambda v: 0.0 <= v <= 0.9, "in [0, 0.9]"),
+    "analysis.welch_segment_len": (lambda v: v is None or v >= 2,
+                                   "null or >= 2"),
+    "analysis.fit_window_hz": (lambda v: v is None or v > 0, "null or > 0"),
+    "analysis.bins_per_decade": (lambda v: v >= 1, ">= 1"),
+}
 
 
 def _check_leaf(value, default, where: str):
-    number, kind = _is_number, "a finite number"
-    if where in _INTEGER_KEYS:
-        number, kind = _is_integer, "an integer"
+    """A config value against its default's type, then against its rule in
+    _VALUE_RULES, if it has one."""
+    integer = where in _INTEGER_KEYS
+    number = _is_number(value) and (isinstance(value, int) or not integer)
+    kind = "an integer" if integer else "a finite number"
     if isinstance(default, str):
         ok, kind = isinstance(value, str), "a string"
     elif default is None:
-        ok, kind = value is None or number(value), f"null or {kind}"
+        ok, kind = value is None or number, f"null or {kind}"
     else:
-        ok = number(value)
+        ok = number
+    if ok and where in _VALUE_RULES:
+        test, kind = _VALUE_RULES[where]
+        ok = test(value)
     if not ok:
         raise ConfigError(f"{where} must be {kind}, got {json.dumps(value)}")
 
@@ -123,40 +152,6 @@ _ANALYSIS_DEFAULTS = {
 }
 
 
-# The values that no record can make valid, as (dotted key, test, rule);
-# welch_psd checks the segment length against the record itself.
-_VALUE_RULES = (
-    ("synth.seed", lambda v: v >= 0, ">= 0"),
-    ("synth.ringdown_optical.snr", lambda v: v > 0, "> 0"),
-    ("synth.ringdown_mech.snr", lambda v: v > 0, "> 0"),
-    ("synth.sweep.base_noise_rms_m", lambda v: v >= 0, ">= 0"),
-    ("synth.sweep.response_noise_rms_m", lambda v: v >= 0, ">= 0"),
-    ("synth.sweep.piezo_corner_hz", lambda v: v is None or v > 0,
-     "null or > 0"),
-    ("analysis.welch_window", lambda v: v in _WINDOWS,
-     f"one of {sorted(_WINDOWS)}"),
-    ("analysis.welch_overlap", lambda v: 0.0 <= v <= 0.9, "in [0, 0.9]"),
-    ("analysis.welch_segment_len", lambda v: v is None or v >= 2,
-     "null or >= 2"),
-    ("analysis.fit_window_hz", lambda v: v is None or v > 0, "null or > 0"),
-    ("analysis.bins_per_decade", lambda v: v >= 1, ">= 1"),
-)
-
-
-def _check_values(cfg):
-    """Each _VALUE_RULES value of a Config against its rule; the CLI calls
-    this again after applying its --seed override."""
-    sections = {"synth": cfg.synth, "analysis": cfg.analysis}
-    for key, ok, rule in _VALUE_RULES:
-        *parents, leaf = key.split(".")
-        node = sections
-        for part in parents:
-            node = node[part]
-        if not ok(node[leaf]):
-            raise ConfigError(f"{key} must be {rule}, "
-                              f"got {json.dumps(node[leaf])}")
-
-
 def _check_samples(n, where: str):
     if n > MAX_RECORD_SAMPLES:
         raise ConfigError(f"{where} is more than {MAX_RECORD_SAMPLES:,} "
@@ -165,24 +160,23 @@ def _check_samples(n, where: str):
 
 def _check_record_sizes(synth: dict):
     """Each record's sample count, and the sweep's total, against
-    MAX_RECORD_SAMPLES, computed from the config values alone."""
-    for name, rate in (("brownian", "sample_rate_hz"),
-                       ("ringdown_optical", "sample_rate_hz"),
-                       ("ringdown_mech", "sample_rate_hz"),
-                       ("lock", "loop_rate_hz")):
+    MAX_RECORD_SAMPLES, and the lock's against its least, computed from the
+    config values alone once _check_leaf has passed them."""
+    for name in ("brownian", "ringdown_optical", "ringdown_mech", "lock"):
         p = synth[name]
+        rate = "loop_rate_hz" if name == "lock" else "sample_rate_hz"
         _check_samples(p["duration_s"] * p[rate],
                        f"synth.{name}: duration_s * {rate}")
+    # the lock metrics are rms values over the last 20% of the record,
+    # empty below 3 loop samples (round(2.5) is 2)
+    n = synth["lock"]["duration_s"] * synth["lock"]["loop_rate_hz"]
+    if not n > 2.5:
+        raise ConfigError("synth.lock.duration_s must cover at least 3 loop "
+                          f"samples, got {n:g}")
     p = synth["sweep"]
     per_record = p["samples_per_cycle"] * p["cycles_per_point"]
     _check_samples(per_record, "synth.sweep: samples_per_cycle * "
                                "cycles_per_point")
-    if p["points_per_decade"] < 1:
-        raise ConfigError("synth.sweep.points_per_decade must be at least 1, "
-                          f"got {p['points_per_decade']}")
-    if not (p["f_min_hz"] > 0 and p["f_max_hz"] > 0):
-        raise ConfigError("synth.sweep.f_min_hz and f_max_hz must be > 0, "
-                          f"got {p['f_min_hz']} and {p['f_max_hz']}")
     if p["f_min_hz"] <= p["f_max_hz"]:
         # at most this many drive frequencies 10^(k / points_per_decade)
         # lie in [f_min_hz, f_max_hz]
@@ -236,14 +230,11 @@ class Config:
         return NestedModel(outer=self.outer, inner=self.inner)
 
     def to_dict(self) -> dict:
+        modes = {name: {"f0_hz": m.f0, "q": m.q, "m_eff_kg": m.m_eff,
+                        "temp_k": m.temp}
+                 for name, m in (("inner", self.inner), ("outer", self.outer))}
         return {
-            "device": {
-                "inner": {"f0_hz": self.inner.f0, "q": self.inner.q,
-                          "m_eff_kg": self.inner.m_eff, "temp_k": self.inner.temp},
-                "outer": {"f0_hz": self.outer.f0, "q": self.outer.q,
-                          "m_eff_kg": self.outer.m_eff, "temp_k": self.outer.temp},
-                "mass_ratio": self.mass_ratio,
-            },
+            "device": {**modes, "mass_ratio": self.mass_ratio},
             "cavity": {"length_m": self.cavity.length,
                        "wavelength_m": self.cavity.wavelength,
                        "finesse": self.cavity.finesse},
@@ -276,28 +267,26 @@ def config_from_dict(d: dict) -> Config:
     synth = _merge_section(d.get("synth", {}), _SYNTH_DEFAULTS, "synth")
     analysis = _merge_section(d.get("analysis", {}), _ANALYSIS_DEFAULTS,
                               "analysis")
-    if synth["brownian"]["device"] not in ("inner", "outer"):
-        raise ConfigError("synth.brownian.device must be 'inner' or 'outer'")
-    if synth["brownian"]["mode"] not in ("envelope", "baseband"):
-        raise ConfigError("synth.brownian.mode must be 'envelope' or 'baseband'")
     _check_record_sizes(synth)
-    cfg = Config(inner=inner, outer=outer, mass_ratio=mass_ratio, cavity=cav,
-                 synth=synth, analysis=analysis)
-    _check_values(cfg)
     try:
         NestedModel(outer=outer, inner=inner)   # validate the pairing
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
+    return Config(inner=inner, outer=outer, mass_ratio=mass_ratio, cavity=cav,
+                  synth=synth, analysis=analysis)
+
+
+def read_config_json(path):
+    """The JSON document of a config file, unchecked."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def load_config(path) -> Config:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    return config_from_dict(raw)
+    return config_from_dict(read_config_json(path))
 
 
 def default_config() -> Config:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _EPS = np.finfo(float).eps
+_TRIAL = {"over": "ignore", "invalid": "ignore"}   # a trial step's errstate
 
 
 @dataclass
@@ -88,10 +89,12 @@ def lm_fit(model_jac, p0, y, sigma, max_iter=200, gtol=1e-8, ftol=1e-12,
         (accept_below None) or a trial whose cost is finite and below
         accept_below.  A rejected trial returns None and builds no
         Jacobian; nothing of it outlives the call."""
-        yhat, jac = model_jac(params)
-        np.subtract(y, yhat, out=r)          # r = (y - yhat) / sigma
-        np.divide(r, sigma, out=r)
-        cost = _dot(r, r)
+        # a trial may leave the float range: its cost is then not finite
+        with np.errstate(**({} if accept_below is None else _TRIAL)):
+            yhat, jac = model_jac(params)
+            np.subtract(y, yhat, out=r)      # r = (y - yhat) / sigma
+            np.divide(r, sigma, out=r)
+            cost = _dot(r, r)
         if accept_below is not None and not (np.isfinite(cost)
                                              and cost < accept_below):
             return None

@@ -125,7 +125,7 @@ def simulate_lock(model: NestedModel, cav: Cavity, cfg: LockConfig,
     motion = synth_brownian(outer, fs, duration, seed)
     n = motion.n
 
-    hz_per_m = 2.0 * cav.fsr / cav.wavelength
+    hz_per_m = cav.hz_per_m
     lw = cav.linewidth_fwhm
     bias = cfg.detuning_bias
     setpoint = cfg.setpoint

@@ -419,13 +419,12 @@ def transduce_side_of_fringe(x: TimeSeries, cav: _cavity.Cavity,
                              operating_detuning: float) -> TimeSeries:
     """Map displacement to detector signal through the full Lorentzian fringe.
 
-    Mirror motion shifts the cavity resonance by (2*fsr/wavelength) Hz per
-    meter; the output is the transmitted-power fringe evaluated at
-    operating_detuning plus that shift, nonlinearity included.
+    Mirror motion shifts the cavity resonance by cav.hz_per_m
+    (2*fsr/wavelength); the output is the transmitted-power fringe evaluated
+    at operating_detuning plus that shift, nonlinearity included.
     """
     if x.is_complex:
         raise ValueError("fringe transduction needs a real (baseband) record")
-    hz_per_m = 2.0 * cav.fsr / cav.wavelength
-    delta = operating_detuning + hz_per_m * (x.values * x.calibration)
+    delta = operating_detuning + cav.hz_per_m * (x.values * x.calibration)
     out = _cavity.fringe_response(delta, cav)
     return TimeSeries(x.sample_rate, x.t0, out, calibration=1.0)

@@ -5,6 +5,7 @@ import re
 import struct
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from optomech import TimeSeries, default_config
 from optomech import estimate as _estimate
 from optomech.cli import EXIT_CONFIG, EXIT_FIT, EXIT_IO, EXIT_OK, format_value_pm, main
-from optomech.config import MAX_RECORD_SAMPLES, ConfigError
+from optomech.config import (_ANALYSIS_DEFAULTS, _SYNTH_DEFAULTS,
+                             _VALUE_RULES, MAX_RECORD_SAMPLES, ConfigError)
 from optomech.io import (read_result_doc, read_timeseries, write_result_doc,
                          write_timeseries_bin)
 
@@ -74,6 +76,24 @@ class TestDesignCheck:
         rc = main(["design-check", "--bath-temp", "300"])
         assert rc == EXIT_OK
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value, message", [
+        ("inf", "--bath-temp must be a finite number > 0, got inf"),
+        ("nan", "--bath-temp must be a finite number > 0, got nan"),
+        ("0", "--bath-temp must be a finite number > 0, got 0"),
+        ("-4", "--bath-temp must be a finite number > 0, got -4"),
+        # finite, but its fQ threshold kB*T/h leaves the float range
+        ("1e308", "design-check fq_threshold_hz is not finite")])
+    def test_bad_bath_temp_is_config_error(self, tmp_path, capfd, value,
+                                           message):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "design-check", "--bath-temp",
+                     value]) == EXIT_CONFIG
+        stdout, stderr = capfd.readouterr()
+        assert stdout == ""
+        assert stderr.startswith(f"configuration error: {message}")
+        assert stderr.count("\n") == 1          # no numpy warning
+        assert not out.exists()
 
     def test_236khz_device_cooling_floor(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -246,6 +266,26 @@ class TestSimulate:
             "", f"configuration error: {key} must be a finite number, "
                 f"got {shown}\n")
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("device", ["inner", "outer"])
+    def test_temp_sets_the_brownian_device(self, tmp_path, device):
+        cfg = _write_cfg(tmp_path, {"synth.brownian.device": device})
+        assert main(["--config", cfg, "--out", str(tmp_path), "simulate",
+                     "brownian", "--temp", "4"]) == EXIT_OK
+        config = read_result_doc(
+            tmp_path / "simulate_brownian_manifest.json")["config"]
+        other = "outer" if device == "inner" else "inner"
+        assert config["device"][device]["temp_k"] == 4.0
+        assert config["device"][other]["temp_k"] == 300.0
+
+    def test_negative_temp_names_its_device(self, tmp_path, capfd):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "simulate", "brownian", "--temp",
+                     "-1"]) == EXIT_CONFIG
+        assert capfd.readouterr() == (
+            "", "configuration error: invalid device.inner: temp must be "
+                ">= 0, got -1.0\n")
+        assert not out.exists()
 
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         cfg = _write_cfg(tmp_path)
@@ -448,6 +488,45 @@ _NUMBERS = (st.floats(allow_nan=False, allow_infinity=False)
             | st.integers(-323, 308).map(lambda e: float(f"1e{e}")))
 
 
+def _sizes(base, scale):
+    """Values of a leaf that sizes a record: with any other such value of
+    its experiment, a record stays at most 3x its small base (far below
+    MAX_RECORD_SAMPLES), empty, or far above the limit.  A record just
+    below the limit would allocate gigabytes."""
+    return st.sampled_from([base, base * scale, 0, -base, 1e-300, 1e300])
+
+
+# experiment -> (synth section, small base values, strategies of the leaves
+# that size its records, the analyze commands of its records)
+_FUZZED_RUNS = {
+    "brownian": ("brownian", {"duration_s": 60.0},
+                 {"duration_s": _sizes(60.0, 0.1),
+                  "sample_rate_hz": _sizes(400.0, 3.0)},
+                 [["q", "brownian.bin"], ["psd", "brownian.bin"]]),
+    "ringdown-optical": ("ringdown_optical", {},
+                         {"duration_s": _sizes(1e-4, 0.1),
+                          "sample_rate_hz": _sizes(5e6, 3.0)},
+                         [["finesse", "ringdown_optical.bin"]]),
+    "ringdown-mech": ("ringdown_mech", {"duration_s": 2.0},
+                      {"duration_s": _sizes(2.0, 0.1),
+                       "sample_rate_hz": _sizes(25e3, 3.0)},
+                      [["mech-q", "ringdown_mech_envelope.bin"]]),
+    # at most 5 points per decade over 2.1 decades: 11 drive frequencies
+    "sweep": ("sweep", {"f_min_hz": 300.0, "f_max_hz": 40e3,
+                        "points_per_decade": 5},
+              {"f_min_hz": st.sampled_from([300.0, 3000.0, 0, -1.0, 1e300]),
+               "f_max_hz": st.sampled_from([40e3, 3000.0, 0, -1.0, 300.0]),
+               "points_per_decade": st.sampled_from([5, 1, 0, -2, 10**12]),
+               "cycles_per_point": st.sampled_from([200, 20, 0, -3, 10**15]),
+               "samples_per_cycle": st.sampled_from([32, 8, 1, 0, 10**15])},
+              [["transfer", "simulate_sweep_manifest.json"]]),
+    "lock": ("lock", {"duration_s": 0.002},
+             {"duration_s": _sizes(0.002, 0.1),
+              "loop_rate_hz": _sizes(1e7, 3.0)},
+             []),
+}
+
+
 class TestExitCodes:
     def test_unknown_config_key_is_config_error(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -541,6 +620,43 @@ class TestExitCodes:
         assert main(["design-check", "--config", str(path)]) == EXIT_CONFIG
         assert "configuration error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, argv", [
+        ({"synth.sweep.piezo_corner_hz": 1e-300,
+          "synth.sweep.response_noise_rms_m": 1}, ["simulate", "sweep"]),
+        ({"synth.lock.duration_s": 0.002,
+          "synth.lock.detuning_bias_hz": -1e300}, ["simulate", "lock"])],
+        ids=["sweep-piezo-corner", "lock-bias"])
+    def test_values_beyond_float_range_stop_before_any_file(
+            self, tmp_path, capfd, extra, argv):
+        # a Python OverflowError and a numpy overflow: exit 2 with one line
+        # and no record, not a traceback or records without a manifest
+        cfg = _write_cfg(tmp_path, extra)
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out)] + argv) == EXIT_CONFIG
+        stdout, stderr = capfd.readouterr()
+        assert stdout == ""
+        assert stderr.startswith("configuration error: values take simulate "
+                                 "out of float range: ")
+        assert stderr.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+    def test_record_beyond_float_range_is_a_fit_error(self, tmp_path, capfd):
+        # the sweep's records are finite, but their variance is not
+        cfg = _write_cfg(tmp_path, {"synth.sweep.amplitude_m": 1e168,
+                                    "synth.sweep.points_per_decade": 5})
+        sim, out = tmp_path / "sim", tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(sim), "simulate", "sweep",
+                     "--format", "bin"]) == EXIT_OK
+        capfd.readouterr()
+        assert main(["--config", cfg, "--out", str(out), "analyze", "transfer",
+                     str(sim / "simulate_sweep_manifest.json")]) == EXIT_FIT
+        stdout, stderr = capfd.readouterr()
+        assert stdout == ""
+        assert stderr.startswith("fit error: values take analyze out of "
+                                 "float range: ")
+        assert stderr.count("\n") == 1
+        assert list(out.iterdir()) == []
+
     @settings(max_examples=500, deadline=None)
     @given(data=st.data())
     def test_fuzzed_config_is_accepted_or_a_config_error(self, data):
@@ -566,6 +682,44 @@ class TestExitCodes:
             assert main(["design-check", "--config", path]) in (EXIT_OK,
                                                                 EXIT_CONFIG)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), experiment=st.sampled_from(sorted(_FUZZED_RUNS)))
+    def test_fuzzed_simulate_and_analyze_exit_0_2_or_4(self, data,
+                                                        experiment):
+        # a small config with fuzzed leaves of the experiment's synth
+        # section and of analysis: simulate, then analyze what it wrote,
+        # never with a traceback, an I/O error or a numpy warning
+        section, base, sizes, analyses = _FUZZED_RUNS[experiment]
+        synth, analysis, any_value = dict(base), {}, _JSON_VALUES | _NUMBERS
+        leaves = ([(synth, key, sizes.get(key, any_value))
+                   for key in _SYNTH_DEFAULTS[section]]
+                  + [(analysis, key, any_value) for key in _ANALYSIS_DEFAULTS])
+        for node, key, values in data.draw(st.lists(st.sampled_from(leaves),
+                                                    max_size=3)):
+            node[key] = data.draw(values)
+        # an outer Q of 1e4 decays 1.6 times in the 2 s ringdown: its fit
+        # converges, so analyze mech-q runs to the end
+        doc = {"device": {"outer": {"q": 1e4}}, "synth": {section: synth},
+               "analysis": analysis}
+        with tempfile.TemporaryDirectory() as tmp, \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            runs = [(["simulate", experiment, "--format", "bin"], "sim")]
+            runs += [(["analyze", quantity, os.path.join(tmp, "sim", name)],
+                      f"analyze_{quantity}") for quantity, name in analyses]
+            for argv, out in runs:
+                out = os.path.join(tmp, out)
+                rc = main(["--config", path, "--out", out] + argv)
+                assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_FIT), argv
+                if rc == EXIT_CONFIG:
+                    assert not os.path.exists(out) or not os.listdir(out)
+                    if argv[0] == "simulate":
+                        break
+        assert [str(w.message) for w in caught] == []
+
     @pytest.mark.parametrize("key, value", [
         ("welch_window", "nope"), ("welch_overlap", 0.95),
         ("welch_segment_len", 1), ("fit_window_hz", 0),
@@ -588,18 +742,45 @@ class TestExitCodes:
         ("synth.ringdown_mech.snr", 0, ["simulate", "ringdown-mech"]),
         ("synth.sweep.piezo_corner_hz", 0, ["simulate", "sweep"]),
         ("synth.sweep.base_noise_rms_m", -1, ["simulate", "sweep"]),
-        ("synth.sweep.response_noise_rms_m", -1e-300, ["simulate", "sweep"])])
+        ("synth.sweep.response_noise_rms_m", -1e-300, ["simulate", "sweep"]),
+        ("synth.brownian.device", "middle", ["simulate", "brownian"]),
+        ("synth.brownian.mode", "raw", ["simulate", "brownian"]),
+        ("synth.sweep.points_per_decade", 0, ["simulate", "sweep"]),
+        ("synth.sweep.f_min_hz", 0, ["simulate", "sweep"]),
+        ("synth.sweep.f_max_hz", -1e-300, ["simulate", "sweep"])])
     def test_synth_value_out_of_range_is_config_error(self, tmp_path, capsys,
                                                       key, value, argv):
         cfg = _write_cfg(tmp_path, {key: value})
         out = tmp_path / "out"
         out.mkdir()
+        rule = _VALUE_RULES[key][1]
         for args in (["report"], argv):
             assert main(["--config", cfg, "--out", str(out)]
                         + args) == EXIT_CONFIG
-            assert (f"configuration error: {key} must be "
-                    in capsys.readouterr().err)
+            assert capsys.readouterr().err == (
+                f"configuration error: {key} must be {rule}, "
+                f"got {json.dumps(value)}\n")
             assert list(out.iterdir()) == []
+
+    def test_readme_rule_table_lists_every_rule(self):
+        # the "| key | rule |" table of README's Command line section
+        readme = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            lines = fh.read().split("| key | rule |\n| --- | --- |\n", 1)[1]
+        rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|$",
+                          lines.split("\n\n", 1)[0], re.M)
+        assert rows == [(key, rule) for key, (_, rule)
+                        in _VALUE_RULES.items()]
+
+    def test_short_lock_is_a_config_error_at_load(self, tmp_path, capsys):
+        # 2 loop samples leave the lock metrics empty: every command exits 2
+        # when it loads the config, not only simulate lock
+        cfg = _write_cfg(tmp_path, {"synth.lock.duration_s": 2e-7})
+        assert main(["--config", cfg, "design-check"]) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", "configuration error: synth.lock.duration_s must cover at "
+                "least 3 loop samples, got 2\n")
 
     def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
         # --seed is checked by the config file's rule for synth.seed
