@@ -281,7 +281,7 @@ def read_config_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:          # UnicodeDecodeError included
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 

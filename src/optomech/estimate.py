@@ -94,8 +94,13 @@ _WINDOWS = {
 }
 
 
-def _default_segment_len(n, overlap_frac, min_segments=8):
-    denom = 1.0 + (min_segments - 1) * (1.0 - overlap_frac)
+_MIN_SEGMENTS = 8          # segments of the default Welch segment length
+
+
+def _default_segment_len(n, overlap_frac):
+    """The longest power-of-two segment length (2 at least) that cuts n
+    samples at overlap_frac into _MIN_SEGMENTS segments or more."""
+    denom = 1.0 + (_MIN_SEGMENTS - 1) * (1.0 - overlap_frac)
     seg = int(2 ** math.floor(math.log2(max(n / denom, 2.0))))
     return max(seg, 2)
 
@@ -356,15 +361,18 @@ def fit_lorentzian(spec: Spectrum, window_hint=None, weighting: str = "statistic
     )
 
 
-def detect_onset(ts: TimeSeries, threshold_frac: float = 0.95) -> TimeSeries:
+_ONSET_FRAC = 0.95         # detect_onset's threshold, of the plateau level
+
+
+def detect_onset(ts: TimeSeries) -> TimeSeries:
     """Trim pre-trigger samples: keep everything from the first crossing
-    below threshold_frac times the initial plateau level."""
+    below 95% of the initial plateau level (_ONSET_FRAC)."""
     x = np.asarray(ts.values, dtype=float)
     k = max(1, min(5, x.size // 10))
     padded = np.concatenate([np.full(k, x[0]), x, np.full(k, x[-1])])
     smooth = np.convolve(padded, np.ones(k) / k, mode="same")[k:-k]
     plateau = float(np.percentile(smooth, 98))
-    below = np.nonzero(smooth < threshold_frac * plateau)[0]
+    below = np.nonzero(smooth < _ONSET_FRAC * plateau)[0]
     if below.size == 0:
         return ts
     start = max(int(below[0]) - 1, 0)

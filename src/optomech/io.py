@@ -4,15 +4,20 @@ JSON result documents.
 CSV records are human-inspectable with '#'-prefixed header lines carrying
 the metadata (sample_rate_hz, t0_s, calibration_m_per_unit, center_freq_hz;
 center_freq_hz is 0 for baseband records, and complex-envelope records use
-two value columns).  The binary variant (magic "OMB1", little-endian
-float64 payload) is for large records; its reader checks the payload size
-against the header and reads the payload straight into the record's one
-array.  open_timeseries reads a record of either format as a BlockSeries,
-a block at a time, for analyses that need it only once and in order:
-.bin payloads in reused blocks, CSV bodies a parsed range at a time, so
-that neither is held whole.  All writes are atomic
-(temp file + rename), and files are created with mode 0666 minus the
-umask.  CSV floats are written exactly as repr writes them, the shortest
+two value columns).  The binary variant (OMB1) is for large records: a
+48-byte little-endian header (magic "OMB1"; a flag byte, 0 for a real and
+1 for a complex payload, any other value rejected; sample rate, t0,
+calibration, center frequency, sample count) and the float64 or
+complex128 payload.  Its reader checks the payload size against the
+header and reads the payload straight into the record's one array.
+open_timeseries reads a record of either format as a BlockSeries, a block
+at a time, for analyses that need it only once and in order: .bin
+payloads in reused blocks, CSV bodies a parsed range at a time, so that
+neither is held whole.  A whole CSV read gathers that same block stream
+into one array.  Every reader reports a malformed file through
+_malformed, as FormatError("<path>: malformed <kind>: <error>").  All
+writes are atomic (temp file + rename), and files are created with mode
+0666 minus the umask.  CSV floats are written exactly as repr writes them, the shortest
 decimal that reads back as the same double, so a rerun with the same
 inputs is byte-identical; _shortest.csv_text computes the digits of a
 whole chunk at once with Ryu and leaves zeros, subnormals, non-finite
@@ -46,8 +51,8 @@ from .synth import BlockSeries, DriveRecord, TimeSeries, _all_finite, _chunks
 
 RESULT_SCHEMA = "optomech.result/1"
 _TS_MAGIC = b"OMB1"
-# magic, flags (bit 0: complex payload), sample rate, t0, calibration,
-# center frequency, sample count
+# magic, flag byte (0 real, 1 complex payload), sample rate, t0,
+# calibration, center frequency, sample count
 _TS_HEAD = struct.Struct("<4sB3x4dQ")
 
 _CHUNK_ROWS = 1 << 14  # rows formatted and written at a time
@@ -61,6 +66,16 @@ class FormatError(OSError):
 
 class SchemaError(FormatError):
     """Raised when a result document carries an unexpected schema id."""
+
+
+@contextlib.contextmanager
+def _malformed(path, kind):
+    """Re-raise a ValueError from the block, or the KeyError of a missing
+    header key, as FormatError("<path>: malformed <kind>: <error>")."""
+    try:
+        yield
+    except (KeyError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed {kind}: {exc}") from exc
 
 
 @contextlib.contextmanager
@@ -144,7 +159,7 @@ def _read_header(path, magic, kind):
     with open(path, "rb") as fh:
         if not fh.readline().startswith(magic):
             raise FormatError(f"{path}: not an optomech {kind} CSV")
-        try:
+        with _malformed(path, f"{kind} CSV"):
             line = fh.readline().decode("utf-8")
             while line.startswith("#"):
                 body = line[1:].strip()
@@ -155,8 +170,6 @@ def _read_header(path, magic, kind):
                     else:
                         meta[key.strip()] = val.strip()
                 line = fh.readline().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: malformed {kind} CSV: {exc}") from exc
         return meta, warnings, line.strip(), fh.tell()
 
 
@@ -299,15 +312,16 @@ class _CsvBody:
         self._parse_whole()           # raises the whole body's error
         raise ValueError("the rows changed while being read")
 
-    def read(self):
-        """All the rows, as one (n, ncols) float64 array."""
-        out = np.empty((self.n, self.ncols))
-        row = 0
-        with contextlib.closing(self.blocks()) as blocks:
-            for part in blocks:
-                out[row:row + part.shape[0]] = part
-                row += part.shape[0]
-        return out
+
+def _gather(blocks, out):
+    """``out`` filled, along its first axis, with the blocks of a stream in
+    order."""
+    row = 0
+    with contextlib.closing(blocks) as parts:
+        for part in parts:
+            out[row:row + len(part)] = part
+            row += len(part)
+    return out
 
 
 def _csv_values(rows, is_complex):
@@ -316,58 +330,42 @@ def _csv_values(rows, is_complex):
     return (rows.view(np.complex128) if is_complex else rows)[:, 0]
 
 
-def _timeseries_csv(path):
-    """(TimeSeries fields but the values, is_complex, body) of a timeseries
-    CSV; the fields raise FormatError if malformed."""
+def _timeseries_csv_blocks(path) -> BlockSeries:
+    """A timeseries CSV as a BlockSeries: a long body is parsed a range at a
+    time as it is read (``_CsvBody``)."""
     meta, warnings, cols, offset = _read_header(
         path, b"# optomech_timeseries", "timeseries")
     if cols not in ("value", "value_re,value_im"):
         raise FormatError(f"{path}: unexpected column header {cols!r}")
     is_complex = cols == "value_re,value_im"
-    try:
+
+    def blocks():
+        with _malformed(path, "timeseries CSV"), \
+                contextlib.closing(body.blocks()) as parts:
+            for part in parts:
+                values = _csv_values(part, is_complex)
+                if not _all_finite(values):
+                    raise ValueError("TimeSeries values must be finite")
+                yield values
+
+    with _malformed(path, "timeseries CSV"):
         body = _CsvBody(path, offset, 2 if is_complex else 1)
-        fields = {"sample_rate": float(meta["sample_rate_hz"]),
-                  "t0": float(meta.get("t0_s", 0.0)),
-                  "calibration": float(meta.get("calibration_m_per_unit",
-                                                1.0)),
-                  "center_freq": float(meta.get("center_freq_hz", 0.0)),
-                  "warnings": tuple(warnings)}
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed timeseries CSV: {exc}") from exc
-    return fields, is_complex, body
+        return BlockSeries(
+            sample_rate=float(meta["sample_rate_hz"]),
+            t0=float(meta.get("t0_s", 0.0)),
+            calibration=float(meta.get("calibration_m_per_unit", 1.0)),
+            center_freq=float(meta.get("center_freq_hz", 0.0)),
+            warnings=tuple(warnings), n=body.n,
+            dtype=complex if is_complex else float, blocks=blocks)
 
 
 def read_timeseries_csv(path) -> TimeSeries:
-    fields, is_complex, body = _timeseries_csv(path)
-    try:
-        return TimeSeries(values=_csv_values(body.read(), is_complex),
-                          **fields)
-    except ValueError as exc:
-        raise FormatError(f"{path}: malformed timeseries CSV: {exc}") from exc
-
-
-def _timeseries_csv_blocks(path) -> BlockSeries:
-    """A timeseries CSV as a BlockSeries: a long body is parsed a range at a
-    time as it is read (``_CsvBody``)."""
-    fields, is_complex, body = _timeseries_csv(path)
-
-    def blocks():
-        try:
-            with contextlib.closing(body.blocks()) as parts:
-                for part in parts:
-                    values = _csv_values(part, is_complex)
-                    if not _all_finite(values):
-                        raise ValueError("TimeSeries values must be finite")
-                    yield values
-        except ValueError as exc:
-            raise FormatError(
-                f"{path}: malformed timeseries CSV: {exc}") from exc
-
-    try:
-        return BlockSeries(n=body.n, dtype=complex if is_complex else float,
-                           blocks=blocks, **fields)
-    except ValueError as exc:
-        raise FormatError(f"{path}: malformed timeseries CSV: {exc}") from exc
+    """A timeseries CSV in one array: the block stream of open_timeseries,
+    gathered."""
+    rec = _timeseries_csv_blocks(path)
+    values = _gather(rec.blocks(), np.empty(rec.n, rec.dtype))
+    return TimeSeries(rec.sample_rate, rec.t0, values, rec.calibration,
+                      rec.center_freq, rec.warnings)
 
 
 def write_timeseries_bin(path, ts):
@@ -399,12 +397,15 @@ def _read_bin_header(fh, path):
         raise FormatError(f"{path}: malformed OMB1 record: header is "
                           f"{len(head)} bytes, expected {_TS_HEAD.size}")
     _, flags, fs, t0, cal, cf, n = _TS_HEAD.unpack(head)
-    dtype = np.dtype("<c16" if flags & 1 else "<f8")
+    if flags not in (0, 1):
+        raise FormatError(f"{path}: malformed OMB1 record: flag byte "
+                          f"{flags:#04x}, expected 0 (real) or 1 (complex)")
+    dtype = np.dtype("<c16" if flags else "<f8")
     expected = n * dtype.itemsize
     found = os.fstat(fh.fileno()).st_size - _TS_HEAD.size
     if found != expected:
         raise FormatError(
-            f"{path}: {'complex ' if flags & 1 else ''}payload of {found} "
+            f"{path}: {'complex ' if flags else ''}payload of {found} "
             f"bytes, expected {expected} for {n} samples")
     return fs, t0, cal, cf, n, dtype
 
@@ -421,10 +422,8 @@ def read_timeseries_bin(path) -> TimeSeries:
     with open(path, "rb") as fh:
         fs, t0, cal, cf, n, dtype = _read_bin_header(fh, path)
         values = _readinto(fh, np.empty(n, dtype=dtype), path)
-    try:
+    with _malformed(path, "OMB1 record"):
         return TimeSeries(fs, t0, values, cal, cf)
-    except ValueError as exc:
-        raise FormatError(f"{path}: malformed OMB1 record: {exc}") from exc
 
 
 def _timeseries_bin_blocks(path) -> BlockSeries:
@@ -435,20 +434,17 @@ def _timeseries_bin_blocks(path) -> BlockSeries:
         fs, t0, cal, cf, n, dtype = _read_bin_header(fh, path)
 
     def blocks():
-        with open(path, "rb") as fh:
+        with open(path, "rb") as fh, _malformed(path, "OMB1 record"):
             fh.seek(_TS_HEAD.size)
             buf = np.empty(next(_chunks(n))[1], dtype=dtype)  # the longest
             for start, stop in _chunks(n):
                 values = _readinto(fh, buf[:stop - start], path)
                 if not _all_finite(values):
-                    raise FormatError(f"{path}: malformed OMB1 record: "
-                                      "TimeSeries values must be finite")
+                    raise ValueError("TimeSeries values must be finite")
                 yield values
 
-    try:
+    with _malformed(path, "OMB1 record"):
         return BlockSeries(fs, t0, n, dtype.newbyteorder("="), blocks, cal, cf)
-    except ValueError as exc:
-        raise FormatError(f"{path}: malformed OMB1 record: {exc}") from exc
 
 
 def write_timeseries(path, ts, fmt: str = "csv"):
@@ -495,8 +491,9 @@ def read_driverecord_csv(path) -> DriveRecord:
         path, b"# optomech_driverecord", "drive-record")
     if cols != "base,response":
         raise FormatError(f"{path}: unexpected column header {cols!r}")
-    try:
-        data = _CsvBody(path, offset, 2).read()
+    with _malformed(path, "drive-record CSV"):
+        body = _CsvBody(path, offset, 2)
+        data = _gather(body.blocks(), np.empty((body.n, 2)))
         fs = float(meta["sample_rate_hz"])
         t0 = float(meta.get("t0_s", 0.0))
         return DriveRecord(
@@ -508,8 +505,6 @@ def read_driverecord_csv(path) -> DriveRecord:
                 fs, t0, data[:, 1],
                 float(meta.get("response_calibration_m_per_unit", 1.0))),
         )
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed drive-record CSV: {exc}") from exc
 
 
 def write_result_doc(path, doc: dict):
@@ -528,7 +523,7 @@ def read_result_doc(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:          # UnicodeDecodeError included
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: not a result document (a JSON "

@@ -77,9 +77,13 @@ class LockResult:
     closed_loop_detuning_rms: float
 
 
-def _tail_start(n, frac=0.2):
-    """Index of the first sample of the last frac of an n-sample record."""
-    return int(round(n * (1.0 - frac)))
+_TAIL_FRAC = 0.2           # the settled tail that the rms values read
+
+
+def _tail_start(n):
+    """Index of the first sample of the last 20% of an n-sample record
+    (_TAIL_FRAC)."""
+    return int(round(n * (1.0 - _TAIL_FRAC)))
 
 
 def _tail_std(arr):

@@ -543,6 +543,14 @@ class TestExitCodes:
         path.write_text("{nope")
         assert main(["--config", str(path), "design-check"]) == EXIT_CONFIG
 
+    def test_non_utf8_config_is_config_error_naming_the_file(self, tmp_path,
+                                                             capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["--config", str(path), "design-check"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: {path}: invalid JSON: 'utf-8' codec ")
+
     @pytest.mark.parametrize("config, section", [
         ('{"device": []}', "device"),
         ('{"analysis": []}', "analysis"),
@@ -936,6 +944,15 @@ class TestExitCodes:
                      str(manifest)]) == EXIT_IO
         assert f"I/O error: {manifest}: " in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    def test_non_utf8_manifest_is_io_error_naming_the_file(self, tmp_path,
+                                                           capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_bytes(b"\xff\xfe")
+        assert main(["--out", str(tmp_path), "analyze", "transfer",
+                     str(manifest)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith(
+            f"I/O error: {manifest}: not valid JSON: 'utf-8' codec ")
 
     @pytest.mark.parametrize("doc", ["[1, 2]", '"optomech.result/1"', "3",
                                      "null"])

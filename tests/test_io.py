@@ -155,6 +155,17 @@ class TestBinaryReader:
         with pytest.raises(FormatError, match="header is 24 bytes"):
             read_timeseries_bin(path)
 
+    @pytest.mark.parametrize("flags", [0x82, 0x03], ids=["0x82", "0x03"])
+    @pytest.mark.parametrize("read", [read_timeseries_bin, open_timeseries])
+    def test_unknown_flag_bits_are_rejected(self, tmp_path, read, flags):
+        path = _bin_with_payload(tmp_path / "a.bin", _real_ts())
+        data = bytearray(path.read_bytes())
+        data[4] = flags
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=f"flag byte {flags:#04x}, "
+                           r"expected 0 \(real\) or 1 \(complex\)"):
+            read(path)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_payload(self, tmp_path, bad):
         path = _bin_with_payload(tmp_path / "a.bin", _real_ts())
