@@ -20,20 +20,19 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import constants
-from .cavity import (Cavity, finesse_from_tau, fringe_response, fringe_slope,
+from .cavity import (Cavity, fringe_response, fringe_slope,
                      ground_state_feasible, linewidth, min_phonons,
                      ringdown_tau, sideband_ratio)
-from .config import Config, ConfigError, config_from_dict, default_config, load_config
+from .config import Config, ConfigError, config_from_dict
 from .estimate import (EstimationError, FitResult, Spectrum, TransferEstimate,
                        detect_onset, estimate_transfer, fit_exp_decay,
                        fit_lorentzian, welch_psd)
 from .mech import (MechMode, NestedModel, chain_response, chain_transfer,
-                   isolation_db, thermal_psd, thermal_rms, transfer_highfreq_approx,
-                   transfer_power)
+                   isolation_db, thermal_psd, thermal_rms, transfer_power)
 from .servo import (CoolingConfig, LockConfig, LockResult, effective_temperature,
                     optical_damping_rate, simulate_lock)
 from .synth import (BlockSeries, DriveRecord, TimeSeries, demodulate_envelope,
                     synth_brownian, synth_drive_sweep, synth_mech_ringdown,
-                    synth_optical_ringdown, transduce_side_of_fringe)
+                    synth_optical_ringdown)
 
 __version__ = "0.1.0"

@@ -66,15 +66,6 @@ def ringdown_tau(cav: Cavity) -> float:
     return cav.decay_tau
 
 
-def finesse_from_tau(tau: float, length: float) -> float:
-    """Finesse from a measured power ringdown time: F = pi*c*tau/L."""
-    if not tau > 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    if not length > 0:
-        raise ValueError(f"length must be > 0, got {length}")
-    return math.pi * SPEED_OF_LIGHT * tau / length
-
-
 def sideband_ratio(f_m: float, cav: Cavity) -> float:
     """Mechanical frequency over cavity linewidth; > 1 means sideband resolved."""
     if not f_m > 0:
@@ -109,19 +100,19 @@ def ground_state_feasible(f_m: float, q: float, bath_temp: float):
     return fq > threshold, fq / threshold
 
 
-def fringe_response(detuning, cav: Cavity, contrast: float = 1.0):
+def fringe_response(detuning, cav: Cavity):
     """Transmitted-power fraction of the Lorentzian fringe at a given detuning (Hz).
 
-    L(d) = contrast / (1 + (2 d / linewidth)^2); mode-matching losses are
-    folded into the single contrast factor.
+    L(d) = 1 / (1 + (2 d / linewidth)^2), the fringe of a perfectly
+    mode-matched cavity: 1 on resonance.
     """
     detuning = np.asarray(detuning, dtype=float)
     u = 2.0 * detuning / cav.linewidth_fwhm
-    out = contrast / (1.0 + u * u)
+    out = 1.0 / (1.0 + u * u)
     return out if out.ndim else float(out)
 
 
-def fringe_slope(detuning, cav: Cavity, contrast: float = 1.0):
+def fringe_slope(detuning, cav: Cavity):
     """Derivative of fringe_response with respect to detuning, 1/Hz.
 
     |slope| is extremal at detuning = +/- linewidth/(2*sqrt(3)), the
@@ -130,5 +121,5 @@ def fringe_slope(detuning, cav: Cavity, contrast: float = 1.0):
     detuning = np.asarray(detuning, dtype=float)
     lw = cav.linewidth_fwhm
     u = 2.0 * detuning / lw
-    out = -contrast * (4.0 / lw) * u / (1.0 + u * u) ** 2
+    out = -(4.0 / lw) * u / (1.0 + u * u) ** 2
     return out if out.ndim else float(out)

@@ -203,9 +203,9 @@ def _read_ringdown(cfg: Config, path, quantity: str):
 
 def _fit_decay(cfg: Config, ts, quantity: str):
     """Exponential fit of a record that starts at its decay onset."""
-    kw = ({"cavity_length": cfg.cavity.length} if quantity == "finesse"
-          else {"f0": cfg.outer.f0})
-    return _estimate.fit_exp_decay(ts, **kw)
+    if quantity == "finesse":
+        return _estimate.fit_exp_decay(ts, cavity_length=cfg.cavity.length)
+    return _estimate.fit_exp_decay(ts, f0=cfg.outer.f0)
 
 
 def _transfer_bins(cfg: Config):
@@ -630,8 +630,15 @@ def main(argv=None) -> int:
             return args.func(args)
     except ArithmeticError as exc:   # numpy's FloatingPointError included
         fit = args.command == "analyze"      # a record's values, not config's
+        where = ""
+        if fit:
+            where = f"; in {args.inputs[0]}"
+        elif args.command == "simulate":
+            where = (f"; check synth.{args.experiment.replace('-', '_')} "
+                     "and the device and cavity values it uses")
         print(f"{'fit' if fit else 'configuration'} error: values take "
-              f"{args.command} out of float range: {exc}", file=sys.stderr)
+              f"{args.command} out of float range: {exc}{where}",
+              file=sys.stderr)
         return EXIT_FIT if fit else EXIT_CONFIG
     except _estimate.EstimationError as exc:
         print(f"fit error: {exc}", file=sys.stderr)

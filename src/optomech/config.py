@@ -283,11 +283,3 @@ def read_config_json(path):
             return json.load(fh)
     except ValueError as exc:          # UnicodeDecodeError included
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-
-
-def load_config(path) -> Config:
-    return config_from_dict(read_config_json(path))
-
-
-def default_config() -> Config:
-    return config_from_dict({})

@@ -279,18 +279,16 @@ def _initial_lorentzian_guess(f, y):
     return f0, fwhm0, amp0, offset0
 
 
-def fit_lorentzian(spec: Spectrum, window_hint=None, weighting: str = "statistical",
-                   max_iter: int = 200) -> FitResult:
+def fit_lorentzian(spec: Spectrum, window_hint=None) -> FitResult:
     """Fit amplitude*(fwhm/2)^2/((f-f0)^2+(fwhm/2)^2) + offset to a PSD peak.
 
-    weighting="statistical" uses sigma_i proportional to the model PSD (the
-    log-consistent choice for averaged-periodogram noise), iterating the
-    weights once from the fitted model; "uniform" is a plain least squares.
-    The derived quality factor q = f0/fwhm is attached with its propagated
-    uncertainty.
+    The weights are statistical: sigma_i is proportional to the model PSD
+    (the log-consistent choice for averaged-periodogram noise), taken from
+    the initial guess for a first pass and from its fitted model for the
+    second.  The derived quality factor q = f0/fwhm is attached with its
+    propagated uncertainty, scaled by the reduced chi^2 and the spectrum's
+    var_inflation.
     """
-    if weighting not in ("statistical", "uniform"):
-        raise ValueError("weighting must be 'statistical' or 'uniform'")
     f = spec.freqs
     y = spec.psd
     if window_hint is not None:
@@ -310,24 +308,18 @@ def fit_lorentzian(spec: Spectrum, window_hint=None, weighting: str = "statistic
     work = np.empty((8, u.size))
     model = lambda p: _lorentzian_model(u, p, work)
     floor = 1e-6
-    n_passes = 2 if weighting == "statistical" else 1
     p = p0
-    res = None
-    sig = np.ones_like(v)            # the weights, refilled by each pass
-    for _ in range(n_passes):
-        if weighting == "statistical":
-            m0, _ = model(p)             # a view into work: use it at once
-            np.abs(m0, out=sig)          # max(|m0|, floor) / sqrt(n_avg)
-            np.maximum(sig, floor, out=sig)
-            sig /= math.sqrt(spec.n_avg)
-        res = lm_fit(model, p, v, sig, max_iter=max_iter)
+    sig = np.empty_like(v)           # the weights, refilled by each pass
+    for _ in range(2):
+        m0, _ = model(p)                 # a view into work: use it at once
+        np.abs(m0, out=sig)              # max(|m0|, floor) / sqrt(n_avg)
+        np.maximum(sig, floor, out=sig)
+        sig /= math.sqrt(spec.n_avg)
+        res = lm_fit(model, p, v, sig)
         p = res.params
 
     dof = max(v.size - 4, 1)
-    scale = res.cost / dof
-    if weighting == "statistical":
-        scale *= spec.var_inflation
-    cov = res.cov * scale
+    cov = res.cov * (res.cost / dof * spec.var_inflation)
     # back to physical units
     tr = np.array([scale_f, scale_f, amp0, amp0])
     cov = cov * np.outer(tr, tr)
@@ -410,7 +402,7 @@ def _exp_model(t, p, work):
 
 
 def fit_exp_decay(ts: TimeSeries, cavity_length: float | None = None,
-                  f0: float | None = None, max_iter: int = 200) -> FitResult:
+                  f0: float | None = None) -> FitResult:
     """Fit amplitude*exp(-t/tau) + offset to a decaying record.
 
     The record must begin at the decay onset (see detect_onset for trimming).
@@ -447,7 +439,7 @@ def fit_exp_decay(ts: TimeSeries, cavity_length: float | None = None,
     p0 = np.array([amp0 / y_scale, t_span / tau0, offset0 / y_scale])
     work = np.empty((5, n))
     res = lm_fit(lambda p: _exp_model(tn, p, work), p0, vn,
-                 np.ones_like(vn), max_iter=max_iter)
+                 np.ones_like(vn))
     a, inv_tau, b = res.params
     dof = max(n - 3, 1)
     cov = res.cov * (res.cost / dof)

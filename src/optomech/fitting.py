@@ -29,6 +29,12 @@ import numpy as np
 _EPS = np.finfo(float).eps
 _TRIAL = {"over": "ignore", "invalid": "ignore"}   # a trial step's errstate
 
+# the stopping tests and start damping of every fit (see lm_fit)
+_MAX_ITER = 200          # iterations at most
+_GTOL = 1e-8             # gradient cosine that counts as converged
+_FTOL = 1e-12            # relative cost improvement that ends the fit
+_LAM0 = 1e-3             # initial Levenberg-Marquardt damping
+
 
 @dataclass
 class LMResult:
@@ -58,8 +64,7 @@ def _normal_equations(jw, r):
     return a, g
 
 
-def lm_fit(model_jac, p0, y, sigma, max_iter=200, gtol=1e-8, ftol=1e-12,
-           lam0=1e-3):
+def lm_fit(model_jac, p0, y, sigma):
     """Minimise sum(((y - model(p)) / sigma)^2) over p.
 
     model_jac(p) must return (yhat, jac), where jac() returns the Jacobian
@@ -69,11 +74,11 @@ def lm_fit(model_jac, p0, y, sigma, max_iter=200, gtol=1e-8, ftol=1e-12,
     it calls jac(), weights the Jacobian in place and is done with both
     before it calls model_jac again.
     Convergence is the scale-free cosine test: every component of the
-    gradient must be small relative to the corresponding Jacobian column
-    norm times the residual norm (or the cost must sit at the numerical
-    floor of an exact fit).  Running out of iterations or stalling away
-    from a stationary point returns converged=False with the best
-    parameters found.
+    gradient must be at most _GTOL relative to the corresponding Jacobian
+    column norm times the residual norm (or the cost must sit at the
+    numerical floor of an exact fit).  Running out of _MAX_ITER iterations
+    or stalling away from a stationary point returns converged=False with
+    the best parameters found.
     """
     p = np.asarray(p0, dtype=float).copy()
     y = np.asarray(y, dtype=float)
@@ -107,17 +112,17 @@ def lm_fit(model_jac, p0, y, sigma, max_iter=200, gtol=1e-8, ftol=1e-12,
         return float(np.max(np.abs(g) / denom))
 
     cost, a, g = evaluate(p)         # g = -0.5 * gradient of the cost
-    lam = lam0
+    lam = _LAM0
     converged = False
     grad_cos = np.inf
     improvement = None
     n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, _MAX_ITER + 1):
         grad_cos = cosine(g, a, cost)
-        if cost <= cost_floor or grad_cos <= gtol:
+        if cost <= cost_floor or grad_cos <= _GTOL:
             converged = True
             break
-        if improvement is not None and improvement <= ftol * max(cost, 1e-300):
+        if improvement is not None and improvement <= _FTOL * max(cost, 1e-300):
             converged = grad_cos <= 1e-4     # stationary in cost
             break
         d = np.diag(a).copy()

@@ -93,20 +93,6 @@ def isolation_db(omega, mode: MechMode):
     return out if out.ndim else float(out)
 
 
-def transfer_highfreq_approx(omega, mode: MechMode):
-    """High-frequency approximation (f0/f)^4 of the power transmissibility.
-
-    Valid well above resonance; relative error vs transfer_power is
-    ~(2 omega0/omega)^2, i.e. about 2% at 10*omega0 and below 1% beyond
-    ~14*omega0.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega <= 0):
-        raise ValueError("omega must be > 0")
-    out = (mode.omega0 / omega) ** 4
-    return out if out.ndim else float(out)
-
-
 def chain_response(omega, model: NestedModel, mass_ratio: float):
     """Complex steady-state ratio x_inner/x_base of the two-stage chain.
 

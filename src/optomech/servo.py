@@ -110,13 +110,12 @@ def _fringe_error(x, us, bias, hz_per_m, lw, setpoint):
 
 
 def simulate_lock(model: NestedModel, cav: Cavity, cfg: LockConfig,
-                  duration: float, seed: int,
-                  start_locked: bool = True) -> LockResult:
+                  duration: float, seed: int) -> LockResult:
     """Closed-loop side-of-fringe lock against outer-resonator thermal motion.
 
-    The loop starts on lock (actuator pre-positioned to null the initial
-    motion) unless start_locked=False; acquisition from an arbitrary fringe
-    position is not modelled.  lock_acquired is True when the error-signal
+    The loop always starts on lock, with the actuator pre-positioned to
+    null the initial motion; acquisition from an arbitrary fringe position
+    is not modelled.  lock_acquired is True when the error-signal
     rms (about its mean) over the last 20% of the run is at most 10% of the
     open-loop value and the actuator saturated for no more than 1% of the
     samples.
@@ -136,7 +135,7 @@ def simulate_lock(model: NestedModel, cav: Cavity, cfg: LockConfig,
     if setpoint is None:
         setpoint = float(fringe_response(bias, cav))
 
-    u_init = float(motion.values[0]) if start_locked else 0.0
+    u_init = float(motion.values[0])
     rng_range = cfg.actuator_range
     kp, ki, kd = cfg.kp, cfg.ki, cfg.kd
 

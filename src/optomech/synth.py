@@ -2,8 +2,9 @@
 
 Covers every bench experiment the analysis pipeline consumes: Brownian
 motion of a mode (baseband or band-centered complex envelope), optical and
-mechanical ringdowns, driven transfer-function sweeps, and the nonlinear
-side-of-fringe optical transduction.  All generators are pure functions of
+mechanical ringdowns, and driven transfer-function sweeps.  Every record
+is in metres, or for the optical ringdown in units of the power at
+shutoff, with calibration 1.  All generators are pure functions of
 (inputs, seed): the same call returns a bit-identical record.
 
 One lock-in mixer serves synthesis and analysis: _phasor builds
@@ -174,8 +175,7 @@ class DriveRecord:
 
 def synth_brownian(mode: MechMode, sample_rate: float, duration: float,
                    seed: int, noise_floor: float = 0.0,
-                   center_freq: float | None = None,
-                   calibration: float = 1.0) -> TimeSeries:
+                   center_freq: float | None = None) -> TimeSeries:
     """Stationary Gaussian record whose PSD is thermal_psd(f) + noise_floor.
 
     Synthesis shapes a white Gaussian spectrum by sqrt of the target PSD and
@@ -210,7 +210,7 @@ def synth_brownian(mode: MechMode, sample_rate: float, duration: float,
         if n % 2 == 0:
             spec[-1] = a[-1] * amp[-1]
         values = np.fft.irfft(spec, n)
-        return TimeSeries(sample_rate, 0.0, values, calibration, 0.0, warnings)
+        return TimeSeries(sample_rate, 0.0, values, warnings=warnings)
 
     if center_freq - sample_rate / 2.0 <= 0:
         raise ValueError("envelope band must lie at positive frequencies")
@@ -239,16 +239,17 @@ def synth_brownian(mode: MechMode, sample_rate: float, duration: float,
     for start, stop in _chunks(n):
         spec.imag[start:stop] *= rng.standard_normal(stop - start)
     values = np.fft.ifft(spec, out=spec)
-    return TimeSeries(sample_rate, 0.0, values, calibration, center_freq,
-                      warnings)
+    return TimeSeries(sample_rate, 0.0, values, center_freq=center_freq,
+                      warnings=warnings)
 
 
 def synth_optical_ringdown(cav: _cavity.Cavity, sample_rate: float,
-                           duration: float, snr: float, seed: int,
-                           p0: float = 1.0) -> TimeSeries:
-    """Transmitted power after shutoff at t=0: p0*exp(-t/tau) plus white noise.
+                           duration: float, snr: float,
+                           seed: int) -> TimeSeries:
+    """Transmitted power after shutoff at t=0, normalised to 1 at the
+    shutoff: exp(-t/tau) plus white noise.
 
-    The additive Gaussian noise has rms p0/snr; pass snr=inf for a clean
+    The additive Gaussian noise has rms 1/snr; pass snr=inf for a clean
     exponential.
     """
     tau = cav.decay_tau
@@ -258,10 +259,10 @@ def synth_optical_ringdown(cav: _cavity.Cavity, sample_rate: float,
         raise ValueError("duration must be >= 5*decay_tau")
     n = int(round(duration * sample_rate))
     t = np.arange(n) / sample_rate
-    values = p0 * np.exp(-t / tau)
+    values = np.exp(-t / tau)
     if np.isfinite(snr):
         rng = np.random.default_rng(seed)
-        values = values + (p0 / snr) * rng.standard_normal(n)
+        values = values + (1.0 / snr) * rng.standard_normal(n)
     return TimeSeries(sample_rate, 0.0, values, calibration=1.0)
 
 
@@ -413,18 +414,3 @@ def synth_drive_sweep(model, freqs, amplitude: float, cycles_per_point: int = 20
             response_motion=TimeSeries(fs, 0.0, resp),
         ))
     return records
-
-
-def transduce_side_of_fringe(x: TimeSeries, cav: _cavity.Cavity,
-                             operating_detuning: float) -> TimeSeries:
-    """Map displacement to detector signal through the full Lorentzian fringe.
-
-    Mirror motion shifts the cavity resonance by cav.hz_per_m
-    (2*fsr/wavelength); the output is the transmitted-power fringe evaluated
-    at operating_detuning plus that shift, nonlinearity included.
-    """
-    if x.is_complex:
-        raise ValueError("fringe transduction needs a real (baseband) record")
-    delta = operating_detuning + cav.hz_per_m * (x.values * x.calibration)
-    out = _cavity.fringe_response(delta, cav)
-    return TimeSeries(x.sample_rate, x.t0, out, calibration=1.0)

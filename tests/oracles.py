@@ -131,7 +131,7 @@ def full_array_mech_ringdown(mode, sample_rate, duration, x0, seed,
 
 
 def full_array_envelope_brownian(mode, sample_rate, duration, seed,
-                                 noise_floor=0.0, calibration=1.0):
+                                 noise_floor=0.0):
     """synth_brownian's band-centered record at center_freq = mode.f0, with
     the shaped spectrum built from whole-record arrays."""
     n = int(round(duration * sample_rate))
@@ -144,8 +144,8 @@ def full_array_envelope_brownian(mode, sample_rate, duration, seed,
     a = rng.standard_normal(n)
     b = rng.standard_normal(n)
     spec = (a + 1j * b) * np.sqrt(target * sample_rate * n / 2.0)
-    return TimeSeries(sample_rate, 0.0, np.fft.ifft(spec), calibration,
-                      mode.f0, warnings)
+    return TimeSeries(sample_rate, 0.0, np.fft.ifft(spec),
+                      center_freq=mode.f0, warnings=warnings)
 
 
 def whole_array_welch(ts, segment_len, overlap_frac=0.5, window="hann"):
@@ -216,8 +216,7 @@ def per_record_transfer(records, bins_per_decade=5, dc_cutoff_hz=None):
                             n_excluded=n_excluded)
 
 
-def whole_list_simulate_lock(model, cav, cfg, duration, seed,
-                             start_locked=True):
+def whole_list_simulate_lock(model, cav, cfg, duration, seed):
     """simulate_lock as one per-step loop over the whole record as a list
     of Python floats: every run, the open loop's included, writes error,
     actuator and detuning one element at a time over all n steps."""
@@ -231,7 +230,7 @@ def whole_list_simulate_lock(model, cav, cfg, duration, seed,
     setpoint = cfg.setpoint
     if setpoint is None:
         setpoint = float(fringe_response(bias, cav))
-    u_init = x[0] if start_locked else 0.0
+    u_init = x[0]
     rng_range = cfg.actuator_range
 
     def run(kp, ki, kd):

@@ -203,3 +203,100 @@ def test_numpy_is_the_only_runtime_dependency(path):
         found += [(node.lineno, name) for name in names
                   if name.split(".")[0] not in allowed]
     assert not found, found
+
+
+# Every public name and parameter serves a command.  These exports wait on
+# work that will use them: fringe_slope on the lock verdict's linear
+# prediction (ROADMAP item 12), the cooling functions on design-check's
+# quantum-regime budget (item 14), and linewidth and ringdown_tau are read
+# by acceptance criterion 3.
+_EXPORTS_NO_COMMAND_USES = {"constants", "fringe_slope", "optical_damping_rate",
+                            "effective_temperature", "linewidth",
+                            "ringdown_tau"}
+# defaulted parameters that only callers outside the package pass
+_DEFAULTS_PASSED_OUTSIDE = {("main", "argv"),             # console script
+                            ("__call__", "option_string")}  # argparse
+
+
+def _modules():
+    return {p.stem: ast.parse(p.read_text(), str(p))
+            for p in sorted(_SRC.glob("*.py"))}
+
+
+def _references(tree, skip):
+    """The names that tree reads, as a name or an attribute, outside any
+    definition named skip."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name == skip):
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_export_is_used_in_the_package():
+    modules = _modules()
+    init = modules.pop("__init__")
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unused = {name for name in exported
+              if not any(name in _references(tree, name)
+                         for tree in modules.values())}
+    assert unused == _EXPORTS_NO_COMMAND_USES
+
+
+def _defaulted_parameters(tree):
+    """(function name, positional index or None, parameter name) of each
+    defaulted parameter of the module-level functions and the methods of
+    tree that are not private; the index leaves out a method's self, and
+    is None for a keyword-only parameter."""
+    for node in tree.body:
+        method = isinstance(node, ast.ClassDef)
+        for fn in node.body if method else [node]:
+            if not isinstance(fn, ast.FunctionDef) or (
+                    fn.name.startswith("_") and not fn.name.endswith("__")):
+                continue
+            args = fn.args
+            pos = (args.posonlyargs + args.args)[int(method):]
+            first = len(pos) - len(args.defaults)
+            for i, arg in enumerate(pos[first:], first):
+                yield fn.name, i, arg.arg
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield fn.name, None, arg.arg
+
+
+def _passes(call, index, name):
+    """Whether call passes the parameter at position index named name: by
+    keyword, by position, or possibly through a *args."""
+    if any(k.arg == name for k in call.keywords):
+        return True
+    return index is not None and (
+        index < len(call.args)
+        or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_default_is_passed_in_the_package():
+    # a parameter that no call in the package passes is a constant
+    modules = _modules()
+    calls = {}
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = (fn.attr if isinstance(fn, ast.Attribute)
+                        else getattr(fn, "id", None))
+                calls.setdefault(name, []).append(node)
+    unpassed = [(stem, fn, name) for stem, tree in modules.items()
+                for fn, index, name in _defaulted_parameters(tree)
+                if (fn, name) not in _DEFAULTS_PASSED_OUTSIDE
+                and not any(_passes(call, index, name)
+                            for call in calls.get(fn, []))]
+    assert not unpassed, unpassed

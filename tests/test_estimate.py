@@ -9,7 +9,9 @@ from optomech import (DriveRecord, EstimationError, MechMode, Spectrum,
                       synth_brownian, synth_drive_sweep, thermal_psd,
                       transfer_power, welch_psd)
 from optomech.estimate import bin_log_mean, demod_amplitude
-from optomech.estimate import _WINDOWS
+from optomech.estimate import (_WINDOWS, _initial_lorentzian_guess,
+                               _lorentzian_model)
+from optomech.fitting import lm_fit
 from oracles import per_record_transfer, whole_array_welch
 
 
@@ -166,21 +168,30 @@ class TestFitLorentzian:
         assert abs(fit.params["q"] - q) <= 3 * fit.sigmas["q"]
 
     def test_matches_reference_optimizer(self):
+        # lm_fit with unit sigma is a plain least squares, as curve_fit's
         m = MechMode(2e3, 200.0, 1e-9, 300.0)
         ts = synth_brownian(m, 16384.0, 120.0, seed=21,
                             noise_floor=1e-4 * thermal_psd(m.f0, m))
         spec = welch_psd(ts, 8192)
-        mask = np.abs(spec.freqs - m.f0) < 300.0
-        fit = fit_lorentzian(spec, (m.f0 - 300.0, m.f0 + 300.0),
-                             weighting="uniform")
+        mask = np.abs(spec.freqs - m.f0) <= 300.0
+        f, y = spec.freqs[mask], spec.psd[mask]
+        f0_0, fwhm0, amp0, offset0 = _initial_lorentzian_guess(f, y)
+        u = (f - f0_0) / fwhm0
+        work = np.empty((8, u.size))
+        res = lm_fit(lambda p: _lorentzian_model(u, p, work),
+                     [0.0, 1.0, 1.0, offset0 / amp0], y / amp0,
+                     np.ones_like(u))
+        assert res.converged
 
         def model(f, amp, f0, fwhm, off):
             return amp * (fwhm / 2) ** 2 / ((f - f0) ** 2 + (fwhm / 2) ** 2) + off
 
-        p0 = (spec.psd[mask].max(), m.f0, 10.0, 0.0)
-        popt, _ = curve_fit(model, spec.freqs[mask], spec.psd[mask], p0=p0)
-        assert fit.params["f0_hz"] == pytest.approx(popt[1], rel=1e-6)
-        assert fit.params["fwhm_hz"] == pytest.approx(abs(popt[2]), rel=1e-4)
+        p0 = (y.max(), m.f0, 10.0, 0.0)
+        popt, _ = curve_fit(model, f, y, p0=p0)
+        assert f0_0 + res.params[0] * fwhm0 == pytest.approx(popt[1],
+                                                             rel=1e-6)
+        assert abs(res.params[1]) * fwhm0 == pytest.approx(abs(popt[2]),
+                                                           rel=1e-4)
 
     def test_no_peak_raises(self):
         rng = np.random.default_rng(3)

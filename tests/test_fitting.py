@@ -13,7 +13,7 @@ import pytest
 
 from optomech import (MechMode, TimeSeries, fit_exp_decay, fit_lorentzian,
                       synth_brownian, thermal_psd, welch_psd)
-from optomech import estimate
+from optomech import estimate, fitting
 from optomech.fitting import LMResult, _normal_equations, lm_fit
 
 _EPS = np.finfo(float).eps
@@ -43,11 +43,13 @@ def _fsum_products(jw, r):
     return a, g, math.fsum(r * r)
 
 
-def _eager_lm_fit(model_jac, p0, y, sigma, max_iter=200, gtol=1e-8,
-                  ftol=1e-12, lam0=1e-3, products=_einsum_products):
+def _eager_lm_fit(model_jac, p0, y, sigma, products=_einsum_products):
     """The Levenberg-Marquardt loop as it was with model_jac(p) -> (yhat, J):
     every trial step builds and weights the full Jacobian, and the normal
-    matrix is rebuilt after the loop."""
+    matrix is rebuilt after the loop.  It reads lm_fit's stopping constants
+    when called, so a test that sets them sets them for both."""
+    max_iter, gtol, ftol, lam0 = (fitting._MAX_ITER, fitting._GTOL,
+                                  fitting._FTOL, fitting._LAM0)
     p = np.asarray(p0, dtype=float).copy()
     y = np.asarray(y, dtype=float)
     sigma = np.broadcast_to(np.asarray(sigma, dtype=float), y.shape)
@@ -178,16 +180,22 @@ def _decay(n=3000, fs=1e4, tau=0.05, noise=0.01, seed=8):
     return TimeSeries(fs, 0.0, y)
 
 
+def _statistical(*values):
+    """The test id of a Lorentzian case: its values and the statistical
+    weighting, the one weighting fit_lorentzian has."""
+    return "-".join(map(str, values + ("statistical",)))
+
+
 class TestFitsMatchEagerJacobian:
-    @pytest.mark.parametrize("weighting", ["statistical", "uniform"])
-    @pytest.mark.parametrize("seed, max_iter", [(14, 200), (7, 200), (3, 4)])
-    def test_fit_lorentzian(self, monkeypatch, weighting, seed, max_iter):
+    @pytest.mark.parametrize("seed, max_iter", [(14, 200), (7, 200), (3, 4)],
+                             ids=[_statistical(14, 200), _statistical(7, 200),
+                                  _statistical(3, 4)])
+    def test_fit_lorentzian(self, monkeypatch, seed, max_iter):
         spec, window = _brownian_spectrum(seed=seed)
-        got = fit_lorentzian(spec, window, weighting=weighting,
-                             max_iter=max_iter)
+        monkeypatch.setattr(fitting, "_MAX_ITER", max_iter)
+        got = fit_lorentzian(spec, window)
         _eager(monkeypatch)
-        ref = fit_lorentzian(spec, window, weighting=weighting,
-                             max_iter=max_iter)
+        ref = fit_lorentzian(spec, window)
         _assert_same_fit(got, ref)
         if max_iter < 200:
             assert not got.converged
@@ -199,9 +207,10 @@ class TestFitsMatchEagerJacobian:
     ])
     def test_fit_exp_decay(self, monkeypatch, kwargs, max_iter):
         ts = _decay()
-        got = fit_exp_decay(ts, max_iter=max_iter, **kwargs)
+        monkeypatch.setattr(fitting, "_MAX_ITER", max_iter)
+        got = fit_exp_decay(ts, **kwargs)
         _eager(monkeypatch)
-        ref = fit_exp_decay(ts, max_iter=max_iter, **kwargs)
+        ref = fit_exp_decay(ts, **kwargs)
         _assert_same_fit(got, ref)
 
     def test_fit_exp_decay_tau_beyond_record(self, monkeypatch):
@@ -225,8 +234,6 @@ def _assert_close_fit(got, ref, rtol_params, rtol_sigmas):
     assert got.warnings == ref.warnings
 
 
-_LORENTZIAN_CASES = [(seed, weighting) for seed in (14, 7, 3)
-                     for weighting in ("statistical", "uniform")]
 _DECAY_CASES = [{}, {"cavity_length": 0.05}, {"f0": 2.5e3}]
 
 
@@ -239,15 +246,15 @@ class TestFitsNearOtherSummationOrders:
     the BLAS rounding moves by up to 2e-9 (seed 7), so they are held to
     1e-8 against BLAS."""
 
-    @pytest.mark.parametrize("seed, weighting", _LORENTZIAN_CASES)
-    def test_fit_lorentzian(self, monkeypatch, seed, weighting):
+    @pytest.mark.parametrize("seed", [14, 7, 3], ids=_statistical)
+    def test_fit_lorentzian(self, monkeypatch, seed):
         spec, window = _brownian_spectrum(seed=seed)
-        got = fit_lorentzian(spec, window, weighting=weighting)
+        got = fit_lorentzian(spec, window)
         _eager(monkeypatch, _fsum_products)
-        exact = fit_lorentzian(spec, window, weighting=weighting)
+        exact = fit_lorentzian(spec, window)
         _assert_close_fit(got, exact, 1e-12, 1e-12)
         _eager(monkeypatch, _blas_products)
-        blas = fit_lorentzian(spec, window, weighting=weighting)
+        blas = fit_lorentzian(spec, window)
         _assert_close_fit(got, blas, 1e-9, 1e-8)
 
     @pytest.mark.parametrize("kwargs", _DECAY_CASES)
@@ -344,7 +351,7 @@ class TestNormalEquations:
 
 
 class TestJacobianOnlyAtAcceptedPoints:
-    def _counting_fit(self, model, p0, y, sigma, **kw):
+    def _counting_fit(self, model, p0, y, sigma):
         """Run lm_fit and record, per model evaluation, its cost and how
         often its Jacobian was built."""
         evals = []
@@ -360,7 +367,7 @@ class TestJacobianOnlyAtAcceptedPoints:
                 return jac()
             return yhat, counted
 
-        res = lm_fit(model_jac, p0, y, sigma, **kw)
+        res = lm_fit(model_jac, p0, y, sigma)
         return res, evals
 
     def _accepted(self, evals):
@@ -391,14 +398,15 @@ class TestJacobianOnlyAtAcceptedPoints:
         assert [rec["jac_calls"] for rec in evals] == [int(ok) for ok in flags]
         assert sum(flags) - 1 <= res.n_iter
 
-    def test_exp_decay_far_start(self):
+    def test_exp_decay_far_start(self, monkeypatch):
         t = np.linspace(0.0, 1.0, 400)
         y = 1.5 * np.exp(-t * 6.0) + 0.05
         work = np.empty((5, t.size))
+        monkeypatch.setattr(fitting, "_LAM0", 1e-6)
         with np.errstate(over="ignore"):     # trials that overflow: rejected
             res, evals = self._counting_fit(
                 lambda p: estimate._exp_model(t, p, work),
-                np.array([0.2, 40.0, 0.5]), y, np.ones_like(y), lam0=1e-6)
+                np.array([0.2, 40.0, 0.5]), y, np.ones_like(y))
         flags = self._accepted(evals)
         assert res.converged
         assert not all(flags), "no rejected trial to check"

@@ -393,9 +393,10 @@ _WRITER_SHA256 = {
 }
 
 
-def _allow_cpus(monkeypatch, n_cpus):
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(n_cpus)), raising=False)
+def _one_cpu(value):
+    """The test id of a case: its value and the one CPU the reads and writes
+    run on, the id these cases kept when a two-CPU twin of each was dropped."""
+    return f"{value}-1"
 
 
 def _sweep(n_records, n):
@@ -420,12 +421,9 @@ _LONG_ROWS = 8 * omio._CHUNK_ROWS + omio._CHUNK_ROWS // 2 + 3
 
 
 class TestStreamingCsv:
-    @pytest.mark.parametrize("n_cpus", [1, 2])
-    @pytest.mark.parametrize("long", [False, True])
+    @pytest.mark.parametrize("long", [False, True], ids=_one_cpu)
     @pytest.mark.parametrize("kind", ["real", "complex", "drive", "table"])
-    def test_bytes_equal_per_element_reference(self, tmp_path, monkeypatch,
-                                               kind, long, n_cpus):
-        _allow_cpus(monkeypatch, n_cpus)
+    def test_bytes_equal_per_element_reference(self, tmp_path, kind, long):
         write, reference = _writer_cases(_LONG_ROWS if long else 300)[kind]
         path = tmp_path / f"{kind}.csv"
         write(path)
@@ -440,44 +438,36 @@ class TestStreamingCsv:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == _WRITER_SHA256[n][kind]
 
-    @pytest.mark.parametrize("n_cpus", [1, 2])
-    @pytest.mark.parametrize("long", [False, True])
-    def test_sweep_bytes_equal_per_record_reference(self, tmp_path,
-                                                    monkeypatch, long,
-                                                    n_cpus):
+    @pytest.mark.parametrize("long", [False, True], ids=_one_cpu)
+    def test_sweep_bytes_equal_per_record_reference(self, tmp_path, long):
         # records shorter than a chunk, together a long record when `long`
         n = omio._CHUNK_ROWS // 2 + 5
         records = _sweep(_LONG_ROWS // n + 1 if long else 2, n)
-        _allow_cpus(monkeypatch, n_cpus)
         paths = [tmp_path / f"sweep_{k:03d}.csv" for k in range(len(records))]
         for path, rec in zip(paths, records):
             write_driverecord_csv(path, rec)
             assert path.read_bytes() == _ref_driverecord_csv(rec)
         assert sorted(tmp_path.iterdir()) == paths
 
-    @pytest.mark.parametrize("n_cpus", [1, 2])
-    def test_failure_leaves_no_file_and_no_child(self, tmp_path, monkeypatch,
-                                                 n_cpus):
+    def test_failure_leaves_no_file_and_no_child(self, tmp_path, monkeypatch):
         ts = TimeSeries(1.0, 0.0, _values(_LONG_ROWS, 4))
-        _check_failed_write(tmp_path, monkeypatch, n_cpus,
+        _check_failed_write(tmp_path, monkeypatch,
                             lambda: write_timeseries_csv(tmp_path / "rec.csv",
                                                          ts))
 
-    @pytest.mark.parametrize("n_cpus", [1, 2])
     def test_sweep_failure_leaves_no_file_and_no_child(self, tmp_path,
-                                                       monkeypatch, n_cpus):
+                                                       monkeypatch):
         records = _sweep(4, 2 * omio._CHUNK_ROWS)
         paths = [tmp_path / f"sweep_{k}.csv" for k in range(4)]
         _check_failed_write(
-            tmp_path, monkeypatch, n_cpus,
+            tmp_path, monkeypatch,
             lambda: [write_driverecord_csv(path, rec)
                      for path, rec in zip(paths, records)])
 
 
-def _check_failed_write(tmp_path, monkeypatch, n_cpus, write):
+def _check_failed_write(tmp_path, monkeypatch, write):
     """A write whose formatting fails after its first chunk, in this
     process, leaves no file."""
-    _allow_cpus(monkeypatch, n_cpus)
 
     def failing(columns, start, stop):
         if start:
@@ -573,16 +563,13 @@ class TestParallelCsvRead:
     one np.loadtxt call on the whole body."""
 
     @pytest.mark.usefixtures("no_loadtxt")
-    @pytest.mark.parametrize("n_cpus", [1, 2])
-    @pytest.mark.parametrize("above", [False, True])
+    @pytest.mark.parametrize("above", [False, True], ids=_one_cpu)
     @pytest.mark.parametrize("kind", ["real", "complex", "drive"])
-    def test_values_equal_serial_loadtxt(self, tmp_path, monkeypatch, kind,
-                                         above, n_cpus):
+    def test_values_equal_serial_loadtxt(self, tmp_path, kind, above):
         n = 5003 if above else 300
         path = tmp_path / f"{kind}.csv"
         _writer_cases(n)[kind][0](path)
         assert (path.stat().st_size > omio._RANGE_BYTES) == above
-        _allow_cpus(monkeypatch, n_cpus)
         got = _read_record(path, kind)
         assert _same_values(got, _reference_values(path, kind))
 
@@ -705,12 +692,11 @@ class TestStreamedWelch:
                                          ts, segment_len, overlap)
 
     @pytest.mark.usefixtures("small_ranges")
-    @pytest.mark.parametrize("n_cpus", [1, 2])
-    @pytest.mark.parametrize("above", [False, True])
+    @pytest.mark.parametrize("above", [False, True], ids=_one_cpu)
     @pytest.mark.parametrize("is_complex", [False, True])
     @pytest.mark.parametrize("fmt", ["bin", "csv"])
     def test_file_sources(self, tmp_path, monkeypatch, fmt, is_complex,
-                          above, n_cpus):
+                          above):
         # .bin blocks of 1000 samples and CSV ranges of 360 to 700 rows,
         # shorter than the longest segment
         monkeypatch.setattr(omsynth, "_CHUNK", 1000)
@@ -719,7 +705,6 @@ class TestStreamedWelch:
         write_timeseries(path, ts, fmt)
         if fmt == "csv":
             assert (path.stat().st_size > omio._RANGE_BYTES) == above
-        _allow_cpus(monkeypatch, n_cpus)
         for overlap in (0.0, 0.5, 0.9):
             for segment_len in (64, 255, 2048):
                 if segment_len <= ts.n:

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from optomech import (MechMode, NestedModel, chain_transfer, isolation_db,
-                      thermal_psd, thermal_rms, transfer_highfreq_approx,
-                      transfer_power)
+                      thermal_psd, thermal_rms, transfer_power)
 from optomech.constants import BOLTZMANN
 
 from oracles import integrate_psd, rk4_chain_amplitudes, scan_maximum
@@ -62,33 +61,6 @@ class TestIsolationDb:
         iso = isolation_db(w, m)
         ref = 40.0 * np.log10(w / m.omega0)
         assert np.max(np.abs(iso - ref)) <= 0.5
-
-
-class TestHighFreqApprox:
-    def test_decade_ratio_values(self):
-        m = DESIGN_OUTER
-        assert transfer_highfreq_approx(10 * m.omega0, m) == pytest.approx(
-            1e-4, rel=1e-12)
-        assert transfer_highfreq_approx(100 * m.omega0, m) == pytest.approx(
-            1e-8, rel=1e-12)
-
-    def test_relative_error_at_10x(self):
-        # exact relative error at one decade: 1 - (x^2-1)^2/x^4 with x=10,
-        # i.e. 1.99%; it drops below 1% beyond ~14.3*omega0
-        m = DESIGN_OUTER
-        t = transfer_power(10 * m.omega0, m)
-        t_hf = transfer_highfreq_approx(10 * m.omega0, m)
-        err = abs(t_hf - t) / t
-        assert err == pytest.approx(1.0 - 9801.0 / 1e4, rel=1e-4)
-        t15 = transfer_power(15 * m.omega0, m)
-        assert abs(transfer_highfreq_approx(15 * m.omega0, m) - t15) / t15 < 0.01
-
-    @pytest.mark.parametrize("q", [10.0, 1e5])
-    def test_independent_of_quality_factor_in_db(self, q):
-        m = MechMode(2.5e3, q, 1e-7, 300.0)
-        w = 2 * np.pi * m.f0 * np.logspace(1, 3, 21)
-        dev = isolation_db(w, m) + 10 * np.log10(transfer_highfreq_approx(w, m))
-        assert np.max(np.abs(dev)) <= 0.5
 
 
 class TestChainTransfer:

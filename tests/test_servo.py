@@ -119,10 +119,10 @@ class TestSimulateLock:
         bias = -lw / (2 * math.sqrt(3))
         cfg = LockConfig(kp=0.0, ki=0.0, kd=0.0, actuator_range=1e-9,
                          loop_rate=10e6, detuning_bias=bias)
-        res = simulate_lock(model, CAV, cfg, 0.005, seed=5,
-                            start_locked=False)
-        motion = synth_brownian(model.outer, 10e6, 0.005, 5)
-        det = bias + (2 * CAV.fsr / CAV.wavelength) * motion.values
+        res = simulate_lock(model, CAV, cfg, 0.005, seed=5)
+        # the actuator stays where the loop starts: on the first sample
+        x = synth_brownian(model.outer, 10e6, 0.005, 5).values
+        det = bias + (2 * CAV.fsr / CAV.wavelength) * (x - x[0])
         expected = fringe_response(det, CAV) - fringe_response(bias, CAV)
         assert np.array_equal(res.error_signal.values, expected)
 
@@ -172,15 +172,13 @@ def _same_bits(a: float, b: float) -> bool:
 class TestSimulateLockMatchesPerStepLoop:
     """simulate_lock must give the per-step reference's bits exactly."""
 
-    def _check(self, cfg, duration, seed, start_locked=True, temp=300.0):
+    def _check(self, cfg, duration, seed, temp=300.0):
         model, _ = _lock_setup(temp=temp)
         with warnings.catch_warnings():
             # a 2-sample record leaves an empty tail: its rms is nan
             warnings.simplefilter("ignore", RuntimeWarning)
-            ref = whole_list_simulate_lock(model, CAV, cfg, duration, seed,
-                                           start_locked)
-            res = simulate_lock(model, CAV, cfg, duration, seed,
-                                start_locked=start_locked)
+            ref = whole_list_simulate_lock(model, CAV, cfg, duration, seed)
+            res = simulate_lock(model, CAV, cfg, duration, seed)
         for name in ("error_signal", "actuator", "detuning"):
             got = getattr(res, name).values
             assert got.dtype == ref[name].dtype
@@ -221,9 +219,6 @@ class TestSimulateLockMatchesPerStepLoop:
         act = res.actuator.values
         assert np.any(act == rail) and np.any(act == -rail)
 
-    def test_not_start_locked(self):
-        self._check(self._cfg(kp=1e-12), 0.002, seed=7, start_locked=False)
-
     def test_open_loop_clips_from_first_step(self):
         rail = 1e-14
         model, _ = _lock_setup()
@@ -238,18 +233,15 @@ class TestSimulateLockMatchesPerStepLoop:
 
     # lengths that end a chunk of the loop early, late or on its edge, span
     # several chunks, or are prime (the Brownian motion's irfft takes
-    # pocketfft's Bluestein path at 131,101 samples)
-    @pytest.mark.parametrize("start_locked", [True, False])
+    # pocketfft's Bluestein path at 131,101 samples); each id ends in
+    # "-True", as the loop starts on lock
     @pytest.mark.parametrize("n", [2, 3, _synth._CHUNK - 1, _synth._CHUNK + 1,
                                    2 * _synth._CHUNK, 3 * _synth._CHUNK + 7,
-                                   131_101])
-    def test_chunk_edges(self, n, start_locked):
-        res = self._check(self._cfg(kp=1e-12, kd=1e-20), n / 10e6, seed=5,
-                          start_locked=start_locked)
+                                   131_101], ids=lambda n: f"{n}-True")
+    def test_chunk_edges(self, n):
+        res = self._check(self._cfg(kp=1e-12, kd=1e-20), n / 10e6, seed=5)
         assert res.actuator.n == n
 
-    @pytest.mark.parametrize("start_locked", [True, False])
-    def test_zero_motion(self, start_locked):
+    def test_zero_motion(self):
         # zero motion: the actuator starts at 0.0 and every error term is 0
-        self._check(self._cfg(), 0.001, seed=3, start_locked=start_locked,
-                    temp=0.0)
+        self._check(self._cfg(), 0.001, seed=3, temp=0.0)

@@ -5,10 +5,9 @@ import pytest
 
 from optomech import (Cavity, DriveRecord, MechMode, NestedModel, TimeSeries,
                       chain_transfer, demodulate_envelope, fit_exp_decay,
-                      fringe_response, fringe_slope, linewidth, synth_brownian,
-                      synth_drive_sweep, synth_mech_ringdown,
-                      synth_optical_ringdown, thermal_psd,
-                      transduce_side_of_fringe, transfer_power, welch_psd)
+                      synth_brownian, synth_drive_sweep, synth_mech_ringdown,
+                      synth_optical_ringdown, thermal_psd, transfer_power,
+                      welch_psd)
 from optomech import io as _io
 from optomech import synth as _synth
 from optomech.estimate import demod_amplitude
@@ -116,9 +115,9 @@ class TestChunkedEnvelopeBrownian:
     def test_matches_full_array_reference(self, n, noise_floor):
         fs = 400.0
         ts = synth_brownian(self.INNER, fs, n / fs, 17, noise_floor,
-                            center_freq=self.INNER.f0, calibration=2.0)
+                            center_freq=self.INNER.f0)
         ref = full_array_envelope_brownian(self.INNER, fs, n / fs, 17,
-                                           noise_floor, calibration=2.0)
+                                           noise_floor)
         assert ts.n == n and ts.values.dtype == ref.values.dtype
         _same_series(ts, ref)
         assert ts.center_freq == ref.center_freq
@@ -371,49 +370,6 @@ class TestDriveSweep:
             synth_drive_sweep(self.inner, [2e3, 1e3], 1e-12, 100, seed=0)
         with pytest.raises(ValueError):
             synth_drive_sweep(self.inner, [1e3], 1e-12, 10, seed=0)
-
-
-class TestFringeTransduction:
-    def test_constant_input_maps_to_fringe_level(self):
-        x = TimeSeries(1e4, 0.0, np.zeros(100))
-        out = transduce_side_of_fringe(x, CAV, operating_detuning=1000.0)
-        assert np.all(out.values == fringe_response(1000.0, CAV))
-
-    def test_small_signal_is_linear_at_inflection(self):
-        lw = linewidth(CAV)
-        bias = lw / (2 * np.sqrt(3))
-        hz_per_m = 2 * CAV.fsr / CAV.wavelength
-        fs, n = 2e5, 20000
-        t = np.arange(n) / fs
-        amp_m = (lw / 20) / hz_per_m
-        x = TimeSeries(fs, 0.0, amp_m * np.sin(2 * np.pi * 500.0 * t))
-        out = transduce_side_of_fringe(x, CAV, bias)
-        lin = (fringe_response(bias, CAV)
-               + fringe_slope(bias, CAV) * hz_per_m * x.values)
-        ac = out.values - np.mean(out.values)
-        lin_ac = lin - np.mean(lin)
-        assert np.max(np.abs(ac - lin_ac)) / np.max(np.abs(lin_ac)) < 0.01
-
-    def test_linewidth_scale_excursion_distorts(self):
-        lw = linewidth(CAV)
-        bias = lw / (2 * np.sqrt(3))
-        hz_per_m = 2 * CAV.fsr / CAV.wavelength
-        fs, n = 2e5, 20000
-        t = np.arange(n) / fs
-        x = TimeSeries(fs, 0.0, (lw / hz_per_m) * np.sin(2 * np.pi * 500.0 * t))
-        out = transduce_side_of_fringe(x, CAV, bias)
-        win = np.hanning(n)
-        sp = np.abs(np.fft.rfft((out.values - np.mean(out.values)) * win))
-        freqs = np.fft.rfftfreq(n, 1 / fs)
-        amp_at = lambda f: sp[np.abs(freqs - f) < 5 * fs / n].max()
-        h2_dbc = 20 * np.log10(amp_at(1000.0) / amp_at(500.0))
-        assert h2_dbc > -40.0
-
-    def test_rejects_complex_record(self):
-        z = TimeSeries(100.0, 0.0, np.zeros(16, dtype=complex),
-                       center_freq=1e3)
-        with pytest.raises(ValueError):
-            transduce_side_of_fringe(z, CAV, 0.0)
 
 
 class TestRecordTypes:
