@@ -28,8 +28,8 @@ beyond the 10^-342 to 10^308 of the table) are converted with
 ``float()``, which rounds as ``np.loadtxt`` does.  A range with any byte
 outside the grammar's alphabet, any field outside the grammar, or
 another shape is not read here at all (``parse_rows`` returns None): the
-caller reads it with ``np.loadtxt``, so that every value and every error
-stays loadtxt's.
+caller reads it with ``np.loadtxt``, so that every value stays
+loadtxt's, and names the file line of a row that neither reads.
 
 The 651 rows of 128-bit powers of five and the other tables are built
 from exact Python integers on first use, not at import.

@@ -17,8 +17,7 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .fitting import lm_fit
-from .synth import (TWO_PI, DriveRecord, TimeSeries, _all_finite,
-                    _block_means, _phasor)
+from .synth import TWO_PI, TimeSeries, _all_finite, _block_means, _phasor
 
 
 class EstimationError(ValueError):

@@ -24,14 +24,12 @@ whole chunk at once with Ryu and leaves zeros, subnormals, non-finite
 values and the few others it does not cover to repr.
 
 Writers read a TimeSeries or BlockSeries one block at a time and format
-CSV rows in fixed chunks, so a streamed record is never held whole.
-Readers cut a body at newlines into ranges of about a MiB and parse a
-range at a time with _parse.parse_rows, which gives the bits of
-np.loadtxt(fh, delimiter=","); a range with a field outside its strict
-grammar is parsed by that np.loadtxt call itself.  Only a body whose rows
-cannot be counted that way (one with a comment, an empty line among its
-rows, a lone carriage return or a line longer than a range) is parsed
-whole by np.loadtxt when it is opened.
+CSV rows in fixed chunks, so a streamed record is never held whole.  A CSV
+body holds one row per line (_CsvBody).  Readers cut it at newlines into
+ranges of about a MiB and parse a range at a time with _parse.parse_rows,
+which gives the bits of np.loadtxt(fh, delimiter=","), or with that
+np.loadtxt call where a field lies outside the kernel's grammar.  A body
+of another shape is malformed, and its error names the offending line.
 """
 
 import contextlib
@@ -174,72 +172,75 @@ def _read_header(path, magic, kind):
 
 
 def _parse_rows(fh):
-    return np.loadtxt(fh, delimiter=",", ndmin=2)
-
-
-def _line_rows(block, stop, newline, pair):
-    """The number of lines in ``block[:stop]``, which starts a line, or None
-    if ``loadtxt`` may not read each line as one row: it skips empty lines
-    and comments ('#'), and the text reader also ends a line at a carriage
-    return not followed by a newline.  Any other line is one row or a parse
-    error.  ``newline`` and ``pair`` are scratch arrays of ``stop`` bools
-    or more."""
-    if block.find(b"#", 0, stop) >= 0:
-        return None
-    newline = np.equal(np.frombuffer(block, np.uint8, count=stop), 10,
-                       out=newline[:stop])
-    if newline[0] or np.logical_and(newline[1:], newline[:-1],
-                                    out=pair[:stop - 1]).any():
-        return None                   # an empty line
-    if block.find(b"\r", 0, stop) >= 0 and (
-            block.startswith(b"\r\n", 0, stop)
-            or block.find(b"\n\r\n", 0, stop) >= 0
-            or block.count(b"\r", 0, stop) != block.count(b"\r\n", 0, stop)):
-        return None
-    return (int(np.count_nonzero(newline))
-            + (not block.endswith(b"\n", 0, stop)))
+    return np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
 
 
 def _scan_ranges(path, offset):
     """The body after byte ``offset`` cut at newlines into ranges of about
-    ``_RANGE_BYTES``, as ``(start, stop, rows)`` with ``rows`` the lines in
-    ``[start, stop)``; None, so that the body is parsed whole, if a line is
-    longer than a range or may not be one row (``_line_rows``).  A range of
-    empty lines alone holds no rows and is left out.  The body is read into
-    one reused buffer."""
+    ``_RANGE_BYTES``, as ``(start, stop, line, rows)``: the bytes ``[start,
+    stop)`` hold ``rows`` lines, the first of them line ``line`` of the
+    file.  The empty lines that end the body are left out
+    (``_drop_final_empty_lines``).  The body is read into one reused
+    buffer."""
     ranges = []
     block = bytearray(_RANGE_BYTES)
-    newline, pair = np.empty(_RANGE_BYTES, bool), np.empty(_RANGE_BYTES, bool)
+    newline = np.empty(_RANGE_BYTES, bool)
     with open(path, "rb") as fh:
+        line = fh.read(offset).count(b"\n") + 1
         start = offset
         while True:
             fh.seek(start)
             stop = fh.readinto(block)
             if not stop:
-                return ranges
+                return _drop_final_empty_lines(fh, ranges)
             if stop == _RANGE_BYTES:
                 stop = block.rfind(b"\n") + 1
                 if not stop:
-                    return None       # a line longer than a range
-            rows = _line_rows(block, stop, newline, pair)
-            if rows is not None:
-                ranges.append((start, start + stop, rows))
-            elif block[:stop].strip(b"\r\n"):
-                return None           # not a range of empty lines alone
+                    raise ValueError(f"line {line}: {_RANGE_BYTES} bytes or "
+                                     "more without a newline")
+            newlines = np.equal(np.frombuffer(block, np.uint8, count=stop), 10,
+                                out=newline[:stop])
+            rows = int(np.count_nonzero(newlines)) + (block[stop - 1] != 10)
+            ranges.append((start, start + stop, line, rows))
             start += stop
+            line += rows
+
+
+def _drop_final_empty_lines(fh, ranges):
+    """``ranges`` without the empty lines, each ended by b"\\n" or
+    b"\\r\\n", that follow the last row of the body, read from ``fh``; as
+    they are if a carriage return without a newline lies among those
+    lines, so that the parse finds it."""
+    for k in range(len(ranges) - 1, -1, -1):
+        start, stop, line, _ = ranges[k]
+        fh.seek(start)
+        text = fh.read(stop - start)
+        kept = text.rstrip(b"\r\n")
+        tail = text[len(kept):]
+        if tail.count(b"\r") != tail.count(b"\r\n"):
+            return ranges
+        if kept:
+            return ranges[:k] + [(start, start + len(kept), line,
+                                  kept.count(b"\n") + 1)]
+    return []
 
 
 def _range_rows(buf, rows, ncols):
     """The (rows, ncols) values of a range of a CSV body, the text of the
     bytearray ``buf`` after ``PAD`` but for its last byte: parsed by
     ``parse_rows``, or by ``np.loadtxt`` where a field lies outside the
-    kernel's grammar; None if that fails or finds another shape."""
+    kernel's grammar; None unless each of its lines is one row of
+    ``ncols`` values."""
     part = parse_rows(buf, rows, ncols)
-    if part is None:
+    # neither an empty first line, which loadtxt would skip (and warn if no
+    # row followed), nor a final CR, which it would take for a line end, is
+    # a row
+    if part is None and not (buf.startswith((b"\n", b"\r\n"), len(PAD))
+                             or buf.endswith(b"\r", 0, -1)):
         text = memoryview(buf)[len(PAD):-1]
         try:
-            part = _parse_rows(io.TextIOWrapper(io.BytesIO(text),
-                                                encoding="utf-8"))
+            part = _parse_rows(io.TextIOWrapper(
+                io.BytesIO(text), encoding="utf-8", newline="\n"))
         except ValueError:
             return None
         if part.shape != (rows, ncols):
@@ -247,70 +248,65 @@ def _range_rows(buf, rows, ncols):
     return part
 
 
-def _read_ranges(path, ranges):
-    """Each ``(start, stop, rows)`` range of a file as a bytearray: ``PAD``,
-    the range's bytes and one byte more, as ``_range_rows`` takes it.  The
-    bytearray is reused; each is valid until the next is requested."""
-    buf = bytearray(PAD)
-    with open(path, "rb") as fh:
-        for start, stop, rows in ranges:
-            size = len(PAD) + stop - start + 1
-            buf[size:] = b""
-            buf.extend(bytes(size - len(buf)))
-            fh.seek(start)
-            if fh.readinto(memoryview(buf)[len(PAD):-1]) != stop - start:
-                raise ValueError("the rows changed while being read")
-            yield buf, rows
+def _bad_line(buf, line, rows, ncols):
+    """The ValueError for a range that ``_range_rows`` rejects, ``buf`` as
+    it takes it, whose first line is line ``line`` of the file: it names
+    the first of the range's lines that is not a row.  A prefix of the
+    range's lines parses exactly when each of its lines does, so that line
+    is found by bisection over the prefixes."""
+    text = bytes(memoryview(buf)[len(PAD):-1])
+    ends = (np.flatnonzero(np.frombuffer(text, np.uint8) == 10) + 1).tolist()
+    ends += [len(text)] * (rows - len(ends))    # a last line without "\n"
+    good, bad = 0, rows          # prefixes of good lines parse, of bad not
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        prefix = bytearray(PAD) + text[:ends[mid - 1]] + b"\0"
+        if _range_rows(prefix, mid, ncols) is None:
+            bad = mid
+        else:
+            good = mid
+    got = text[ends[bad - 2] if bad > 1 else 0:ends[bad - 1]]
+    got = got.removesuffix(b"\n").decode("utf-8", "replace")
+    return ValueError(f"line {line + bad - 1}: expected {ncols} value(s) "
+                      f"per row, got {got[:40]!r}"
+                      + ("..." if len(got) > 40 else ""))
 
 
 class _CsvBody:
-    """The rows after byte ``offset`` of a CSV file, parsed like
-    ``np.loadtxt(fh, delimiter=",", ndmin=2)`` on the file read from
-    ``offset``, with ``ncols`` values per row.
+    """The rows after byte ``offset`` of a CSV file: one row of ``ncols``
+    comma-separated values per line, each line ended by LF or CRLF but the
+    last, whose end may be missing, and empty lines allowed after the last
+    row only.
 
-    A body that ``_scan_ranges`` can count is parsed a range at a time
+    The body is cut into ranges (``_scan_ranges``), each read into one
+    reused buffer, parsed with the bits of ``np.loadtxt(fh, delimiter=",")``
     (``_range_rows``) and handed over in order (``blocks``), so it is never
-    held whole; an empty body is counted too, as no rows.  Any other body
-    is parsed whole when it is opened.  A range that fails to parse, or
-    parses to another shape, ends the iteration with the error of
-    ``np.loadtxt`` on the whole body, so the errors never depend on how it
-    is cut.
+    held whole.  A range that does not parse ends the iteration with a
+    ValueError that names the file line of the body's first line that is
+    not a row (``_bad_line``).
     """
 
     def __init__(self, path, offset, ncols):
-        self.path, self.offset, self.ncols = path, offset, ncols
+        self.path, self.ncols = path, ncols
         self.ranges = _scan_ranges(path, offset)
-        if self.ranges is None:
-            self.data = self._parse_whole()
-            self.n = self.data.shape[0]
-        else:
-            self.n = sum(rows for _, _, rows in self.ranges)
-
-    def _parse_whole(self):
-        with open(self.path, "r", encoding="utf-8") as fh:
-            fh.seek(self.offset)      # a plain byte offset is a seek cookie
-            data = _parse_rows(fh)
-        if data.shape[1] != self.ncols:
-            raise ValueError(f"expected {self.ncols} value(s) per row, "
-                             f"got {data.shape[1]}")
-        return data
+        self.n = sum(rows for *_, rows in self.ranges)
 
     def blocks(self):
         """The rows in order, as (rows, ncols) float64 arrays; each is valid
         until the next is requested."""
-        if self.ranges is None:
-            yield self.data
-            return
-        with contextlib.closing(_read_ranges(self.path, self.ranges)) as texts:
-            for buf, rows in texts:
+        buf = bytearray(PAD)     # PAD, a range's bytes and one byte more
+        with open(self.path, "rb") as fh:
+            for start, stop, line, rows in self.ranges:
+                size = len(PAD) + stop - start + 1
+                buf[size:] = b""
+                buf.extend(bytes(size - len(buf)))
+                fh.seek(start)
+                if fh.readinto(memoryview(buf)[len(PAD):-1]) != stop - start:
+                    raise ValueError("the rows changed while being read")
                 part = _range_rows(buf, rows, self.ncols)
                 if part is None:
-                    break
+                    raise _bad_line(buf, line, rows, self.ncols)
                 yield part
-            else:
-                return
-        self._parse_whole()           # raises the whole body's error
-        raise ValueError("the rows changed while being read")
 
 
 def _gather(blocks, out):

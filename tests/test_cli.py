@@ -1104,41 +1104,51 @@ def streamed_record(tmp_path_factory):
     return cfg, d, files
 
 
-def _one_cpu(value):
-    """The test id of a case: its value and the one CPU the reads run on,
-    the id these cases kept when a two-CPU twin of each was dropped."""
-    return f"{value}-1"
-
-
 @pytest.mark.usefixtures("small_ranges")
 class TestStreamedAnalysis:
     """`analyze q` and `analyze psd` read their record a block at a time
     (CSV bodies in 16 KiB ranges here) with the outputs and exit codes of a
     whole read, and leave no result behind on an error."""
 
-    @pytest.mark.parametrize("edit", ["none", "blank", "comment", "crlf",
-                                      "no_final_newline", "lone_cr"],
-                             ids=_one_cpu)
+    @pytest.mark.parametrize("edit", ["none", "crlf", "no_final_newline"])
     def test_csv_bodies_give_the_bytes_of_the_bin_record(
             self, tmp_path, streamed_record, edit):
         cfg, d, bin_files = streamed_record
         text = (d / "brownian.csv").read_bytes()
-        middle = text.index(b"\n", len(text) * 3 // 4)
         text = {
             "none": text,
-            "blank": text[:middle] + b"\n" + text[middle:],
-            "comment": text[:middle] + b"\n# note" + text[middle:],
             "crlf": text.replace(b"\n", b"\r\n"),
             "no_final_newline": text[:-1],
-            "lone_cr": text[:middle] + b"\r" + text[middle + 1:],
         }[edit]
         path = tmp_path / "brownian.csv"
         path.write_bytes(text)
         assert _analyses(cfg, tmp_path / "out", path) == (
             [EXIT_OK, EXIT_OK], bin_files)
 
+    @pytest.mark.parametrize("edit", ["blank", "comment", "lone_cr"])
+    def test_csv_bodies_of_other_lines_exit_3_naming_the_line(
+            self, tmp_path, capfd, streamed_record, edit):
+        cfg, d, _ = streamed_record
+        text = (d / "brownian.csv").read_bytes()
+        middle = text.index(b"\n", len(text) * 3 // 4)
+        line = text[:middle].count(b"\n") + 1       # the line middle ends
+        text, line = {
+            "blank": (text[:middle] + b"\n" + text[middle:], line + 1),
+            "comment": (text[:middle] + b"\n# note" + text[middle:], line + 1),
+            "lone_cr": (text[:middle] + b"\r" + text[middle + 1:], line),
+        }[edit]
+        path = tmp_path / "brownian.csv"
+        path.write_bytes(text)
+        capfd.readouterr()
+        assert _analyses(cfg, tmp_path / "out", path) == (
+            [EXIT_IO, EXIT_IO], {})
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(e.startswith(f"I/O error: {path}: malformed timeseries "
+                                f"CSV: line {line}: ") for e in err)
+
     @pytest.mark.parametrize("bad", ["nan_in_last_range",
-                                     "three_values_mid_file"], ids=_one_cpu)
+                                     "three_values_mid_file"])
     def test_bad_csv_rows_exit_3(self, tmp_path, streamed_record, bad):
         cfg, d, _ = streamed_record
         text = (d / "brownian.csv").read_bytes()

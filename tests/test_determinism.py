@@ -252,6 +252,22 @@ def test_every_export_is_used_in_the_package():
     assert unused == _EXPORTS_NO_COMMAND_USES
 
 
+def test_every_import_is_read_in_its_module():
+    # __init__.py imports to export; every other module reads what it imports
+    unread = []
+    for stem, tree in _modules().items():
+        if stem == "__init__":
+            continue
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in tree.body
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        unread += [(stem, name) for name in sorted(imported - read)]
+    assert not unread, unread
+
+
 def _defaulted_parameters(tree):
     """(function name, positional index or None, parameter name) of each
     defaulted parameter of the module-level functions and the methods of

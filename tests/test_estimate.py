@@ -5,9 +5,9 @@ from scipy.optimize import curve_fit
 
 from optomech import (DriveRecord, EstimationError, MechMode, Spectrum,
                       TimeSeries, detect_onset, estimate_transfer,
-                      fit_exp_decay, fit_lorentzian, isolation_db,
-                      synth_brownian, synth_drive_sweep, thermal_psd,
-                      transfer_power, welch_psd)
+                      fit_exp_decay, fit_lorentzian, synth_brownian,
+                      synth_drive_sweep, thermal_psd, transfer_power,
+                      welch_psd)
 from optomech.estimate import bin_log_mean, demod_amplitude
 from optomech.estimate import (_WINDOWS, _initial_lorentzian_guess,
                                _lorentzian_model)

@@ -393,12 +393,6 @@ _WRITER_SHA256 = {
 }
 
 
-def _one_cpu(value):
-    """The test id of a case: its value and the one CPU the reads and writes
-    run on, the id these cases kept when a two-CPU twin of each was dropped."""
-    return f"{value}-1"
-
-
 def _sweep(n_records, n):
     return [DriveRecord(1000.0 + k, TimeSeries(32000.0, 0.0, _values(n, k)),
                         TimeSeries(32000.0, 0.0, _values(n, k + 100),
@@ -421,7 +415,7 @@ _LONG_ROWS = 8 * omio._CHUNK_ROWS + omio._CHUNK_ROWS // 2 + 3
 
 
 class TestStreamingCsv:
-    @pytest.mark.parametrize("long", [False, True], ids=_one_cpu)
+    @pytest.mark.parametrize("long", [False, True])
     @pytest.mark.parametrize("kind", ["real", "complex", "drive", "table"])
     def test_bytes_equal_per_element_reference(self, tmp_path, kind, long):
         write, reference = _writer_cases(_LONG_ROWS if long else 300)[kind]
@@ -438,7 +432,7 @@ class TestStreamingCsv:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == _WRITER_SHA256[n][kind]
 
-    @pytest.mark.parametrize("long", [False, True], ids=_one_cpu)
+    @pytest.mark.parametrize("long", [False, True])
     def test_sweep_bytes_equal_per_record_reference(self, tmp_path, long):
         # records shorter than a chunk, together a long record when `long`
         n = omio._CHUNK_ROWS // 2 + 5
@@ -489,15 +483,12 @@ def _loadtxt_reference(path):
     return np.loadtxt(path, delimiter=",", ndmin=2, skiprows=skip)
 
 
-def _body_loadtxt_error(path):
-    """The error of one np.loadtxt call on the body of a CSV record."""
-    lines = path.read_bytes().decode().splitlines(keepends=True)
-    skip = next(i for i, line in enumerate(lines)
-                if not line.startswith("#")) + 1
-    with pytest.raises(ValueError) as err:
-        np.loadtxt(io.StringIO("".join(lines[skip:])), delimiter=",",
-                   ndmin=2)
-    return err.value
+def _body_offset(text):
+    """The byte offset of the first row of a CSV record's text."""
+    at = 0
+    while text.startswith(b"#", at):
+        at = text.index(b"\n", at) + 1
+    return text.index(b"\n", at) + 1
 
 
 def _read_record(path, kind):
@@ -525,18 +516,21 @@ _OUTSIDE_THE_GRAMMAR = [" 1.0", "1_0", "nan", "0x1p3",
 
 def _put_field(path, n, field):
     """Write a real record of n samples with ``field`` as a row near the
-    middle of its body: the row's byte offset, and the body's ranges."""
+    middle of its body: the row's byte offset and file line, and the body's
+    ranges."""
     write_timeseries_csv(path, _noise_ts(n, False))
     text = path.read_bytes()
     row = text.index(b"\n", len(text) // 2) + 1
     path.write_bytes(text[:row] + field.encode()
                      + text[text.index(b"\n", row):])
-    return row, omio._scan_ranges(path, text.index(b"\nvalue\n") + 7)
+    return (row, text[:row].count(b"\n") + 1,
+            omio._scan_ranges(path, text.index(b"\nvalue\n") + 7))
 
 
-def _assert_both_readers_like_loadtxt(path, segment_len):
+def _assert_both_readers_like_loadtxt(path, segment_len, field, line):
     """read_timeseries_csv and welch_psd over open_timeseries give the
-    values of np.loadtxt on the body, or both the same FormatError."""
+    values of np.loadtxt on the body, or both the same FormatError, which
+    names the file line of ``field`` if np.loadtxt cannot read it."""
     try:
         want = _reference_values(path, "real")[0]
     except ValueError:
@@ -548,7 +542,7 @@ def _assert_both_readers_like_loadtxt(path, segment_len):
                           welch_psd(ts, segment_len).psd)
         return
     problem = ("TimeSeries values must be finite" if want is not None
-               else _body_loadtxt_error(path))
+               else f"line {line}: expected 1 value(s) per row, got {field!r}")
     for read in (read_timeseries_csv,
                  lambda p: welch_psd(open_timeseries(p), segment_len)):
         with pytest.raises(FormatError) as err:
@@ -557,13 +551,46 @@ def _assert_both_readers_like_loadtxt(path, segment_len):
             f"{path}: malformed timeseries CSV: {problem}")
 
 
+def _record_reads(kind):
+    """The whole reads of a record kind, each giving its value arrays:
+    read_timeseries_csv and the gathered blocks of open_timeseries for a
+    time series, read_driverecord_csv for a drive record."""
+    if kind == "drive":
+        return [lambda p: _read_record(p, "drive")]
+    return [lambda p: [read_timeseries_csv(p).values],
+            lambda p: [np.concatenate([b.copy() for b
+                                       in open_timeseries(p).blocks()])]]
+
+
+# edits of a body that leave it not one row per line, each on the row that
+# starts at byte p and ends with the newline at byte e, and each first
+# offending on that row's line
+_REJECTED_EDITS = {
+    "blank": lambda t, p, e: t[:p] + b"\n" + t[p:],
+    "comment": lambda t, p, e: t[:p] + b"# note\n" + t[p:],
+    "trailing_comment": lambda t, p, e: t[:e] + b"#x" + t[e:],
+    "lone_cr": lambda t, p, e: t[:e] + b"\r" + t[e + 1:],
+    # a text reader that ended lines at a lone CR would count right
+    "blank_and_lone_cr": lambda t, p, e: (t[:p] + b"\n" + t[p:e] + b"\r"
+                                          + t[e + 1:]),
+    "crlf_blank": lambda t, p, e: (t[:p] + b"\n" + t[p:]).replace(b"\n",
+                                                                  b"\r\n"),
+    "blank_run": lambda t, p, e: t[:p] + b"\n" * 20480 + t[p:],
+    "long_line": lambda t, p, e: (t[:p] + b"1" * (omio._RANGE_BYTES + 1)
+                                  + t[p:]),
+}
+
+
 @pytest.mark.usefixtures("small_ranges")
-class TestParallelCsvRead:
-    """CSV bodies read a range at a time give the values and the errors of
-    one np.loadtxt call on the whole body."""
+class TestCsvBodyGrammar:
+    """A CSV body is one row per line, ended by LF or CRLF, the last line's
+    end optional and empty lines allowed after the last row.  Read a range
+    at a time, such a body gives np.loadtxt's values, and any other body is
+    a FormatError naming the file line of its first line that is not a
+    row."""
 
     @pytest.mark.usefixtures("no_loadtxt")
-    @pytest.mark.parametrize("above", [False, True], ids=_one_cpu)
+    @pytest.mark.parametrize("above", [False, True])
     @pytest.mark.parametrize("kind", ["real", "complex", "drive"])
     def test_values_equal_serial_loadtxt(self, tmp_path, kind, above):
         n = 5003 if above else 300
@@ -573,54 +600,82 @@ class TestParallelCsvRead:
         got = _read_record(path, kind)
         assert _same_values(got, _reference_values(path, kind))
 
-    @pytest.mark.parametrize("edit", ["blank", "comment", "crlf",
-                                      "no_final_newline", "lone_cr",
-                                      "crlf_blank", "first_line_blank"])
-    def test_irregular_bodies_read_like_serial(self, tmp_path, edit):
+    @pytest.mark.parametrize("edit", ["crlf", "no_final_newline",
+                                      "final_empty_lines", "savetxt"])
+    @pytest.mark.parametrize("kind", ["complex", "drive"])
+    def test_other_spellings_read_like_loadtxt(self, tmp_path, kind, edit):
         path = tmp_path / "rec.csv"
-        _writer_cases(5003)["complex"][0](path)
+        _writer_cases(5003)[kind][0](path)
         text = path.read_bytes()
-        middle = text.index(b"\n", len(text) * 3 // 4)
-        text = {
-            "blank": text[:middle] + b"\n" + text[middle:],
-            "comment": text[:middle] + b"\n# note" + text[middle:],
-            "crlf": text.replace(b"\n", b"\r\n"),
-            "no_final_newline": text[:-1],
-            "lone_cr": text[:middle] + b"\r" + text[middle + 1:],
-            "crlf_blank": (text[:middle] + b"\n" + text[middle:]).replace(
-                b"\n", b"\r\n"),
-            "first_line_blank": text.replace(b"value_re,value_im\n",
-                                             b"value_re,value_im\n\n"),
-        }[edit]
+        if edit == "savetxt":
+            # '%.18e': a negative value takes 25 bytes, one more than the
+            # kernel reads
+            body = io.BytesIO()
+            np.savetxt(body, _loadtxt_reference(path), delimiter=",")
+            text = text[:_body_offset(text)] + body.getvalue()
+            assert b",-" in text
+        else:
+            text = {"crlf": text.replace(b"\n", b"\r\n"),
+                    "no_final_newline": text[:-1],
+                    "final_empty_lines": text + b"\r\n\n" * 9000}[edit]
         path.write_bytes(text)
-        assert _same_bits(read_timeseries_csv(path).values,
-                          _reference_values(path, "complex")[0])
+        for read in _record_reads(kind):
+            assert _same_values(read(path), _reference_values(path, kind))
 
-    def test_bad_value_in_last_range_is_serial_format_error(self, tmp_path):
+    @pytest.mark.parametrize("at", ["first", "middle", "last"])
+    @pytest.mark.parametrize("edit", sorted(_REJECTED_EDITS))
+    @pytest.mark.parametrize("kind", ["complex", "drive"])
+    def test_other_bodies_name_their_first_bad_line(self, tmp_path, kind,
+                                                    edit, at):
+        path = tmp_path / "rec.csv"
+        _writer_cases(5003)[kind][0](path)
+        text = path.read_bytes()
+        body = _body_offset(text)
+        p = {"first": body,
+             "middle": text.index(b"\n", len(text) // 2) + 1,
+             "last": text.rindex(b"\n", 0, -1) + 1}[at]
+        ranges = omio._scan_ranges(path, body)
+        k = [start <= p < stop for start, stop, *_ in ranges].index(True)
+        assert {"first": k == 0, "middle": 0 < k < len(ranges) - 1,
+                "last": k == len(ranges) - 1}[at]
+        line = text[:p].count(b"\n") + 1
+        path.write_bytes(_REJECTED_EDITS[edit](text, p, text.index(b"\n", p)))
+        name = "drive-record" if kind == "drive" else "timeseries"
+        for read in _record_reads(kind):
+            with pytest.raises(FormatError) as err:
+                read(path)
+            assert str(err.value).startswith(
+                f"{path}: malformed {name} CSV: line {line}: ")
+
+    def test_bad_value_in_last_range_names_its_line(self, tmp_path):
         path = tmp_path / "rec.csv"
         _writer_cases(5003)["real"][0](path)
         text = path.read_bytes()
-        path.write_bytes(text[:text.rindex(b"\n", 0, -1) + 1] + b"oops\n")
-        with pytest.raises(FormatError, match="oops") as err:
+        row = text.rindex(b"\n", 0, -1) + 1
+        path.write_bytes(text[:row] + b"oops\n")
+        # the line counts from the start of the file, not of a range
+        line = text[:row].count(b"\n") + 1
+        with pytest.raises(FormatError) as err:
             read_timeseries_csv(path)
-        # the row number counts from the start of the body, not of a range
-        assert str(_body_loadtxt_error(path)) in str(err.value)
+        assert str(err.value) == (
+            f"{path}: malformed timeseries CSV: line {line}: expected 1 "
+            "value(s) per row, got 'oops'")
 
     @pytest.mark.parametrize("field", _OUTSIDE_THE_GRAMMAR)
     def test_field_outside_the_grammar_reads_like_loadtxt(self, tmp_path,
                                                           field):
         path = tmp_path / "rec.csv"
-        row, ranges = _put_field(path, 5003, field)
+        row, line, ranges = _put_field(path, 5003, field)
         assert ranges[1][0] < row < ranges[-2][1]      # in a middle range
-        _assert_both_readers_like_loadtxt(path, 1000)
+        _assert_both_readers_like_loadtxt(path, 1000, field, line)
 
     @pytest.mark.parametrize("field", _OUTSIDE_THE_GRAMMAR)
     def test_field_outside_the_grammar_in_one_range_reads_like_loadtxt(
             self, tmp_path, field):
         path = tmp_path / "rec.csv"
-        _, ranges = _put_field(path, 300, field)
+        _, line, ranges = _put_field(path, 300, field)
         assert len(ranges) == 1
-        _assert_both_readers_like_loadtxt(path, 100)
+        _assert_both_readers_like_loadtxt(path, 100, field, line)
 
     @pytest.mark.usefixtures("no_loadtxt")
     @pytest.mark.parametrize("body", [b"", b"\n" * 3, b"\r\n" * 20000],
@@ -692,7 +747,7 @@ class TestStreamedWelch:
                                          ts, segment_len, overlap)
 
     @pytest.mark.usefixtures("small_ranges")
-    @pytest.mark.parametrize("above", [False, True], ids=_one_cpu)
+    @pytest.mark.parametrize("above", [False, True])
     @pytest.mark.parametrize("is_complex", [False, True])
     @pytest.mark.parametrize("fmt", ["bin", "csv"])
     def test_file_sources(self, tmp_path, monkeypatch, fmt, is_complex,
