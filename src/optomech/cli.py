@@ -6,9 +6,8 @@ synthesis to file to demodulation, never held whole: `simulate
 ringdown-mech --raw` also writes the raw oscillation (3M samples on the
 default config) as `ringdown_mech_raw.<fmt>`, and `analyze mech-q` fits
 the envelope of a record sampled at 8 f0 of the outer mode or faster.
-`report` fits its synthetic ringdowns from their known onset at t = 0,
-while `analyze finesse` and `analyze mech-q` first trim a record at its
-95% crossing (`detect_onset`), so the two differ on the same record.  The
+Every ringdown fit (`_fit_decay`) starts at the record's 95% crossing
+(`detect_onset`), so `analyze` and `report` agree on a record.  The
 config file plus the seed fully determine every output, byte for byte, at
 any number of allowed CPUs on a given machine (not across CPU
 architectures or numpy builds): no fit sums through a multithreaded BLAS.
@@ -202,10 +201,12 @@ def _read_ringdown(cfg: Config, path, quantity: str):
 
 
 def _fit_decay(cfg: Config, ts, quantity: str):
-    """Exponential fit of a record that starts at its decay onset."""
+    """(record, fit): a ringdown trimmed at its decay onset (a recorded one
+    may hold pre-trigger samples) and its exponential fit."""
+    ts = _estimate.detect_onset(ts)
     if quantity == "finesse":
-        return _estimate.fit_exp_decay(ts, cavity_length=cfg.cavity.length)
-    return _estimate.fit_exp_decay(ts, f0=cfg.outer.f0)
+        return ts, _estimate.fit_exp_decay(ts, cavity_length=cfg.cavity.length)
+    return ts, _estimate.fit_exp_decay(ts, f0=cfg.outer.f0)
 
 
 def _transfer_bins(cfg: Config):
@@ -341,9 +342,8 @@ def cmd_analyze(args) -> int:
             extra = {"f0_hz": fit.params["f0_hz"],
                      "fwhm_hz": fit.params["fwhm_hz"], "n_avg": spec.n_avg}
         else:
-            # a recorded ringdown may hold pre-trigger samples
-            ts = _read_ringdown(cfg, args.inputs[0], sub)
-            fit = _fit_decay(cfg, _estimate.detect_onset(ts), sub)
+            _, fit = _fit_decay(cfg, _read_ringdown(cfg, args.inputs[0], sub),
+                                sub)
             extra = {"tau_s": fit.params["tau_s"],
                      "tau_sigma_s": fit.sigmas["tau_s"]}
         outputs = {**_summary(fit, sub), **extra,
@@ -505,7 +505,7 @@ def _report_ringdown(cfg: Config, seed: int, table, quantity: str) -> dict:
         ts = _mech_ringdown(cfg, seed)["ringdown_mech_envelope"]
         name, columns, truth = ("ringdown_mech", ("envelope_m", "fit_m"),
                                 cfg.outer.q)
-    fit = _fit_decay(cfg, ts, quantity)
+    ts, fit = _fit_decay(cfg, ts, quantity)
     p, t = fit.params, ts.times
     table(name, {
         "time_s": t, columns[0]: ts.values,

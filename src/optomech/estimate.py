@@ -158,7 +158,7 @@ def _segments(blocks, n, segment_len, hop, dtype):
 
 def welch_psd(ts, segment_len: int | None = None,
               overlap_frac: float = 0.5, window: str = "hann") -> Spectrum:
-    """Averaged-periodogram PSD of a TimeSeries or a BlockSeries.
+    """Averaged-periodogram PSD of calibrated TimeSeries or BlockSeries values.
 
     Real records give the one-sided density on [0, fs/2].  Complex-envelope
     records give the equivalent one-sided density of the underlying physical
@@ -212,6 +212,7 @@ def welch_psd(ts, segment_len: int | None = None,
         if segment_len % 2 == 0:
             psd[-1] /= 2.0
         freqs = np.fft.rfftfreq(segment_len, 1.0 / fs)
+    psd *= ts.calibration ** 2
 
     return Spectrum(freqs=freqs, psd=psd, n_avg=n_avg,
                     resolution=fs / segment_len,
@@ -487,8 +488,9 @@ def _tone_phasor(ts: TimeSeries, freq: float):
 
 
 def _demod(ts: TimeSeries, ph, detect=True):
-    """demod_amplitude of ts against its tone phasor ph (_tone_phasor), the
-    mixer's one-block case; detect=False gives None for detectable."""
+    """(amplitude, detectable) of the calibrated tone of ts whose phasor is
+    ph (_tone_phasor), the mixer's one-block case: whether the tone stands
+    above the residual noise; detect=False gives None for detectable."""
     x = np.asarray(ts.values, dtype=float) * ts.calibration
     n_use = ph.size
     xm = x[:n_use] - np.mean(x[:n_use])
@@ -499,15 +501,6 @@ def _demod(ts: TimeSeries, ph, detect=True):
     resid = xm - np.real(z * np.conj(ph))  # subtract the fitted tone
     sigma_tone = float(np.std(resid)) * math.sqrt(2.0 / n_use)
     return amp, amp > 10.0 * sigma_tone
-
-
-def demod_amplitude(ts: TimeSeries, freq: float):
-    """Single-bin discrete correlation: calibrated amplitude of a tone.
-
-    Returns (amplitude_m, detectable) where detectable compares the tone to
-    the off-tone residual noise level in the same record.
-    """
-    return _demod(ts, _tone_phasor(ts, freq))
 
 
 def _log_bin_edges(fmin, fmax, bins_per_decade):

@@ -179,9 +179,10 @@ def _scan_ranges(path, offset):
     """The body after byte ``offset`` cut at newlines into ranges of about
     ``_RANGE_BYTES``, as ``(start, stop, line, rows)``: the bytes ``[start,
     stop)`` hold ``rows`` lines, the first of them line ``line`` of the
-    file.  The empty lines that end the body are left out
-    (``_drop_final_empty_lines``).  The body is read into one reused
-    buffer."""
+    file; ``stop`` is None for ``_RANGE_BYTES`` bytes without a newline,
+    which ``_CsvBody.blocks`` rejects when it reaches them.  The empty
+    lines that end the body are left out (``_drop_final_empty_lines``).
+    The body is read into one reused buffer."""
     ranges = []
     block = bytearray(_RANGE_BYTES)
     newline = np.empty(_RANGE_BYTES, bool)
@@ -195,9 +196,10 @@ def _scan_ranges(path, offset):
                 return _drop_final_empty_lines(fh, ranges)
             if stop == _RANGE_BYTES:
                 stop = block.rfind(b"\n") + 1
-                if not stop:
-                    raise ValueError(f"line {line}: {_RANGE_BYTES} bytes or "
-                                     "more without a newline")
+                if not stop:     # the next range holds the line's end
+                    ranges.append((start, None, line, 0))
+                    start += _RANGE_BYTES
+                    continue
             newlines = np.equal(np.frombuffer(block, np.uint8, count=stop), 10,
                                 out=newline[:stop])
             rows = int(np.count_nonzero(newlines)) + (block[stop - 1] != 10)
@@ -213,6 +215,8 @@ def _drop_final_empty_lines(fh, ranges):
     lines, so that the parse finds it."""
     for k in range(len(ranges) - 1, -1, -1):
         start, stop, line, _ = ranges[k]
+        if stop is None:
+            return ranges[:k + 1]
         fh.seek(start)
         text = fh.read(stop - start)
         kept = text.rstrip(b"\r\n")
@@ -297,6 +301,9 @@ class _CsvBody:
         buf = bytearray(PAD)     # PAD, a range's bytes and one byte more
         with open(self.path, "rb") as fh:
             for start, stop, line, rows in self.ranges:
+                if stop is None:
+                    raise ValueError(f"line {line}: {_RANGE_BYTES} bytes or "
+                                     "more without a newline")
                 size = len(PAD) + stop - start + 1
                 buf[size:] = b""
                 buf.extend(bytes(size - len(buf)))

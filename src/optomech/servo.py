@@ -33,7 +33,6 @@ class LockConfig:
     kp: float = 0.0
     ki: float = 0.0
     kd: float = 0.0
-    setpoint: float | None = None     # None: fringe level at detuning_bias
     actuator_range: float = 1e-9
     loop_rate: float = 5e6
     detuning_bias: float = 0.0
@@ -131,9 +130,7 @@ def simulate_lock(model: NestedModel, cav: Cavity, cfg: LockConfig,
     hz_per_m = cav.hz_per_m
     lw = cav.linewidth_fwhm
     bias = cfg.detuning_bias
-    setpoint = cfg.setpoint
-    if setpoint is None:
-        setpoint = float(fringe_response(bias, cav))
+    setpoint = float(fringe_response(bias, cav))   # the level at the bias
 
     u_init = float(motion.values[0])
     rng_range = cfg.actuator_range

@@ -9,7 +9,7 @@ shutoff, with calibration 1.  All generators are pure functions of
 
 One lock-in mixer serves synthesis and analysis: _phasor builds
 exp(-2j*pi*f*t) and _block_means averages a record times it over blocks,
-many a run for the mechanical envelope, one a record in estimate_transfer.
+many a run for the in-phase mechanical envelope, one a record for a tone.
 
 Memory is bounded by the records themselves.  The band-centered Brownian
 record is built and inverse transformed in its one complex array, _CHUNK
@@ -312,15 +312,17 @@ def synth_mech_ringdown(mode: MechMode, sample_rate: float, duration: float,
 
 def demodulate_envelope(rec, f0: float,
                         cycles_per_block: int = 10) -> TimeSeries:
-    """Lock-in amplitude envelope of an oscillation at f0 in a real
+    """In-phase lock-in envelope of an oscillation at f0 in a real
     TimeSeries or BlockSeries.
 
     The record is mixed down at f0 and averaged over blocks of an integer
     number of carrier cycles; the output sample rate drops by the block
-    length.  It is read once, in order (rec.blocks()), in runs of whole
-    blocks, about _CHUNK samples but at least one block: each run's phasor
-    is built in one reused array, multiplied in place by the samples as the
-    blocks hand them over, and reduced to its block means at once.
+    length.  The envelope is twice the real part of the block means turned
+    by the phase of their sum: it keeps the sign of the noise, free of the
+    bias of 2*|mean|.  The record is read once, in order (rec.blocks()), in
+    runs of whole blocks, about _CHUNK samples but at least one block: each
+    run's phasor is built in one reused array, multiplied in place by the
+    samples as the blocks hand them over, and reduced to its block means.
     Samples past the last whole block are never mixed.
     """
     if rec.is_complex:
@@ -334,7 +336,7 @@ def demodulate_envelope(rec, f0: float,
         raise ValueError("record too short for envelope demodulation")
     n_use = n_out * n_blk
     z = np.empty(min(max(1, _CHUNK // n_blk) * n_blk, n_use), complex)
-    env = np.empty(n_out)
+    env = np.empty(n_out, complex)
     start = fill = 0            # run[:fill]: samples start + [0, fill), mixed
     with contextlib.closing(rec.blocks()) as blocks:
         for block in blocks:
@@ -349,11 +351,11 @@ def demodulate_envelope(rec, f0: float,
                 block = block[take:]
                 fill += take
                 if fill == run.size:
-                    means = _block_means(run, n_blk)
                     k = start // n_blk
-                    env[k:k + means.size] = 2.0 * np.abs(means)
+                    env[k:k + fill // n_blk] = _block_means(run, n_blk)
                     start, fill = start + fill, 0
-    return TimeSeries(fs / n_blk, rec.t0 + 0.5 * n_blk / fs, env,
+    env *= np.exp(-1j * np.angle(env.sum()))
+    return TimeSeries(fs / n_blk, rec.t0 + 0.5 * n_blk / fs, 2.0 * env.real,
                       rec.calibration)
 
 

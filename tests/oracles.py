@@ -96,7 +96,9 @@ def scan_maximum(func, lo, hi, n_coarse=20001, n_refine=3):
 
 
 def full_array_demodulate(ts, f0, cycles_per_block=10):
-    """Lock-in envelope of ts, mixing the whole record in one array."""
+    """In-phase lock-in envelope of ts, mixing the whole record in one
+    array: twice the real part of the block means turned by the phase of
+    their sum."""
     n_blk = int(round(cycles_per_block * ts.sample_rate / f0))
     if n_blk < 2:
         raise ValueError("too few samples per demodulation block")
@@ -106,7 +108,8 @@ def full_array_demodulate(ts, f0, cycles_per_block=10):
     t = ts.times[:n_out * n_blk]
     x = np.asarray(ts.values[:n_out * n_blk], dtype=float)
     z = x * np.exp(-1j * 2.0 * np.pi * f0 * t)
-    env = 2.0 * np.abs(z.reshape(n_out, n_blk).mean(axis=1))
+    means = z.reshape(n_out, n_blk).mean(axis=1)
+    env = 2.0 * (means * np.exp(-1j * np.angle(means.sum()))).real
     return TimeSeries(ts.sample_rate / n_blk,
                       ts.t0 + 0.5 * n_blk / ts.sample_rate, env, ts.calibration)
 
@@ -227,9 +230,7 @@ def whole_list_simulate_lock(model, cav, cfg, duration, seed):
     hz_per_m = 2.0 * cav.fsr / cav.wavelength
     lw = cav.linewidth_fwhm
     bias = cfg.detuning_bias
-    setpoint = cfg.setpoint
-    if setpoint is None:
-        setpoint = float(fringe_response(bias, cav))
+    setpoint = float(fringe_response(bias, cav))
     u_init = x[0]
     rng_range = cfg.actuator_range
 

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from optomech import TimeSeries, config_from_dict
 from optomech import estimate as _estimate
-from optomech.cli import EXIT_CONFIG, EXIT_FIT, EXIT_IO, EXIT_OK, format_value_pm, main
+from optomech.cli import (EXIT_CONFIG, EXIT_FIT, EXIT_IO, EXIT_OK, _fit_decay,
+                          _mech_ringdown, format_value_pm, main)
 from optomech.config import (_ANALYSIS_DEFAULTS, _SYNTH_DEFAULTS,
                              _VALUE_RULES, MAX_RECORD_SAMPLES, ConfigError,
                              read_config_json)
@@ -363,6 +364,48 @@ class TestAnalyze:
             assert ("fit error: record is flat"
                     in capsys.readouterr().err)
 
+    def test_outer_q_pulls_are_unbiased(self):
+        # the in-phase envelope keeps the sign of its noise: over 40 seeds
+        # of the default config, (Q - true Q) / sigma centres on 0 with
+        # unit spread (2*|mean| put every pull near -50)
+        cfg = config_from_dict({})
+        pulls = []
+        for seed in range(40):
+            env = _mech_ringdown(cfg, seed)["ringdown_mech_envelope"]
+            _, fit = _fit_decay(cfg, env, "mech-q")
+            pulls.append((fit.params["q"] - cfg.outer.q) / fit.sigmas["q"])
+        assert abs(np.mean(pulls)) <= 0.75
+        assert 0.7 <= np.std(pulls, ddof=1) <= 1.4
+        assert np.max(np.abs(pulls)) < 4
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_report_fits_a_ringdown_as_analyze_does(self, tmp_path, seed,
+                                                    fmt):
+        cfg = _write_cfg(tmp_path)
+        common = ["--config", cfg, "--seed", str(seed)]
+        assert main(common + ["--out", str(tmp_path / "report"),
+                              "report"]) == EXIT_OK
+        report = read_result_doc(tmp_path / "report" / "report.json")
+        for exp, record, quantity, entry in (
+                ("ringdown-optical", "ringdown_optical", "finesse",
+                 "finesse_fit"),
+                ("ringdown-mech", "ringdown_mech_envelope", "mech-q",
+                 "outer_q_fit")):
+            sim, out = tmp_path / "sim", tmp_path / quantity
+            assert main(common + ["--out", str(sim), "simulate", exp,
+                                  "--format", fmt]) == EXIT_OK
+            assert main(common + ["--out", str(out), "analyze", quantity,
+                                  str(sim / f"{record}.{fmt}")]) == EXIT_OK
+            analyzed = read_result_doc(
+                out / f"analyze_{quantity.replace('-', '_')}_result.json")
+            fitted = {key: value for key, value
+                      in report["outputs"][entry].items()
+                      if not key.startswith("true_")}
+            assert len(fitted) == 4
+            assert fitted == {key: analyzed["outputs"][key]
+                              for key in fitted}
+
     def test_transfer_via_manifest(self, tmp_path):
         cfg = _write_cfg(tmp_path)
         assert main(["--config", cfg, "--out", str(tmp_path), "simulate",
@@ -446,6 +489,23 @@ class TestAnalyze:
         table = np.loadtxt(tmp_path / "psd.csv", delimiter=",", skiprows=1)
         f_pk = table[np.argmax(table[:, 1]), 0]
         assert f_pk == pytest.approx(250e3, abs=doc["outputs"]["resolution_hz"])
+
+    def test_psd_is_in_calibrated_units(self, tmp_path):
+        # the same values at 2 m per unit hold 4x the power per Hz
+        from optomech.io import write_timeseries_csv
+        values = np.random.default_rng(0).standard_normal(4096)
+        tables = []
+        for cal in (1.0, 2.0):
+            out = tmp_path / f"cal{cal:g}"
+            out.mkdir()
+            write_timeseries_csv(out / "rec.csv",
+                                 TimeSeries(1e3, 0.0, values, cal))
+            assert main(["--out", str(out), "analyze", "psd",
+                         str(out / "rec.csv")]) == EXIT_OK
+            tables.append(np.loadtxt(out / "psd.csv", delimiter=",",
+                                     skiprows=1))
+        assert np.array_equal(tables[1][:, 0], tables[0][:, 0])
+        assert np.array_equal(tables[1][:, 1], 4.0 * tables[0][:, 1])
 
     def test_transfer_identical_base_and_response(self, tmp_path):
         from optomech import DriveRecord, TimeSeries

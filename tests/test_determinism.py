@@ -242,11 +242,15 @@ def _references(tree, skip):
 
 
 def test_every_export_is_used_in_the_package():
+    # the exports, and every public module-level function and class
     modules = _modules()
     init = modules.pop("__init__")
-    exported = {alias.asname or alias.name for node in init.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    unused = {name for name in exported
+    public = {alias.asname or alias.name for node in init.body
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    public |= {node.name for tree in modules.values() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")}
+    unused = {name for name in public
               if not any(name in _references(tree, name)
                          for tree in modules.values())}
     assert unused == _EXPORTS_NO_COMMAND_USES

@@ -8,7 +8,7 @@ from optomech import (DriveRecord, EstimationError, MechMode, Spectrum,
                       fit_exp_decay, fit_lorentzian, synth_brownian,
                       synth_drive_sweep, thermal_psd, transfer_power,
                       welch_psd)
-from optomech.estimate import bin_log_mean, demod_amplitude
+from optomech.estimate import bin_log_mean
 from optomech.estimate import (_WINDOWS, _initial_lorentzian_guess,
                                _lorentzian_model)
 from optomech.fitting import lm_fit
@@ -366,13 +366,17 @@ class TestEstimateTransfer:
             assert (ref.n_records, ref.n_excluded) == (18, 1)
 
     def test_demod_accuracy(self):
+        # each record's tone amplitude is calibrated: 2.5e-12 units at 2 m
+        # per unit drive a response of 2.5e-12 m, half of it
         fs, f = 44000.0, 997.0
         t = np.arange(44000) / fs
-        x = TimeSeries(fs, 0.0, 2.5e-12 * np.sin(2 * np.pi * f * t + 0.3),
-                       calibration=2.0)
-        amp, ok = demod_amplitude(x, f)
-        assert ok
-        assert amp == pytest.approx(5.0e-12, rel=1e-4)
+        x = 2.5e-12 * np.sin(2 * np.pi * f * t + 0.3)
+        est = estimate_transfer([DriveRecord(
+            f, TimeSeries(fs, 0.0, x, calibration=2.0),
+            TimeSeries(fs, 0.0, x))], 5)
+        assert est.n_excluded == 0
+        assert est.magnitude_db[0] == pytest.approx(20 * np.log10(0.5),
+                                                    abs=1e-3)
 
 
 class TestSpectrumType:

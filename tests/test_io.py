@@ -578,6 +578,9 @@ _REJECTED_EDITS = {
     "blank_run": lambda t, p, e: t[:p] + b"\n" * 20480 + t[p:],
     "long_line": lambda t, p, e: (t[:p] + b"1" * (omio._RANGE_BYTES + 1)
                                   + t[p:]),
+    # a line too long for a range is named only if no earlier line is bad
+    "row_before_long_line": lambda t, p, e: (
+        t[:p] + b"oops\n" + t[p:] + b"1" * (omio._RANGE_BYTES + 1) + b"\n"),
 }
 
 

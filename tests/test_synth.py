@@ -10,9 +10,8 @@ from optomech import (Cavity, DriveRecord, MechMode, NestedModel, TimeSeries,
                       welch_psd)
 from optomech import io as _io
 from optomech import synth as _synth
-from optomech.estimate import demod_amplitude
 from oracles import (full_array_demodulate, full_array_envelope_brownian,
-                     full_array_mech_ringdown)
+                     full_array_mech_ringdown, whole_array_demod)
 
 CAV = Cavity(0.05, 1.064e-6, 181000.0)
 
@@ -311,8 +310,8 @@ class TestDriveSweep:
         recs = synth_drive_sweep(self.model, freqs, 1e-12, 100, seed=0,
                                  mass_ratio=5e-4)
         for rec in recs:
-            amp_b, _ = demod_amplitude(rec.base_motion, rec.drive_freq)
-            amp_r, _ = demod_amplitude(rec.response_motion, rec.drive_freq)
+            amp_b, _ = whole_array_demod(rec.base_motion, rec.drive_freq)
+            amp_r, _ = whole_array_demod(rec.response_motion, rec.drive_freq)
             expected = np.sqrt(chain_transfer(2 * np.pi * rec.drive_freq,
                                               self.model, 5e-4))
             assert amp_r / amp_b == pytest.approx(expected, rel=5e-3)
@@ -321,16 +320,16 @@ class TestDriveSweep:
         freqs = [200.0, 1e3, 5e3, 20e3, 50e3]
         recs = synth_drive_sweep(self.inner, freqs, 1e-12, 100, seed=1)
         for rec in recs:
-            amp_b, _ = demod_amplitude(rec.base_motion, rec.drive_freq)
-            amp_r, _ = demod_amplitude(rec.response_motion, rec.drive_freq)
+            amp_b, _ = whole_array_demod(rec.base_motion, rec.drive_freq)
+            amp_r, _ = whole_array_demod(rec.response_motion, rec.drive_freq)
             db = 20 * np.log10(amp_r / amp_b)
             assert abs(db) <= 1.0
 
     def test_nested_design_point_minus_40db_at_25khz(self):
         recs = synth_drive_sweep(self.model, [25e3], 1e-12, 100, seed=2,
                                  mass_ratio=5e-4)
-        amp_b, _ = demod_amplitude(recs[0].base_motion, 25e3)
-        amp_r, _ = demod_amplitude(recs[0].response_motion, 25e3)
+        amp_b, _ = whole_array_demod(recs[0].base_motion, 25e3)
+        amp_r, _ = whole_array_demod(recs[0].response_motion, 25e3)
         assert 20 * np.log10(amp_r / amp_b) == pytest.approx(-40.0, abs=1.0)
 
     def test_nested_sweep_slope_above_10khz(self):
@@ -350,8 +349,8 @@ class TestDriveSweep:
     def test_piezo_rolloff_cancels_in_ratio(self):
         recs = synth_drive_sweep(self.inner, [5e3], 1e-12, 100, seed=3,
                                  piezo_corner_hz=1e3)
-        amp_b, _ = demod_amplitude(recs[0].base_motion, 5e3)
-        amp_r, _ = demod_amplitude(recs[0].response_motion, 5e3)
+        amp_b, _ = whole_array_demod(recs[0].base_motion, 5e3)
+        amp_r, _ = whole_array_demod(recs[0].response_motion, 5e3)
         expected = np.sqrt(transfer_power(2 * np.pi * 5e3, self.inner))
         assert amp_r / amp_b == pytest.approx(expected, rel=5e-3)
         # but the base amplitude itself is rolled off
