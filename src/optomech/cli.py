@@ -191,12 +191,15 @@ def _fit_line(cfg: Config, spec):
 
 
 def _read_ringdown(cfg: Config, path, quantity: str):
-    """A recorded ringdown to fit.  A mech-q record sampled at 8 f0 of the
-    outer mode or faster is a raw oscillation: its envelope is read."""
-    if quantity == "mech-q":
-        rec = _io.open_timeseries(path)
-        if rec.sample_rate >= 8.0 * cfg.outer.f0:
-            return _mech_envelope(cfg, rec)
+    """A recorded ringdown to fit, which must be real.  A mech-q record
+    sampled at 8 f0 of the outer mode or faster is a raw oscillation: its
+    envelope is read."""
+    rec = _io.open_timeseries(path)
+    if rec.is_complex:
+        raise _io.FormatError(f"{path}: a complex record; analyze {quantity} "
+                              "fits a real one")
+    if quantity == "mech-q" and rec.sample_rate >= 8.0 * cfg.outer.f0:
+        return _mech_envelope(cfg, rec)
     return _io.read_timeseries(path)
 
 
@@ -312,20 +315,25 @@ def _manifest_records(path) -> list:
 
 def _load_drive_records(in_paths):
     """Drive records from a manifest (checked by ``_manifest_records``) or
-    record files."""
-    if len(in_paths) == 1 and in_paths[0].endswith(".json"):
-        entries = _manifest_records(in_paths[0])
-        base = os.path.dirname(os.path.abspath(in_paths[0]))
-        return [_io.read_driverecord_csv(os.path.join(base, entry))
-                if isinstance(entry, str)
-                else _synth.DriveRecord(    # binary base/response pair
-                    drive_freq=float(entry["drive_freq_hz"]),
-                    base_motion=_io.read_timeseries(
-                        os.path.join(base, entry["base"])),
-                    response_motion=_io.read_timeseries(
-                        os.path.join(base, entry["response"])))
-                for entry in entries]
-    return [_io.read_driverecord_csv(path) for path in in_paths]
+    record files.  A manifest's binary base/response pair that DriveRecord
+    rejects raises FormatError naming the manifest and the record index."""
+    if not (len(in_paths) == 1 and in_paths[0].endswith(".json")):
+        return [_io.read_driverecord_csv(path) for path in in_paths]
+    manifest = in_paths[0]
+    base = os.path.dirname(os.path.abspath(manifest))
+    records = []
+    for k, entry in enumerate(_manifest_records(manifest)):
+        if isinstance(entry, str):
+            records.append(_io.read_driverecord_csv(os.path.join(base, entry)))
+            continue
+        pair = [_io.read_timeseries(os.path.join(base, entry[key]))
+                for key in ("base", "response")]
+        try:
+            records.append(_synth.DriveRecord(float(entry["drive_freq_hz"]),
+                                              *pair))
+        except ValueError as exc:
+            raise _io.FormatError(f"{manifest}: record {k}: {exc}") from exc
+    return records
 
 
 def cmd_analyze(args) -> int:

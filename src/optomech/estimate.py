@@ -11,7 +11,7 @@ demodulates with the one lock-in mixer (synth._phasor, synth._block_means).
 
 import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class FitResult:
 
     params: dict
     sigmas: dict
-    residual_norm: float
     converged: bool
     n_iter: int = 0
     warnings: tuple = ()
@@ -72,7 +71,6 @@ class TransferEstimate:
     magnitude_db: np.ndarray
     errbar_db: np.ndarray
     dc_reference: float
-    bin_counts: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
     n_records: int = 0
     n_excluded: int = 0
 
@@ -346,7 +344,6 @@ def fit_lorentzian(spec: Spectrum, window_hint=None) -> FitResult:
                 "offset": offset, "q": q},
         sigmas={"f0_hz": sig_diag[0], "fwhm_hz": sig_diag[1],
                 "amplitude": sig_diag[2], "offset": sig_diag[3], "q": sigma_q},
-        residual_norm=math.sqrt(res.cost),
         converged=res.converged,
         n_iter=res.n_iter,
         warnings=tuple(warnings),
@@ -359,6 +356,8 @@ _ONSET_FRAC = 0.95         # detect_onset's threshold, of the plateau level
 def detect_onset(ts: TimeSeries) -> TimeSeries:
     """Trim pre-trigger samples: keep everything from the first crossing
     below 95% of the initial plateau level (_ONSET_FRAC)."""
+    if ts.is_complex:
+        raise ValueError("detect_onset needs a real record")
     x = np.asarray(ts.values, dtype=float)
     k = max(1, min(5, x.size // 10))
     padded = np.concatenate([np.full(k, x[0]), x, np.full(k, x[-1])])
@@ -470,10 +469,8 @@ def fit_exp_decay(ts: TimeSeries, cavity_length: float | None = None,
         params["q"] = math.pi * f0 * tau
         sigmas["q"] = math.pi * f0 * sigma_tau
 
-    return FitResult(params=params, sigmas=sigmas,
-                     residual_norm=math.sqrt(res.cost),
-                     converged=converged, n_iter=res.n_iter,
-                     warnings=tuple(warnings))
+    return FitResult(params=params, sigmas=sigmas, converged=converged,
+                     n_iter=res.n_iter, warnings=tuple(warnings))
 
 
 def _tone_phasor(ts: TimeSeries, freq: float):
@@ -518,14 +515,14 @@ def bin_log_mean(freqs, values_db, bins_per_decade: int,
     geometric mean of the member frequencies and the error bar is the
     within-bin sample standard deviation.  With dc_cutoff_hz the mean of all
     bins below the cutoff (falling back to the lowest bin) is subtracted.
-    Returns (centers, mean_db, std_db, counts, dc_reference).
+    Returns (centers, mean_db, std_db, dc_reference).
     """
     if bins_per_decade < 1:
         raise ValueError("bins_per_decade must be >= 1")
     freqs = np.asarray(freqs, dtype=float)
     values_db = np.asarray(values_db, dtype=float)
     edges = _log_bin_edges(freqs.min(), freqs.max(), bins_per_decade)
-    centers, mags, errs, counts = [], [], [], []
+    centers, mags, errs = [], [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         mask = (freqs >= lo) & (freqs < hi)
         if not mask.any():
@@ -534,7 +531,6 @@ def bin_log_mean(freqs, values_db, bins_per_decade: int,
         mags.append(float(np.mean(values_db[mask])))
         errs.append(float(np.std(values_db[mask], ddof=1)) if mask.sum() > 1
                     else 0.0)
-        counts.append(int(mask.sum()))
     centers = np.array(centers)
     mags = np.array(mags)
     dc_reference = 0.0
@@ -544,8 +540,7 @@ def bin_log_mean(freqs, values_db, bins_per_decade: int,
             ref = mags[:1]          # fall back to the lowest bin
         dc_reference = float(np.mean(ref))
         mags = mags - dc_reference
-    return (centers, mags, np.array(errs), np.array(counts, dtype=int),
-            dc_reference)
+    return centers, mags, np.array(errs), dc_reference
 
 
 def estimate_transfer(records, bins_per_decade: int = 5,
@@ -576,9 +571,9 @@ def estimate_transfer(records, bins_per_decade: int = 5,
     if not pts:
         raise EstimationError("all records were excluded (no drive tone found)")
 
-    centers, mags, errs, counts, dc_reference = bin_log_mean(
+    centers, mags, errs, dc_reference = bin_log_mean(
         *np.array(pts).T, bins_per_decade, dc_cutoff_hz)
     return TransferEstimate(bin_centers=centers, magnitude_db=mags,
                             errbar_db=errs, dc_reference=dc_reference,
-                            bin_counts=counts, n_records=len(records),
+                            n_records=len(records),
                             n_excluded=len(records) - len(pts))

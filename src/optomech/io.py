@@ -477,8 +477,6 @@ def open_timeseries(path) -> BlockSeries:
 
 def write_driverecord_csv(path, rec: DriveRecord):
     base, resp = rec.base_motion, rec.response_motion
-    if base.is_complex or resp.is_complex:
-        raise ValueError("drive records must be real-valued")
     lines = ["# optomech_driverecord v1",
              f"# drive_freq_hz={_fmt(rec.drive_freq)}",
              f"# sample_rate_hz={_fmt(base.sample_rate)}",

@@ -157,7 +157,12 @@ class BlockSeries:
 
 @dataclass
 class DriveRecord:
-    """Base and response motion measured while driving at a single frequency."""
+    """Base and response motion measured while driving at a single frequency.
+
+    The drive frequency is finite and > 0, and the two records are real,
+    with one sample rate and one length; any other record raises
+    ValueError, whether it is synthesised or read from a file.
+    """
 
     drive_freq: float
     base_motion: TimeSeries
@@ -171,6 +176,8 @@ class DriveRecord:
             raise ValueError("base and response must share a sample rate")
         if self.base_motion.n != self.response_motion.n:
             raise ValueError("base and response must have equal length")
+        if self.base_motion.is_complex or self.response_motion.is_complex:
+            raise ValueError("drive records must be real-valued")
 
 
 def synth_brownian(mode: MechMode, sample_rate: float, duration: float,

@@ -211,12 +211,11 @@ def per_record_transfer(records, bins_per_decade=5, dc_cutoff_hz=None):
         pts.append((rec.drive_freq, 20.0 * math.log10(resp_amp / base_amp)))
     freqs = np.array([p[0] for p in pts])
     dbs = np.array([p[1] for p in pts])
-    centers, mags, errs, counts, dc_reference = bin_log_mean(
+    centers, mags, errs, dc_reference = bin_log_mean(
         freqs, dbs, bins_per_decade, dc_cutoff_hz)
     return TransferEstimate(bin_centers=centers, magnitude_db=mags,
                             errbar_db=errs, dc_reference=dc_reference,
-                            bin_counts=counts, n_records=len(records),
-                            n_excluded=n_excluded)
+                            n_records=len(records), n_excluded=n_excluded)
 
 
 def whole_list_simulate_lock(model, cav, cfg, duration, seed):

@@ -155,8 +155,8 @@ def test_criterion_8_transfer_pipeline():
     est_n = om.estimate_transfer(recs, bpd, dc_cutoff_hz=dc_cut)
     theory = 10 * np.log10(om.transfer_power(2 * np.pi * np.array(freqs_n),
                                              DESIGN_OUTER))
-    _, theory_db, _, _, _ = bin_log_mean(np.array(freqs_n), theory, bpd,
-                                         dc_cut)
+    _, theory_db, _, _ = bin_log_mean(np.array(freqs_n), theory, bpd,
+                                      dc_cut)
     centers = est_n.bin_centers
     res_lo = 10 ** (math.floor(math.log10(DESIGN_OUTER.f0) * bpd) / bpd)
     in_res_bin = (centers >= res_lo) & (centers < res_lo * 10 ** (1 / bpd))

@@ -940,6 +940,55 @@ class TestExitCodes:
         assert main(["--out", str(tmp_path), "analyze", "transfer",
                      str(target)]) == EXIT_IO
 
+    @pytest.mark.parametrize("bad, reason", [
+        ({"drive_freq_hz": -5, "base": "b.bin", "response": "r.bin"},
+         "drive_freq must be finite and > 0, got -5.0"),
+        ({"drive_freq_hz": 1e3, "base": "b.bin", "response": "slow.bin"},
+         "base and response must share a sample rate"),
+        ({"drive_freq_hz": 1e3, "base": "c.bin", "response": "r.bin"},
+         "drive records must be real-valued"),
+    ], ids=["negative-freq", "other-rate", "complex-base"])
+    def test_manifest_pair_that_is_no_drive_record_is_io_error(
+            self, tmp_path, capfd, bad, reason):
+        fs = 32000.0
+        tone = np.sin(2 * np.pi * 1e3 * np.arange(640) / fs)
+        for name, ts in (("b.bin", TimeSeries(fs, 0.0, 1e-12 * tone)),
+                         ("r.bin", TimeSeries(fs, 0.0, 5e-13 * tone)),
+                         ("slow.bin", TimeSeries(fs / 2, 0.0, 5e-13 * tone)),
+                         ("c.bin", TimeSeries(fs, 0.0, 1e-12 * tone + 0j))):
+            write_timeseries_bin(tmp_path / name, ts)
+        manifest = tmp_path / "m.json"
+        write_result_doc(manifest, {
+            "schema": "optomech.result/1", "command": "simulate sweep",
+            "config": {}, "outputs": {"files": {"records": [
+                {"drive_freq_hz": 1e3, "base": "b.bin", "response": "r.bin"},
+                bad]}}})
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "analyze", "transfer",
+                     str(manifest)]) == EXIT_IO
+        assert capfd.readouterr().err == (
+            f"I/O error: {manifest}: record 1: {reason}\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    @pytest.mark.parametrize("quantity", ["finesse", "mech-q"])
+    def test_complex_record_in_a_ringdown_fit_is_io_error(
+            self, tmp_path, capfd, quantity, fmt):
+        # simulate brownian writes a complex envelope, whose imaginary part
+        # a ringdown fit would drop
+        cfg = _write_cfg(tmp_path, {"synth.brownian.duration_s": 20.0})
+        assert main(["--config", cfg, "--out", str(tmp_path), "simulate",
+                     "brownian", "--format", fmt]) == EXIT_OK
+        record = tmp_path / f"brownian.{fmt}"
+        out = tmp_path / "out"
+        capfd.readouterr()
+        assert main(["--config", cfg, "--out", str(out), "analyze", quantity,
+                     str(record)]) == EXIT_IO
+        assert capfd.readouterr().err == (
+            f"I/O error: {record}: a complex record; analyze {quantity} "
+            "fits a real one\n")
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("via_manifest", [False, True])
     @pytest.mark.parametrize("values_per_row", [1, 3])
     def test_drive_record_with_wrong_column_count_is_io_error(

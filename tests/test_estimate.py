@@ -280,6 +280,12 @@ class TestFitExpDecay:
         fit = fit_exp_decay(trimmed)
         assert fit.params["tau_s"] == pytest.approx(tau, rel=0.01)
 
+    def test_onset_detection_rejects_a_complex_record(self):
+        # a cast to float would drop the imaginary part without a word
+        ts = TimeSeries(1e6, 0.0, np.exp(-np.arange(4000) / 100.0) + 1j)
+        with pytest.raises(ValueError, match="needs a real record"):
+            detect_onset(ts)
+
 
 class TestEstimateTransfer:
     def test_identical_series_gives_exact_zero(self):
@@ -325,8 +331,8 @@ class TestEstimateTransfer:
         est = estimate_transfer(recs, 5, dc_cutoff_hz=outer.f0 / 3.0)
         theory = 10 * np.log10(transfer_power(2 * np.pi * np.array(freqs),
                                               outer))
-        _, th_binned, _, _, _ = bin_log_mean(np.array(freqs), theory, 5,
-                                             outer.f0 / 3.0)
+        _, th_binned, _, _ = bin_log_mean(np.array(freqs), theory, 5,
+                                          outer.f0 / 3.0)
         res_bin = (est.bin_centers > 2.5e3 / 10 ** 0.2) & \
                   (est.bin_centers < 2.5e3 * 10 ** 0.2)
         dev = np.abs(est.magnitude_db - th_binned)[~res_bin]
@@ -357,8 +363,7 @@ class TestEstimateTransfer:
         for cutoff in (None, outer.f0 / 3.0):
             got = estimate_transfer(recs, 5, cutoff)
             ref = per_record_transfer(recs, 5, cutoff)
-            for name in ("bin_centers", "magnitude_db", "errbar_db",
-                         "bin_counts"):
+            for name in ("bin_centers", "magnitude_db", "errbar_db"):
                 assert (getattr(got, name).tobytes()
                         == getattr(ref, name).tobytes()), name
             assert got.dc_reference == ref.dc_reference

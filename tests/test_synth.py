@@ -142,7 +142,11 @@ class TestOpticalRingdown:
         assert np.allclose(ts.values, np.exp(-t / CAV.decay_tau), rtol=1e-12)
         fit = fit_exp_decay(ts)
         assert fit.params["tau_s"] == pytest.approx(CAV.decay_tau, rel=1e-9)
-        assert fit.residual_norm < 1e-6
+        # the residual norm in the fit's units: values over the record's span
+        p = fit.params
+        model = (p["amplitude"] * np.exp(-np.arange(ts.n) / ts.sample_rate
+                                          / p["tau_s"]) + p["offset"])
+        assert np.linalg.norm((ts.values - model) / np.ptp(ts.values)) < 1e-6
 
     def test_snr_100_recovers_tau_within_2pct(self):
         ts = synth_optical_ringdown(CAV, 5e6, 1e-4, 100.0, seed=4)
@@ -391,3 +395,7 @@ class TestRecordTypes:
             DriveRecord(100.0, a, c)
         with pytest.raises(ValueError):
             DriveRecord(0.0, a, a)
+        d = TimeSeries(1e3, 0.0, np.zeros(10, complex))
+        for base, response in ((d, a), (a, d)):
+            with pytest.raises(ValueError, match="must be real-valued"):
+                DriveRecord(100.0, base, response)
