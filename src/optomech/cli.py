@@ -191,16 +191,20 @@ def _fit_line(cfg: Config, spec):
 
 
 def _read_ringdown(cfg: Config, path, quantity: str):
-    """A recorded ringdown to fit, which must be real.  A mech-q record
-    sampled at 8 f0 of the outer mode or faster is a raw oscillation: its
-    envelope is read."""
+    """A recorded ringdown to fit, which must be real, opened once.  A
+    mech-q record sampled at 8 f0 of the outer mode or faster is a raw
+    oscillation: its envelope is read, and a record too short to
+    demodulate is a fit error."""
     rec = _io.open_timeseries(path)
     if rec.is_complex:
         raise _io.FormatError(f"{path}: a complex record; analyze {quantity} "
                               "fits a real one")
     if quantity == "mech-q" and rec.sample_rate >= 8.0 * cfg.outer.f0:
-        return _mech_envelope(cfg, rec)
-    return _io.read_timeseries(path)
+        try:
+            return _mech_envelope(cfg, rec)
+        except ValueError as exc:
+            raise _estimate.EstimationError(f"{path}: {exc}") from exc
+    return _io.read_whole(rec)
 
 
 def _fit_decay(cfg: Config, ts, quantity: str):
@@ -326,8 +330,8 @@ def _load_drive_records(in_paths):
         if isinstance(entry, str):
             records.append(_io.read_driverecord_csv(os.path.join(base, entry)))
             continue
-        pair = [_io.read_timeseries(os.path.join(base, entry[key]))
-                for key in ("base", "response")]
+        pair = [_io.read_whole(_io.open_timeseries(os.path.join(base, name)))
+                for name in (entry["base"], entry["response"])]
         try:
             records.append(_synth.DriveRecord(float(entry["drive_freq_hz"]),
                                               *pair))

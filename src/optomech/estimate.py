@@ -413,6 +413,9 @@ def fit_exp_decay(ts: TimeSeries, cavity_length: float | None = None,
         raise ValueError("fit_exp_decay needs a real record")
     y = np.asarray(ts.values, dtype=float) * ts.calibration
     n = y.size
+    if n < 4:
+        raise EstimationError(f"a decay fit of 3 parameters needs at least "
+                              f"4 samples, got {n}")
     t = np.arange(n) / ts.sample_rate
     n_edge = max(2, n // 10)
     head = float(np.mean(y[:n_edge]))
@@ -440,8 +443,7 @@ def fit_exp_decay(ts: TimeSeries, cavity_length: float | None = None,
     res = lm_fit(lambda p: _exp_model(tn, p, work), p0, vn,
                  np.ones_like(vn))
     a, inv_tau, b = res.params
-    dof = max(n - 3, 1)
-    cov = res.cov * (res.cost / dof)
+    cov = res.cov * (res.cost / (n - 3))
 
     tau = t_span / inv_tau
     amplitude = a * y_scale

@@ -8,16 +8,16 @@ two value columns).  The binary variant (OMB1) is for large records: a
 48-byte little-endian header (magic "OMB1"; a flag byte, 0 for a real and
 1 for a complex payload, any other value rejected; sample rate, t0,
 calibration, center frequency, sample count) and the float64 or
-complex128 payload.  Its reader checks the payload size against the
-header and reads the payload straight into the record's one array.
-open_timeseries reads a record of either format as a BlockSeries, a block
-at a time, for analyses that need it only once and in order: .bin
-payloads in reused blocks, CSV bodies a parsed range at a time, so that
-neither is held whole.  A whole CSV read gathers that same block stream
-into one array.  Every reader reports a malformed file through
-_malformed, as FormatError("<path>: malformed <kind>: <error>").  All
-writes are atomic (temp file + rename), and files are created with mode
-0666 minus the umask.  CSV floats are written exactly as repr writes them, the shortest
+complex128 payload, whose size is checked against the header when the
+record is opened.  open_timeseries is the one reader of a record file in
+either format.  It opens the record as a BlockSeries that is read a block
+at a time: a .bin payload into one reused block, a CSV body a parsed
+range at a time.  So an analysis that reads a record once and in order
+never holds it whole, and read_whole gathers the same block stream into
+one array.  Every reader reports a malformed file through _malformed, as
+FormatError("<path>: malformed <kind>: <error>").  All writes are atomic
+(temp file + rename), and files are created with mode 0666 minus the
+umask.  CSV floats are written exactly as repr writes them, the shortest
 decimal that reads back as the same double, so a rerun with the same
 inputs is byte-identical; _shortest.csv_text computes the digits of a
 whole chunk at once with Ryu and leaves zeros, subnormals, non-finite
@@ -362,15 +362,6 @@ def _timeseries_csv_blocks(path) -> BlockSeries:
             dtype=complex if is_complex else float, blocks=blocks)
 
 
-def read_timeseries_csv(path) -> TimeSeries:
-    """A timeseries CSV in one array: the block stream of open_timeseries,
-    gathered."""
-    rec = _timeseries_csv_blocks(path)
-    values = _gather(rec.blocks(), np.empty(rec.n, rec.dtype))
-    return TimeSeries(rec.sample_rate, rec.t0, values, rec.calibration,
-                      rec.center_freq, rec.warnings)
-
-
 def write_timeseries_bin(path, ts):
     """A TimeSeries or BlockSeries as an OMB1 record, written a block at a
     time (ts.blocks())."""
@@ -413,22 +404,6 @@ def _read_bin_header(fh, path):
     return fs, t0, cal, cf, n, dtype
 
 
-def _readinto(fh, values, path):
-    if fh.readinto(values.view(np.uint8)) != values.nbytes:
-        raise FormatError(f"{path}: payload changed while being read")
-    return values.astype(values.dtype.newbyteorder("="), copy=False)
-
-
-def read_timeseries_bin(path) -> TimeSeries:
-    """An OMB1 record, read straight into its one array once the payload
-    size is checked (``_read_bin_header``)."""
-    with open(path, "rb") as fh:
-        fs, t0, cal, cf, n, dtype = _read_bin_header(fh, path)
-        values = _readinto(fh, np.empty(n, dtype=dtype), path)
-    with _malformed(path, "OMB1 record"):
-        return TimeSeries(fs, t0, values, cal, cf)
-
-
 def _timeseries_bin_blocks(path) -> BlockSeries:
     """An OMB1 record as a BlockSeries.  The header and the payload size are
     checked first; the payload is then read into one reused block, a chunk
@@ -441,7 +416,12 @@ def _timeseries_bin_blocks(path) -> BlockSeries:
             fh.seek(_TS_HEAD.size)
             buf = np.empty(next(_chunks(n))[1], dtype=dtype)  # the longest
             for start, stop in _chunks(n):
-                values = _readinto(fh, buf[:stop - start], path)
+                values = buf[:stop - start]
+                if fh.readinto(values.view(np.uint8)) != values.nbytes:
+                    raise FormatError(f"{path}: payload changed while being "
+                                      "read")
+                values = values.astype(values.dtype.newbyteorder("="),
+                                       copy=False)
                 if not _all_finite(values):
                     raise ValueError("TimeSeries values must be finite")
                 yield values
@@ -464,15 +444,19 @@ def _is_bin(path) -> bool:
         return fh.read(4) == _TS_MAGIC
 
 
-def read_timeseries(path) -> TimeSeries:
-    return read_timeseries_bin(path) if _is_bin(path) else read_timeseries_csv(path)
-
-
 def open_timeseries(path) -> BlockSeries:
     """A record file of either format as a BlockSeries, for analyses that
     read a record once, in order, such as welch_psd."""
     return (_timeseries_bin_blocks(path) if _is_bin(path)
             else _timeseries_csv_blocks(path))
+
+
+def read_whole(rec) -> TimeSeries:
+    """A record opened by open_timeseries in one array: its block stream,
+    gathered, with its metadata and warnings."""
+    return TimeSeries(rec.sample_rate, rec.t0,
+                      _gather(rec.blocks(), np.empty(rec.n, rec.dtype)),
+                      rec.calibration, rec.center_freq, rec.warnings)
 
 
 def write_driverecord_csv(path, rec: DriveRecord):

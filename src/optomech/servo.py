@@ -30,12 +30,12 @@ from .synth import TimeSeries, _chunks, synth_brownian
 class LockConfig:
     """PID gains in actuator meters per fringe-signal unit (and per s / s)."""
 
-    kp: float = 0.0
-    ki: float = 0.0
-    kd: float = 0.0
-    actuator_range: float = 1e-9
-    loop_rate: float = 5e6
-    detuning_bias: float = 0.0
+    kp: float
+    ki: float
+    kd: float
+    actuator_range: float
+    loop_rate: float
+    detuning_bias: float
 
     def __post_init__(self):
         if not self.loop_rate > 0:

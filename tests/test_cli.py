@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 
 from optomech import TimeSeries, config_from_dict
 from optomech import estimate as _estimate
+from optomech import io as _io
 from optomech.cli import (EXIT_CONFIG, EXIT_FIT, EXIT_IO, EXIT_OK, _fit_decay,
                           _mech_ringdown, format_value_pm, main)
 from optomech.config import (_ANALYSIS_DEFAULTS, _SYNTH_DEFAULTS,
                              _VALUE_RULES, MAX_RECORD_SAMPLES, ConfigError,
                              read_config_json)
-from optomech.io import (read_result_doc, read_timeseries, write_result_doc,
+from optomech.io import (open_timeseries, read_result_doc, read_whole,
+                         write_result_doc, write_timeseries,
                          write_timeseries_bin)
 
 
@@ -117,7 +119,7 @@ class TestSimulate:
         rc = main(["--config", cfg, "--out", str(tmp_path), "simulate",
                    "brownian", "--temp", "0"])
         assert rc == EXIT_OK
-        ts = read_timeseries(tmp_path / "brownian.csv")
+        ts = read_whole(open_timeseries(tmp_path / "brownian.csv"))
         assert np.all(ts.values == 0.0)
 
     @pytest.mark.parametrize("exp", ["brownian", "ringdown-optical"])
@@ -148,7 +150,7 @@ class TestSimulate:
         rc = main(["--config", cfg, "--out", str(tmp_path), "simulate",
                    "brownian", "--format", "bin"])
         assert rc == EXIT_OK
-        ts = read_timeseries(tmp_path / "brownian.bin")
+        ts = read_whole(open_timeseries(tmp_path / "brownian.bin"))
         assert ts.n > 1000
         doc = read_result_doc(tmp_path / "simulate_brownian_manifest.json")
         assert doc["outputs"]["files"]["brownian"] == "brownian.bin"
@@ -246,8 +248,8 @@ class TestSimulate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert read_timeseries(
-            tmp_path / "long" / f"ringdown_mech_raw.{fmt}").n == 3_000_000
+        assert read_whole(open_timeseries(
+            tmp_path / "long" / f"ringdown_mech_raw.{fmt}")).n == 3_000_000
         assert peak < 24e6 / 4
 
     @pytest.mark.parametrize("flag, exp, key", [
@@ -363,6 +365,29 @@ class TestAnalyze:
                         + argv) == EXIT_FIT
             assert ("fit error: record is flat"
                     in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    @pytest.mark.parametrize("quantity", ["finesse", "mech-q"])
+    def test_a_ringdown_record_is_opened_once(self, tmp_path, monkeypatch,
+                                              quantity, fmt):
+        # the record that is checked for its dtype and rate is the one
+        # gathered and fitted: its header is read, and a CSV body scanned,
+        # once
+        t = np.arange(2000) / 1000.0
+        noise = 1e-3 * np.random.default_rng(4).standard_normal(t.size)
+        record = tmp_path / f"rec.{fmt}"
+        write_timeseries(record, TimeSeries(1000.0, 0.0,
+                                            np.exp(-t / 0.3) + noise), fmt)
+        calls = {"_scan_ranges": 0, "_read_bin_header": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(_io, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(_io, name, counted)
+        assert main(["--out", str(tmp_path / "out"), "analyze", quantity,
+                     str(record)]) == EXIT_OK
+        assert calls == {"_scan_ranges": int(fmt == "csv"),
+                         "_read_bin_header": int(fmt == "bin")}
 
     def test_outer_q_pulls_are_unbiased(self):
         # the in-phase envelope keeps the sign of its noise: over 40 seeds
@@ -989,6 +1014,41 @@ class TestExitCodes:
             "fits a real one\n")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("quantity", ["finesse", "mech-q"])
+    def test_ringdown_of_three_samples_or_fewer_is_a_fit_error(
+            self, tmp_path, capfd, quantity, n, fmt):
+        # three parameters leave no residual to estimate a sigma from
+        record = tmp_path / f"rec.{fmt}"
+        write_timeseries(record, TimeSeries(1000.0, 0.0, 0.5 ** np.arange(n)),
+                         fmt)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "analyze", quantity,
+                     str(record)]) == EXIT_FIT
+        assert capfd.readouterr().err == (
+            "fit error: a decay fit of 3 parameters needs at least 4 "
+            f"samples, got {n}\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_raw_record_too_short_to_demodulate_is_a_fit_error(
+            self, tmp_path, capfd, fmt):
+        # 100 samples at 25 kHz, a raw record of the 2.5 kHz outer mode,
+        # hold one 10-cycle envelope block, not two
+        t = np.arange(100) / 25e3
+        record = tmp_path / f"raw.{fmt}"
+        write_timeseries(record, TimeSeries(25e3, 0.0,
+                                            np.cos(2 * np.pi * 2.5e3 * t)),
+                         fmt)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "analyze", "mech-q",
+                     str(record)]) == EXIT_FIT
+        assert capfd.readouterr().err == (
+            f"fit error: {record}: record too short for envelope "
+            "demodulation\n")
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("via_manifest", [False, True])
     @pytest.mark.parametrize("values_per_row", [1, 3])
     def test_drive_record_with_wrong_column_count_is_io_error(
@@ -1295,7 +1355,7 @@ class TestStreamedAnalysis:
         # the same analyses of a .bin record of np.loadtxt's values
         body = text[text.index(b"value_re,value_im\n") + 18:]
         values = np.loadtxt(body.decode().splitlines(), delimiter=",")
-        ts = read_timeseries(d / "brownian.bin")
+        ts = read_whole(open_timeseries(d / "brownian.bin"))
         ts.values = np.ascontiguousarray(values).view(np.complex128)[:, 0]
         write_timeseries_bin(tmp_path / "brownian.bin", ts)
         assert files == _analyses(cfg, tmp_path / "bin_out",

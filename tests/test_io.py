@@ -15,8 +15,7 @@ from optomech import synth as omsynth
 from optomech.io import (FormatError, RESULT_SCHEMA, SchemaError,
                          make_result_doc, open_timeseries,
                          read_driverecord_csv, read_result_doc,
-                         read_timeseries, read_timeseries_bin,
-                         read_timeseries_csv, write_driverecord_csv,
+                         read_whole, write_driverecord_csv,
                          write_result_doc, write_table_csv, write_timeseries,
                          write_timeseries_bin, write_timeseries_csv)
 from oracles import whole_array_welch
@@ -40,7 +39,7 @@ class TestTimeSeriesFormats:
         ts = maker()
         path = tmp_path / "rec.csv"
         write_timeseries_csv(path, ts)
-        back = read_timeseries_csv(path)
+        back = read_whole(open_timeseries(path))
         assert np.array_equal(back.values, ts.values)
         assert back.sample_rate == ts.sample_rate
         assert back.t0 == ts.t0
@@ -53,7 +52,7 @@ class TestTimeSeriesFormats:
         ts = maker()
         path = tmp_path / "rec.bin"
         write_timeseries_bin(path, ts)
-        back = read_timeseries_bin(path)
+        back = read_whole(open_timeseries(path))
         assert np.array_equal(back.values, ts.values)
         assert back.sample_rate == ts.sample_rate
         assert back.calibration == ts.calibration
@@ -63,10 +62,9 @@ class TestTimeSeriesFormats:
         ts = _real_ts()
         write_timeseries(tmp_path / "a.csv", ts, "csv")
         write_timeseries(tmp_path / "a.bin", ts, "bin")
-        assert np.array_equal(read_timeseries(tmp_path / "a.csv").values,
-                              ts.values)
-        assert np.array_equal(read_timeseries(tmp_path / "a.bin").values,
-                              ts.values)
+        for name in ("a.csv", "a.bin"):
+            back = read_whole(open_timeseries(tmp_path / name))
+            assert np.array_equal(back.values, ts.values)
         with pytest.raises(ValueError):
             write_timeseries(tmp_path / "a.xyz", ts, "xyz")
 
@@ -88,17 +86,17 @@ class TestTimeSeriesFormats:
         junk = tmp_path / "junk.csv"
         junk.write_text("hello,world\n1,2\n")
         with pytest.raises(FormatError):
-            read_timeseries_csv(junk)
+            read_whole(open_timeseries(junk))
         junkb = tmp_path / "junk.bin"
         junkb.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(FormatError):
-            read_timeseries_bin(junkb)
+            read_whole(open_timeseries(junkb))
         trunc = tmp_path / "trunc.bin"
         write_timeseries_bin(trunc, _real_ts())
         data = trunc.read_bytes()
         trunc.write_bytes(data[:len(data) - 16])
         with pytest.raises(FormatError):
-            read_timeseries_bin(trunc)
+            read_whole(open_timeseries(trunc))
 
 
 def _bin_with_payload(path, ts, extra=b"", n=None):
@@ -114,7 +112,7 @@ def _bin_with_payload(path, ts, extra=b"", n=None):
 
 class TestBinaryReader:
     """The reader checks the payload size against the header before it
-    allocates, and reads the payload straight into the record's array."""
+    allocates, and reads the payload a block at a time."""
 
     @pytest.mark.parametrize("maker, item", [(_real_ts, 8), (_complex_ts, 16)])
     @pytest.mark.parametrize("extra", [3, 8, 16])
@@ -126,7 +124,7 @@ class TestBinaryReader:
         with pytest.raises(FormatError,
                            match=f"payload of {expected + extra} bytes, "
                                  f"expected {expected} for {ts.n} samples"):
-            read_timeseries_bin(path)
+            open_timeseries(path)
 
     def test_short_payload_names_both_sizes(self, tmp_path):
         path = _bin_with_payload(tmp_path / "a.bin", _real_ts())
@@ -134,7 +132,7 @@ class TestBinaryReader:
         with pytest.raises(FormatError,
                            match=f"payload of {257 * 8 - 13} bytes, "
                                  f"expected {257 * 8}"):
-            read_timeseries_bin(path)
+            open_timeseries(path)
 
     @pytest.mark.parametrize("maker", [_real_ts, _complex_ts])
     def test_huge_header_count_is_checked_before_allocating(self, tmp_path,
@@ -143,7 +141,7 @@ class TestBinaryReader:
         tracemalloc.start()
         try:
             with pytest.raises(FormatError, match=f"for {1 << 60} samples"):
-                read_timeseries_bin(path)
+                open_timeseries(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -153,18 +151,17 @@ class TestBinaryReader:
         path = tmp_path / "a.bin"
         path.write_bytes(b"OMB1" + b"\0" * 20)
         with pytest.raises(FormatError, match="header is 24 bytes"):
-            read_timeseries_bin(path)
+            open_timeseries(path)
 
     @pytest.mark.parametrize("flags", [0x82, 0x03], ids=["0x82", "0x03"])
-    @pytest.mark.parametrize("read", [read_timeseries_bin, open_timeseries])
-    def test_unknown_flag_bits_are_rejected(self, tmp_path, read, flags):
+    def test_unknown_flag_bits_are_rejected(self, tmp_path, flags):
         path = _bin_with_payload(tmp_path / "a.bin", _real_ts())
         data = bytearray(path.read_bytes())
         data[4] = flags
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match=f"flag byte {flags:#04x}, "
                            r"expected 0 \(real\) or 1 \(complex\)"):
-            read(path)
+            open_timeseries(path)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_payload(self, tmp_path, bad):
@@ -173,16 +170,18 @@ class TestBinaryReader:
         data[-8:] = np.float64(bad).tobytes()
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="finite"):
-            read_timeseries_bin(path)
+            read_whole(open_timeseries(path))
 
     def test_one_sample_record(self, tmp_path):
         path = _bin_with_payload(tmp_path / "a.bin", _real_ts(), n=1)
         path.write_bytes(path.read_bytes()[:48 + 8])
         with pytest.raises(FormatError, match="at least 2 samples"):
-            read_timeseries_bin(path)
+            open_timeseries(path)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-    def test_memory_is_the_payload(self, tmp_path, dtype):
+    def test_memory_is_the_payload_and_one_block(self, tmp_path, dtype):
+        # a whole read gathers the blocks of open_timeseries: the record's
+        # array and one reused block, never the record twice
         n = 1 << 21
         values = np.arange(n * (2 if dtype is np.complex128 else 1),
                            dtype=float).view(dtype)
@@ -190,13 +189,14 @@ class TestBinaryReader:
         del values
         tracemalloc.start()
         try:
-            ts = read_timeseries_bin(tmp_path / "a.bin")
+            ts = read_whole(open_timeseries(tmp_path / "a.bin"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert ts.values.dtype == dtype and ts.n == n
         assert ts.values.flags.c_contiguous and ts.values.flags.writeable
-        assert peak <= 1.05 * ts.values.nbytes
+        block = (1 << 17) * ts.values.itemsize
+        assert peak <= 1.05 * (ts.values.nbytes + block)
 
 
 class TestDriveRecordFormat:
@@ -495,7 +495,7 @@ def _read_record(path, kind):
     if kind == "drive":
         rec = read_driverecord_csv(path)
         return [rec.base_motion.values, rec.response_motion.values]
-    return [read_timeseries_csv(path).values]
+    return [read_whole(open_timeseries(path)).values]
 
 
 def _reference_values(path, kind):
@@ -528,7 +528,7 @@ def _put_field(path, n, field):
 
 
 def _assert_both_readers_like_loadtxt(path, segment_len, field, line):
-    """read_timeseries_csv and welch_psd over open_timeseries give the
+    """read_whole and welch_psd over open_timeseries give the
     values of np.loadtxt on the body, or both the same FormatError, which
     names the file line of ``field`` if np.loadtxt cannot read it."""
     try:
@@ -536,30 +536,19 @@ def _assert_both_readers_like_loadtxt(path, segment_len, field, line):
     except ValueError:
         want = None
     if want is not None and np.isfinite(want).all():
-        ts = read_timeseries_csv(path)
+        ts = read_whole(open_timeseries(path))
         assert _same_bits(ts.values, want)
         assert _same_bits(welch_psd(open_timeseries(path), segment_len).psd,
                           welch_psd(ts, segment_len).psd)
         return
     problem = ("TimeSeries values must be finite" if want is not None
                else f"line {line}: expected 1 value(s) per row, got {field!r}")
-    for read in (read_timeseries_csv,
+    for read in (lambda p: read_whole(open_timeseries(p)),
                  lambda p: welch_psd(open_timeseries(p), segment_len)):
         with pytest.raises(FormatError) as err:
             read(path)
         assert str(err.value) == (
             f"{path}: malformed timeseries CSV: {problem}")
-
-
-def _record_reads(kind):
-    """The whole reads of a record kind, each giving its value arrays:
-    read_timeseries_csv and the gathered blocks of open_timeseries for a
-    time series, read_driverecord_csv for a drive record."""
-    if kind == "drive":
-        return [lambda p: _read_record(p, "drive")]
-    return [lambda p: [read_timeseries_csv(p).values],
-            lambda p: [np.concatenate([b.copy() for b
-                                       in open_timeseries(p).blocks()])]]
 
 
 # edits of a body that leave it not one row per line, each on the row that
@@ -622,8 +611,8 @@ class TestCsvBodyGrammar:
                     "no_final_newline": text[:-1],
                     "final_empty_lines": text + b"\r\n\n" * 9000}[edit]
         path.write_bytes(text)
-        for read in _record_reads(kind):
-            assert _same_values(read(path), _reference_values(path, kind))
+        assert _same_values(_read_record(path, kind),
+                            _reference_values(path, kind))
 
     @pytest.mark.parametrize("at", ["first", "middle", "last"])
     @pytest.mark.parametrize("edit", sorted(_REJECTED_EDITS))
@@ -644,11 +633,10 @@ class TestCsvBodyGrammar:
         line = text[:p].count(b"\n") + 1
         path.write_bytes(_REJECTED_EDITS[edit](text, p, text.index(b"\n", p)))
         name = "drive-record" if kind == "drive" else "timeseries"
-        for read in _record_reads(kind):
-            with pytest.raises(FormatError) as err:
-                read(path)
-            assert str(err.value).startswith(
-                f"{path}: malformed {name} CSV: line {line}: ")
+        with pytest.raises(FormatError) as err:
+            _read_record(path, kind)
+        assert str(err.value).startswith(
+            f"{path}: malformed {name} CSV: line {line}: ")
 
     def test_bad_value_in_last_range_names_its_line(self, tmp_path):
         path = tmp_path / "rec.csv"
@@ -659,7 +647,7 @@ class TestCsvBodyGrammar:
         # the line counts from the start of the file, not of a range
         line = text[:row].count(b"\n") + 1
         with pytest.raises(FormatError) as err:
-            read_timeseries_csv(path)
+            read_whole(open_timeseries(path))
         assert str(err.value) == (
             f"{path}: malformed timeseries CSV: line {line}: expected 1 "
             "value(s) per row, got 'oops'")
@@ -688,9 +676,8 @@ class TestCsvBodyGrammar:
         head = b"# optomech_timeseries v1\n# sample_rate_hz=1.0\nvalue\n"
         path.write_bytes(head + body)
         assert omio._scan_ranges(path, len(head)) == []
-        for read in (read_timeseries_csv, open_timeseries):
-            with pytest.raises(FormatError, match="at least 2 samples$"):
-                read(path)
+        with pytest.raises(FormatError, match="at least 2 samples$"):
+            open_timeseries(path)
 
     @pytest.mark.parametrize("above", [False, True])
     @pytest.mark.parametrize("values_per_row", [1, 3])
@@ -851,5 +838,6 @@ class TestRoundTripProperties:
         ts = TimeSeries(400.0, 0.0, values)
         write_timeseries_csv(d / "a.csv", ts)
         write_timeseries_bin(d / "a.bin", ts)
-        assert _same_bits(read_timeseries_csv(d / "a.csv").values, values)
-        assert _same_bits(read_timeseries_bin(d / "a.bin").values, values)
+        for name in ("a.csv", "a.bin"):
+            assert _same_bits(read_whole(open_timeseries(d / name)).values,
+                              values)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 import warnings
@@ -153,16 +154,16 @@ class TestSimulateLock:
 
     def test_loop_rate_precondition(self):
         model, cfg0 = _lock_setup()
-        cfg = LockConfig(ki=cfg0.ki, loop_rate=10e3,
-                         detuning_bias=cfg0.detuning_bias)
+        cfg = dataclasses.replace(cfg0, loop_rate=10e3)
         with pytest.raises(ValueError):
             simulate_lock(model, CAV, cfg, 0.01, seed=0)
 
     def test_config_validation(self):
+        _, cfg = _lock_setup()
         with pytest.raises(ValueError):
-            LockConfig(loop_rate=0.0)
+            dataclasses.replace(cfg, loop_rate=0.0)
         with pytest.raises(ValueError):
-            LockConfig(actuator_range=0.0)
+            dataclasses.replace(cfg, actuator_range=0.0)
 
 
 def _same_bits(a: float, b: float) -> bool:

@@ -261,7 +261,7 @@ class TestStreamedMechRingdown:
         raw, env = full_array_mech_ringdown(*args, 7)
         path = tmp_path / f"raw.{fmt}"
         _io.write_timeseries(path, synth_mech_ringdown(*args), fmt)
-        _same_series(_io.read_timeseries(path), raw)
+        _same_series(_io.read_whole(_io.open_timeseries(path)), raw)
         _same_series(demodulate_envelope(_io.open_timeseries(path), m.f0, 7),
                      env)
 
