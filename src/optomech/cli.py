@@ -96,13 +96,21 @@ def _load(args, temp=None, finesse=None) -> Config:
 
 # Builders, one per synthetic experiment, each with its own seed offset
 
-def _brownian(cfg: Config, seed: int):
+def _brownian_args(cfg: Config):
+    """The configured Brownian record's mode, sample rate, duration, noise
+    floor and center frequency (None for a baseband record)."""
     p = cfg.synth["brownian"]
     mode = getattr(cfg, p["device"])
     center = mode.f0 if p["mode"] == "envelope" else None
+    return (mode, p["sample_rate_hz"], p["duration_s"],
+            p["noise_floor_m2_per_hz"], center)
+
+
+def _brownian(cfg: Config, seed: int):
+    mode, fs, duration, floor, center = _brownian_args(cfg)
     return mode, _synth.synth_brownian(
-        mode, p["sample_rate_hz"], p["duration_s"], seed + _SEED_BROWNIAN,
-        noise_floor=p["noise_floor_m2_per_hz"], center_freq=center)
+        mode, fs, duration, seed + _SEED_BROWNIAN, noise_floor=floor,
+        center_freq=center)
 
 
 def _optical_ringdown(cfg: Config, seed: int):
@@ -498,13 +506,9 @@ def _report_brownian(cfg: Config, seed: int, table) -> dict:
     mode, ts = _brownian(cfg, seed)
     spec = _welch(cfg, ts)
     fit = _fit_line(cfg, spec)
-    pk = fit.params
-    half = pk["fwhm_hz"] / 2.0
     table("brownian_psd", {
         "freq_hz": spec.freqs, "psd_m2_per_hz": spec.psd,
-        "fit_m2_per_hz": pk["amplitude"] * half ** 2
-                         / ((spec.freqs - pk["f0_hz"]) ** 2 + half ** 2)
-                         + pk["offset"]})
+        "fit_m2_per_hz": _estimate.line_psd(spec, fit)})
     return {**_summary(fit, "q"), "true_q": mode.q}
 
 
@@ -534,6 +538,9 @@ def cmd_report(args) -> int:
             f"synth.sweep.f_min_hz = {cfg.synth['sweep']['f_min_hz']} leaves "
             f"report's single-resonator sweep no drive frequency: it stops "
             f"at device.inner.f0_hz / 5 = {top} Hz")
+    # the Brownian record is made after both sweeps: its config is checked
+    # before anything is synthesised or written
+    _synth._check_brownian(*_brownian_args(cfg))
     seed = cfg.synth["seed"]
     out = _out_dir(args)
     files = {}

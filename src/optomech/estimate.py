@@ -30,7 +30,9 @@ class Spectrum:
 
     var_inflation is the variance inflation factor for averages of
     neighbouring bins caused by window leakage and segment overlap; fits use
-    it to keep parameter uncertainties calibrated.
+    it to keep parameter uncertainties calibrated.  envelope_rate is the
+    sample rate of a complex-envelope record, the width of the band into
+    which a line's wings alias (fit_lorentzian); None for a real record.
     """
 
     freqs: np.ndarray
@@ -38,6 +40,7 @@ class Spectrum:
     n_avg: int
     resolution: float
     var_inflation: float = 1.0
+    envelope_rate: float | None = None
 
     def __post_init__(self):
         self.freqs = np.asarray(self.freqs, dtype=float)
@@ -214,7 +217,8 @@ def welch_psd(ts, segment_len: int | None = None,
 
     return Spectrum(freqs=freqs, psd=psd, n_avg=n_avg,
                     resolution=fs / segment_len,
-                    var_inflation=_variance_inflation(w, hop, n_avg))
+                    var_inflation=_variance_inflation(w, hop, n_avg),
+                    envelope_rate=fs if ts.is_complex else None)
 
 
 def _lorentzian_model(u, p, work):
@@ -252,6 +256,67 @@ def _lorentzian_model(u, p, work):
     return m, jac
 
 
+def _aliased_lorentzian_model(rot, p, work, h):
+    """_lorentzian_model with the line's images at u = du + k*pi/h, k any
+    integer, summed: a*g/(sin(h*(u-du))^2 + sinh(h*c)^2) + b, c = wdt/2,
+    g = c*h*sinh(h*c)*cosh(h*c), and a jac() that fills the (4, n)
+    Jacobian.
+
+    The sum is the spectrum of a line sampled at pi/h without an
+    anti-alias filter (a band-centered record's), and tends to
+    _lorentzian_model's values as h -> 0; sin^2 + sinh^2 is the
+    cancellation-free form of (cosh(2hc) - cos(2h(u-du)))/2.  rot is the
+    (2, n) array (cos(h*u), sin(h*u)) of the abscissa u (_rotations),
+    made once per fit: each call turns it by h*du, sin(h*(u-du)) =
+    sin(h*u)*cos(h*du) - cos(h*u)*sin(h*du), instead of taking a sine.
+    work is a (7, n) float array, used as _lorentzian_model uses its own;
+    each element is computed with the operations, in the order, of the
+    whole-array expressions in the comments.
+    """
+    du, wdt, a, b = p
+    c = 0.5 * wdt
+    sh, ch = math.sinh(h * c), math.cosh(h * c)
+    g = c * h * sh * ch
+    dg = h * sh * ch + c * h * h * (ch * ch + sh * sh)     # dg/dc
+    cd, sd = math.cos(h * du), math.sin(h * du)
+    sn, den, m = work[:3]
+    j = work[3:]
+    np.multiply(rot[1], cd, out=sn)          # sn = rot[1] * cd - rot[0] * sd
+    np.multiply(rot[0], sd, out=den)
+    sn -= den
+    np.square(sn, out=den)                   # den = sn * sn + sh * sh
+    den += sh * sh
+    np.divide(a * g, den, out=m)             # m = a * g / den + b
+    m += b
+
+    def jac():
+        den2 = np.square(den, out=j[3])      # den ** 2, until row 3 is set
+        np.multiply(rot[0], cd, out=j[0])    # cos(h*(u-du)) * sn, that is
+        np.multiply(rot[1], sd, out=j[1])    # sin(2*h*(u-du)) / 2
+        j[0] += j[1]
+        j[0] *= sn
+        j[0] *= 2.0 * a * g * h
+        j[0] /= den2       # (rot[0] * cd + rot[1] * sd) * sn * (2.0 * a * g * h) / den2
+        np.divide(0.5 * a * dg, den, out=j[1])
+        np.divide(a * g * h * sh * ch, den2, out=j[2])
+        j[1] -= j[2]       # 0.5 * a * dg / den - a * g * h * sh * ch / den2
+        np.divide(g, den, out=j[2])          # g / den
+        j[3] = 1.0
+        return j
+
+    return m, jac
+
+
+def _rotations(u, h):
+    """(cos(h*u), sin(h*u)) as one (2, n) array, _aliased_lorentzian_model's
+    rot."""
+    rot = np.empty((2, u.size))
+    np.multiply(u, h, out=rot[0])
+    np.sin(rot[0], out=rot[1])
+    np.cos(rot[0], out=rot[0])
+    return rot
+
+
 def _initial_lorentzian_guess(f, y):
     i_pk = int(np.argmax(y))
     n_edge = max(3, y.size // 10)
@@ -280,6 +345,11 @@ def _initial_lorentzian_guess(f, y):
 def fit_lorentzian(spec: Spectrum, window_hint=None) -> FitResult:
     """Fit amplitude*(fwhm/2)^2/((f-f0)^2+(fwhm/2)^2) + offset to a PSD peak.
 
+    A complex-envelope spectrum (spec.envelope_rate set) is fitted with the
+    line's images at f0 + k*envelope_rate summed, the spectrum of a line
+    sampled without an anti-alias filter, so that a line broad against its
+    band is not read narrow (_aliased_lorentzian_model).
+
     The weights are statistical: sigma_i is proportional to the model PSD
     (the log-consistent choice for averaged-periodogram noise), taken from
     the initial guess for a first pass and from its fitted model for the
@@ -303,8 +373,15 @@ def fit_lorentzian(spec: Spectrum, window_hint=None) -> FitResult:
     v = y / amp0
     p0 = np.array([0.0, 1.0, 1.0, offset0 / amp0])
 
-    work = np.empty((8, u.size))
-    model = lambda p: _lorentzian_model(u, p, work)
+    if spec.envelope_rate is None:
+        work = np.empty((8, u.size))
+        model = lambda p: _lorentzian_model(u, p, work)
+    else:
+        h = math.pi * scale_f / spec.envelope_rate   # pi / the band, in u
+        rot = _rotations(u, h)
+        del u                                        # rot replaces it
+        work = np.empty((7, rot.shape[1]))
+        model = lambda p: _aliased_lorentzian_model(rot, p, work, h)
     floor = 1e-6
     p = p0
     sig = np.empty_like(v)           # the weights, refilled by each pass
@@ -348,6 +425,21 @@ def fit_lorentzian(spec: Spectrum, window_hint=None) -> FitResult:
         n_iter=res.n_iter,
         warnings=tuple(warnings),
     )
+
+
+def line_psd(spec: Spectrum, fit: FitResult) -> np.ndarray:
+    """fit_lorentzian's fitted line plus offset at spec.freqs, its images
+    summed for a complex-envelope spectrum as the fit sums them."""
+    p = fit.params
+    if spec.envelope_rate is None:
+        half = p["fwhm_hz"] / 2.0
+        return (p["amplitude"] * half ** 2
+                / ((spec.freqs - p["f0_hz"]) ** 2 + half ** 2) + p["offset"])
+    h = math.pi / spec.envelope_rate
+    return _aliased_lorentzian_model(
+        _rotations(spec.freqs - p["f0_hz"], h),
+        (0.0, p["fwhm_hz"], p["amplitude"], p["offset"]),
+        np.empty((7, spec.freqs.size)), h)[0].copy()
 
 
 _ONSET_FRAC = 0.95         # detect_onset's threshold, of the plateau level

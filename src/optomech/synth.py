@@ -11,16 +11,17 @@ One lock-in mixer serves synthesis and analysis: _phasor builds
 exp(-2j*pi*f*t) and _block_means averages a record times it over blocks,
 many a run for the in-phase mechanical envelope, one a record for a tone.
 
-Memory is bounded by the records themselves.  The band-centered Brownian
-record is built and inverse transformed in its one complex array, _CHUNK
-bins at a time (pocketfft's own scratch aside).  The mechanical ringdown
-is never held whole: synth_mech_ringdown returns a BlockSeries that
-regenerates it from the seed, a chunk at a time, on every read, and
+No long record is held whole unless a command needs it.  The
+band-centered Brownian record and the mechanical ringdown are BlockSeries
+that regenerate themselves from the seed, a chunk at a time, on every
+read: the Brownian envelope by its exact recursion (_envelope_blocks),
+the ringdown in two work arrays (synth_mech_ringdown).
 demodulate_envelope cuts the blocks of any record into runs of whole
-demodulation blocks, so the ringdown, its envelope and its written record
-(io.write_timeseries) each take a few MB at any record length.  The
-baseband Brownian path still builds its spectrum from whole-array
-temporaries.
+demodulation blocks, so the ringdown, its envelope and either written
+record (io.write_timeseries) each take a few MB at any record length.
+The baseband Brownian record (the lock's motion) is one irfft of a half
+spectrum built in place, _CHUNK bins at a time (_baseband_values): the
+spectrum and the record, pocketfft's scratch aside.
 """
 
 import contextlib
@@ -129,7 +130,7 @@ class TimeSeries:
 class BlockSeries:
     """A uniformly sampled record read in order, one block of samples at a
     time, so that it is never held whole (io.open_timeseries,
-    synth_mech_ringdown).
+    synth_mech_ringdown, synth_brownian's band-centered record).
 
     blocks() returns a generator of 1-D arrays of dtype that together hold
     the n samples, in order; each block is valid only until the next one is
@@ -182,72 +183,180 @@ class DriveRecord:
 
 def synth_brownian(mode: MechMode, sample_rate: float, duration: float,
                    seed: int, noise_floor: float = 0.0,
-                   center_freq: float | None = None) -> TimeSeries:
-    """Stationary Gaussian record whose PSD is thermal_psd(f) + noise_floor.
+                   center_freq: float | None = None) -> TimeSeries | BlockSeries:
+    """Stationary Gaussian record of the mode's thermal motion plus white
+    noise of one-sided density noise_floor.
 
-    Synthesis shapes a white Gaussian spectrum by sqrt of the target PSD and
-    inverse transforms, so the target is hit exactly in expectation with no
-    integrator bias even at Q ~ 1e5.
+    Without center_freq the record is a real baseband TimeSeries whose
+    spectrum is thermal_psd(f) + noise_floor: white Gaussian bins shaped by
+    sqrt of the target PSD and inverse transformed (_baseband_values), so
+    the target is hit exactly in expectation with no integrator bias even
+    at Q ~ 1e5.
 
     With center_freq set, the record is a complex envelope covering
-    [center_freq - sample_rate/2, center_freq + sample_rate/2]; use this for
-    narrow lines where a baseband record would be enormous.
+    [center_freq - sample_rate/2, center_freq + sample_rate/2]; use this
+    for narrow lines where a baseband record would be enormous.  It is the
+    exact discretisation of the thermally driven mode (Gillespie, PRE 54,
+    2084 (1996)), a complex Ornstein-Uhlenbeck recursion with its first
+    sample drawn from the stationary law, so its physical signal has mean
+    square thermal_rms**2 + noise_floor*sample_rate at every record
+    length.  Its spectrum is the Lorentzian of the line aliased into the
+    band, plus noise_floor.  The mode must be underdamped, Q > 1/2, for
+    the recursion's complex pole.  The record is a BlockSeries that every
+    blocks() call regenerates from the seed a chunk at a time
+    (_envelope_blocks), so it is never held whole.
     """
+    n = _check_brownian(mode, sample_rate, duration, noise_floor,
+                        center_freq)
+    warnings = ()
+    if duration * mode.f0 / mode.q < 10.0:
+        warnings = ("duration_too_short_to_resolve_linewidth",)
+    if center_freq is None:
+        values = _baseband_values(mode, sample_rate, n, seed, noise_floor)
+        return TimeSeries(sample_rate, 0.0, values, warnings=warnings)
+    return BlockSeries(sample_rate, 0.0, n, complex,
+                       _envelope_blocks(mode, sample_rate, n, seed,
+                                        noise_floor, center_freq),
+                       center_freq=center_freq, warnings=warnings)
+
+
+def _check_brownian(mode: MechMode, sample_rate: float, duration: float,
+                    noise_floor: float, center_freq: float | None) -> int:
+    """synth_brownian's checks of its arguments, made before anything is
+    drawn, each raising ValueError; the record's sample count."""
     if noise_floor < 0:
         raise ValueError("noise_floor must be >= 0")
     n = int(round(duration * sample_rate))
     if n < 2:
         raise ValueError("duration too short for the sample rate")
-    rng = np.random.default_rng(seed)
-    warnings = ()
-    if duration * mode.f0 / mode.q < 10.0:
-        warnings = ("duration_too_short_to_resolve_linewidth",)
-
     if center_freq is None:
         if sample_rate <= 4.0 * mode.f0:
             raise ValueError("baseband synthesis needs sample_rate > 4*f0; "
                              "use center_freq for a band-centered record")
-        freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
-        target = _mech.thermal_psd(freqs, mode) + noise_floor
-        a = rng.standard_normal(freqs.size)
-        b = rng.standard_normal(freqs.size)
-        amp = np.sqrt(target * sample_rate * n)
-        spec = (a + 1j * b) * (amp / 2.0)
-        spec[0] = a[0] * amp[0]                  # DC and Nyquist bins are real
-        if n % 2 == 0:
-            spec[-1] = a[-1] * amp[-1]
-        values = np.fft.irfft(spec, n)
-        return TimeSeries(sample_rate, 0.0, values, warnings=warnings)
-
-    if center_freq - sample_rate / 2.0 <= 0:
+    elif center_freq - sample_rate / 2.0 <= 0:
         raise ValueError("envelope band must lie at positive frequencies")
-    # The spectrum is built in place, _CHUNK bins at a time: the amplitude
-    # goes into spec.imag, the a draws into spec.real, then the b draws
-    # replace the amplitude they multiply.  Chunked draws from one
-    # default_rng stream equal one whole draw, and each element has the bits
-    # of (a + 1j*b) * sqrt(target*fs*n/2) over whole arrays.
-    spec = np.empty(n, dtype=np.complex128)
-    df = 1.0 / (n * (1.0 / sample_rate))        # np.fft.fftfreq's bin width
-    for start, stop in _chunks(n):
-        f = np.arange(start, stop, dtype=float)
-        f[f >= (n - 1) // 2 + 1] -= n            # fftfreq's bin order
-        f *= df
-        f += center_freq
-        amp = _mech.thermal_psd(f, mode)
+    elif not mode.q > 0.5:
+        raise ValueError(f"envelope synthesis needs Q > 1/2, an underdamped "
+                         f"mode with a complex pole; got Q = {mode.q:g}")
+    return n
+
+
+def _baseband_values(mode: MechMode, sample_rate: float, n: int, seed: int,
+                     noise_floor: float) -> np.ndarray:
+    """The n-sample irfft of a half spectrum of white Gaussian bins shaped
+    by sqrt of the target PSD thermal_psd(f) + noise_floor.
+
+    The half spectrum is built in place in one complex array, _CHUNK bins
+    at a time: amp/2 goes into spec.imag, the a draws times it into
+    spec.real, then the b draws multiply spec.imag.  Chunked draws from one
+    default_rng stream equal one whole draw, and each bin has the bits of
+    (a + 1j*b) * (amp/2) over whole arrays, amp = sqrt(target * fs * n) at
+    np.fft.rfftfreq(n, 1/fs); the DC and Nyquist bins are real, a * amp.
+    """
+    rng = np.random.default_rng(seed)
+    m = n // 2 + 1
+    spec = np.empty(m, dtype=np.complex128)
+    df = 1.0 / (n * (1.0 / sample_rate))        # np.fft.rfftfreq's bin width
+    for start, stop in _chunks(m):
+        amp = _mech.thermal_psd(np.arange(start, stop) * df, mode)
         amp += noise_floor
-        amp *= 2.0
         amp *= sample_rate
         amp *= n
-        amp /= 2.0
-        spec.imag[start:stop] = np.sqrt(amp, out=amp)
-    for start, stop in _chunks(n):
-        np.multiply(rng.standard_normal(stop - start), spec.imag[start:stop],
-                    out=spec.real[start:stop])
-    for start, stop in _chunks(n):
+        np.sqrt(amp, out=amp)
+        if start == 0:
+            amp_dc = amp[0]
+        if stop == m:
+            amp_nyquist = amp[-1]
+        np.divide(amp, 2.0, out=spec.imag[start:stop])
+    for start, stop in _chunks(m):
+        a = rng.standard_normal(stop - start)
+        if start == 0:
+            dc = a[0] * amp_dc
+        if stop == m:
+            nyquist = a[-1] * amp_nyquist
+        np.multiply(a, spec.imag[start:stop], out=spec.real[start:stop])
+    for start, stop in _chunks(m):
         spec.imag[start:stop] *= rng.standard_normal(stop - start)
-    values = np.fft.ifft(spec, out=spec)
-    return TimeSeries(sample_rate, 0.0, values, center_freq=center_freq,
-                      warnings=warnings)
+    spec[0] = dc
+    if n % 2 == 0:
+        spec[-1] = nyquist
+    return np.fft.irfft(spec, n)
+
+
+# the largest growth |mu|**-k within a run of the envelope recursion, as a
+# power of e: it bounds the run's rounding error to about e**4 ulps of the
+# record's rms
+_RUN_GROWTH = 4.0
+
+
+def _envelope_blocks(mode: MechMode, sample_rate: float, n: int, seed: int,
+                     noise_floor: float, center_freq: float) -> Callable:
+    """The blocks() of synth_brownian's band-centered record.
+
+    The record is z[k] = mu*z[k-1] + eta[k] with mu = exp(p*dt) and pole
+    p = -gamma/2 + 1j*(omega1 - 2*pi*center_freq), omega1 the damped
+    frequency, plus independent complex white noise of one-sided density
+    noise_floor.  z[0] is drawn from the stationary law, E|z|**2 =
+    2*thermal_rms**2 (the physical signal Re[z*exp(2j*pi*center_freq*t)]
+    has mean square thermal_rms**2), and eta[k] with E|eta|**2 =
+    2*thermal_rms**2*(1 - |mu|**2).
+
+    A chunk of about _CHUNK samples is cut into rows of `run` samples.
+    From the state c before a row, z[k] = mu**k * (mu*c + cumsum(mu**-j *
+    eta[j])[k]) for k = 0 .. run-1: one cumsum for all rows, and the states
+    carry from row to row in a loop over rows.  |mu|**-(run-1) stays
+    within e**_RUN_GROWTH, and a row of one sample needs no mu**-1 at any
+    damping.  The drive and the floor come from two streams spawned from
+    the seed and drawn a chunk at a time, so the record is the same, up to
+    rounding, at any chunk size.
+    """
+    dt = 1.0 / sample_rate
+    omega1 = mode.omega0 * math.sqrt(1.0 - (0.5 / mode.q) ** 2)
+    p_dt = complex(-0.5 * mode.gamma, omega1 - TWO_PI * center_freq) * dt
+    decay = -p_dt.real                           # -log|mu|, per sample
+    run = (_CHUNK if decay * _CHUNK <= _RUN_GROWTH
+           else 1 + int(_RUN_GROWTH / decay))
+    rows = max(1, min(_CHUNK, n) // run)
+    k = np.arange(run)
+    up = np.exp(p_dt * k)                        # mu**k
+    down = np.exp(-p_dt * k)                     # mu**-k
+    mu_run = complex(np.exp(p_dt * run))         # mu**run
+    rms = _mech.thermal_rms(mode)                # of z's real part
+    rms_eta = rms * math.sqrt(-math.expm1(-2.0 * decay))
+    rms_floor = math.sqrt(noise_floor * sample_rate)
+
+    def blocks():
+        drive, floor = np.random.default_rng(seed).spawn(2)
+        z, w = np.empty((2, rows, run), complex)
+        flat, noise = z.reshape(-1), w.reshape(-1)
+        d = 0j                                   # mu * the state before a row
+        for start in range(0, n, flat.size):
+            m = min(flat.size, n - start)
+            used = z[:-(-m // run)]              # the rows the chunk fills
+            parts = flat[:m].view(float)
+            drive.standard_normal(out=parts)
+            if start == 0:
+                parts[:2] *= rms
+                parts[2:] *= rms_eta
+            else:
+                parts *= rms_eta
+            flat[m:] = 0.0
+            used *= down
+            np.cumsum(used, axis=1, out=used)
+            states = []
+            for end in used[:, -1].tolist():
+                states.append(d)
+                d = mu_run * (d + end)
+            used += np.array(states)[:, None]
+            used *= up
+            if noise_floor > 0:
+                parts = noise[:m].view(float)
+                floor.standard_normal(out=parts)
+                parts *= rms_floor
+                flat[:m] += noise[:m]
+            yield flat[:m]
+
+    return blocks
 
 
 def synth_optical_ringdown(cav: _cavity.Cavity, sample_rate: float,

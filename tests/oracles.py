@@ -3,13 +3,15 @@
 These deliberately avoid the library code paths they check: a fixed-step
 RK4 integration of the coupled equations of motion, adaptive quadrature
 for spectral integrals, brute-force scans for extrema, the whole-record
-mechanical ringdown and whole-array Brownian envelope that the chunked
-synthesis must reproduce bit for bit, the Welch average with fresh arrays
-for every segment, the transfer estimate with its own whole-array tone
-phasor per demodulated record, and the side-of-fringe lock as one per-step
-loop over the whole record.
+mechanical ringdown and whole-array baseband Brownian record that the
+chunked synthesis must reproduce bit for bit, the band-centered Brownian
+record as one sequential recursion over the whole record, the Welch
+average with fresh arrays for every segment, the transfer estimate with
+its own whole-array tone phasor per demodulated record, and the
+side-of-fringe lock as one per-step loop over the whole record.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -133,22 +135,55 @@ def full_array_mech_ringdown(mode, sample_rate, duration, x0, seed,
     return raw, full_array_demodulate(raw, mode.f0, envelope_cycles)
 
 
-def full_array_envelope_brownian(mode, sample_rate, duration, seed,
+def sequential_envelope_brownian(mode, sample_rate, duration, seed,
                                  noise_floor=0.0):
-    """synth_brownian's band-centered record at center_freq = mode.f0, with
-    the shaped spectrum built from whole-record arrays."""
+    """synth_brownian's band-centered record at center_freq = mode.f0, as
+    one sequential loop z[k] = mu*z[k-1] + eta[k] over the whole record,
+    from the same draws: the drive and the floor streams spawned from the
+    seed, z[0] at the stationary rms and eta at rms*sqrt(1 - |mu|**2) per
+    quadrature."""
     n = int(round(duration * sample_rate))
-    rng = np.random.default_rng(seed)
+    dt = 1.0 / sample_rate
+    omega1 = mode.omega0 * math.sqrt(1.0 - (0.5 / mode.q) ** 2)
+    p_dt = complex(-mode.gamma / 2.0, omega1 - 2.0 * math.pi * mode.f0) * dt
+    mu = cmath.exp(p_dt)
+    drive, floor = np.random.default_rng(seed).spawn(2)
+    eta = drive.standard_normal(2 * n).view(complex)
+    rms = _mech.thermal_rms(mode)
+    eta[0] *= rms
+    eta[1:] *= rms * math.sqrt(-math.expm1(2.0 * p_dt.real))
+    z, y = [], 0j
+    for e in eta.tolist():
+        y = mu * y + e
+        z.append(y)
+    z = np.array(z)
+    if noise_floor > 0:
+        z += (math.sqrt(noise_floor * sample_rate)
+              * floor.standard_normal(2 * n).view(complex))
     warnings = ()
     if duration * mode.f0 / mode.q < 10.0:
         warnings = ("duration_too_short_to_resolve_linewidth",)
-    deltas = np.fft.fftfreq(n, 1.0 / sample_rate)
-    target = 2.0 * (_mech.thermal_psd(mode.f0 + deltas, mode) + noise_floor)
-    a = rng.standard_normal(n)
-    b = rng.standard_normal(n)
-    spec = (a + 1j * b) * np.sqrt(target * sample_rate * n / 2.0)
-    return TimeSeries(sample_rate, 0.0, np.fft.ifft(spec),
-                      center_freq=mode.f0, warnings=warnings)
+    return TimeSeries(sample_rate, 0.0, z, center_freq=mode.f0,
+                      warnings=warnings)
+
+
+def whole_array_baseband_brownian(mode, sample_rate, duration, seed,
+                                  noise_floor=0.0):
+    """The values of synth_brownian's baseband record, with the shaped half
+    spectrum built from whole-record arrays, (a + 1j*b) * (amp/2), and
+    inverse transformed."""
+    n = int(round(duration * sample_rate))
+    rng = np.random.default_rng(seed)
+    freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
+    target = _mech.thermal_psd(freqs, mode) + noise_floor
+    a = rng.standard_normal(freqs.size)
+    b = rng.standard_normal(freqs.size)
+    amp = np.sqrt(target * sample_rate * n)
+    spec = (a + 1j * b) * (amp / 2.0)
+    spec[0] = a[0] * amp[0]                      # DC and Nyquist bins are real
+    if n % 2 == 0:
+        spec[-1] = a[-1] * amp[-1]
+    return np.fft.irfft(spec, n)
 
 
 def whole_array_welch(ts, segment_len, overlap_frac=0.5, window="hann"):

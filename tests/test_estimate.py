@@ -9,8 +9,9 @@ from optomech import (DriveRecord, EstimationError, MechMode, Spectrum,
                       synth_drive_sweep, thermal_psd, transfer_power,
                       welch_psd)
 from optomech.estimate import bin_log_mean
-from optomech.estimate import (_WINDOWS, _initial_lorentzian_guess,
-                               _lorentzian_model)
+from optomech.estimate import (_WINDOWS, _aliased_lorentzian_model,
+                               _initial_lorentzian_guess, _lorentzian_model,
+                               _rotations)
 from optomech.fitting import lm_fit
 from oracles import per_record_transfer, whole_array_welch
 
@@ -192,6 +193,57 @@ class TestFitLorentzian:
                                                              rel=1e-6)
         assert abs(res.params[1]) * fwhm0 == pytest.approx(abs(popt[2]),
                                                            rel=1e-4)
+
+    def test_aliased_model_sums_the_images(self):
+        # the closed form against 2 * 10**5 + 1 images summed directly, and
+        # against the plain Lorentzian for a band 10**6 times wider
+        u = np.linspace(-3.0, 3.0, 61)
+        p = np.array([0.2, 0.8, 1.5, 0.1])
+        work = np.empty((7, u.size))
+        h = 0.25                                 # images every 4 pi in u
+        k = np.arange(-100_000, 100_001) * (np.pi / h)
+        direct = np.array([1.5 * np.sum(0.16 / ((x - 0.2 - k) ** 2 + 0.16))
+                           for x in u]) + 0.1
+        m, _ = _aliased_lorentzian_model(_rotations(u, h), p, work, h)
+        np.testing.assert_allclose(m, direct, rtol=1e-6)
+        near = _aliased_lorentzian_model(_rotations(u, h * 1e-6), p, work,
+                                         h * 1e-6)[0].copy()
+        np.testing.assert_allclose(
+            near, _lorentzian_model(u, p, np.empty((8, u.size)))[0],
+            rtol=1e-11)
+
+    def test_aliased_model_jacobian_is_the_derivative(self):
+        u = np.linspace(-6.0, 6.0, 101)
+        p = np.array([0.3, 1.1, 0.9, 0.05])
+        work = np.empty((7, u.size))
+        h = 0.4
+        rot = _rotations(u, h)
+        jac = _aliased_lorentzian_model(rot, p, work, h)[1]().copy()
+        for i in range(4):
+            step = np.zeros(4)
+            step[i] = 1e-6
+            hi = _aliased_lorentzian_model(rot, p + step, work, h)[0].copy()
+            lo = _aliased_lorentzian_model(rot, p - step, work, h)[0]
+            np.testing.assert_allclose((hi - lo) / 2e-6, jac[i], rtol=1e-6,
+                                       atol=1e-8)
+
+    def test_noiseless_aliased_recovery_is_exact(self):
+        # a 10 Hz line across the whole of its 400 Hz band, the images of
+        # its wings summed in: the fit of an envelope spectrum reads the
+        # line itself, where a plain Lorentzian reads it 4% narrow
+        f0, fwhm, fs = 2e3, 10.0, 400.0
+        f = f0 + (np.arange(512) - 256) * fs / 512
+        a = np.pi * fwhm / fs
+        y = 1e-20 * np.sinh(a) / (np.cosh(a) - np.cos(2 * np.pi * (f - f0) / fs))
+        y += 1e-24
+        spec = Spectrum(f, y, 10, f[1] - f[0], envelope_rate=fs)
+        fit = fit_lorentzian(spec)
+        assert fit.converged
+        assert fit.params["f0_hz"] == pytest.approx(f0, rel=1e-9)
+        assert fit.params["fwhm_hz"] == pytest.approx(fwhm, rel=1e-6)
+        assert fit.params["offset"] == pytest.approx(1e-24, rel=1e-4)
+        plain = fit_lorentzian(Spectrum(f, y, 10, f[1] - f[0]))
+        assert plain.params["q"] > 1.03 * fit.params["q"]
 
     def test_no_peak_raises(self):
         rng = np.random.default_rng(3)

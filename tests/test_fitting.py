@@ -133,6 +133,25 @@ def _eager_lorentzian_model(u, p, work=None):
     return m, jac
 
 
+def _eager_aliased_lorentzian_model(rot, p, work, h):
+    """_aliased_lorentzian_model likewise."""
+    du, wdt, a, b = p
+    c = 0.5 * wdt
+    sh, ch = math.sinh(h * c), math.cosh(h * c)
+    g = c * h * sh * ch
+    dg = h * sh * ch + c * h * h * (ch * ch + sh * sh)
+    cd, sd = math.cos(h * du), math.sin(h * du)
+    sn = rot[1] * cd - rot[0] * sd
+    den = sn * sn + sh * sh
+    m = a * g / den + b
+    jac = np.empty((4, rot.shape[1]))
+    jac[0] = (rot[0] * cd + rot[1] * sd) * sn * (2.0 * a * g * h) / den ** 2
+    jac[1] = 0.5 * a * dg / den - a * g * h * sh * ch / den ** 2
+    jac[2] = g / den
+    jac[3] = 1.0
+    return m, jac
+
+
 def _eager_exp_model(t, p, work=None):
     """_exp_model likewise."""
     a, inv_tau, b = p
@@ -149,6 +168,8 @@ def _eager(monkeypatch, products=_einsum_products):
     monkeypatch.setattr(estimate, "lm_fit",
                         functools.partial(_eager_lm_fit, products=products))
     monkeypatch.setattr(estimate, "_lorentzian_model", _eager_lorentzian_model)
+    monkeypatch.setattr(estimate, "_aliased_lorentzian_model",
+                        _eager_aliased_lorentzian_model)
     monkeypatch.setattr(estimate, "_exp_model", _eager_exp_model)
 
 
@@ -268,21 +289,34 @@ class TestFitsNearOtherSummationOrders:
         _assert_close_fit(got, blas, 1e-9, 1e-9)
 
 
+# the aliased Lorentzian with its images every 2.5 pi in u: it takes the
+# rotations of u, made once per fit, in place of u
+_H = 0.4
+_ALIASED = functools.partial(estimate._aliased_lorentzian_model, h=_H)
 _MODELS = [
     (estimate._lorentzian_model, [0.1, 1.2, 0.9, 0.01]),
+    (_ALIASED, [0.1, 1.2, 0.9, 0.01]),
     (estimate._exp_model, [1.0, 3.0, 0.1]),
 ]
 # the rows of the work array each model fills
-_WORK_ROWS = {estimate._lorentzian_model: 8, estimate._exp_model: 5}
+_WORK_ROWS = {estimate._lorentzian_model: 8, _ALIASED: 7,
+              estimate._exp_model: 5}
 _EAGER = {estimate._lorentzian_model: _eager_lorentzian_model,
+          _ALIASED: functools.partial(_eager_aliased_lorentzian_model,
+                                      work=None, h=_H),
           estimate._exp_model: _eager_exp_model}
+
+
+def _abscissa(model, x):
+    """What model takes for the abscissa x."""
+    return estimate._rotations(x, _H) if model is _ALIASED else x
 
 
 class TestModelsInWorkArrays:
     @pytest.mark.parametrize("model, p", _MODELS)
     @pytest.mark.parametrize("n", [1, 101, 4099])
     def test_same_bits_as_whole_array_expressions(self, model, p, n):
-        x = np.linspace(-2.0, 2.0, n)
+        x = _abscissa(model, np.linspace(-2.0, 2.0, n))
         work = np.empty((_WORK_ROWS[model], n))
         for scale in (1.0, 0.7, 1.3):          # refills the same work array
             q = np.array(p) * scale
@@ -299,7 +333,7 @@ class TestModelsInWorkArrays:
         """Once its work array exists, a model evaluation and its Jacobian
         allocate less than one n-point float array between them."""
         n = 2 ** 17
-        x = np.linspace(-2.0, 2.0, n)
+        x = _abscissa(model, np.linspace(-2.0, 2.0, n))
         work = np.empty((_WORK_ROWS[model], n))
         p = np.array(p)
         tracemalloc.start()
@@ -317,10 +351,10 @@ class TestModelsInWorkArrays:
 class TestNormalEquations:
     @pytest.mark.parametrize("model, p", _MODELS)
     def test_jacobian_is_one_contiguous_row_per_parameter(self, model, p):
-        x = np.linspace(-2.0, 2.0, 101)
-        work = np.empty((_WORK_ROWS[model], x.size))
+        x = _abscissa(model, np.linspace(-2.0, 2.0, 101))
+        work = np.empty((_WORK_ROWS[model], 101))
         jac = model(x, np.array(p), work)[1]()
-        assert jac.shape == (len(p), x.size)
+        assert jac.shape == (len(p), 101)
         assert jac.dtype == np.float64 and jac.flags.c_contiguous
 
     def test_matches_the_products(self):
@@ -389,10 +423,13 @@ class TestJacobianOnlyAtAcceptedPoints:
         u = (f - f0) / fwhm0
         work = np.empty((8, u.size))
         model = lambda p: estimate._lorentzian_model(u, p, work)
-        p0 = np.array([0.0, 1.0, 1.0, off0 / amp0])
+        # a start at a third of the guessed width, whose first trials
+        # overshoot and are rejected
+        p0 = np.array([0.0, 0.3, 1.0, off0 / amp0])
         sigma = np.maximum(np.abs(model(p0)[0]), 1e-6)
         res, evals = self._counting_fit(model, p0, y / amp0, sigma)
         flags = self._accepted(evals)
+        assert res.converged
         assert not all(flags), "no rejected trial to check"
         assert [rec["jac_calls"] for rec in evals] == [int(ok) for ok in flags]
         assert sum(flags) - 1 <= res.n_iter

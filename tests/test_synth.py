@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -6,12 +7,13 @@ import pytest
 from optomech import (Cavity, DriveRecord, MechMode, NestedModel, TimeSeries,
                       chain_transfer, demodulate_envelope, fit_exp_decay,
                       synth_brownian, synth_drive_sweep, synth_mech_ringdown,
-                      synth_optical_ringdown, thermal_psd, transfer_power,
-                      welch_psd)
+                      synth_optical_ringdown, thermal_psd, thermal_rms,
+                      transfer_power, welch_psd)
 from optomech import io as _io
 from optomech import synth as _synth
-from oracles import (full_array_demodulate, full_array_envelope_brownian,
-                     full_array_mech_ringdown, whole_array_demod)
+from oracles import (full_array_demodulate, full_array_mech_ringdown,
+                     sequential_envelope_brownian, whole_array_baseband_brownian,
+                     whole_array_demod)
 
 CAV = Cavity(0.05, 1.064e-6, 181000.0)
 
@@ -43,7 +45,10 @@ class TestBrownian:
         assert np.array_equal(a.values, b.values)
         c = synth_brownian(m, 400.0, 30.0, seed=3, center_freq=250e3)
         d = synth_brownian(m, 400.0, 30.0, seed=3, center_freq=250e3)
-        assert np.array_equal(c.values, d.values)
+        # and every read of a streamed record regenerates the same bits
+        assert _io.read_whole(c).values.tobytes() == \
+            _io.read_whole(d).values.tobytes() == \
+            _io.read_whole(c).values.tobytes()
         assert not np.array_equal(a.values,
                                   synth_brownian(m, 8192.0, 4.0, seed=8).values)
 
@@ -69,6 +74,15 @@ class TestBrownian:
         with pytest.raises(ValueError):
             synth_brownian(m, 400.0, 10.0, seed=0, center_freq=150.0)
 
+    @pytest.mark.parametrize("q", [0.5, 0.2])
+    def test_envelope_needs_a_complex_pole(self, q):
+        # Q <= 1/2 leaves the mode no oscillation to centre a band on; its
+        # baseband record is still made
+        m = MechMode(250e3, q, 5e-11, 300.0)
+        with pytest.raises(ValueError, match=r"needs Q > 1/2, .* got Q = "):
+            synth_brownian(m, 400.0, 10.0, seed=0, center_freq=m.f0)
+        assert synth_brownian(m, 2e6, 1e-3, seed=0).n == 2000
+
     def test_psd_converges_to_target(self):
         # >= 200 averages: the mean estimate over the peak lands within 10%
         m = MechMode(1e3, 50.0, 1e-9, 300.0)
@@ -79,17 +93,43 @@ class TestBrownian:
         ratio = np.mean(spec.psd[band] / thermal_psd(spec.freqs[band], m))
         assert ratio == pytest.approx(1.0, abs=0.10)
 
-    def test_envelope_and_baseband_agree_on_fitted_q(self):
+    # envelope bands of 20 and 100 linewidths either side of the line, at
+    # the same 0.78 Hz resolution: the fit sums the wings the narrow band
+    # folds in (see the next test), which a plain Lorentzian reads 4% high
+    @pytest.mark.parametrize("fs, segment_len", [(400.0, 512),
+                                                 (2000.0, 2560)])
+    def test_envelope_and_baseband_agree_on_fitted_q(self, fs, segment_len):
         from optomech import fit_lorentzian
         m = MechMode(2e3, 200.0, 1e-9, 300.0)
         pk = thermal_psd(m.f0, m)
         base = synth_brownian(m, 16384.0, 600.0, seed=42, noise_floor=1e-4 * pk)
-        env = synth_brownian(m, 400.0, 600.0, seed=43, noise_floor=1e-4 * pk,
+        env = synth_brownian(m, fs, 600.0, seed=43, noise_floor=1e-4 * pk,
                              center_freq=m.f0)
         hint = (m.f0 - 300.0, m.f0 + 300.0)
         qb = fit_lorentzian(welch_psd(base, 16384), hint).params["q"]
-        qe = fit_lorentzian(welch_psd(env, 512), hint).params["q"]
+        qe = fit_lorentzian(welch_psd(env, segment_len), hint).params["q"]
         assert qe == pytest.approx(qb, rel=0.02)
+
+    def test_envelope_spectrum_is_the_aliased_lorentzian(self):
+        # a 10 Hz line in a 400 Hz band: the sampled recursion folds the
+        # line's wings beyond +-fs/2 back into the band, as any record
+        # sampled without an anti-alias filter does.  Summed over all
+        # images the Lorentzian is S(x) = rms**2/fs * sinh(a) / (cosh(a) -
+        # cos(2*pi*x/fs)), a = gamma/(2*fs), which is 2 times thermal_psd
+        # over the outer 50 Hz and 2.47 times at +-fs/2
+        m = MechMode(2e3, 200.0, 1e-9, 300.0)
+        fs = 400.0
+        spec = welch_psd(synth_brownian(m, fs, 600.0, seed=43,
+                                        center_freq=m.f0), 512)
+        x = spec.freqs - m.f0
+        a = m.gamma / (2.0 * fs)
+        aliased = (thermal_rms(m) ** 2 / fs * np.sinh(a)
+                   / (np.cosh(a) - np.cos(2.0 * np.pi * x / fs)))
+        edge, near = np.abs(x) > 150.0, np.abs(x) < 10.0
+        for band in (edge, near):
+            assert np.mean(spec.psd[band] / aliased[band]) == pytest.approx(
+                1.0, abs=0.05)
+        assert np.mean(spec.psd[edge] / thermal_psd(spec.freqs[edge], m)) > 1.8
 
     def test_no_dc_drift(self):
         m = MechMode(1e3, 50.0, 1e-9, 300.0)
@@ -98,14 +138,28 @@ class TestBrownian:
 
 
 # record lengths that end a chunk early, late or on its edge, span several
-# chunks, or are prime (pocketfft's Bluestein path, 131,101 > _CHUNK)
+# chunks, or are prime
 _CHUNK_EDGE_LENGTHS = [2, 3, _synth._CHUNK - 1, _synth._CHUNK + 1,
                        2 * _synth._CHUNK, 3 * _synth._CHUNK + 7, 131_101]
 
+# the streamed recursion sums each run with one cumsum, the reference loops
+# sample by sample: they agree to this fraction of the record's rms
+_RECURSION_RTOL = 1e-10
+
+
+def _close_to_recursion(rec, ref):
+    ts = _io.read_whole(rec)
+    assert ts.n == ref.n and ts.values.dtype == ref.values.dtype
+    assert (ts.sample_rate, ts.t0, ts.calibration, ts.center_freq,
+            ts.warnings) == (ref.sample_rate, ref.t0, ref.calibration,
+                             ref.center_freq, ref.warnings)
+    rms = np.sqrt(np.mean(np.abs(ref.values) ** 2))
+    assert np.max(np.abs(ts.values - ref.values)) <= _RECURSION_RTOL * rms
+
 
 class TestChunkedEnvelopeBrownian:
-    """The in-place envelope synthesis equals the whole-array one bit for
-    bit, and holds little more than its record."""
+    """The streamed envelope recursion equals one sequential loop over the
+    whole record, and holds a few chunks at any record length."""
 
     INNER = MechMode(250e3, 418000.0, 5e-11, 300.0)
 
@@ -113,26 +167,108 @@ class TestChunkedEnvelopeBrownian:
     @pytest.mark.parametrize("n", _CHUNK_EDGE_LENGTHS)
     def test_matches_full_array_reference(self, n, noise_floor):
         fs = 400.0
-        ts = synth_brownian(self.INNER, fs, n / fs, 17, noise_floor,
-                            center_freq=self.INNER.f0)
-        ref = full_array_envelope_brownian(self.INNER, fs, n / fs, 17,
-                                           noise_floor)
-        assert ts.n == n and ts.values.dtype == ref.values.dtype
-        _same_series(ts, ref)
-        assert ts.center_freq == ref.center_freq
-        assert ts.warnings == ref.warnings
+        rec = synth_brownian(self.INNER, fs, n / fs, 17, noise_floor,
+                             center_freq=self.INNER.f0)
+        assert isinstance(rec, _synth.BlockSeries) and rec.n == n
+        _close_to_recursion(rec, sequential_envelope_brownian(
+            self.INNER, fs, n / fs, 17, noise_floor))
 
-    def test_memory_is_about_the_record(self):
-        n = 1 << 21
+    # runs of one sample (Q near 1/2), of 68 samples, and of a whole chunk
+    # (no decay to bound); chunks of 1000 samples cut rows short
+    @pytest.mark.parametrize("chunk", [1 << 17, 1000])
+    @pytest.mark.parametrize("q", [0.6, 33000.0, 1e12])
+    def test_matches_reference_at_every_run_length(self, monkeypatch, q,
+                                                   chunk):
+        monkeypatch.setattr(_synth, "_CHUNK", chunk)
+        m = MechMode(250e3, q, 5e-11, 300.0)
+        n = 2 * (1 << 17) + 5
+        rec = synth_brownian(m, 400.0, n / 400.0, 4, 1e-27, center_freq=m.f0)
+        _close_to_recursion(rec, sequential_envelope_brownian(
+            m, 400.0, n / 400.0, 4, 1e-27))
+
+    def test_streamed_memory_is_a_few_chunks(self):
+        n = 1 << 21                 # a 33.5 MB record
         tracemalloc.start()
         try:
-            ts = synth_brownian(self.INNER, 400.0, n / 400.0, 0,
-                                center_freq=self.INNER.f0)
+            rec = synth_brownian(self.INNER, 400.0, n / 400.0, 0, 1e-26,
+                                 center_freq=self.INNER.f0)
+            with contextlib.closing(rec.blocks()) as blocks:
+                total = sum(block.size for block in blocks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert ts.values.nbytes == 16 * n
-        assert peak <= 1.25 * ts.values.nbytes
+        assert total == n
+        assert peak <= 4 * 16 * _synth._CHUNK
+
+
+class TestEnvelopeVarianceAtEveryLength:
+    """The band-centered record has the thermal mean square at every record
+    length, from far shorter than the mode's 1/gamma to far longer: its
+    physical signal Re[z*exp(2j*pi*fc*t)] has mean square |z|**2/2, which
+    over 200 seeds matches thermal_rms**2 + noise_floor*fs within 4
+    standard errors.  A record shaped in the frequency domain cannot: at
+    0.01/gamma one bin near the line carries the variance."""
+
+    FS = 400.0
+    # 1/gamma = 2.5 s, 1,000 samples
+    MODE = MechMode(250e3, 2.0 * np.pi * 250e3 * 2.5, 5e-11, 300.0)
+    SEEDS = range(200)
+
+    def _assert_thermal(self, gamma_t, noise_floor, part):
+        """Over the seeds, the mean of |z[part]|**2/2 over thermal_rms**2 +
+        noise_floor*fs is 1 within 4 standard errors."""
+        m = self.MODE
+        target = thermal_rms(m) ** 2 + noise_floor * self.FS
+        ratios = np.array([np.mean(np.abs(_io.read_whole(synth_brownian(
+            m, self.FS, gamma_t / m.gamma, seed, noise_floor,
+            center_freq=m.f0)).values[part]) ** 2) / 2.0 / target
+            for seed in self.SEEDS])
+        se = ratios.std(ddof=1) / np.sqrt(ratios.size)
+        assert abs(ratios.mean() - 1.0) <= 4.0 * se, (ratios.mean(), se)
+
+    @pytest.mark.parametrize("noise_floor", [0.0, 1e-25])
+    @pytest.mark.parametrize("gamma_t", [0.01, 1.0, 10.0])
+    def test_mean_square_over_seeds(self, gamma_t, noise_floor):
+        self._assert_thermal(gamma_t, noise_floor, slice(None))
+
+    @pytest.mark.parametrize("noise_floor", [0.0, 1e-25])
+    def test_first_sample_is_stationary(self, noise_floor):
+        self._assert_thermal(0.01, noise_floor, slice(0, 1))
+
+
+class TestChunkedBasebandBrownian:
+    """The baseband half spectrum, built in place a chunk at a time, gives
+    the bits of the whole-array expression, and holds only itself, the
+    record and chunk temporaries."""
+
+    OUTER = MechMode(2.5e3, 1e5, 1e-7, 300.0)
+
+    # n odd and even, with n//2 + 1 bins just under, on and across one and
+    # two chunk edges
+    @pytest.mark.parametrize("noise_floor", [0.0, 1e-26])
+    @pytest.mark.parametrize("n", [
+        2, 3, 2 * _synth._CHUNK - 4, 2 * _synth._CHUNK - 3,
+        2 * _synth._CHUNK - 2, 2 * _synth._CHUNK - 1, 2 * _synth._CHUNK,
+        2 * _synth._CHUNK + 1, 4 * _synth._CHUNK - 2, 4 * _synth._CHUNK + 7])
+    def test_matches_whole_array_expression(self, n, noise_floor):
+        fs = 10e6
+        ts = synth_brownian(self.OUTER, fs, n / fs, 5, noise_floor)
+        ref = whole_array_baseband_brownian(self.OUTER, fs, n / fs, 5,
+                                            noise_floor)
+        assert ts.n == n and ts.values.dtype == ref.dtype
+        assert ts.values.tobytes() == ref.tobytes()
+
+    def test_spectrum_build_memory(self):
+        n = 1 << 21
+        tracemalloc.start()
+        try:
+            ts = synth_brownian(self.OUTER, 10e6, n / 10e6, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the half spectrum and the record, 8n bytes each, and a few chunks
+        # (pocketfft's own scratch is not traced)
+        assert peak <= 2 * ts.values.nbytes + 4 * 8 * _synth._CHUNK
 
 
 class TestOpticalRingdown:
