@@ -6,14 +6,16 @@ cavity detuning, the detector sees the fringe level, and the controller
 moves an ideal zero-order-hold actuator that subtracts from the detuning.
 Only the controller state (actuator, integrator, previous error,
 saturation count) lives in the per-step Python loop, which reads the
-motion as Python floats one chunk at a time and records the actuator
-through a memoryview of a float array; the error signal and detuning are
-then derived from the actuator record with numpy in the loop's own
-operation order, so each element has the bits of the per-step value.  The
-open-loop reference (all gains zero) holds the actuator constant, needs no
-loop, and is evaluated only over the last 20% of the run that its rms
-values read.  The cooling operations are
-algebraic (linearised optomechanics), not dynamical.
+motion as Python floats one chunk at a time and stores the chunk's
+actuator values in one slice assignment.  The lock holds two records, the
+motion and the actuator: the error signal and detuning are BlockSeries
+that derive each chunk from those two with numpy, in the loop's own
+operation order, whenever they are read, so each element has the bits of
+the per-step value.  The rms values read only the last 20% of the run: the
+open-loop reference (all gains zero) holds the actuator constant and needs
+no loop, and both it and the closed loop are evaluated over that tail
+alone.  The cooling operations are algebraic (linearised optomechanics),
+not dynamical.
 """
 
 import math
@@ -23,7 +25,8 @@ import numpy as np
 
 from .cavity import Cavity, fringe_response
 from .mech import MechMode, NestedModel
-from .synth import TimeSeries, _chunks, synth_brownian
+from .synth import (BlockSeries, TimeSeries, _all_finite, _chunks,
+                    synth_brownian)
 
 
 @dataclass(frozen=True)
@@ -65,9 +68,9 @@ class CoolingConfig:
 
 @dataclass
 class LockResult:
-    error_signal: TimeSeries
+    error_signal: BlockSeries
     actuator: TimeSeries
-    detuning: TimeSeries
+    detuning: BlockSeries
     lock_acquired: bool
     saturation_fraction: float
     open_loop_error_rms: float
@@ -85,27 +88,39 @@ def _tail_start(n):
     return int(round(n * (1.0 - _TAIL_FRAC)))
 
 
-def _tail_std(arr):
-    return float(np.std(arr[_tail_start(arr.size):]))
-
-
-def _fringe_error(x, us, bias, hz_per_m, lw, setpoint):
-    """Error signal and detuning (Hz) for motion x under actuator us.
-
-    Evaluated element-wise in the loop's scalar order, bias +
-    hz_per_m*(x-u), then 2*delta/lw, then 1/(1+r*r) - setpoint, so every
-    element has the bits the loop computed for that step.
-    """
+def _detuning(x, us, bias, hz_per_m):
+    """Detuning (Hz) for motion x under actuator us (an array or a float),
+    bias + hz_per_m*(x-u) in the loop's scalar order, so every element has
+    the bits the loop computed for that step."""
     dets = x - us
     dets *= hz_per_m
     dets += bias
+    return dets
+
+
+def _fringe_error(dets, lw, setpoint):
+    """Error signal at detunings dets, 2*delta/lw, then 1/(1+r*r) -
+    setpoint, element-wise in the loop's scalar order, as a new array."""
     errs = dets * 2.0
     errs /= lw
     errs *= errs
     errs += 1.0
     np.divide(1.0, errs, out=errs)
     errs -= setpoint
-    return errs, dets
+    return errs
+
+
+def _derived(fs, n, block):
+    """A record that blocks() evaluates as block(start, stop), a _CHUNK at a
+    time, and rejects as TimeSeries does if a block is not finite."""
+    def blocks():
+        for start, stop in _chunks(n):
+            values = block(start, stop)
+            if not _all_finite(values):
+                raise ValueError("TimeSeries values must be finite")
+            yield values
+
+    return BlockSeries(fs, 0.0, n, float, blocks)
 
 
 def simulate_lock(model: NestedModel, cav: Cavity, cfg: LockConfig,
@@ -124,16 +139,17 @@ def simulate_lock(model: NestedModel, cav: Cavity, cfg: LockConfig,
         raise ValueError("loop_rate must be >= 20*outer.f0")
     fs = cfg.loop_rate
     dt = 1.0 / fs
-    motion = synth_brownian(outer, fs, duration, seed)
-    n = motion.n
+    x = synth_brownian(outer, fs, duration, seed).values
+    n = x.size
 
     hz_per_m = cav.hz_per_m
     lw = cav.linewidth_fwhm
     bias = cfg.detuning_bias
     setpoint = float(fringe_response(bias, cav))   # the level at the bias
 
-    u_init = float(motion.values[0])
+    u_init = float(x[0])
     rng_range = cfg.actuator_range
+    neg_range = -rng_range
     kp, ki, kd = cfg.kp, cfg.ki, cfg.kd
 
     # The open-loop reference, over the tail its rms values read only (it
@@ -141,47 +157,51 @@ def simulate_lock(model: NestedModel, cav: Cavity, cfg: LockConfig,
     # controller term is +-0.0, so after step 0 the actuator is
     # u_init + 0.0 (which turns -0.0 into 0.0), then clipped.
     tail = _tail_start(n)
-    open_us = np.full(n - tail, min(max(u_init + 0.0, -rng_range), rng_range))
-    open_errs, open_dets = _fringe_error(motion.values[tail:], open_us, bias,
-                                         hz_per_m, lw, setpoint)
-    del open_us
+    open_u = min(max(u_init + 0.0, neg_range), rng_range)
+    dets = _detuning(x[tail:], open_u, bias, hz_per_m)
+    open_rms = float(np.std(_fringe_error(dets, lw, setpoint)))
+    open_det_rms = float(np.std(dets))
+    del dets
 
     us = np.empty(n)
-    buf = us.data    # a memoryview stores a float far faster than us[i] = u
     u = u_init
     integ = 0.0
     e_prev = 0.0
     n_sat = 0
     for start, stop in _chunks(n):   # a list of Python floats per chunk
-        for i, xi in enumerate(motion.values[start:stop].tolist(), start):
+        chunk = []
+        put = chunk.append
+        for xi in x[start:stop].tolist():
             r = 2.0 * (bias + hz_per_m * (xi - u)) / lw
             e = 1.0 / (1.0 + r * r) - setpoint
-            buf[i] = u
+            put(u)
             integ += ki * e * dt
             u = u_init + kp * e + integ + kd * (e - e_prev) / dt
             e_prev = e
             if u > rng_range:
                 u = rng_range
                 n_sat += 1
-            elif u < -rng_range:
-                u = -rng_range
+            elif u < neg_range:
+                u = neg_range
                 n_sat += 1
-    del buf
-    errs, dets = _fringe_error(motion.values, us, bias, hz_per_m, lw,
-                               setpoint)
+        us[start:stop] = chunk
+        del chunk
 
-    open_rms = float(np.std(open_errs))
-    closed_rms = _tail_std(errs)
+    det = lambda a, b: _detuning(x[a:b], us[a:b], bias, hz_per_m)
+    err = lambda a, b: _fringe_error(det(a, b), lw, setpoint)
+    dets = det(tail, n)
+    closed_rms = float(np.std(_fringe_error(dets, lw, setpoint)))
     sat_frac = n_sat / n
     acquired = closed_rms <= 0.1 * open_rms and sat_frac <= 0.01
 
-    mk = lambda arr: TimeSeries(fs, 0.0, arr, calibration=1.0)
     return LockResult(
-        error_signal=mk(errs), actuator=mk(us), detuning=mk(dets),
+        error_signal=_derived(fs, n, err),
+        actuator=TimeSeries(fs, 0.0, us, calibration=1.0),
+        detuning=_derived(fs, n, det),
         lock_acquired=acquired, saturation_fraction=sat_frac,
         open_loop_error_rms=open_rms, closed_loop_error_rms=closed_rms,
-        open_loop_detuning_rms=float(np.std(open_dets)),
-        closed_loop_detuning_rms=_tail_std(dets),
+        open_loop_detuning_rms=open_det_rms,
+        closed_loop_detuning_rms=float(np.std(dets)),
     )
 
 

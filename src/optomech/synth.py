@@ -20,8 +20,9 @@ demodulate_envelope cuts the blocks of any record into runs of whole
 demodulation blocks, so the ringdown, its envelope and either written
 record (io.write_timeseries) each take a few MB at any record length.
 The baseband Brownian record (the lock's motion) is one irfft of a half
-spectrum built in place, _CHUNK bins at a time (_baseband_values): the
-spectrum and the record, pocketfft's scratch aside.
+spectrum built in place, _CHUNK bins at a time, its normal draws in one
+reused _CHUNK-sample buffer (_baseband_values): the spectrum and the
+record, pocketfft's scratch aside.
 """
 
 import contextlib
@@ -248,10 +249,13 @@ def _baseband_values(mode: MechMode, sample_rate: float, n: int, seed: int,
 
     The half spectrum is built in place in one complex array, _CHUNK bins
     at a time: amp/2 goes into spec.imag, the a draws times it into
-    spec.real, then the b draws multiply spec.imag.  Chunked draws from one
-    default_rng stream equal one whole draw, and each bin has the bits of
-    (a + 1j*b) * (amp/2) over whole arrays, amp = sqrt(target * fs * n) at
-    np.fft.rfftfreq(n, 1/fs); the DC and Nyquist bins are real, a * amp.
+    spec.real, then the b draws multiply spec.imag.  Both passes draw into
+    one reused _CHUNK-sample buffer, and a chunk's amp is freed before the
+    next one is computed, so the heap that the chunks leave beneath the
+    irfft stays small.  Chunked draws from one default_rng stream equal
+    one whole draw, and each bin has the bits of (a + 1j*b) * (amp/2) over
+    whole arrays, amp = sqrt(target * fs * n) at np.fft.rfftfreq(n, 1/fs);
+    the DC and Nyquist bins are real, a * amp.
     """
     rng = np.random.default_rng(seed)
     m = n // 2 + 1
@@ -268,15 +272,17 @@ def _baseband_values(mode: MechMode, sample_rate: float, n: int, seed: int,
         if stop == m:
             amp_nyquist = amp[-1]
         np.divide(amp, 2.0, out=spec.imag[start:stop])
+        del amp                 # not live beside the next chunk's temporaries
+    draws = np.empty(min(m, _CHUNK))
     for start, stop in _chunks(m):
-        a = rng.standard_normal(stop - start)
+        a = rng.standard_normal(out=draws[:stop - start])
         if start == 0:
             dc = a[0] * amp_dc
         if stop == m:
             nyquist = a[-1] * amp_nyquist
         np.multiply(a, spec.imag[start:stop], out=spec.real[start:stop])
     for start, stop in _chunks(m):
-        spec.imag[start:stop] *= rng.standard_normal(stop - start)
+        spec.imag[start:stop] *= rng.standard_normal(out=draws[:stop - start])
     spec[0] = dc
     if n % 2 == 0:
         spec[-1] = nyquist

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 from optomech import (Cavity, CoolingConfig, LockConfig, MechMode, NestedModel,
                       effective_temperature, fringe_response, linewidth,
                       optical_damping_rate, simulate_lock, synth_brownian)
+from optomech import servo as _servo
 from optomech import synth as _synth
+from optomech.io import read_whole
 from oracles import whole_list_simulate_lock
 
 CAV = Cavity(0.05, 1.064e-6, 181000.0)
@@ -125,14 +128,39 @@ class TestSimulateLock:
         x = synth_brownian(model.outer, 10e6, 0.005, 5).values
         det = bias + (2 * CAV.fsr / CAV.wavelength) * (x - x[0])
         expected = fringe_response(det, CAV) - fringe_response(bias, CAV)
-        assert np.array_equal(res.error_signal.values, expected)
+        assert np.array_equal(read_whole(res.error_signal).values, expected)
 
     def test_deterministic_per_seed(self):
         model, cfg = _lock_setup()
         a = simulate_lock(model, CAV, cfg, 0.004, seed=11)
         b = simulate_lock(model, CAV, cfg, 0.004, seed=11)
-        assert np.array_equal(a.error_signal.values, b.error_signal.values)
+        assert np.array_equal(read_whole(a.error_signal).values,
+                              read_whole(b.error_signal).values)
         assert np.array_equal(a.actuator.values, b.actuator.values)
+
+    def test_derived_records_read_the_same_every_pass(self):
+        # the error signal and detuning are evaluated again on every read
+        model, cfg = _lock_setup()
+        res = simulate_lock(model, CAV, cfg, (2 * _synth._CHUNK + 7) / 10e6,
+                            seed=11)
+        for rec in (res.error_signal, res.detuning):
+            first, second = (b"".join(block.tobytes() for block in rec.blocks())
+                             for _ in range(2))
+            assert len(first) == 8 * rec.n
+            assert first == second
+
+    def test_non_finite_derived_block_raises(self):
+        # an infinite bias leaves the actuator and the error signal finite
+        # (the fringe level is 0 there) but not the detuning: it is rejected
+        # as a TimeSeries rejects it, when it is read
+        model, cfg0 = _lock_setup()
+        cfg = dataclasses.replace(cfg0, detuning_bias=math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = simulate_lock(model, CAV, cfg, 0.001, seed=3)
+            assert np.isfinite(read_whole(res.error_signal).values).all()
+            with pytest.raises(ValueError, match="must be finite"):
+                read_whole(res.detuning)
 
     def test_acquires_and_linearises(self):
         model, cfg = _lock_setup()
@@ -181,7 +209,8 @@ class TestSimulateLockMatchesPerStepLoop:
             ref = whole_list_simulate_lock(model, CAV, cfg, duration, seed)
             res = simulate_lock(model, CAV, cfg, duration, seed)
         for name in ("error_signal", "actuator", "detuning"):
-            got = getattr(res, name).values
+            rec = getattr(res, name)
+            got = rec.values if name == "actuator" else read_whole(rec).values
             assert got.dtype == ref[name].dtype
             assert got.tobytes() == ref[name].tobytes(), name
         assert res.lock_acquired is ref["lock_acquired"]
@@ -246,3 +275,55 @@ class TestSimulateLockMatchesPerStepLoop:
     def test_zero_motion(self):
         # zero motion: the actuator starts at 0.0 and every error term is 0
         self._check(self._cfg(), 0.001, seed=3, temp=0.0)
+
+
+class TestLockMemory:
+    """The lock holds the motion and the actuator, and evaluates the error
+    signal and detuning a chunk at a time when they are read.  Chunks of
+    8,192 samples keep the traced loop to a few seconds."""
+
+    SAMPLES = 1 << 13                           # samples in a chunk
+    N = 16 * SAMPLES + 7
+    CHUNK = 8 * SAMPLES                         # bytes in a float chunk
+
+    @pytest.fixture(autouse=True)
+    def _small_chunks(self, monkeypatch):
+        monkeypatch.setattr(_synth, "_CHUNK", self.SAMPLES)
+
+    def test_lock_holds_two_records(self, monkeypatch):
+        model, cfg = _lock_setup()
+        after_motion = []
+
+        def synth_then_reset_peak(*args):
+            rec = synth_brownian(*args)
+            tracemalloc.reset_peak()
+            after_motion.append(tracemalloc.get_traced_memory()[0])
+            return rec
+
+        monkeypatch.setattr(_servo, "synth_brownian", synth_then_reset_peak)
+        tracemalloc.start()
+        try:
+            res = simulate_lock(model, CAV, cfg, self.N / 10e6, seed=7)
+            peak = tracemalloc.get_traced_memory()[1] - after_motion[0]
+        finally:
+            tracemalloc.stop()
+        assert res.actuator.n == self.N
+        # beyond the motion: the actuator, with either the loop's two lists
+        # of a chunk of Python floats (about 4 chunks each) or the 20% tails
+        # of the error signal and detuning and np.std's work array (about
+        # 10 chunks) beside it, 26 chunks in all.  The bound allows one
+        # record and 12 chunks more; holding the error signal and detuning
+        # whole takes two records more (58 chunks)
+        assert peak <= 2 * 8 * self.N + 12 * self.CHUNK
+
+    def test_reading_the_error_signal_takes_a_few_chunks(self):
+        model, cfg = _lock_setup()
+        res = simulate_lock(model, CAV, cfg, self.N / 10e6, seed=7)
+        tracemalloc.start()
+        try:
+            total = sum(block.size for block in res.error_signal.blocks())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert total == self.N
+        assert peak <= 4 * self.CHUNK
