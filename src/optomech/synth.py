@@ -131,7 +131,8 @@ class TimeSeries:
 class BlockSeries:
     """A uniformly sampled record read in order, one block of samples at a
     time, so that it is never held whole (io.open_timeseries,
-    synth_mech_ringdown, synth_brownian's band-centered record).
+    synth_mech_ringdown, synth_brownian's band-centered record,
+    simulate_lock's error signal and detuning).
 
     blocks() returns a generator of 1-D arrays of dtype that together hold
     the n samples, in order; each block is valid only until the next one is
