@@ -1,35 +1,33 @@
-"""Decimal CSV fields to float64, as ``np.loadtxt`` reads them.
+"""Decimal CSV fields to float64, each the double nearest its decimal.
 
 ``parse_rows`` reads a range of CSV text, rows of ``ncols`` fields ended
-by ',' and '\\n', when every field fits the strict grammar
+by ',' and by '\\n' or '\\r\\n', when every field is a decimal
+``[+-]? d* [. d*] ([eE] [+-]? d+)?`` with a mantissa digit, padded by
+spaces and tabs or not; for any other range it returns None.
 
-    [+-]? d* [. d*] ([eE] [+-]? d{1,3})?
-
-with at least one mantissa digit, 1 to 19 significant digits and at most
-24 bytes.  Such a field is w 10^q with w < 10^19 exact in a uint64, and
-its double is rounded from w and q by the method of Eisel and Lemire
-(Lemire, "Number parsing at a gigabyte per second", Software: Practice
-and Experience 51(8), 2021): the high bits of w times a 128-bit power of
-five.  Mushtak and Lemire ("Fast number parsing without fallback", SPE
-53(6), 2023) prove that this product is always precise enough for such
-w, so no value needs big-number arithmetic.  The 64-bit products are
-formed from 32-bit limbs; the high word is first taken without the carry
-from the low limbs, which can change the result only where the bits
-below it are near all ones or all zeros, and is made exact there.
+The fields of the narrow grammar (unpadded, 1 to 19 significant digits,
+1 to 3 exponent digits, at most 24 bytes or a sign and 24 without one)
+are converted together.  Such a field is w 10^q with w < 10^19 exact in
+a uint64, and its double is rounded from w and q by the method of Eisel
+and Lemire (Lemire, "Number parsing at a gigabyte per second", Software:
+Practice and Experience 51(8), 2021): the high bits of w times a 128-bit
+power of five.  Mushtak and Lemire ("Fast number parsing without
+fallback", SPE 53(6), 2023) prove that this product is always precise
+enough for such w, so no value needs big-number arithmetic.  The 64-bit
+products are formed from 32-bit limbs; the high word is first taken
+without the carry from the low limbs, which can change the result only
+where the bits below it are near all ones or all zeros, and is made
+exact there.
 
 The fields are laid out in three uint64 words each, right-aligned at
-their separator.  Byte classes are read from single bits, eight bytes at
-a time, and packed into 24-bit masks; the digits are turned into a
-number eight at a time with the multiply trick.
+their end.  Byte classes are read from single bits, eight bytes at a
+time, and packed into 24-bit masks; the digits are turned into a number
+eight at a time with the multiply trick.
 
-Inside the grammar, zeros and the values with q below -307 or above 289
-(among them every subnormal and infinite result, and every exponent
-beyond the 10^-342 to 10^308 of the table) are converted with
-``float()``, which rounds as ``np.loadtxt`` does.  A range with any byte
-outside the grammar's alphabet, any field outside the grammar, or
-another shape is not read here at all (``parse_rows`` returns None): the
-caller reads it with ``np.loadtxt``, so that every value stays
-loadtxt's, and names the file line of a row that neither reads.
+Every other field, and the zeros and values with q below -307 or above
+289 (every subnormal and infinite result), is converted with ``float()``,
+which rounds correctly too; a field that it does not read declines the
+range.
 
 The 651 rows of 128-bit powers of five and the other tables are built
 from exact Python integers on first use, not at import.
@@ -40,11 +38,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-_FIELD_BYTES = 24          # the longest field the kernel reads
+_FIELD_BYTES = 24          # the window of a field, its last bytes
 _MIN_Q, _MAX_Q = -342, 308  # decimal exponents of the power-of-five rows
 _BLOCK_FIELDS = 1 << 13   # fields converted at a time, kept in cache
-# the bytes a range may hold; others send it to np.loadtxt
-_ALPHABET = b"0123456789.eE+-,\n"
+# the bytes a range may hold: the fields', their padding, the separators
+# and a CR before a newline; any other declines it
+_ALPHABET = b"0123456789.eE+-,\n\r \t"
 _U = np.uint64
 _M32 = _U(0xFFFFFFFF)
 # bit b of each byte of a word: (word & plane) * (_PACK >> b) >> 56 is
@@ -191,16 +190,22 @@ def _eisel_lemire(w, q, t):
     return (power2 << _U(52)) + mantissa
 
 
-def _classes(words, length, t):
+def _classes(words, length, before, padded, t):
     """(mantissa digits, exponent digits, '.', '-', 'e') masks of fields of
-    ``length`` bytes right-aligned in the (3, n) uint64 ``words``, the
-    'e' mask 2^24 without one; None if a field is outside the grammar.
+    ``length`` bytes whose last 24 are right-aligned in the (3, n) uint64
+    ``words``, the 'e' mask 2^24 without one, and the masks of the
+    negative fields and of those outside the narrow grammar, left to
+    float().  ``before`` is the byte before each field's last 24, None if
+    no field is longer; ``padded``, whether a field may hold a pad.
 
-    Only the alphabet's bytes may occur, so one bit tells each class
-    apart: bit 4 is set in digits alone, bit 6 in 'e' and 'E'; of '.', '+'
-    and '-' (0x2E, 0x2B, 0x2D) only '.' has bit 0 clear and only '-' bit
-    1."""
+    One bit tells each class of the fields' bytes apart: bit 4 is set in
+    digits alone, bit 6 in 'e' and 'E'; of '.', '+' and '-' (0x2E, 0x2B,
+    0x2D) only '.' has bit 0 clear and only '-' bit 1, and only they have
+    both bits 3 and 5, which a space (0x20) or a tab (0x09) lacks."""
+    if before is not None:
+        length, full = np.minimum(length, _FIELD_BYTES), length
     field = np.take(t.field, length)
+    first = np.take(t.first, length)
     scratch = np.empty_like(words)
     digits = _plane(words, 4, scratch) & field
     exp = _plane(words, 6, scratch) & field
@@ -216,18 +221,31 @@ def _classes(words, length, t):
     exp_digits = digits & ~mant
     n_exp = _popcount(exp_digits)
     # one 'e' and one '.' at most, the point in the mantissa, signs first
-    # and after the 'e', 1 to 3 exponent digits after an 'e'
+    # and after the 'e', no space or tab, a mantissa digit, 1 to 3
+    # exponent digits after an 'e'
     bad = ((exp & (exp - 1)) | (dot & (dot - 1)) | (dot & ~mant)
-           | (sign & ~(np.take(t.first, length) | (e << 1))))
-    if (bad.any() or not mant_digits.all() or (n_exp > 3).any()
-            or ((n_exp == 0) & (exp != 0)).any()):
-        return None
-    return mant_digits, exp_digits, dot, minus, e
+           | (sign & ~(first | (e << 1))))
+    if padded:
+        bad |= other & ~(_plane(words, 3, scratch)
+                         & _plane(words, 5, scratch))
+    left = ((bad != 0) | (mant_digits == 0) | (n_exp > 3)
+            | ((n_exp == 0) & (exp != 0)))
+    negative = (minus & first) != 0
+    if before is not None:
+        # a sign before 24 bytes without one (a negative '%.18e') is the
+        # field's; any other longer field is left
+        signed = ((full == _FIELD_BYTES + 1) & ((sign & first) == 0)
+                  & np.isin(before, (43, 45)))
+        left |= (full > _FIELD_BYTES) & ~signed
+        negative |= signed & (before == 45)
+    # no 'e' keeps the point's shift, and each table index, in range
+    e[left] = 1 << 24
+    return mant_digits, exp_digits, dot, minus, e, negative, left
 
 
 def _mantissa(words, mant_digits, dot, e, t):
-    """w, the mantissa's digits as an integer, with ``words`` overwritten;
-    None if it has more than 19 significant digits."""
+    """w, the mantissa's digits as an integer, with ``words`` overwritten,
+    and the mask of those with more than 19 significant digits."""
     # the digits right-aligned at byte 23: the words moved up past the
     # exponent, then the bytes up to the point's up by one byte more
     tail = 24 - _popcount(e - 1)
@@ -243,9 +261,8 @@ def _mantissa(words, mant_digits, dot, e, t):
         up[k] ^= (up[k] ^ moved[k]) & np.take(t.below[k], below_point)
         up[k] &= np.take(t.top_digits[k], n_digits)
     groups = _eight_digits(up)
-    if (groups[0] >= _U(1000)).any():
-        return None
-    return groups[0] * _U(10 ** 16) + groups[1] * _U(10 ** 8) + groups[2]
+    return (groups[0] * _U(10 ** 16) + groups[1] * _U(10 ** 8) + groups[2],
+            groups[0] >= _U(1000))
 
 
 def _exponent(last, exp_digits, minus, e, mant_digits, dot):
@@ -260,27 +277,23 @@ def _exponent(last, exp_digits, minus, e, mant_digits, dot):
     return e10 - _popcount(mant_digits & -(dot << 1))
 
 
-def _convert(words, length, t):
-    """float64 bit patterns of fields of ``length`` bytes right-aligned in
-    the (3, n) uint64 ``words``, which it overwrites, and the mask of
-    those left to float(); None if a field is outside the grammar.  Each
-    step's work arrays go with it, so that a block's stay few."""
-    classes = _classes(words, length, t)
-    if classes is None:
-        return None
-    mant_digits, exp_digits, dot, minus, e = classes
+def _convert(words, length, before, padded, t):
+    """float64 bit patterns of fields of ``length`` bytes whose last 24 are
+    right-aligned in the (3, n) uint64 ``words``, which it overwrites, and
+    the mask of those left to float(); ``before`` and ``padded`` as
+    ``_classes`` takes them.  Each step's work arrays go with it, so that
+    a block's stay few."""
+    mant_digits, exp_digits, dot, minus, e, negative, left = _classes(
+        words, length, before, padded, t)
     q = _exponent(words[2], exp_digits, minus, e, mant_digits, dot)
-    w = _mantissa(words, mant_digits, dot, e, t)
-    if w is None:
-        return None
+    w, long = _mantissa(words, mant_digits, dot, e, t)
     # zeros, and values that may be subnormal or beyond the doubles
-    special = (w == 0) | (q < -307) | (q > 289)
+    special = left | long | (w == 0) | (q < -307) | (q > 289)
     if special.any():
         w = np.where(special, _U(1), w)
         q = np.where(special, 0, q)
     bits = _eisel_lemire(w, q, t)
-    first = np.take(t.first, length)
-    bits |= ((minus & first) != 0).astype(np.uint64) << _U(63)
+    bits |= negative.astype(np.uint64) << _U(63)
     return bits, special
 
 
@@ -288,26 +301,37 @@ def parse_rows(buf, rows, ncols):
     """The (rows, ncols) float64 values of the text in the bytearray
     ``buf`` after ``PAD`` and before its last byte, which it overwrites:
     ``rows`` lines of ``ncols`` fields each, ',' between the fields of a
-    line and '\\n' after each line (the last line's may be missing).
-    None if the text has another shape or a field outside the grammar."""
+    line and '\\n' or '\\r\\n' after each (the last line's may be
+    missing); None for other text."""
     n = rows * ncols
     buf[-1] = 10                  # a final newline if the text lacks one
     if not n or buf.translate(None, _ALPHABET):
         return None
+    crs = b"\r" in buf
+    padded = b" " in buf or b"\t" in buf
     text = np.frombuffer(buf, np.uint8, count=len(buf) - (buf[-2] == 10))
-    ends = np.flatnonzero(text <= 44)          # ',' and '\n', and '+'
-    if buf.find(b"+", _FIELD_BYTES) >= 0:
-        ends = ends[np.take(text, ends) != 43]
+    ends = np.flatnonzero(text <= 44)  # ',' and '\n', and '+', CR and pads
+    if crs or padded or buf.find(b"+", _FIELD_BYTES) >= 0:
+        kinds = np.take(text, ends)
+        # a CR ends a line with the newline after it; any other, also one
+        # before the newline appended above, declines the range
+        if crs and (buf[-2] == 13
+                    or (np.take(text, ends[kinds == 13] + 1) != 10).any()):
+            return None
+        ends = ends[(kinds == 44) | (kinds == 10)]
     if ends.size != n:
         return None
     kinds = np.take(text, ends).reshape(rows, ncols)
     if (kinds[:, :-1] != 44).any() or (kinds[:, -1] != 10).any():
         return None
+    # a field ends at its separator, or at the CR before its newline
+    stop = ends - (np.take(text, ends - 1) == 13) if crs else ends
     length = np.empty_like(ends)
-    length[0] = ends[0] - _FIELD_BYTES
-    np.subtract(ends[1:], ends[:-1] + 1, out=length[1:])
-    if length.min() < 1 or length.max() > _FIELD_BYTES:
+    length[0] = stop[0] - _FIELD_BYTES
+    np.subtract(stop[1:], ends[:-1] + 1, out=length[1:])
+    if length.min() < 1:
         return None
+    longer = length.max() > _FIELD_BYTES
     t = _tables()
     window = np.ndarray((text.size - _FIELD_BYTES + 1,),
                         dtype=np.dtype((np.void, _FIELD_BYTES)),
@@ -316,17 +340,20 @@ def parse_rows(buf, rows, ncols):
     left = []
     for i in range(0, n, _BLOCK_FIELDS):
         block = slice(i, i + _BLOCK_FIELDS)
-        words = window[ends[block] - _FIELD_BYTES].view(np.uint64)
-        got = _convert(np.ascontiguousarray(words.reshape(-1, 3).T),
-                       length[block], t)
-        if got is None:
-            return None
-        values[block] = got[0].view(np.float64)
-        left.append(np.flatnonzero(got[1]) + i)
+        words = window[stop[block] - _FIELD_BYTES].view(np.uint64)
+        before = (np.take(text, stop[block] - (_FIELD_BYTES + 1)) if longer
+                  else None)
+        bits, special = _convert(
+            np.ascontiguousarray(words.reshape(-1, 3).T), length[block],
+            before, padded, t)
+        values[block] = bits.view(np.float64)
+        left.append(np.flatnonzero(special) + i)
     left = np.concatenate(left)
-    if left.size:
-        stop = ends[left]
-        start = stop - length[left]
+    end = stop[left]
+    start = end - length[left]
+    try:
         values[left] = [float(buf[a:b])
-                        for a, b in zip(start.tolist(), stop.tolist())]
+                        for a, b in zip(start.tolist(), end.tolist())]
+    except ValueError:
+        return None
     return values.reshape(rows, ncols)

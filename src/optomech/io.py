@@ -27,13 +27,12 @@ Writers read a TimeSeries or BlockSeries one block at a time and format
 CSV rows in fixed chunks, so a streamed record is never held whole.  A CSV
 body holds one row per line (_CsvBody).  Readers cut it at newlines into
 ranges of about a MiB and parse a range at a time with _parse.parse_rows,
-which gives the bits of np.loadtxt(fh, delimiter=","), or with that
-np.loadtxt call where a field lies outside the kernel's grammar.  A body
-of another shape is malformed, and its error names the offending line.
+which reads each decimal field to the double nearest it.  A body of
+another shape, or with a field that is no decimal, is malformed, and its
+error names the offending line.
 """
 
 import contextlib
-import io
 import json
 import os
 import struct
@@ -171,10 +170,6 @@ def _read_header(path, magic, kind):
         return meta, warnings, line.strip(), fh.tell()
 
 
-def _parse_rows(fh):
-    return np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
-
-
 def _scan_ranges(path, offset):
     """The body after byte ``offset`` cut at newlines into ranges of about
     ``_RANGE_BYTES``, as ``(start, stop, line, rows)``: the bytes ``[start,
@@ -229,31 +224,8 @@ def _drop_final_empty_lines(fh, ranges):
     return []
 
 
-def _range_rows(buf, rows, ncols):
-    """The (rows, ncols) values of a range of a CSV body, the text of the
-    bytearray ``buf`` after ``PAD`` but for its last byte: parsed by
-    ``parse_rows``, or by ``np.loadtxt`` where a field lies outside the
-    kernel's grammar; None unless each of its lines is one row of
-    ``ncols`` values."""
-    part = parse_rows(buf, rows, ncols)
-    # neither an empty first line, which loadtxt would skip (and warn if no
-    # row followed), nor a final CR, which it would take for a line end, is
-    # a row
-    if part is None and not (buf.startswith((b"\n", b"\r\n"), len(PAD))
-                             or buf.endswith(b"\r", 0, -1)):
-        text = memoryview(buf)[len(PAD):-1]
-        try:
-            part = _parse_rows(io.TextIOWrapper(
-                io.BytesIO(text), encoding="utf-8", newline="\n"))
-        except ValueError:
-            return None
-        if part.shape != (rows, ncols):
-            return None
-    return part
-
-
 def _bad_line(buf, line, rows, ncols):
-    """The ValueError for a range that ``_range_rows`` rejects, ``buf`` as
+    """The ValueError for a range that ``parse_rows`` rejects, ``buf`` as
     it takes it, whose first line is line ``line`` of the file: it names
     the first of the range's lines that is not a row.  A prefix of the
     range's lines parses exactly when each of its lines does, so that line
@@ -265,12 +237,13 @@ def _bad_line(buf, line, rows, ncols):
     while bad - good > 1:
         mid = (good + bad) // 2
         prefix = bytearray(PAD) + text[:ends[mid - 1]] + b"\0"
-        if _range_rows(prefix, mid, ncols) is None:
+        if parse_rows(prefix, mid, ncols) is None:
             bad = mid
         else:
             good = mid
     got = text[ends[bad - 2] if bad > 1 else 0:ends[bad - 1]]
-    got = got.removesuffix(b"\n").decode("utf-8", "replace")
+    got = got[:-2] if got.endswith(b"\r\n") else got.removesuffix(b"\n")
+    got = got.decode("utf-8", "replace")
     return ValueError(f"line {line + bad - 1}: expected {ncols} value(s) "
                       f"per row, got {got[:40]!r}"
                       + ("..." if len(got) > 40 else ""))
@@ -278,16 +251,15 @@ def _bad_line(buf, line, rows, ncols):
 
 class _CsvBody:
     """The rows after byte ``offset`` of a CSV file: one row of ``ncols``
-    comma-separated values per line, each line ended by LF or CRLF but the
-    last, whose end may be missing, and empty lines allowed after the last
-    row only.
+    comma-separated decimals per line, each line ended by LF or CRLF but
+    the last, whose end may be missing, and empty lines allowed after the
+    last row only.
 
     The body is cut into ranges (``_scan_ranges``), each read into one
-    reused buffer, parsed with the bits of ``np.loadtxt(fh, delimiter=",")``
-    (``_range_rows``) and handed over in order (``blocks``), so it is never
-    held whole.  A range that does not parse ends the iteration with a
-    ValueError that names the file line of the body's first line that is
-    not a row (``_bad_line``).
+    reused buffer, parsed (``parse_rows``) and handed over in order
+    (``blocks``), so it is never held whole.  A range that does not parse
+    ends the iteration with a ValueError that names the file line of the
+    body's first line that is not a row (``_bad_line``).
     """
 
     def __init__(self, path, offset, ncols):
@@ -310,7 +282,7 @@ class _CsvBody:
                 fh.seek(start)
                 if fh.readinto(memoryview(buf)[len(PAD):-1]) != stop - start:
                     raise ValueError("the rows changed while being read")
-                part = _range_rows(buf, rows, self.ncols)
+                part = parse_rows(buf, rows, self.ncols)
                 if part is None:
                     raise _bad_line(buf, line, rows, self.ncols)
                 yield part

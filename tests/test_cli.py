@@ -1115,7 +1115,7 @@ class TestExitCodes:
     ], ids=["timeseries", "drive-record"])
     def test_empty_csv_body_is_io_error_without_a_warning(
             self, tmp_path, capfd, body, kind, header, quantity):
-        # no np.loadtxt call, so no "input contained no data" on stderr
+        # no rows are parsed, so stderr holds the error line alone
         path = tmp_path / "rec.csv"
         magic = kind.replace("-", "").encode()
         path.write_bytes(b"# optomech_" + magic + b" v1\n" + header + body)
@@ -1375,11 +1375,13 @@ class TestStreamedAnalysis:
     @pytest.mark.parametrize("field, rc", [
         (" 1.0e-12", EXIT_OK), ("1_0", EXIT_IO), ("nan", EXIT_IO),
         ("0x1p3", EXIT_IO), ("1.23456789012345678901234567890e-12", EXIT_OK),
+        ("-1.088363103968046742e-11", EXIT_OK), ("\t-2.5e-12\t", EXIT_OK),
     ])
     def test_fields_outside_the_grammar_read_like_loadtxt(
             self, tmp_path, streamed_record, field, rc):
-        # one real part mid-file, in a middle range: the range is read by
-        # np.loadtxt, with its values or the whole body's error
+        # one real part mid-file, in a middle range: a decimal outside the
+        # narrow grammar is read with float(), to np.loadtxt's values, and
+        # any other field is the body's error
         cfg, d, _ = streamed_record
         text = (d / "brownian.csv").read_bytes()
         row = text.index(b"\n", len(text) // 2) + 1

@@ -152,6 +152,31 @@ def test_no_blas_products(path):
     assert not found, found
 
 
+# numpy's text readers, a second CSV parser with rules of its own
+_TEXT_READERS = {"loadtxt", "genfromtxt"}
+
+
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_one_csv_parser(path):
+    # every CSV body is read by _parse.parse_rows, whose rules are the
+    # package's own; no module names another text reader
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name.rpartition(".")[2]
+        else:
+            continue
+        if name in _TEXT_READERS:
+            found.append((node.lineno, name))
+    assert not found, found
+
+
 _PROCESS_MODULES = {"multiprocessing", "concurrent", "threading",
                     "subprocess"}
 # nothing may start a process, or size its work by the CPUs it may use

@@ -1,5 +1,5 @@
-"""The CSV parse kernel gives the bits np.loadtxt gives, for every field of
-its grammar, and declines every other text so that np.loadtxt reads it."""
+"""The CSV parse kernel reads every body np.loadtxt reads, to its bits, and
+declines every body np.loadtxt declines."""
 
 import io
 import os
@@ -14,13 +14,31 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from optomech import _parse
-from optomech import io as omio
 from optomech._shortest import csv_text
 
 
 def _loadtxt(text, ncols):
     return np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2).reshape(
         -1, ncols)
+
+
+def _rows(text):
+    return text.count("\n") + (not text.endswith("\n"))
+
+
+def _loadtxt_or_none(text, ncols):
+    """np.loadtxt's values of a body of one row per line, or None where it
+    declines it.  loadtxt skips an empty first line and ends a line at a
+    final CR, so such a body is no row per line and is None too."""
+    if text.startswith(("\n", "\r\n")) or text.endswith("\r"):
+        return None
+    try:
+        got = np.loadtxt(io.TextIOWrapper(io.BytesIO(text.encode()),
+                                          newline="\n"),
+                         delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        return None
+    return got if got.shape == (_rows(text), ncols) else None
 
 
 def _padded(text):
@@ -30,8 +48,7 @@ def _padded(text):
 
 
 def _kernel(text, ncols):
-    rows = text.count("\n") + (not text.endswith("\n"))
-    return _parse.parse_rows(_padded(text), rows, ncols)
+    return _parse.parse_rows(_padded(text), _rows(text), ncols)
 
 
 def _same_bits(a, b):
@@ -98,37 +115,67 @@ class TestSpellings:
         # would be subnormal or infinite: converted with float()
         ["1e-400", "-1e-400", "1e400", "-1e400", "1e-320", "123e-330",
          "2e308", "1e-342", "1e-343", "1e308", "1e309"],
+        # outside the narrow grammar: more than 19 significant digits, more
+        # than 24 bytes, padding, 4 exponent digits, all through float()
+        ["12345678901234567890", "1.2345678901234567890e-5",
+         "1234567890123456789012345", "0.000000000000000000000000001",
+         " 1.0", "1.0 ", "\t-2.5e-3", "2.5\t", " \t+.5e1 \t", " 10", "\t10",
+         "1e1234", "-1e-0400", "1e0000000000000000000000005"],
+        # np.savetxt's '%.18e': a sign before 24 bytes, read from those 24
+        ["-1.088363103968046742e-11", "+1.088363103968046742e-11",
+         "-0.000000000000000000e+00", "-9.999999999999999999e+99",
+         "-4.940656458412465442e-324", "-1.797693134862315708e+308",
+         "-1234567890123456789012.5", "-000000000000000000001e-3"],
     ])
     def test_fields_read_like_loadtxt(self, fields):
         _assert_reads_like_loadtxt(fields)
 
     @pytest.mark.parametrize("field", [
-        "12345678901234567890",            # 20 significant digits
-        "1.2345678901234567890e-5",
-        "1234567890123456789012345",       # 25 bytes
-        " 1.0", "1.0 ", "1_0", "nan", "inf", "-inf", "0x1p3", "1e", "1e+",
-        "e5", ".", "-", "+-1", "1..0", "1.0.0", "1e5.0", "1e1234", "1ee5",
-        "--1", "1-", "1e-+5", "", "1,0",
+        "1_0", "nan", "inf", "-inf", "0x1p3", "1e", "1e+", "e5", ".", "-",
+        "+-1", "1..0", "1.0.0", "1e5.0", "1ee5", "--1", "1-", "1e-+5", "",
+        "1,0", "1 0", " ", "\t", "1e 5", "- 1",
+        # a second sign before a window of 24 bytes that begins with one
+        "--1.23456789012345678e-11", "+-1.23456789012345678e-11",
+        "-+1.23456789012345678e-11", "-1.0e5.00000000000000000",
     ])
     def test_fields_outside_the_grammar_are_declined(self, field):
         assert _kernel(f"1.5\n{field}\n2.5\n", 1) is None
+        assert _kernel(f"1.5\r\n{field}\r\n2.5\r\n", 1) is None
+
+    @pytest.mark.parametrize("text, ncols", [
+        ("1.0\r\n2.0\r\n", 1), ("1.0,2.0\r\n3.0,4.0", 2),
+        ("1.0\n2.0\r\n3.0\n", 1), ("-1.5 ,\t2.0\r\n", 2),
+    ])
+    def test_crlf_line_ends_read_like_loadtxt(self, text, ncols):
+        got = _kernel(text, ncols)
+        assert got is not None
+        assert _same_bits(got, _loadtxt(text, ncols))
 
     @pytest.mark.parametrize("text, ncols", [
         ("1.0,2.0\n3.0\n", 2), ("1.0\n2.0,3.0\n", 1), ("1.0,2.0\n", 1),
-        ("1.0\n2.0\n", 2), ("1.0\r\n2.0\r\n", 1), ("1.0\n\n2.0\n", 1),
-        ("1.0,\n", 2),
+        ("1.0\n2.0\n", 2), ("1.0\n\n2.0\n", 1), ("1.0,\n", 2),
+        # a CR anywhere but before a newline
+        ("1.0\r2.0\n", 1), ("1.0\r", 1), ("1.0\n2.0\r", 1),
+        ("1.0\r\r\n", 1), ("1.0\r,2.0\n", 2), ("\r1.0\n", 1),
+        ("\r\n1.0\n", 1), ("1.0\r\n\r\n2.0\n", 1),
     ])
     def test_other_shapes_are_declined(self, text, ncols):
         assert _kernel(text, ncols) is None
 
 
-_digits = st.text("0123456789", max_size=12)
+_digits = st.text("0123456789", max_size=25)
+_pad = st.sampled_from(["", "", "", " ", "\t", " \t "])
 
 
 @st.composite
 def _decimal_texts(draw):
-    """Text in the grammar, or near it: sign, digits, point, digits and an
-    exponent of 0 to 4 digits."""
+    """Text that is a decimal, or near one: padding, sign, 0 to 25 digits,
+    point, 0 to 25 digits and an exponent of 0 to 4 digits; now and then
+    '%.18e' (or '%.16e', '%.17e') after 0 to 2 signs."""
+    if draw(st.integers(0, 9)) == 0:
+        return (draw(st.sampled_from(["", "+", "-", "--", "+-", "-+"]))
+                + "%.*e" % (draw(st.integers(16, 18)), draw(st.floats(
+                    0, allow_infinity=False))))
     text = draw(st.sampled_from(["", "+", "-"])) + draw(_digits)
     if draw(st.booleans()):
         text += "." + draw(_digits)
@@ -136,43 +183,45 @@ def _decimal_texts(draw):
         text += (draw(st.sampled_from("eE"))
                  + draw(st.sampled_from(["", "+", "-"]))
                  + draw(st.text("0123456789", max_size=4)))
-    return text
+    return draw(_pad) + text + draw(_pad)
 
 
-def _in_grammar(text):
-    mantissa, _, exponent = text.lower().partition("e")
-    digits = mantissa.lstrip("+-").replace(".", "")
-    return (bool(digits) and len(text) <= 24
-            and len(digits.lstrip("0")) <= 19
-            and ("e" not in text.lower()
-                 or 1 <= len(exponent.lstrip("+-")) <= 3))
+@st.composite
+def _bodies(draw):
+    """(text, ncols): rows of 1 or 2 such fields, ended by LF or CRLF, the
+    last line's end there or not."""
+    ncols = draw(st.integers(1, 2))
+    rows = draw(st.lists(st.lists(_decimal_texts(), min_size=ncols,
+                                  max_size=ncols), min_size=1, max_size=5))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                         min_size=len(rows), max_size=len(rows)))
+    text = "".join(",".join(row) + end for row, end in zip(rows, ends))
+    if draw(st.booleans()):
+        text = text.removesuffix(ends[-1])
+    return text, ncols
 
 
 class TestGrammar:
     @settings(max_examples=500, deadline=None)
-    @given(fields=st.lists(_decimal_texts(), min_size=1, max_size=6))
-    @example(fields=["1", "-00.000", "+.0e-0"])
-    def test_kernel_reads_exactly_the_grammar(self, fields):
-        text = "".join(f"{f}\n" for f in fields)
-        got = _kernel(text, 1)
-        assert (got is not None) == all(map(_in_grammar, fields))
-        if got is not None:
-            assert _same_bits(got, _loadtxt(text, 1))
-
-    @settings(max_examples=200, deadline=None)
-    @given(fields=st.lists(_decimal_texts().filter(bool), min_size=1,
-                           max_size=6))
-    def test_range_reader_gives_loadtxt_values_or_declines(self, fields):
-        # the reader's path for any range: the kernel, or np.loadtxt
-        text = "".join(f"{f}\n" for f in fields)
-        try:
-            want = _loadtxt(text, 1)
-        except ValueError:
-            want = None
-        got = omio._range_rows(_padded(text), len(fields), 1)
+    @given(body=_bodies())
+    @example(body=("1\n-00.000\n+.0e-0\n", 1))
+    @example(body=("-1.088363103968046742e-11,\t1.0 \r\n", 2))
+    @example(body=("--1.23456789012345678e-11\r\n", 1))
+    @example(body=("1e5.0\n", 1))
+    def test_kernel_reads_exactly_what_loadtxt_reads(self, body):
+        text, ncols = body
+        want = _loadtxt_or_none(text, ncols)
+        got = _kernel(text, ncols)
         assert (got is None) == (want is None)
         if got is not None:
             assert _same_bits(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text("0123456789.eE+-,\n\r \t", max_size=80),
+           ncols=st.integers(1, 3))
+    def test_kernel_never_raises(self, text, ncols):
+        got = _kernel(text, ncols)
+        assert got is None or got.shape == (_rows(text), ncols)
 
 
 def test_pow5_rows_are_lemires():
