@@ -5,19 +5,22 @@ transmission fringe: thermal motion of the outer resonator shifts the
 cavity detuning, the detector sees the fringe level, and the controller
 moves an ideal zero-order-hold actuator that subtracts from the detuning.
 Only the controller state (actuator, integrator, previous error,
-saturation count) lives in the per-step Python loop, which reads the
-motion as Python floats one chunk at a time and stores the chunk's
-actuator values in one slice assignment.  The lock holds two records, the
-motion and the actuator: the error signal and detuning are BlockSeries
-that derive each chunk from those two with numpy, in the loop's own
-operation order, whenever they are read, so each element has the bits of
-the per-step value.  The rms values read only the last 20% of the run: the
+saturation count) lives in the per-step Python loop.  The loop reads the
+motion's blocks as synth_brownian makes them, copies each into the motion
+array, steps through it as Python floats, _STEPS at a time, and stores
+their actuator values in one slice assignment, so no record-sized
+scratch comes with the motion.  The lock holds two records, the motion
+and the actuator: the error signal and detuning are BlockSeries that
+derive each chunk from those two with numpy, in the loop's own operation
+order, whenever they are read, so each element has the bits of the
+per-step value.  The rms values read only the last 20% of the run: the
 open-loop reference (all gains zero) holds the actuator constant and needs
 no loop, and both it and the closed loop are evaluated over that tail
 alone.  The cooling operations are algebraic (linearised optomechanics),
 not dynamical.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -80,6 +83,9 @@ class LockResult:
 
 
 _TAIL_FRAC = 0.2           # the settled tail that the rms values read
+# loop steps per list of Python floats: a locked actuator makes a new float
+# object each step, 32 bytes with its list slot, and so does the motion
+_STEPS = 1 << 14
 
 
 def _tail_start(n):
@@ -139,18 +145,50 @@ def simulate_lock(model: NestedModel, cav: Cavity, cfg: LockConfig,
         raise ValueError("loop_rate must be >= 20*outer.f0")
     fs = cfg.loop_rate
     dt = 1.0 / fs
-    x = synth_brownian(outer, fs, duration, seed).values
-    n = x.size
+    motion = synth_brownian(outer, fs, duration, seed)
+    n = motion.n
 
     hz_per_m = cav.hz_per_m
     lw = cav.linewidth_fwhm
     bias = cfg.detuning_bias
     setpoint = float(fringe_response(bias, cav))   # the level at the bias
 
-    u_init = float(x[0])
     rng_range = cfg.actuator_range
     neg_range = -rng_range
     kp, ki, kd = cfg.kp, cfg.ki, cfg.kd
+
+    x = np.empty(n)
+    us = np.empty(n)
+    integ = 0.0
+    e_prev = 0.0
+    n_sat = 0
+    start = 0
+    with contextlib.closing(motion.blocks()) as blocks:
+        for block in blocks:
+            stop = start + block.size
+            x[start:stop] = block
+            if not start:
+                u = u_init = float(x[0])
+            for a in range(start, stop, _STEPS):   # two lists of Python floats
+                b = min(a + _STEPS, stop)
+                chunk = []
+                put = chunk.append
+                for xi in x[a:b].tolist():
+                    r = 2.0 * (bias + hz_per_m * (xi - u)) / lw
+                    e = 1.0 / (1.0 + r * r) - setpoint
+                    put(u)
+                    integ += ki * e * dt
+                    u = u_init + kp * e + integ + kd * (e - e_prev) / dt
+                    e_prev = e
+                    if u > rng_range:
+                        u = rng_range
+                        n_sat += 1
+                    elif u < neg_range:
+                        u = neg_range
+                        n_sat += 1
+                us[a:b] = chunk
+                del chunk
+            start = stop
 
     # The open-loop reference, over the tail its rms values read only (it
     # starts at step 2 or later).  With zero gains and finite errors every
@@ -162,30 +200,6 @@ def simulate_lock(model: NestedModel, cav: Cavity, cfg: LockConfig,
     open_rms = float(np.std(_fringe_error(dets, lw, setpoint)))
     open_det_rms = float(np.std(dets))
     del dets
-
-    us = np.empty(n)
-    u = u_init
-    integ = 0.0
-    e_prev = 0.0
-    n_sat = 0
-    for start, stop in _chunks(n):   # a list of Python floats per chunk
-        chunk = []
-        put = chunk.append
-        for xi in x[start:stop].tolist():
-            r = 2.0 * (bias + hz_per_m * (xi - u)) / lw
-            e = 1.0 / (1.0 + r * r) - setpoint
-            put(u)
-            integ += ki * e * dt
-            u = u_init + kp * e + integ + kd * (e - e_prev) / dt
-            e_prev = e
-            if u > rng_range:
-                u = rng_range
-                n_sat += 1
-            elif u < neg_range:
-                u = neg_range
-                n_sat += 1
-        us[start:stop] = chunk
-        del chunk
 
     det = lambda a, b: _detuning(x[a:b], us[a:b], bias, hz_per_m)
     err = lambda a, b: _fringe_error(det(a, b), lw, setpoint)

@@ -11,18 +11,16 @@ One lock-in mixer serves synthesis and analysis: _phasor builds
 exp(-2j*pi*f*t) and _block_means averages a record times it over blocks,
 many a run for the in-phase mechanical envelope, one a record for a tone.
 
-No long record is held whole unless a command needs it.  The
-band-centered Brownian record and the mechanical ringdown are BlockSeries
-that regenerate themselves from the seed, a chunk at a time, on every
-read: the Brownian envelope by its exact recursion (_envelope_blocks),
-the ringdown in two work arrays (synth_mech_ringdown).
-demodulate_envelope cuts the blocks of any record into runs of whole
-demodulation blocks, so the ringdown, its envelope and either written
-record (io.write_timeseries) each take a few MB at any record length.
-The baseband Brownian record (the lock's motion) is one irfft of a half
-spectrum built in place, _CHUNK bins at a time, its normal draws in one
-reused _CHUNK-sample buffer (_baseband_values): the spectrum and the
-record, pocketfft's scratch aside.
+No long record is held whole unless a command needs it.  The Brownian
+records and the mechanical ringdown are BlockSeries that regenerate
+themselves from the seed, a chunk at a time, on every read: both
+Brownian records, the baseband one (the lock's motion) and the
+band-centered envelope, by the exact recursion of the thermally driven
+mode, through one chunked-cumsum kernel (_recursion_chunks), and the
+ringdown in two work arrays (synth_mech_ringdown).  demodulate_envelope
+cuts the blocks of any record into runs of whole demodulation blocks, so
+the ringdown, its envelope and either written record
+(io.write_timeseries) each take a few MB at any record length.
 """
 
 import contextlib
@@ -131,8 +129,8 @@ class TimeSeries:
 class BlockSeries:
     """A uniformly sampled record read in order, one block of samples at a
     time, so that it is never held whole (io.open_timeseries,
-    synth_mech_ringdown, synth_brownian's band-centered record,
-    simulate_lock's error signal and detuning).
+    synth_mech_ringdown, synth_brownian, simulate_lock's error signal and
+    detuning).
 
     blocks() returns a generator of 1-D arrays of dtype that together hold
     the n samples, in order; each block is valid only until the next one is
@@ -185,28 +183,34 @@ class DriveRecord:
 
 def synth_brownian(mode: MechMode, sample_rate: float, duration: float,
                    seed: int, noise_floor: float = 0.0,
-                   center_freq: float | None = None) -> TimeSeries | BlockSeries:
+                   center_freq: float | None = None) -> BlockSeries:
     """Stationary Gaussian record of the mode's thermal motion plus white
     noise of one-sided density noise_floor.
 
-    Without center_freq the record is a real baseband TimeSeries whose
-    spectrum is thermal_psd(f) + noise_floor: white Gaussian bins shaped by
-    sqrt of the target PSD and inverse transformed (_baseband_values), so
-    the target is hit exactly in expectation with no integrator bias even
-    at Q ~ 1e5.
+    The thermal part is the exact discretisation of the thermally driven
+    mode (Gillespie, PRE 54, 2084 (1996); Norrelykke & Flyvbjerg, PRE 83,
+    041103 (2011)): a linear recursion sampled at 1/sample_rate, with its
+    first sample drawn from the stationary law, so it has mean square
+    thermal_rms**2 at every record length, far shorter than the mode's
+    1/gamma included.  Its spectrum is the mode's Lorentzian aliased into
+    the sampled band.  The floor is independent white noise.
+
+    Without center_freq the record is the real baseband displacement x
+    (_baseband_blocks), sampled at sample_rate > 4*f0; its spectrum is
+    thermal_psd(f) + noise_floor away from the band edge, and it holds any
+    Q: a complex pole pair for Q > 1/2, two real poles for Q < 1/2, and
+    the critically damped (Jordan) form at Q = 1/2.
 
     With center_freq set, the record is a complex envelope covering
-    [center_freq - sample_rate/2, center_freq + sample_rate/2]; use this
-    for narrow lines where a baseband record would be enormous.  It is the
-    exact discretisation of the thermally driven mode (Gillespie, PRE 54,
-    2084 (1996)), a complex Ornstein-Uhlenbeck recursion with its first
-    sample drawn from the stationary law, so its physical signal has mean
-    square thermal_rms**2 + noise_floor*sample_rate at every record
-    length.  Its spectrum is the Lorentzian of the line aliased into the
-    band, plus noise_floor.  The mode must be underdamped, Q > 1/2, for
-    the recursion's complex pole.  The record is a BlockSeries that every
-    blocks() call regenerates from the seed a chunk at a time
-    (_envelope_blocks), so it is never held whole.
+    [center_freq - sample_rate/2, center_freq + sample_rate/2]
+    (_envelope_blocks); use this for narrow lines where a baseband record
+    would be enormous.  Its physical signal has mean square thermal_rms**2
+    + noise_floor*sample_rate.  The mode must be underdamped, Q > 1/2, for
+    the recursion's complex pole.
+
+    Either record is a BlockSeries that every blocks() call regenerates
+    from the seed a chunk at a time, through one recursion kernel
+    (_recursion_chunks), so it is never held whole.
     """
     n = _check_brownian(mode, sample_rate, duration, noise_floor,
                         center_freq)
@@ -214,8 +218,10 @@ def synth_brownian(mode: MechMode, sample_rate: float, duration: float,
     if duration * mode.f0 / mode.q < 10.0:
         warnings = ("duration_too_short_to_resolve_linewidth",)
     if center_freq is None:
-        values = _baseband_values(mode, sample_rate, n, seed, noise_floor)
-        return TimeSeries(sample_rate, 0.0, values, warnings=warnings)
+        return BlockSeries(sample_rate, 0.0, n, float,
+                           _baseband_blocks(mode, sample_rate, n, seed,
+                                            noise_floor),
+                           warnings=warnings)
     return BlockSeries(sample_rate, 0.0, n, complex,
                        _envelope_blocks(mode, sample_rate, n, seed,
                                         noise_floor, center_freq),
@@ -225,7 +231,8 @@ def synth_brownian(mode: MechMode, sample_rate: float, duration: float,
 def _check_brownian(mode: MechMode, sample_rate: float, duration: float,
                     noise_floor: float, center_freq: float | None) -> int:
     """synth_brownian's checks of its arguments, made before anything is
-    drawn, each raising ValueError; the record's sample count."""
+    drawn, each raising ValueError; the record's sample count.  A baseband
+    record takes any Q; an envelope needs Q > 1/2."""
     if noise_floor < 0:
         raise ValueError("noise_floor must be >= 0")
     n = int(round(duration * sample_rate))
@@ -243,57 +250,205 @@ def _check_brownian(mode: MechMode, sample_rate: float, duration: float,
     return n
 
 
-def _baseband_values(mode: MechMode, sample_rate: float, n: int, seed: int,
-                     noise_floor: float) -> np.ndarray:
-    """The n-sample irfft of a half spectrum of white Gaussian bins shaped
-    by sqrt of the target PSD thermal_psd(f) + noise_floor.
-
-    The half spectrum is built in place in one complex array, _CHUNK bins
-    at a time: amp/2 goes into spec.imag, the a draws times it into
-    spec.real, then the b draws multiply spec.imag.  Both passes draw into
-    one reused _CHUNK-sample buffer, and a chunk's amp is freed before the
-    next one is computed, so the heap that the chunks leave beneath the
-    irfft stays small.  Chunked draws from one default_rng stream equal
-    one whole draw, and each bin has the bits of (a + 1j*b) * (amp/2) over
-    whole arrays, amp = sqrt(target * fs * n) at np.fft.rfftfreq(n, 1/fs);
-    the DC and Nyquist bins are real, a * amp.
-    """
-    rng = np.random.default_rng(seed)
-    m = n // 2 + 1
-    spec = np.empty(m, dtype=np.complex128)
-    df = 1.0 / (n * (1.0 / sample_rate))        # np.fft.rfftfreq's bin width
-    for start, stop in _chunks(m):
-        amp = _mech.thermal_psd(np.arange(start, stop) * df, mode)
-        amp += noise_floor
-        amp *= sample_rate
-        amp *= n
-        np.sqrt(amp, out=amp)
-        if start == 0:
-            amp_dc = amp[0]
-        if stop == m:
-            amp_nyquist = amp[-1]
-        np.divide(amp, 2.0, out=spec.imag[start:stop])
-        del amp                 # not live beside the next chunk's temporaries
-    draws = np.empty(min(m, _CHUNK))
-    for start, stop in _chunks(m):
-        a = rng.standard_normal(out=draws[:stop - start])
-        if start == 0:
-            dc = a[0] * amp_dc
-        if stop == m:
-            nyquist = a[-1] * amp_nyquist
-        np.multiply(a, spec.imag[start:stop], out=spec.real[start:stop])
-    for start, stop in _chunks(m):
-        spec.imag[start:stop] *= rng.standard_normal(out=draws[:stop - start])
-    spec[0] = dc
-    if n % 2 == 0:
-        spec[-1] = nyquist
-    return np.fft.irfft(spec, n)
-
-
-# the largest growth |mu|**-k within a run of the envelope recursion, as a
+# the largest growth |mu|**-k within a run of a thermal recursion, as a
 # power of e: it bounds the run's rounding error to about e**4 ulps of the
 # record's rms
 _RUN_GROWTH = 4.0
+
+
+def _factor(var0: float, cov: float, var1: float) -> tuple:
+    """(a, b, c), the lower Cholesky factor [[a, 0], [b, c]] of the 2x2
+    covariance [[var0, cov], [cov, var1]]; all zero where var0 is."""
+    a = math.sqrt(var0)
+    b = cov / a if a > 0 else 0.0
+    return a, b, math.sqrt(max(var1 - b * b, 0.0))
+
+
+def _complex_factor(power: float, square: complex) -> tuple:
+    """_factor of (Re y, Im y) for a complex normal y with E|y|**2 = power
+    and E[y**2] = square."""
+    return _factor(0.5 * (power + square.real), 0.5 * square.imag,
+                   0.5 * (power - square.real))
+
+
+def _run_rows(used, down, up, mu_run, d):
+    """Turn the drives eta of the rows of used, in place, into the states
+    y[k] = mu*y[k-1] + eta[k]: from d, mu times the state before a row,
+    y[k] = mu**k * (d + cumsum(mu**-j * eta[j])[k]), with down = mu**-k and
+    up = mu**k, one cumsum for all rows, and d carried from row to row as
+    mu_run = mu**run times the state at a row's end.  The carried d."""
+    used *= down
+    np.cumsum(used, axis=1, out=used)
+    states = []
+    for end in used[:, -1].tolist():
+        states.append(d)
+        d = mu_run * (d + end)
+    used += np.array(states)[:, None]
+    used *= up
+    return d
+
+
+def _recursion_chunks(p_dts: list, first: tuple, step: tuple, n: int,
+                      drive, coupling: float = 0.0):
+    """The n states of a thermal recursion, in chunks of about _CHUNK
+    samples, each chunk as pairs[:m], an (m, 2) float array valid until the
+    next chunk.
+
+    p_dts holds one complex pole times dt, mu = exp(p_dt): one complex
+    lane y[k] = mu*y[k-1] + eta[k], with (Re y, Im y) in the two columns
+    of pairs; or two real poles, two real lanes, one per column, the
+    second also driven by coupling times the first lane's previous state.
+    Each chunk draws one normal pair (xi0, xi1) per sample from the
+    generator drive, in one array, and makes it the drive pair (a*xi0,
+    c*xi1 + b*xi0), with (a, b, c) = first for sample 0, which is the
+    first state (the state before it is 0), and step after.
+
+    A chunk is cut into rows of `run` samples for _run_rows.
+    |mu|**-(run-1) stays within e**_RUN_GROWTH for every pole, and a row of
+    one sample needs no mu**-1 at any damping.  Chunked draws from one
+    stream equal one whole draw, so the record is the same, up to
+    rounding, at any chunk size.
+    """
+    decay = max(-p_dt.real for p_dt in p_dts)    # -log|mu|, per sample
+    run = (_CHUNK if decay * _CHUNK <= _RUN_GROWTH
+           else 1 + int(_RUN_GROWTH / decay))
+    rows = max(1, min(_CHUNK, n) // run)
+    k = np.arange(run)
+    tables = [(np.exp(-p_dt * k), np.exp(p_dt * k),       # mu**-k, mu**k
+               type(p_dt)(np.exp(p_dt * run))) for p_dt in p_dts]
+    buf = np.empty((rows * run, 2))
+    if len(p_dts) == 1:
+        lanes = [buf.view(complex).reshape(rows, run)]
+    else:
+        lanes = [buf[:, 0].reshape(rows, run), buf[:, 1].reshape(rows, run)]
+    states = [type(p_dt)(0) for p_dt in p_dts]   # mu * the state before a row
+    last = 0.0                                   # the first lane's last state
+    for start in range(0, n, buf.shape[0]):
+        m = min(buf.shape[0], n - start)
+        pairs = buf[:m]
+        drive.standard_normal(out=pairs)
+        if start == 0:
+            _correlate(pairs[:1], *first)
+            _correlate(pairs[1:], *step)
+        else:
+            _correlate(pairs, *step)
+        buf[m:] = 0.0
+        for i, (lane, (down, up, mu_run)) in enumerate(zip(lanes, tables)):
+            if i and coupling:
+                pairs[1:, 1] += coupling * pairs[:-1, 0]
+                pairs[0, 1] += coupling * last
+                last = float(pairs[-1, 0])
+            states[i] = _run_rows(lane[:-(-m // run)], down, up, mu_run,
+                                  states[i])
+        yield pairs
+
+
+def _correlate(pairs, a: float, b: float, c: float):
+    """The normal pairs (xi0, xi1) of pairs made, in place, (a*xi0, c*xi1 +
+    b*xi0)."""
+    if b:
+        cross = pairs[:, 0] * b
+    pairs *= (a, c)
+    if b:
+        pairs[:, 1] += cross
+
+
+def _baseband_recursion(mode: MechMode, sample_rate: float) -> tuple:
+    """(p_dts, first, step, coupling, weights): _recursion_chunks' lanes
+    for the displacement x of the thermally driven mode, sampled at dt =
+    1/sample_rate, and the weights (w0, w1) that make x = w0*pairs[:, 0] +
+    w1*pairs[:, 1].
+
+    The state (x, v) obeys ds = M s dt + (0, sqrt(D)) dW, with M = [[0,
+    1], [-omega0**2, -gamma]] and D = 2*gamma*omega0**2*thermal_rms**2, so
+    its stationary law is Sigma = diag(rms**2, omega0**2*rms**2).  Sampled,
+    s[n] = A s[n-1] + w[n], A = exp(M*dt), w ~ N(0, Sigma - A Sigma A^T).
+    In M's eigenbasis, s = V y with V's first row (1, 1), each coordinate
+    y_i is a first-order recursion with pole lambda_i and drive
+    g_i*sqrt(D)*dW, g = V**-1 (0, 1), so E[eta_i eta_j] = g_i g_j D
+    expm1((lambda_i + lambda_j) dt)/(lambda_i + lambda_j), free of the
+    cancellation in Sigma - A Sigma A^T when dt << 1/gamma, and the first
+    state has the same law with dt -> inf:
+
+    - Q > 1/2: lambda = -gamma/2 + 1j*omega_d and its conjugate, y_2 =
+      conj(y_1), so x = 2*Re y with one complex lane.  Its drive eta has
+      the law of row 0 of V**-1 L (xi0, xi1), L the Cholesky factor of the
+      noise covariance, drawn as (Re eta, Im eta) = (a*xi0, c*xi1 +
+      b*xi0) from E|eta|**2 and E[eta**2].
+    - Q < 1/2: two real poles, two real lanes, x = y_1 + y_2.
+    - Q = 1/2: one double pole lambda = -omega0, and A is not
+      diagonalisable.  u = v + omega0*x obeys du = lambda*u dt + sqrt(D)
+      dW and dx = (lambda*x + u) dt, so u is the first lane and x the
+      second, coupled to u by dt*exp(lambda*dt), with E[eta_x**k
+      eta_u**(2-k)] = D*dt**(k+1) * J_k(2*lambda*dt), J_k(z) = integral of
+      s**k * exp(z*s) over [0, 1] by its power series (|z| < pi, as
+      sample_rate > 4*f0).
+    """
+    dt = 1.0 / sample_rate
+    w0, half, rms = mode.omega0, 0.5 * mode.gamma, _mech.thermal_rms(mode)
+    diffusion = 2.0 * mode.gamma * (w0 * rms) ** 2          # D
+    if mode.q > 0.5:
+        lam = complex(-half, w0 * math.sqrt(1.0 - (0.5 / mode.q) ** 2))
+        power = 0.5 * (w0 * rms / lam.imag) ** 2            # E|y|**2
+        square = power * mode.gamma / (2.0 * lam)           # E[y**2]
+        return ([lam * dt], _complex_factor(power, square),
+                _complex_factor(-power * math.expm1(-mode.gamma * dt),
+                                -square * complex(np.expm1(2.0 * lam * dt))),
+                0.0, (2.0, 0.0))
+    if mode.q < 0.5:
+        kappa = w0 * math.sqrt((0.5 / mode.q) ** 2 - 1.0)
+        poles = (-w0 * w0 / (half + kappa), -half - kappa)  # slow, fast
+        gg = diffusion / (2.0 * kappa) ** 2                 # g_1**2 = g_2**2
+        pair = ((poles[0] + poles[0], gg), (poles[0] + poles[1], -gg),
+                (poles[1] + poles[1], gg))
+        return ([p * dt for p in poles],
+                _factor(*(-g / s for s, g in pair)),
+                _factor(*(g * math.expm1(s * dt) / s for s, g in pair)),
+                0.0, (1.0, 1.0))
+    z = -2.0 * w0 * dt
+    j = [sum(z ** i / (math.factorial(i) * (i + k + 1)) for i in range(40))
+         for k in range(3)]
+    return ([-w0 * dt, -w0 * dt],
+            _factor(2.0 * (w0 * rms) ** 2, w0 * rms * rms, rms * rms),
+            _factor(diffusion * dt * j[0], diffusion * dt ** 2 * j[1],
+                    diffusion * dt ** 3 * j[2]),
+            dt * math.exp(-w0 * dt), (0.0, 1.0))
+
+
+def _baseband_blocks(mode: MechMode, sample_rate: float, n: int, seed: int,
+                     noise_floor: float) -> Callable:
+    """The blocks() of synth_brownian's baseband record: x from
+    _baseband_recursion's lanes, driven by the first of two streams
+    spawned from the seed, plus white noise of variance
+    noise_floor*sample_rate/2 from the second.  At temp 0 the stationary
+    law is 0 and has no Cholesky factor: the drive is skipped, and the
+    record is the floor alone."""
+    p_dts, first, step, coupling, (w0, w1) = _baseband_recursion(
+        mode, sample_rate)
+    thermal = _mech.thermal_rms(mode) > 0
+    rms_floor = math.sqrt(0.5 * noise_floor * sample_rate)
+
+    def blocks():
+        drive, floor = np.random.default_rng(seed).spawn(2)
+        out = None
+        if thermal:
+            chunks = _recursion_chunks(p_dts, first, step, n, drive, coupling)
+        else:
+            chunks = (np.zeros((stop - start, 2)) for start, stop in _chunks(n))
+        for pairs in chunks:
+            m = pairs.shape[0]
+            if out is None:     # the first chunk is the longest
+                out, noise = np.empty(m), np.empty(m * (noise_floor > 0))
+            x = np.multiply(pairs[:, 0], w0, out=out[:m])
+            if w1:
+                x += pairs[:, 1] * w1
+            if noise_floor > 0:
+                white = floor.standard_normal(out=noise[:m])
+                white *= rms_floor
+                x += white
+            yield x
+
+    return blocks
 
 
 def _envelope_blocks(mode: MechMode, sample_rate: float, n: int, seed: int,
@@ -306,62 +461,31 @@ def _envelope_blocks(mode: MechMode, sample_rate: float, n: int, seed: int,
     noise_floor.  z[0] is drawn from the stationary law, E|z|**2 =
     2*thermal_rms**2 (the physical signal Re[z*exp(2j*pi*center_freq*t)]
     has mean square thermal_rms**2), and eta[k] with E|eta|**2 =
-    2*thermal_rms**2*(1 - |mu|**2).
-
-    A chunk of about _CHUNK samples is cut into rows of `run` samples.
-    From the state c before a row, z[k] = mu**k * (mu*c + cumsum(mu**-j *
-    eta[j])[k]) for k = 0 .. run-1: one cumsum for all rows, and the states
-    carry from row to row in a loop over rows.  |mu|**-(run-1) stays
-    within e**_RUN_GROWTH, and a row of one sample needs no mu**-1 at any
-    damping.  The drive and the floor come from two streams spawned from
-    the seed and drawn a chunk at a time, so the record is the same, up to
-    rounding, at any chunk size.
+    2*thermal_rms**2*(1 - |mu|**2), each quadrature independent: one
+    complex lane of _recursion_chunks, driven by the first of two streams
+    spawned from the seed; the floor comes from the second.
     """
     dt = 1.0 / sample_rate
     omega1 = mode.omega0 * math.sqrt(1.0 - (0.5 / mode.q) ** 2)
     p_dt = complex(-0.5 * mode.gamma, omega1 - TWO_PI * center_freq) * dt
-    decay = -p_dt.real                           # -log|mu|, per sample
-    run = (_CHUNK if decay * _CHUNK <= _RUN_GROWTH
-           else 1 + int(_RUN_GROWTH / decay))
-    rows = max(1, min(_CHUNK, n) // run)
-    k = np.arange(run)
-    up = np.exp(p_dt * k)                        # mu**k
-    down = np.exp(-p_dt * k)                     # mu**-k
-    mu_run = complex(np.exp(p_dt * run))         # mu**run
     rms = _mech.thermal_rms(mode)                # of z's real part
-    rms_eta = rms * math.sqrt(-math.expm1(-2.0 * decay))
+    rms_eta = rms * math.sqrt(-math.expm1(2.0 * p_dt.real))
     rms_floor = math.sqrt(noise_floor * sample_rate)
 
     def blocks():
         drive, floor = np.random.default_rng(seed).spawn(2)
-        z, w = np.empty((2, rows, run), complex)
-        flat, noise = z.reshape(-1), w.reshape(-1)
-        d = 0j                                   # mu * the state before a row
-        for start in range(0, n, flat.size):
-            m = min(flat.size, n - start)
-            used = z[:-(-m // run)]              # the rows the chunk fills
-            parts = flat[:m].view(float)
-            drive.standard_normal(out=parts)
-            if start == 0:
-                parts[:2] *= rms
-                parts[2:] *= rms_eta
-            else:
-                parts *= rms_eta
-            flat[m:] = 0.0
-            used *= down
-            np.cumsum(used, axis=1, out=used)
-            states = []
-            for end in used[:, -1].tolist():
-                states.append(d)
-                d = mu_run * (d + end)
-            used += np.array(states)[:, None]
-            used *= up
+        noise = None
+        for pairs in _recursion_chunks([p_dt], (rms, 0.0, rms),
+                                       (rms_eta, 0.0, rms_eta), n, drive):
+            z = pairs.view(complex)[:, 0]
             if noise_floor > 0:
-                parts = noise[:m].view(float)
+                if noise is None:
+                    noise = np.empty(pairs.shape)
+                parts = noise[:z.size]
                 floor.standard_normal(out=parts)
                 parts *= rms_floor
-                flat[:m] += noise[:m]
-            yield flat[:m]
+                z += parts.view(complex)[:, 0]
+            yield z
 
     return blocks
 

@@ -3,9 +3,9 @@
 These deliberately avoid the library code paths they check: a fixed-step
 RK4 integration of the coupled equations of motion, adaptive quadrature
 for spectral integrals, brute-force scans for extrema, the whole-record
-mechanical ringdown and whole-array baseband Brownian record that the
-chunked synthesis must reproduce bit for bit, the band-centered Brownian
-record as one sequential recursion over the whole record, the Welch
+mechanical ringdown that the chunked synthesis must reproduce bit for
+bit, the baseband and band-centered Brownian records each as one
+sequential recursion over the whole record, the Welch
 average with fresh arrays for every segment, the transfer estimate with
 its own whole-array tone phasor per demodulated record, and the
 side-of-fringe lock as one per-step loop over the whole record.
@@ -19,7 +19,9 @@ from scipy.integrate import quad
 
 from optomech import mech as _mech
 from optomech.cavity import fringe_response
+from optomech import synth as _synth
 from optomech.estimate import _WINDOWS, TransferEstimate, bin_log_mean
+from optomech.io import read_whole
 from optomech.synth import TimeSeries, synth_brownian
 
 
@@ -160,30 +162,52 @@ def sequential_envelope_brownian(mode, sample_rate, duration, seed,
     if noise_floor > 0:
         z += (math.sqrt(noise_floor * sample_rate)
               * floor.standard_normal(2 * n).view(complex))
-    warnings = ()
-    if duration * mode.f0 / mode.q < 10.0:
-        warnings = ("duration_too_short_to_resolve_linewidth",)
     return TimeSeries(sample_rate, 0.0, z, center_freq=mode.f0,
-                      warnings=warnings)
+                      warnings=_warnings(mode, duration))
 
 
-def whole_array_baseband_brownian(mode, sample_rate, duration, seed,
-                                  noise_floor=0.0):
-    """The values of synth_brownian's baseband record, with the shaped half
-    spectrum built from whole-record arrays, (a + 1j*b) * (amp/2), and
-    inverse transformed."""
+def _warnings(mode, duration):
+    """synth_brownian's warnings for a record of this duration."""
+    if duration * mode.f0 / mode.q < 10.0:
+        return ("duration_too_short_to_resolve_linewidth",)
+    return ()
+
+
+def sequential_baseband_brownian(mode, sample_rate, duration, seed,
+                                 noise_floor=0.0):
+    """synth_brownian's baseband record as one sequential loop over the
+    whole record, sample by sample, from the same draws: the drive and
+    the floor streams spawned from the seed, each drive pair (xi0, xi1)
+    made (a*xi0, c*xi1 + b*xi0), the lanes stepped by their poles (the
+    second also by the coupling times the first's previous state), and x
+    = w0*lane0 + w1*lane1 plus the floor at rms sqrt(noise_floor*fs/2).
+    The recursion's coefficients are _baseband_recursion's, which
+    test_baseband_coefficients_are_the_exact_discretisation checks
+    against the matrix exponential."""
     n = int(round(duration * sample_rate))
-    rng = np.random.default_rng(seed)
-    freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
-    target = _mech.thermal_psd(freqs, mode) + noise_floor
-    a = rng.standard_normal(freqs.size)
-    b = rng.standard_normal(freqs.size)
-    amp = np.sqrt(target * sample_rate * n)
-    spec = (a + 1j * b) * (amp / 2.0)
-    spec[0] = a[0] * amp[0]                      # DC and Nyquist bins are real
-    if n % 2 == 0:
-        spec[-1] = a[-1] * amp[-1]
-    return np.fft.irfft(spec, n)
+    p_dts, first, step, coupling, (w0, w1) = _synth._baseband_recursion(
+        mode, sample_rate)
+    drive, floor = np.random.default_rng(seed).spawn(2)
+    xi = drive.standard_normal((n, 2)).tolist()
+    mus = [cmath.exp(p) if isinstance(p, complex) else math.exp(p)
+           for p in p_dts]
+    x = np.empty(n)
+    lanes = [p * 0 for p in p_dts]
+    for k, (xi0, xi1) in enumerate(xi):
+        a, b, c = first if k == 0 else step
+        e0, e1 = a * xi0, c * xi1 + b * xi0
+        if len(mus) == 1:
+            y = lanes[0] = mus[0] * lanes[0] + complex(e0, e1)
+            pair = (y.real, y.imag)
+        else:
+            u_prev = lanes[0]
+            lanes[0] = mus[0] * lanes[0] + e0
+            lanes[1] = mus[1] * lanes[1] + (e1 + coupling * u_prev)
+            pair = lanes
+        x[k] = pair[0] * w0 + pair[1] * w1
+    if noise_floor > 0:
+        x += math.sqrt(0.5 * noise_floor * sample_rate) * floor.standard_normal(n)
+    return TimeSeries(sample_rate, 0.0, x, warnings=_warnings(mode, duration))
 
 
 def whole_array_welch(ts, segment_len, overlap_frac=0.5, window="hann"):
@@ -259,7 +283,8 @@ def whole_list_simulate_lock(model, cav, cfg, duration, seed):
     actuator and detuning one element at a time over all n steps."""
     fs = cfg.loop_rate
     dt = 1.0 / fs
-    x = synth_brownian(model.outer, fs, duration, seed).values.tolist()
+    x = read_whole(synth_brownian(model.outer, fs, duration, seed)).values
+    x = x.tolist()
     n = len(x)
     hz_per_m = 2.0 * cav.fsr / cav.wavelength
     lw = cav.linewidth_fwhm

@@ -12,6 +12,7 @@ import pytest
 import optomech as om
 from optomech.constants import BOLTZMANN, PLANCK
 from optomech.estimate import bin_log_mean
+from optomech.io import read_whole
 
 from oracles import integrate_psd, rk4_chain_amplitudes
 
@@ -200,7 +201,7 @@ def test_criterion_9_oracle_equivalence():
     ts = om.synth_brownian(mode, 8192.0, 32.0, seed=6, noise_floor=1e-24)
     spec = om.welch_psd(ts, 4096)
     parseval = float(np.sum(spec.psd) * spec.resolution
-                     / np.mean(ts.values ** 2))
+                     / np.mean(read_whole(ts).values ** 2))
     parseval_err = abs(parseval - 1.0)
 
     ok = chain_err <= 1e-3 and psd_err <= 5e-3 and parseval_err <= 0.02

@@ -234,10 +234,13 @@ def test_numpy_is_the_only_runtime_dependency(path):
 # work that will use them: fringe_slope on the lock verdict's linear
 # prediction (ROADMAP item 12), the cooling functions on design-check's
 # quantum-regime budget (item 14), and linewidth and ringdown_tau are read
-# by acceptance criterion 3.
+# by acceptance criterion 3.  thermal_psd is the spectrum that the Brownian
+# recursion samples; no command evaluates it, and acceptance criterion 9
+# and test_mech.py test it.
 _EXPORTS_NO_COMMAND_USES = {"constants", "fringe_slope", "optical_damping_rate",
                             "effective_temperature", "linewidth",
-                            "ringdown_tau"}
+                            "ringdown_tau",
+                            "thermal_psd"}    # acceptance criterion 9
 # defaulted parameters that only callers outside the package pass
 _DEFAULTS_PASSED_OUTSIDE = {("main", "argv"),             # console script
                             ("__call__", "option_string")}  # argparse

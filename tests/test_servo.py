@@ -10,7 +10,6 @@ import pytest
 from optomech import (Cavity, CoolingConfig, LockConfig, MechMode, NestedModel,
                       effective_temperature, fringe_response, linewidth,
                       optical_damping_rate, simulate_lock, synth_brownian)
-from optomech import servo as _servo
 from optomech import synth as _synth
 from optomech.io import read_whole
 from oracles import whole_list_simulate_lock
@@ -125,7 +124,7 @@ class TestSimulateLock:
                          loop_rate=10e6, detuning_bias=bias)
         res = simulate_lock(model, CAV, cfg, 0.005, seed=5)
         # the actuator stays where the loop starts: on the first sample
-        x = synth_brownian(model.outer, 10e6, 0.005, 5).values
+        x = read_whole(synth_brownian(model.outer, 10e6, 0.005, 5)).values
         det = bias + (2 * CAV.fsr / CAV.wavelength) * (x - x[0])
         expected = fringe_response(det, CAV) - fringe_response(bias, CAV)
         assert np.array_equal(read_whole(res.error_signal).values, expected)
@@ -252,7 +251,7 @@ class TestSimulateLockMatchesPerStepLoop:
     def test_open_loop_clips_from_first_step(self):
         rail = 1e-14
         model, _ = _lock_setup()
-        x0 = synth_brownian(model.outer, 10e6, 0.002, 3).values[0]
+        x0 = read_whole(synth_brownian(model.outer, 10e6, 0.002, 3)).values[0]
         assert abs(x0) > rail
         res = self._check(self._cfg(actuator_range=rail), 0.002, seed=3)
         assert res.actuator.values[0] == x0
@@ -278,8 +277,9 @@ class TestSimulateLockMatchesPerStepLoop:
 
 
 class TestLockMemory:
-    """The lock holds the motion and the actuator, and evaluates the error
-    signal and detuning a chunk at a time when they are read.  Chunks of
+    """The lock holds the motion and the actuator, synthesises the motion a
+    chunk at a time as its loop reads it, and evaluates the error signal
+    and detuning a chunk at a time when they are read.  Chunks of
     8,192 samples keep the traced loop to a few seconds."""
 
     SAMPLES = 1 << 13                           # samples in a chunk
@@ -290,31 +290,25 @@ class TestLockMemory:
     def _small_chunks(self, monkeypatch):
         monkeypatch.setattr(_synth, "_CHUNK", self.SAMPLES)
 
-    def test_lock_holds_two_records(self, monkeypatch):
+    def test_lock_holds_two_records(self):
         model, cfg = _lock_setup()
-        after_motion = []
-
-        def synth_then_reset_peak(*args):
-            rec = synth_brownian(*args)
-            tracemalloc.reset_peak()
-            after_motion.append(tracemalloc.get_traced_memory()[0])
-            return rec
-
-        monkeypatch.setattr(_servo, "synth_brownian", synth_then_reset_peak)
         tracemalloc.start()
         try:
             res = simulate_lock(model, CAV, cfg, self.N / 10e6, seed=7)
-            peak = tracemalloc.get_traced_memory()[1] - after_motion[0]
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert res.actuator.n == self.N
-        # beyond the motion: the actuator, with either the loop's two lists
-        # of a chunk of Python floats (about 4 chunks each) or the 20% tails
-        # of the error signal and detuning and np.std's work array (about
-        # 10 chunks) beside it, 26 chunks in all.  The bound allows one
-        # record and 12 chunks more; holding the error signal and detuning
-        # whole takes two records more (58 chunks)
-        assert peak <= 2 * 8 * self.N + 12 * self.CHUNK
+        # the motion and the actuator, filled as the loop reads the motion's
+        # blocks; beside them the synthesis's chunk buffers (its tables
+        # mu**k and mu**-k, 4 chunks at this Q, the drive pairs, 2, x and the
+        # drive's cross term, 1 each) and the loop's two lists of a chunk of
+        # Python floats (about 4 chunks each), 16 chunks in all, or the 20%
+        # tails of the error signal and detuning and np.std's work array
+        # (about 10 chunks).  Holding the error signal and detuning whole
+        # takes two records more (32 chunks), and a half spectrum built
+        # beside the motion one more half record (16)
+        assert peak <= 2 * 8 * self.N + 18 * self.CHUNK
 
     def test_reading_the_error_signal_takes_a_few_chunks(self):
         model, cfg = _lock_setup()

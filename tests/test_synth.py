@@ -12,8 +12,8 @@ from optomech import (Cavity, DriveRecord, MechMode, NestedModel, TimeSeries,
 from optomech import io as _io
 from optomech import synth as _synth
 from oracles import (full_array_demodulate, full_array_mech_ringdown,
-                     sequential_envelope_brownian, whole_array_baseband_brownian,
-                     whole_array_demod)
+                     sequential_baseband_brownian,
+                     sequential_envelope_brownian, whole_array_demod)
 
 CAV = Cavity(0.05, 1.064e-6, 181000.0)
 
@@ -40,22 +40,24 @@ class TestRecordMetadata:
 class TestBrownian:
     def test_same_seed_bit_identical(self):
         m = MechMode(1e3, 50.0, 1e-9, 300.0)
-        a = synth_brownian(m, 8192.0, 4.0, seed=7)
-        b = synth_brownian(m, 8192.0, 4.0, seed=7)
-        assert np.array_equal(a.values, b.values)
-        c = synth_brownian(m, 400.0, 30.0, seed=3, center_freq=250e3)
-        d = synth_brownian(m, 400.0, 30.0, seed=3, center_freq=250e3)
-        # and every read of a streamed record regenerates the same bits
-        assert _io.read_whole(c).values.tobytes() == \
-            _io.read_whole(d).values.tobytes() == \
-            _io.read_whole(c).values.tobytes()
-        assert not np.array_equal(a.values,
-                                  synth_brownian(m, 8192.0, 4.0, seed=8).values)
+        # every read of a streamed record regenerates the same bits
+        for kw in ({}, {"center_freq": 250e3}):
+            fs, duration = (400.0, 30.0) if kw else (8192.0, 4.0)
+            a = synth_brownian(m, fs, duration, seed=7, **kw)
+            b = synth_brownian(m, fs, duration, seed=7, **kw)
+            assert _io.read_whole(a).values.tobytes() == \
+                _io.read_whole(b).values.tobytes() == \
+                _io.read_whole(a).values.tobytes()
+            assert not np.array_equal(
+                _io.read_whole(a).values,
+                _io.read_whole(synth_brownian(m, fs, duration, seed=8,
+                                              **kw)).values)
 
     def test_zero_temperature_zero_floor_is_silent(self):
         m = MechMode(1e3, 50.0, 1e-9, 0.0)
-        ts = synth_brownian(m, 8192.0, 2.0, seed=1, noise_floor=0.0)
-        assert np.all(ts.values == 0.0)
+        ts = _io.read_whole(synth_brownian(m, 8192.0, 2.0, seed=1,
+                                           noise_floor=0.0))
+        assert ts.n == 16384 and np.all(ts.values == 0.0)
 
     def test_short_record_raises_warning_flag(self):
         m = MechMode(250e3, 418000.0, 5e-11, 300.0)
@@ -133,7 +135,7 @@ class TestBrownian:
 
     def test_no_dc_drift(self):
         m = MechMode(1e3, 50.0, 1e-9, 300.0)
-        ts = synth_brownian(m, 8192.0, 16.0, seed=2)
+        ts = _io.read_whole(synth_brownian(m, 8192.0, 16.0, seed=2))
         assert abs(np.mean(ts.values)) < 3 * np.std(ts.values) / np.sqrt(ts.n)
 
 
@@ -237,14 +239,14 @@ class TestEnvelopeVarianceAtEveryLength:
 
 
 class TestChunkedBasebandBrownian:
-    """The baseband half spectrum, built in place a chunk at a time, gives
-    the bits of the whole-array expression, and holds only itself, the
-    record and chunk temporaries."""
+    """The streamed baseband recursion equals one sequential loop over the
+    whole record, regenerates its bits on every read, and holds a few
+    chunks at any record length."""
 
     OUTER = MechMode(2.5e3, 1e5, 1e-7, 300.0)
 
-    # n odd and even, with n//2 + 1 bins just under, on and across one and
-    # two chunk edges
+    # n odd and even, just under, on and across one and two chunk edges;
+    # the whole-record expression is the recursion stepped sample by sample
     @pytest.mark.parametrize("noise_floor", [0.0, 1e-26])
     @pytest.mark.parametrize("n", [
         2, 3, 2 * _synth._CHUNK - 4, 2 * _synth._CHUNK - 3,
@@ -252,23 +254,142 @@ class TestChunkedBasebandBrownian:
         2 * _synth._CHUNK + 1, 4 * _synth._CHUNK - 2, 4 * _synth._CHUNK + 7])
     def test_matches_whole_array_expression(self, n, noise_floor):
         fs = 10e6
-        ts = synth_brownian(self.OUTER, fs, n / fs, 5, noise_floor)
-        ref = whole_array_baseband_brownian(self.OUTER, fs, n / fs, 5,
-                                            noise_floor)
-        assert ts.n == n and ts.values.dtype == ref.dtype
-        assert ts.values.tobytes() == ref.tobytes()
+        rec = synth_brownian(self.OUTER, fs, n / fs, 5, noise_floor)
+        assert isinstance(rec, _synth.BlockSeries) and rec.n == n
+        _close_to_recursion(rec, sequential_baseband_brownian(
+            self.OUTER, fs, n / fs, 5, noise_floor))
 
-    def test_spectrum_build_memory(self):
-        n = 1 << 21
+    # two real poles (Q 0.2), the double pole (Q 1/2), a complex pair just
+    # above it (runs of 2 samples), and runs of 68 samples and of a whole
+    # chunk; chunks of 1000 samples cut rows short
+    @pytest.mark.parametrize("chunk", [1 << 17, 1000])
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.6, 30.0, 1e12])
+    def test_matches_reference_at_every_damping(self, monkeypatch, q, chunk):
+        monkeypatch.setattr(_synth, "_CHUNK", chunk)
+        m = MechMode(2.5e3, q, 1e-7, 300.0)
+        n = 2 * 1000 + 5 if chunk == 1000 else 20_011
+        rec = synth_brownian(m, 1e6, n / 1e6, 4, 1e-26)
+        _close_to_recursion(rec, sequential_baseband_brownian(
+            m, 1e6, n / 1e6, 4, 1e-26))
+
+    @pytest.mark.parametrize("q", [0.2, 0.5, 1e5])
+    def test_every_read_regenerates_the_same_bits(self, monkeypatch, q):
+        monkeypatch.setattr(_synth, "_CHUNK", 1000)
+        m = MechMode(2.5e3, q, 1e-7, 300.0)
+        rec = synth_brownian(m, 1e6, 0.0031, 8, 1e-26)
+        first, second = (b"".join(block.tobytes() for block in rec.blocks())
+                         for _ in range(2))
+        assert len(first) == 8 * rec.n == 8 * 3100
+        assert first == second
+        again = synth_brownian(m, 1e6, 0.0031, 8, 1e-26)
+        assert _io.read_whole(again).values.tobytes() == first
+
+    def test_streamed_memory_is_a_few_chunks(self):
+        n = 1 << 21                 # a 16.8 MB record
         tracemalloc.start()
         try:
-            ts = synth_brownian(self.OUTER, 10e6, n / 10e6, 5)
+            rec = synth_brownian(self.OUTER, 10e6, n / 10e6, 5, 1e-26)
+            with contextlib.closing(rec.blocks()) as blocks:
+                total = sum(block.size for block in blocks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the half spectrum and the record, 8n bytes each, and a few chunks
-        # (pocketfft's own scratch is not traced)
-        assert peak <= 2 * ts.values.nbytes + 4 * 8 * _synth._CHUNK
+        assert total == n
+        # in chunks of 8 bytes a sample: the tables mu**k and mu**-k (two
+        # complex each, at this Q one run is a whole chunk), the drive pairs
+        # (two), x and the floor (one each) and the drive's cross term
+        # (one), 9 in all; the record is 16
+        assert peak <= 11 * 8 * _synth._CHUNK
+
+    @pytest.mark.parametrize("q, fs", [(30.0, 1e6), (0.6, 1e5), (0.2, 1e5),
+                                       (0.5, 1e5)])
+    def test_coefficients_are_the_exact_discretisation(self, q, fs):
+        # A = expm(M*dt) and the drive covariance Sigma - A Sigma A^T, by
+        # scipy, against the lanes' poles and drive laws: x = w0*lane0 +
+        # w1*lane1 must step with A's (x, v) row and have w's variance.
+        # At Q = 1/2 the lanes are (u, x), u = v + omega0*x
+        from scipy.linalg import expm
+        m = MechMode(2.5e3, q, 1e-7, 300.0)
+        dt, w0, rms = 1.0 / fs, m.omega0, thermal_rms(m)
+        a_mat = expm(np.array([[0.0, 1.0], [-w0 ** 2, -m.gamma]]) * dt)
+        sigma = np.diag([rms ** 2, (w0 * rms) ** 2])
+        noise = sigma - a_mat @ sigma @ a_mat.T
+        p_dts, first, step, coupling, w = _synth._baseband_recursion(m, fs)
+
+        def law(abc):   # covariance of the drive pair (a*xi0, c*xi1 + b*xi0)
+            a, b, c = abc
+            return np.array([[a * a, a * b], [a * b, b * b + c * c]])
+
+        if len(p_dts) == 1:     # (Re y, Im y); x = 2 Re y, v = 2 Re(lambda y)
+            lam = p_dts[0] / dt
+            to_xv = 2.0 * np.array([[1.0, 0.0], [lam.real, -lam.imag]])
+        elif coupling:          # (u, x): x, and v = u - omega0*x
+            to_xv = np.array([[0.0, 1.0], [1.0, -w0]])
+        else:                   # two real lanes: x = y1 + y2, v = l1 y1 + l2 y2
+            to_xv = np.array([[1.0, 1.0], [p_dts[0] / dt, p_dts[1] / dt]])
+        assert np.allclose(to_xv[0], w)
+        for got, want in ((law(first), sigma), (law(step), noise)):
+            got = to_xv @ got @ to_xv.T
+            scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
+            assert np.allclose(got / scale, want / scale, rtol=0, atol=1e-9)
+        # and the lanes' one-step map is A's
+        if len(p_dts) == 1:
+            mu = np.exp(p_dts[0])
+            step_map = np.array([[mu.real, -mu.imag], [mu.imag, mu.real]])
+        else:
+            mus = np.exp(p_dts)
+            step_map = np.array([[mus[0], 0.0], [coupling, mus[1]]])
+        assert np.allclose(to_xv @ step_map @ np.linalg.inv(to_xv), a_mat,
+                           rtol=1e-12, atol=1e-12 * np.abs(a_mat).max())
+
+
+class TestBasebandVarianceAtEveryLength:
+    """The baseband record has the thermal mean square at every record
+    length: over many seeds the mean of x**2 over thermal_rms**2 +
+    noise_floor*fs/2 is 1 within 4 standard errors of that mean.  A short
+    record holds one slowly varying amplitude, so each record's own ratio
+    scatters widely (exponentially, far below 1/gamma) and only the mean
+    over seeds is tested.  A spectrum shaped by thermal_psd bin by bin
+    reads 24.9 times the rms on the lock's 20 ms at 10 MHz."""
+
+    OUTER = MechMode(2.5e3, 1e5, 1e-7, 300.0)       # 1/gamma = 6.4 s
+
+    def _assert_thermal(self, m, fs, duration, seeds, noise_floor=0.0):
+        target = thermal_rms(m) ** 2 + 0.5 * noise_floor * fs
+        ratios = np.array([np.mean(_io.read_whole(synth_brownian(
+            m, fs, duration, seed, noise_floor)).values ** 2) / target
+            for seed in seeds])
+        se = ratios.std(ddof=1) / np.sqrt(ratios.size)
+        assert abs(ratios.mean() - 1.0) <= 4.0 * se, (ratios.mean(), se)
+        return ratios
+
+    def test_outer_mode_at_the_lock_rate(self):
+        # 2 ms at 10 MHz, 3e-4/gamma: five periods of one amplitude
+        ratios = self._assert_thermal(self.OUTER, 10e6, 0.002, range(200))
+        assert ratios.std() > 0.5
+
+    # a Q 100 mode at 2.5 kHz (1/gamma = 6.4 ms) over 0.1, 1 and 10/gamma
+    @pytest.mark.parametrize("noise_floor", [0.0, 1e-26])
+    @pytest.mark.parametrize("gamma_t", [0.1, 1.0, 10.0])
+    def test_mean_square_over_seeds(self, gamma_t, noise_floor):
+        m = MechMode(2.5e3, 100.0, 1e-7, 300.0)
+        self._assert_thermal(m, 100e3, gamma_t / m.gamma, range(200),
+                             noise_floor)
+
+    @pytest.mark.parametrize("q", [0.2, 0.5])
+    def test_mean_square_without_a_complex_pole(self, q):
+        m = MechMode(2.5e3, q, 1e-7, 300.0)
+        self._assert_thermal(m, 100e3, 0.01, range(100))
+
+    def test_spectrum_is_the_thermal_psd(self):
+        # a Q 30 mode: the Welch PSD over thermal_psd, averaged over the
+        # 800 bins of 0.2-10 kHz and 488 segments, is 1 within 2%; folding
+        # the line into [0, 25 kHz] adds about 0.1% there
+        m = MechMode(2.5e3, 30.0, 1e-7, 300.0)
+        spec = welch_psd(synth_brownian(m, 50e3, 20.0, seed=30), 4096)
+        band = (spec.freqs >= 200.0) & (spec.freqs <= 10e3)
+        ratio = spec.psd[band] / thermal_psd(spec.freqs[band], m)
+        assert np.mean(ratio) == pytest.approx(1.0, abs=0.02)
 
 
 class TestOpticalRingdown:
