@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .fitting import lm_fit
+from .fitting import _blocks, _work_rows, lm_fit
 from .synth import TWO_PI, TimeSeries, _all_finite, _block_means, _phasor
 
 
@@ -168,7 +168,8 @@ def welch_psd(ts, segment_len: int | None = None,
 
     The record is read once, in order, a block at a time (ts.blocks()), so
     a BlockSeries read from a file is never held whole: Welch keeps one
-    segment window (_segments) and the segment's work arrays.
+    segment window (_segments) and the segment's work arrays, and
+    transforms a complex segment in place.
     """
     if not 0.0 <= overlap_frac <= 0.9:
         raise ValueError("overlap_frac must be in [0, 0.9]")
@@ -187,14 +188,16 @@ def welch_psd(ts, segment_len: int | None = None,
     sw2 = float(np.sum(w * w))
     n_avg = len(range(0, n - segment_len + 1, hop))
 
-    # every segment reuses the same three arrays for its windowed samples,
-    # spectrum and power, with the bits of np.abs(fft(x[s:s+L] * w)) ** 2
+    # every segment reuses the same arrays for its windowed samples,
+    # spectrum and power, with the bits of np.abs(fft(x[s:s+L] * w)) ** 2;
+    # a complex segment's spectrum is the segment itself, transformed in
+    # place
     if ts.is_complex:
         fft, nbins, dtype = np.fft.fft, segment_len, complex
     else:
         fft, nbins, dtype = np.fft.rfft, segment_len // 2 + 1, float
     seg = np.empty(segment_len, dtype)
-    spec = np.empty(nbins, complex)
+    spec = seg if ts.is_complex else np.empty(nbins, complex)
     power = np.empty(nbins)
     acc = np.zeros(nbins)
     with contextlib.closing(ts.blocks()) as blocks:
@@ -203,12 +206,20 @@ def welch_psd(ts, segment_len: int | None = None,
             fft(seg, out=spec)
             np.abs(spec, out=power)
             acc += np.square(power, out=power)
+    del seg, spec, power
     acc /= n_avg
+    # psd and freqs are built in place, with the bits of the expressions
+    # in the comments
     if ts.is_complex:
-        psd = np.fft.fftshift(acc) / (fs * sw2) / 2.0
-        freqs = ts.center_freq + np.fft.fftshift(np.fft.fftfreq(segment_len, 1.0 / fs))
+        psd = np.fft.fftshift(acc)           # fftshift(acc) / (fs * sw2) / 2.0
+        psd /= fs * sw2
+        psd /= 2.0
+        freqs = np.fft.fftshift(np.fft.fftfreq(segment_len, 1.0 / fs))
+        freqs += ts.center_freq              # center_freq + fftshift(...)
     else:
-        psd = acc * 2.0 / (fs * sw2)
+        psd = acc                            # acc * 2.0 / (fs * sw2)
+        psd *= 2.0
+        psd /= fs * sw2
         psd[0] /= 2.0
         if segment_len % 2 == 0:
             psd[-1] /= 2.0
@@ -226,10 +237,10 @@ def _lorentzian_model(u, p, work):
     and a jac() that fills the (4, u.size) Jacobian.
 
     work is an (8, u.size) float array that the fit allocates once and
-    passes to every call.  The values and the Jacobian are views into it,
-    valid only until the next call; each element is computed with the
-    operations, in the order, of the whole-array expressions in the
-    comments.
+    passes to every call of the same block length (_work_rows).  The
+    values and the Jacobian are views into it, valid only until the next
+    call; each element is computed with the operations, in the order, of
+    the whole-array expressions in the comments.
     """
     du, wdt, a, b = p
     c = 0.5 * wdt
@@ -373,23 +384,27 @@ def fit_lorentzian(spec: Spectrum, window_hint=None) -> FitResult:
     v = y / amp0
     p0 = np.array([0.0, 1.0, 1.0, offset0 / amp0])
 
+    # the model of the bins [lo, hi), in work arrays one block long
     if spec.envelope_rate is None:
-        work = np.empty((8, u.size))
-        model = lambda p: _lorentzian_model(u, p, work)
+        work = _work_rows(8, u.size)
+        model = lambda p, lo, hi: _lorentzian_model(u[lo:hi], p, work(hi - lo))
     else:
         h = math.pi * scale_f / spec.envelope_rate   # pi / the band, in u
         rot = _rotations(u, h)
         del u                                        # rot replaces it
-        work = np.empty((7, rot.shape[1]))
-        model = lambda p: _aliased_lorentzian_model(rot, p, work, h)
+        work = _work_rows(7, rot.shape[1])
+        model = lambda p, lo, hi: _aliased_lorentzian_model(
+            rot[:, lo:hi], p, work(hi - lo), h)
     floor = 1e-6
     p = p0
     sig = np.empty_like(v)           # the weights, refilled by each pass
     for _ in range(2):
-        m0, _ = model(p)                 # a view into work: use it at once
-        np.abs(m0, out=sig)              # max(|m0|, floor) / sqrt(n_avg)
-        np.maximum(sig, floor, out=sig)
-        sig /= math.sqrt(spec.n_avg)
+        for lo, hi in _blocks(v.size):
+            m0, _ = model(p, lo, hi)     # a view into work: use it at once
+            s = sig[lo:hi]               # max(|m0|, floor) / sqrt(n_avg)
+            np.abs(m0, out=s)
+            np.maximum(s, floor, out=s)
+            s /= math.sqrt(spec.n_avg)
         res = lm_fit(model, p, v, sig)
         p = res.params
 
@@ -429,17 +444,26 @@ def fit_lorentzian(spec: Spectrum, window_hint=None) -> FitResult:
 
 def line_psd(spec: Spectrum, fit: FitResult) -> np.ndarray:
     """fit_lorentzian's fitted line plus offset at spec.freqs, its images
-    summed for a complex-envelope spectrum as the fit sums them."""
+    summed for a complex-envelope spectrum as the fit sums them.  It is
+    evaluated a block of bins at a time (_blocks) into the one array it
+    returns."""
     p = fit.params
+    out = np.empty(spec.freqs.size)
     if spec.envelope_rate is None:
         half = p["fwhm_hz"] / 2.0
-        return (p["amplitude"] * half ** 2
-                / ((spec.freqs - p["f0_hz"]) ** 2 + half ** 2) + p["offset"])
+        for lo, hi in _blocks(out.size):
+            out[lo:hi] = (p["amplitude"] * half ** 2
+                          / ((spec.freqs[lo:hi] - p["f0_hz"]) ** 2 + half ** 2)
+                          + p["offset"])
+        return out
     h = math.pi / spec.envelope_rate
-    return _aliased_lorentzian_model(
-        _rotations(spec.freqs - p["f0_hz"], h),
-        (0.0, p["fwhm_hz"], p["amplitude"], p["offset"]),
-        np.empty((7, spec.freqs.size)), h)[0].copy()
+    work = _work_rows(7, out.size)
+    for lo, hi in _blocks(out.size):
+        out[lo:hi] = _aliased_lorentzian_model(
+            _rotations(spec.freqs[lo:hi] - p["f0_hz"], h),
+            (0.0, p["fwhm_hz"], p["amplitude"], p["offset"]),
+            work(hi - lo), h)[0]
+    return out
 
 
 _ONSET_FRAC = 0.95         # detect_onset's threshold, of the plateau level
@@ -531,9 +555,9 @@ def fit_exp_decay(ts: TimeSeries, cavity_length: float | None = None,
     tn = t / t_span
     vn = y / y_scale
     p0 = np.array([amp0 / y_scale, t_span / tau0, offset0 / y_scale])
-    work = np.empty((5, n))
-    res = lm_fit(lambda p: _exp_model(tn, p, work), p0, vn,
-                 np.ones_like(vn))
+    work = _work_rows(5, n)
+    res = lm_fit(lambda p, lo, hi: _exp_model(tn[lo:hi], p, work(hi - lo)),
+                 p0, vn, 1.0)
     a, inv_tau, b = res.params
     cov = res.cov * (res.cost / (n - 3))
 

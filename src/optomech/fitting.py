@@ -1,25 +1,35 @@
 """Damped (Levenberg-Marquardt) least-squares core shared by the curve fits.
 
 Small and self-contained: callers provide a function returning the model
-values at a parameter vector together with a zero-argument callable that
-builds the Jacobian there from the model's intermediates, plus per-point
-sigmas.  The Jacobian is built only where it is used: at the start point
-and at every accepted step, never for a rejected trial step.  Callers are
-expected to nondimensionalise data and parameters to O(1) before calling
-in here (the public fit routines do).
+values of a block of points at a parameter vector together with a
+zero-argument callable that builds the block's Jacobian there from the
+model's intermediates, plus per-point sigmas.  The Jacobian is built only
+where it is used: at the start point and at every accepted step, never
+for a rejected trial step.  Callers are expected to nondimensionalise
+data and parameters to O(1) before calling in here (the public fit
+routines do).
 
-The Jacobian is a C-contiguous float array of shape (n_params,
-n_points), one row per parameter, which lm_fit weights in place.  Like
-the model values, it may be a work array that the model refills on every
-call: it need only stay valid until the next model evaluation, so a fit
-allocates its arrays once, not once per iteration.  The normal equations
-J^T W J and J^T W r and the cost r.r are sums over those contiguous rows
-taken with np.einsum, never with a BLAS product (``@``, ``np.dot`` and
-the like): a multithreaded BLAS splits such a sum by its thread count,
-so the last digits of every fit would depend on how many CPUs the
-process may use, and its worker threads spin for the whole fit.  Only
-the small solve and inverse of the (n_params, n_params) system go to
-LAPACK.
+lm_fit takes the points in blocks of _BLOCK, the last one partial, and
+adds the blocks' costs and normal equations in block order, so a fit
+holds one block's residuals and Jacobian, not the whole fit's: a spectrum
+of 524,288 bins is four blocks.  A fit of one block (every fit of
+131,072 points or fewer) takes a point's values and Jacobian from one
+model call.  A fit of several blocks evaluates an accepted point's model
+twice: once for the cost, and once more, block by block, before each
+block's Jacobian.
+
+The Jacobian of a block of m points is a C-contiguous float array of
+shape (n_params, m), one row per parameter, which lm_fit weights in
+place.  Like the model values, it may be a work array that the model
+refills on every call (_work_rows): it need only stay valid until the
+next model evaluation, so a fit allocates its arrays once, one block
+long, not once per iteration.  The normal equations J^T W J and J^T W r
+and the cost r.r are sums over those contiguous rows taken with
+np.einsum, never with a BLAS product (``@``, ``np.dot`` and the like): a
+multithreaded BLAS splits such a sum by its thread count, so the last
+digits of every fit would depend on how many CPUs the process may use,
+and its worker threads spin for the whole fit.  Only the small solve and
+inverse of the (n_params, n_params) system go to LAPACK.
 """
 
 from dataclasses import dataclass
@@ -34,6 +44,7 @@ _MAX_ITER = 200          # iterations at most
 _GTOL = 1e-8             # gradient cosine that counts as converged
 _FTOL = 1e-12            # relative cost improvement that ends the fit
 _LAM0 = 1e-3             # initial Levenberg-Marquardt damping
+_BLOCK = 1 << 17         # points whose residuals and Jacobian are held at once
 
 
 @dataclass
@@ -64,15 +75,32 @@ def _normal_equations(jw, r):
     return a, g
 
 
+def _blocks(n):
+    """The bounds (lo, hi) of the blocks of _BLOCK points, the last one
+    partial, that cover n points in order; one empty block for n = 0."""
+    return [(lo, min(lo + _BLOCK, n)) for lo in range(0, max(n, 1), _BLOCK)]
+
+
+def _work_rows(rows, n):
+    """work(m), a C-contiguous (rows, m) float array for a block of m
+    points of an n-point fit: a view of one buffer, one block long, that
+    every call returns again."""
+    buf = np.empty(rows * min(n, _BLOCK))
+    return lambda m: buf[:rows * m].reshape(rows, m)
+
+
 def lm_fit(model_jac, p0, y, sigma):
     """Minimise sum(((y - model(p)) / sigma)^2) over p.
 
-    model_jac(p) must return (yhat, jac), where jac() returns the Jacobian
-    at p as a C-contiguous array of shape (nparams, npoints); it is called
-    only for the start point and for accepted steps.  Both may live in
-    buffers that the next model_jac call refills: lm_fit uses yhat before
-    it calls jac(), weights the Jacobian in place and is done with both
-    before it calls model_jac again.
+    model_jac(p, lo, hi) must return (yhat, jac) for the points [lo, hi),
+    where jac() returns their Jacobian at p as a C-contiguous array of
+    shape (nparams, hi - lo); lm_fit asks for the blocks of _blocks(n) in
+    order, and calls jac() only for the start point and for accepted
+    steps, once per block.  Both may live in buffers that the next
+    model_jac call refills: lm_fit uses yhat before it calls jac(), weights
+    the Jacobian in place and is done with both before it calls model_jac
+    again.  The cost and the normal equations are the blocks' sums, added
+    in block order.
     Convergence is the scale-free cosine test: every component of the
     gradient must be at most _GTOL relative to the corresponding Jacobian
     column norm times the residual norm (or the cost must sit at the
@@ -87,7 +115,17 @@ def lm_fit(model_jac, p0, y, sigma):
         raise ValueError("sigma must be > 0")
     n = y.size
     cost_floor = n * (1e4 * _EPS) ** 2
-    r = np.empty(y.shape)            # weighted residuals, refilled per call
+    blocks = _blocks(n)
+    r = np.empty(min(n, _BLOCK))     # one block's weighted residuals
+
+    def block_cost(params, lo, hi):
+        """The cost of the points [lo, hi) at params, their weighted
+        residuals left in r, and the block's jac."""
+        yhat, jac = model_jac(params, lo, hi)
+        rb = r[:hi - lo]
+        np.subtract(y[lo:hi], yhat, out=rb)  # r = (y - yhat) / sigma
+        np.divide(rb, sigma[lo:hi], out=rb)
+        return _dot(rb, rb), jac
 
     def evaluate(params, accept_below=None):
         """(cost, J^T W J, J^T W r) at params, for the start point
@@ -95,17 +133,27 @@ def lm_fit(model_jac, p0, y, sigma):
         accept_below.  A rejected trial returns None and builds no
         Jacobian; nothing of it outlives the call."""
         # a trial may leave the float range: its cost is then not finite
-        with np.errstate(**({} if accept_below is None else _TRIAL)):
-            yhat, jac = model_jac(params)
-            np.subtract(y, yhat, out=r)      # r = (y - yhat) / sigma
-            np.divide(r, sigma, out=r)
-            cost = _dot(r, r)
+        errstate = {} if accept_below is None else _TRIAL
+        with np.errstate(**errstate):
+            cost, jac = block_cost(params, *blocks[0])
+            for lo, hi in blocks[1:]:
+                cost += block_cost(params, lo, hi)[0]
         if accept_below is not None and not (np.isfinite(cost)
                                              and cost < accept_below):
             return None
-        jw = jac()
-        jw /= sigma
-        return (cost,) + _normal_equations(jw, r)
+        for k, (lo, hi) in enumerate(blocks):
+            if len(blocks) > 1:          # the block's model, evaluated again
+                with np.errstate(**errstate):
+                    jac = block_cost(params, lo, hi)[1]
+            jw = jac()
+            jw /= sigma[lo:hi]
+            a_k, g_k = _normal_equations(jw, r[:hi - lo])
+            if k:
+                a += a_k
+                g += g_k
+            else:
+                a, g = a_k, g_k
+        return cost, a, g
 
     def cosine(g, a, cost):
         denom = np.sqrt(np.maximum(np.diag(a), 1e-300)) * np.sqrt(max(cost, 1e-300))

@@ -177,7 +177,8 @@ def _scan_ranges(path, offset):
     file; ``stop`` is None for ``_RANGE_BYTES`` bytes without a newline,
     which ``_CsvBody.blocks`` rejects when it reaches them.  The empty
     lines that end the body are left out (``_drop_final_empty_lines``).
-    The body is read into one reused buffer."""
+    The body is read into one reused buffer, which holds the last range
+    when the scan ends."""
     ranges = []
     block = bytearray(_RANGE_BYTES)
     newline = np.empty(_RANGE_BYTES, bool)
@@ -188,7 +189,7 @@ def _scan_ranges(path, offset):
             fh.seek(start)
             stop = fh.readinto(block)
             if not stop:
-                return _drop_final_empty_lines(fh, ranges)
+                return _drop_final_empty_lines(fh, ranges, block)
             if stop == _RANGE_BYTES:
                 stop = block.rfind(b"\n") + 1
                 if not stop:     # the next range holds the line's end
@@ -203,25 +204,44 @@ def _scan_ranges(path, offset):
             line += rows
 
 
-def _drop_final_empty_lines(fh, ranges):
+def _drop_final_empty_lines(fh, ranges, last):
     """``ranges`` without the empty lines, each ended by b"\\n" or
-    b"\\r\\n", that follow the last row of the body, read from ``fh``; as
-    they are if a carriage return without a newline lies among those
-    lines, so that the parse finds it."""
+    b"\\r\\n", that follow the last row of the body; as they are if a
+    carriage return without a newline lies among those lines, so that the
+    parse finds it.  ``last`` begins with the last range's bytes, as the
+    scan read them; an earlier range is read from ``fh`` only when those
+    lines reach back into it."""
     for k in range(len(ranges) - 1, -1, -1):
-        start, stop, line, _ = ranges[k]
+        start, stop, line, rows = ranges[k]
         if stop is None:
             return ranges[:k + 1]
-        fh.seek(start)
-        text = fh.read(stop - start)
-        kept = text.rstrip(b"\r\n")
-        tail = text[len(kept):]
+        if k == len(ranges) - 1:
+            text = memoryview(last)[:stop - start]
+        else:
+            fh.seek(start)
+            text = fh.read(stop - start)
+        tail = _trailing_line_ends(text)
         if tail.count(b"\r") != tail.count(b"\r\n"):
             return ranges
-        if kept:
-            return ranges[:k] + [(start, start + len(kept), line,
-                                  kept.count(b"\n") + 1)]
+        if len(tail) < len(text):
+            # the range's rows counted its newlines, and a last line
+            # without one
+            newlines = rows - (text[-1] != 10)
+            return ranges[:k] + [(start, stop - len(tail), line,
+                                  newlines - tail.count(b"\n") + 1)]
     return []
+
+
+def _trailing_line_ends(text):
+    """The run of b"\\r" and b"\\n" that ends ``text``, found in pieces
+    that double in length from its end."""
+    size = 64
+    while True:
+        piece = bytes(text[-size:])
+        tail = piece[len(piece.rstrip(b"\r\n")):]
+        if len(tail) < len(piece) or len(piece) == len(text):
+            return tail
+        size *= 2
 
 
 def _bad_line(buf, line, rows, ncols):

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import signal as sp_signal
 from scipy.optimize import curve_fit
 
-from optomech import (DriveRecord, EstimationError, MechMode, Spectrum,
-                      TimeSeries, detect_onset, estimate_transfer,
+from optomech import (BlockSeries, DriveRecord, EstimationError, MechMode,
+                      Spectrum, TimeSeries, detect_onset, estimate_transfer,
                       fit_exp_decay, fit_lorentzian, synth_brownian,
                       synth_drive_sweep, thermal_psd, transfer_power,
                       welch_psd)
@@ -12,7 +14,7 @@ from optomech.estimate import bin_log_mean
 from optomech.estimate import (_WINDOWS, _aliased_lorentzian_model,
                                _initial_lorentzian_guess, _lorentzian_model,
                                _rotations)
-from optomech.fitting import lm_fit
+from optomech.fitting import _work_rows, lm_fit
 from oracles import per_record_transfer, whole_array_welch
 
 
@@ -96,6 +98,31 @@ class TestWelchPsd:
         assert spec.psd.tobytes() == psd.tobytes()
         assert spec.freqs.tobytes() == freqs.tobytes()
 
+    def test_complex_record_holds_one_segment_besides_its_window(self):
+        # while the segments are transformed: the segment window
+        # (_segments) and the windowed segment, transformed in place, at
+        # 16 bytes a sample; the taper, the power and the running sum at
+        # 8; less than 8 more for the rest (a block's finiteness mask,
+        # numpy's casting buffer)
+        n = 1 << 16
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(4 * n) + 1j * rng.standard_normal(4 * n)
+        peaks = []
+
+        def blocks():
+            for k in range(0, x.size, n):
+                yield x[k:k + n]
+            peaks.append(tracemalloc.get_traced_memory()[1])
+
+        ts = BlockSeries(1e3, 0.0, x.size, complex, blocks, center_freq=1e4)
+        welch_psd(ts, n)                 # numpy's first-use allocations
+        tracemalloc.start()
+        try:
+            welch_psd(ts, n)
+        finally:
+            tracemalloc.stop()
+        assert peaks[-1] < (2 * 16 + 3 * 8 + 8) * n
+
     def test_errors(self):
         ts = _sine_series(n=1024)
         with pytest.raises(ValueError):
@@ -178,8 +205,9 @@ class TestFitLorentzian:
         f, y = spec.freqs[mask], spec.psd[mask]
         f0_0, fwhm0, amp0, offset0 = _initial_lorentzian_guess(f, y)
         u = (f - f0_0) / fwhm0
-        work = np.empty((8, u.size))
-        res = lm_fit(lambda p: _lorentzian_model(u, p, work),
+        work = _work_rows(8, u.size)
+        res = lm_fit(lambda p, lo, hi: _lorentzian_model(u[lo:hi], p,
+                                                         work(hi - lo)),
                      [0.0, 1.0, 1.0, offset0 / amp0], y / amp0,
                      np.ones_like(u))
         assert res.converged

@@ -2,7 +2,9 @@
 must return exactly what the eager version (a Jacobian at every trial)
 returned.  Its reductions use no BLAS: the fits stay within the last
 digits of other summation orders, and the normal equations do not depend
-on the alignment of their operands."""
+on the alignment of their operands.  It sums over blocks of points: a fit
+of several blocks stays within the last digits of the one-block fit and
+holds no work array as long as the fit."""
 
 import functools
 import math
@@ -11,8 +13,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from optomech import (MechMode, TimeSeries, fit_exp_decay, fit_lorentzian,
-                      synth_brownian, thermal_psd, welch_psd)
+from optomech import (MechMode, Spectrum, TimeSeries, fit_exp_decay,
+                      fit_lorentzian, synth_brownian, thermal_psd, welch_psd)
 from optomech import estimate, fitting
 from optomech.fitting import LMResult, _normal_equations, lm_fit
 
@@ -44,9 +46,9 @@ def _fsum_products(jw, r):
 
 
 def _eager_lm_fit(model_jac, p0, y, sigma, products=_einsum_products):
-    """The Levenberg-Marquardt loop as it was with model_jac(p) -> (yhat, J):
-    every trial step builds and weights the full Jacobian, and the normal
-    matrix is rebuilt after the loop.  It reads lm_fit's stopping constants
+    """The Levenberg-Marquardt loop over all n points as one block, with
+    model_jac(p, 0, n) -> (yhat, J): every trial step builds and weights
+    the full Jacobian, and the normal matrix is rebuilt after the loop.  It reads lm_fit's stopping constants
     when called, so a test that sets them sets them for both."""
     max_iter, gtol, ftol, lam0 = (fitting._MAX_ITER, fitting._GTOL,
                                   fitting._FTOL, fitting._LAM0)
@@ -59,7 +61,7 @@ def _eager_lm_fit(model_jac, p0, y, sigma, products=_einsum_products):
     cost_floor = n * (1e4 * _EPS) ** 2
 
     def cost_res(params):
-        yhat, jac = model_jac(params)
+        yhat, jac = model_jac(params, 0, n)
         r = (y - yhat) / sigma
         jw = jac / sigma
         return products(jw, r)[2], r, jw
@@ -383,67 +385,190 @@ class TestNormalEquations:
             assert g.tobytes() == g_ref.tobytes(), off
 
 
+def _counting_fit(model, p0, y, sigma):
+    """Run lm_fit and record, per model evaluation of a block, the block,
+    its cost and how often its Jacobian was built."""
+    evals = []
+
+    def model_jac(p, lo, hi):
+        yhat, jac = model(p, lo, hi)
+        r = (y[lo:hi] - yhat) / sigma[lo:hi]
+        rec = {"p": p.tobytes(), "lo": lo,
+               "cost": float(np.einsum("i,i->", r, r)), "jac_calls": 0}
+        evals.append(rec)
+
+        def counted():
+            rec["jac_calls"] += 1
+            return jac()
+        return yhat, counted
+
+    res = lm_fit(model_jac, p0, y, sigma)
+    return res, evals
+
+
+def _points(evals):
+    """The evaluations grouped by the point they evaluate, in order, and
+    whether lm_fit accepts each: the start point, then every trial whose
+    cost, summed over its blocks in order, is finite and below the current
+    one."""
+    points = []
+    for rec in evals:
+        if not points or points[-1][0]["p"] != rec["p"]:
+            points.append([])
+        points[-1].append(rec)
+    cost = None
+    flags = []
+    for recs in points:
+        seen = set()
+        total = None
+        for rec in recs:             # the first pass over the blocks
+            if rec["lo"] in seen:
+                break
+            seen.add(rec["lo"])
+            total = rec["cost"] if total is None else total + rec["cost"]
+        ok = cost is None or bool(np.isfinite(total) and total < cost)
+        if ok:
+            cost = total
+        flags.append(ok)
+    return points, flags
+
+
+def _lorentzian_case(seed=7):
+    """A Lorentzian fit that starts at a third of the guessed width, whose
+    first trials overshoot and are rejected: (model, p0, y, sigma)."""
+    spec, (lo, hi) = _brownian_spectrum(seed=seed)
+    mask = (spec.freqs >= lo) & (spec.freqs <= hi)
+    f, y = spec.freqs[mask], spec.psd[mask]
+    f0, fwhm0, amp0, off0 = estimate._initial_lorentzian_guess(f, y)
+    u = (f - f0) / fwhm0
+    work = fitting._work_rows(8, u.size)
+    model = lambda p, lo, hi: estimate._lorentzian_model(u[lo:hi], p,
+                                                         work(hi - lo))
+    p0 = np.array([0.0, 0.3, 1.0, off0 / amp0])
+    sigma = np.maximum(np.abs(_eager_lorentzian_model(u, p0)[0]), 1e-6)
+    return model, p0, y / amp0, sigma
+
+
+def _exp_case():
+    """An exponential fit from far off, whose trials overflow and are
+    rejected: (model, p0, y, sigma)."""
+    t = np.linspace(0.0, 1.0, 400)
+    y = 1.5 * np.exp(-t * 6.0) + 0.05
+    work = fitting._work_rows(5, t.size)
+    model = lambda p, lo, hi: estimate._exp_model(t[lo:hi], p, work(hi - lo))
+    return model, np.array([0.2, 40.0, 0.5]), y, np.ones_like(y)
+
+
 class TestJacobianOnlyAtAcceptedPoints:
-    def _counting_fit(self, model, p0, y, sigma):
-        """Run lm_fit and record, per model evaluation, its cost and how
-        often its Jacobian was built."""
-        evals = []
-
-        def model_jac(p):
-            yhat, jac = model(p)
-            r = (y - yhat) / sigma
-            rec = {"cost": float(np.einsum("i,i->", r, r)), "jac_calls": 0}
-            evals.append(rec)
-
-            def counted():
-                rec["jac_calls"] += 1
-                return jac()
-            return yhat, counted
-
-        res = lm_fit(model_jac, p0, y, sigma)
-        return res, evals
-
-    def _accepted(self, evals):
-        """lm_fit accepts the start point, then every trial with a finite
-        cost below the current one."""
-        cost = None
-        flags = []
-        for rec in evals:
-            ok = cost is None or (np.isfinite(rec["cost"]) and rec["cost"] < cost)
-            if ok:
-                cost = rec["cost"]
-            flags.append(ok)
-        return flags
-
     def test_lorentzian_statistical_weights(self):
-        spec, (lo, hi) = _brownian_spectrum(seed=7)
-        mask = (spec.freqs >= lo) & (spec.freqs <= hi)
-        f, y = spec.freqs[mask], spec.psd[mask]
-        f0, fwhm0, amp0, off0 = estimate._initial_lorentzian_guess(f, y)
-        u = (f - f0) / fwhm0
-        work = np.empty((8, u.size))
-        model = lambda p: estimate._lorentzian_model(u, p, work)
-        # a start at a third of the guessed width, whose first trials
-        # overshoot and are rejected
-        p0 = np.array([0.0, 0.3, 1.0, off0 / amp0])
-        sigma = np.maximum(np.abs(model(p0)[0]), 1e-6)
-        res, evals = self._counting_fit(model, p0, y / amp0, sigma)
-        flags = self._accepted(evals)
+        res, evals = _counting_fit(*_lorentzian_case())
+        points, flags = _points(evals)
         assert res.converged
         assert not all(flags), "no rejected trial to check"
-        assert [rec["jac_calls"] for rec in evals] == [int(ok) for ok in flags]
+        assert [[rec["jac_calls"] for rec in recs] for recs in points] == [
+            [int(ok)] for ok in flags]
         assert sum(flags) - 1 <= res.n_iter
 
     def test_exp_decay_far_start(self, monkeypatch):
-        t = np.linspace(0.0, 1.0, 400)
-        y = 1.5 * np.exp(-t * 6.0) + 0.05
-        work = np.empty((5, t.size))
         monkeypatch.setattr(fitting, "_LAM0", 1e-6)
         with np.errstate(over="ignore"):     # trials that overflow: rejected
-            res, evals = self._counting_fit(
-                lambda p: estimate._exp_model(t, p, work),
-                np.array([0.2, 40.0, 0.5]), y, np.ones_like(y))
-        flags = self._accepted(evals)
+            res, evals = _counting_fit(*_exp_case())
+        points, flags = _points(evals)
         assert res.converged
         assert not all(flags), "no rejected trial to check"
-        assert [rec["jac_calls"] for rec in evals] == [int(ok) for ok in flags]
+        assert [[rec["jac_calls"] for rec in recs] for recs in points] == [
+            [int(ok)] for ok in flags]
+
+
+def _small_blocks(monkeypatch, n):
+    """Set lm_fit's block so that n points make at least three blocks, the
+    last one partial; the number of blocks."""
+    block = (n - 1) // 3
+    assert n % block and n // block >= 3
+    monkeypatch.setattr(fitting, "_BLOCK", block)
+    return len(fitting._blocks(n))
+
+
+def _plain(spec):
+    """spec as a real record's spectrum: fitted as a plain Lorentzian."""
+    return Spectrum(spec.freqs, spec.psd, spec.n_avg, spec.resolution,
+                    spec.var_inflation)
+
+
+def _line_spectrum(n, aliased, seed=4):
+    """A noisy 4 Hz line at 2 kHz over n bins of a 400 Hz band, its images
+    summed when aliased (the spectrum of a complex-envelope record)."""
+    fs, f0, fwhm = 400.0, 2e3, 4.0
+    f = f0 + (np.arange(n) - n // 2) * (fs / n)
+    if aliased:
+        a = math.pi * fwhm / fs
+        line = np.sinh(a) / (np.cosh(a) - np.cos(2 * math.pi * (f - f0) / fs))
+    else:
+        line = (0.5 * fwhm) ** 2 / ((f - f0) ** 2 + (0.5 * fwhm) ** 2)
+    y = (line + 1e-3) * (1.0 + 0.1 * np.random.default_rng(seed).standard_normal(n))
+    return Spectrum(f, y, 100, fs / n, envelope_rate=fs if aliased else None)
+
+
+class TestBlockSums:
+    """lm_fit adds the cost and the normal equations of blocks of points:
+    a fit of several blocks moves only in the last digits, builds each
+    block's Jacobian once per accepted point, and holds one block of work
+    arrays, not arrays as long as the fit."""
+
+    @pytest.mark.parametrize("aliased", [False, True], ids=["plain", "aliased"])
+    @pytest.mark.parametrize("seed", [14, 7, 3], ids=_statistical)
+    def test_fit_lorentzian_matches_one_block(self, monkeypatch, seed, aliased):
+        spec, (lo, hi) = _brownian_spectrum(seed=seed)
+        if not aliased:
+            spec = _plain(spec)
+        one = fit_lorentzian(spec, (lo, hi))
+        _small_blocks(monkeypatch, int(np.count_nonzero(
+            (spec.freqs >= lo) & (spec.freqs <= hi))))
+        _assert_close_fit(fit_lorentzian(spec, (lo, hi)), one, 1e-9, 1e-9)
+
+    @pytest.mark.parametrize("kwargs", _DECAY_CASES)
+    def test_fit_exp_decay_matches_one_block(self, monkeypatch, kwargs):
+        ts = _decay()
+        one = fit_exp_decay(ts, **kwargs)
+        _small_blocks(monkeypatch, ts.n)
+        _assert_close_fit(fit_exp_decay(ts, **kwargs), one, 1e-9, 1e-9)
+
+    @pytest.mark.parametrize("case", [_lorentzian_case, _exp_case],
+                             ids=["lorentzian", "exp_decay"])
+    def test_jacobian_once_per_block_at_accepted_points(self, monkeypatch,
+                                                        case):
+        model, p0, y, sigma = case()
+        n_blocks = _small_blocks(monkeypatch, y.size)
+        monkeypatch.setattr(fitting, "_LAM0", 1e-6)
+        with np.errstate(over="ignore"):     # trials that overflow: rejected
+            res, evals = _counting_fit(model, p0, y, sigma)
+        points, flags = _points(evals)
+        assert res.converged
+        assert not all(flags), "no rejected trial to check"
+        starts = [lo for lo, _ in fitting._blocks(y.size)]
+        for recs, ok in zip(points, flags):
+            # a rejected trial: each block's cost; an accepted point: each
+            # block's cost, then each block again with its Jacobian
+            assert [rec["lo"] for rec in recs] == starts * (1 + ok)
+            assert [rec["jac_calls"] for rec in recs] == (
+                [0] * n_blocks + [1] * n_blocks * ok)
+
+    @pytest.mark.parametrize("aliased", [False, True], ids=["plain", "aliased"])
+    def test_multi_block_fit_holds_no_work_array_as_long_as_the_fit(
+            self, monkeypatch, aliased):
+        n = 1 << 16
+        spec = _line_spectrum(n, aliased)
+        monkeypatch.setattr(fitting, "_BLOCK", 1 << 10)
+        fit_lorentzian(spec)             # numpy's first-use allocations
+        tracemalloc.start()
+        try:
+            fit = fit_lorentzian(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.converged
+        assert fit.params["fwhm_hz"] == pytest.approx(4.0, rel=0.05)
+        # the abscissa (two arrays, its cosines and sines, for the aliased
+        # line), the scaled psd and the weights: four arrays as long as the
+        # spectrum, and less than one more for the rest
+        assert peak < 5 * 8 * n

@@ -684,6 +684,34 @@ class TestCsvBodyGrammar:
         with pytest.raises(FormatError, match="at least 2 samples$"):
             open_timeseries(path)
 
+    @pytest.mark.parametrize("tail, reads", [(b"\r\n\n", 0),
+                                             (b"\r\n\n" * 9000, 2)],
+                             ids=["in-the-last-range", "ranges-of-them"])
+    def test_final_empty_lines_read_once(self, tmp_path, monkeypatch, tail,
+                                         reads):
+        # the scan leaves the last range in its buffer: the empty lines
+        # that end a body are found there, and only ranges before it that
+        # they reach back into are read again
+        path = tmp_path / "rec.csv"
+        write_timeseries_csv(path, _noise_ts(5003, False))
+        text = path.read_bytes()
+        path.write_bytes(text + tail)
+        body = text.index(b"\nvalue\n") + 7
+        want = omio._scan_ranges(path, body)
+        assert len(want) > 2 and want[-1][1] == len(text) - 1
+        calls = []
+
+        class Counted(io.BufferedReader):
+            def read(self, size=-1):
+                calls.append(size)
+                return super().read(size)
+
+        monkeypatch.setattr(omio, "open", lambda path, mode: Counted(
+            io.FileIO(path, mode.replace("b", ""))), raising=False)
+        assert omio._scan_ranges(path, body) == want
+        assert calls[0] == body          # the lines before the body
+        assert len(calls) - 1 == reads
+
     @pytest.mark.parametrize("above", [False, True])
     @pytest.mark.parametrize("values_per_row", [1, 3])
     def test_drive_record_needs_two_values_per_row(self, tmp_path, above,
